@@ -38,6 +38,10 @@ const META_OVERHEAD: SimDuration = SimDuration::from_micros(150);
 /// [`META_OVERHEAD`] once, then this per item.
 const BATCH_ITEM_OVERHEAD: SimDuration = SimDuration::from_micros(10);
 
+/// `(key, versions)` GCed out of the metadata during a shard session; their
+/// bytes are deleted from the tiers after the session ends.
+type PrunedVersions = Vec<(String, Vec<VersionId>)>;
+
 /// Errors surfaced by instance operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TieraError {
@@ -92,7 +96,11 @@ pub enum BatchOp {
 
 /// A storage tier slot inside an instance: a simulated cloud service, or —
 /// for §3.2.2's modular instances — another whole Tiera instance mounted as
-/// a (typically read-only) tier.
+/// a (typically read-only) tier. Tier ops run under the caller's metastore
+/// shard guard, so neither kind sleeps or touches a channel: a mounted
+/// instance is entered through its non-sleeping `*_unslept` entries and its
+/// modeled latency is slept once, by the outermost caller.
+#[derive(Clone)]
 pub enum TierHandle {
     Local(Arc<SimTier>),
     Instance {
@@ -109,8 +117,7 @@ impl TierHandle {
                 if *read_only {
                     return Err(TieraError::ReadOnlyTier(inst.name().to_string()));
                 }
-                let out = inst.put(key, val)?;
-                Ok(out.latency)
+                Ok(inst.put_unslept(key, val, &[])?.latency)
             }
         }
     }
@@ -119,7 +126,7 @@ impl TierHandle {
         match self {
             TierHandle::Local(t) => Ok(t.get(key)?),
             TierHandle::Instance { inst, .. } => {
-                let out = inst.get(key)?;
+                let out = inst.get_unslept(key)?;
                 let value = out.value.ok_or_else(|| {
                     TieraError::Corrupt(format!("instance get of '{key}' returned no bytes"))
                 })?;
@@ -162,6 +169,7 @@ impl TierHandle {
 }
 
 /// Construction parameters for an instance.
+#[derive(Clone)]
 pub struct InstanceConfig {
     pub name: String,
     pub region: Region,
@@ -240,13 +248,6 @@ pub struct TieraInstance {
     clock: SharedClock,
     tiers: Vec<(String, TierHandle)>,
     meta: MetaStore,
-    /// True when every tier is a [`TierHandle::Local`] simulated service.
-    /// The sharded fast paths hold one metastore shard lock across the tier
-    /// hop, which is only safe when the hop cannot re-enter another
-    /// instance's metastore (same lock class — wiera-check WC002); with a
-    /// mounted instance in the stack, operations fall back to the phased
-    /// lock-per-step paths.
-    all_local_tiers: bool,
     /// Edge-trigger memory for tier-filled rules (rule index → armed).
     filled_armed: TrackedMutex<HashMap<usize, bool>>,
     /// One circuit breaker per tier, keyed in tier order. The read path
@@ -286,7 +287,6 @@ impl TieraInstance {
             clock,
             tiers,
             meta: MetaStore::new(),
-            all_local_tiers: true,
             filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
             tier_breakers,
             stats: InstanceStats::default(),
@@ -298,10 +298,7 @@ impl TieraInstance {
     /// own typical get latency (with a small floor), so a memory tier and an
     /// archival tier each trip only on *their* kind of brownout; healthy
     /// jitter never reaches 20x the median EWMA-smoothed.
-    fn build_breakers(
-        name: &str,
-        tiers: &[(String, TierHandle)],
-    ) -> Vec<(String, CircuitBreaker)> {
+    fn build_breakers(name: &str, tiers: &[(String, TierHandle)]) -> Vec<(String, CircuitBreaker)> {
         tiers
             .iter()
             .map(|(label, h)| {
@@ -326,44 +323,38 @@ impl TieraInstance {
         inst: Arc<TieraInstance>,
         read_only: bool,
     ) -> Arc<Self> {
-        // Instances are immutable after build except through interior
-        // mutability; cheapest correct approach is rebuilding the tier list.
-        // To keep the public API simple we clone the Arc'd tiers.
-        let mut tiers: Vec<(String, TierHandle)> = Vec::new();
-        for (l, h) in &self.tiers {
-            let hh = match h {
-                TierHandle::Local(t) => TierHandle::Local(t.clone()),
-                TierHandle::Instance { inst, read_only } => TierHandle::Instance {
-                    inst: inst.clone(),
-                    read_only: *read_only,
-                },
-            };
-            tiers.push((l.clone(), hh));
-        }
+        // Instances are immutable after build, so the mounting instance is
+        // a new one over the same (Arc'd) tiers plus the child. The child
+        // already exists and can never mount its parent: mounts form a DAG,
+        // which the metastore's depth-carrying lock class records.
+        let mut tiers = self.tiers.clone();
         tiers.push((label.to_string(), TierHandle::Instance { inst, read_only }));
-        let all_local_tiers = tiers.iter().all(|(_, h)| matches!(h, TierHandle::Local(_)));
         let tier_breakers = Self::build_breakers(&self.config.name, &tiers);
+        let meta = MetaStore::at_mount_depth(Self::mount_depth(&tiers));
         Arc::new(TieraInstance {
-            config: InstanceConfig {
-                name: self.config.name.clone(),
-                region: self.config.region,
-                tiers: self.config.tiers.clone(),
-                rules: self.config.rules.clone(),
-                max_versions: self.config.max_versions,
-                sleep_on_ops: self.config.sleep_on_ops,
-                sleep_background: self.config.sleep_background,
-                encryption_key: self.config.encryption_key,
-                seed: self.config.seed,
-            },
+            config: self.config.clone(),
             clock: self.clock.clone(),
             tiers,
-            meta: MetaStore::new(),
-            all_local_tiers,
+            meta,
             filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
             tier_breakers,
             stats: InstanceStats::default(),
             rng: TrackedMutex::new("inst.rng", SimRng::new(self.config.seed).child("mounted")),
         })
+    }
+
+    /// Mount levels between a tier stack's owner and its deepest leaf
+    /// instance: 0 without a mounted-instance tier, else one more than the
+    /// deepest child.
+    fn mount_depth(tiers: &[(String, TierHandle)]) -> usize {
+        tiers
+            .iter()
+            .filter_map(|(_, h)| match h {
+                TierHandle::Instance { inst, .. } => Some(Self::mount_depth(&inst.tiers) + 1),
+                TierHandle::Local(_) => None,
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     pub fn name(&self) -> &str {
@@ -455,11 +446,20 @@ impl TieraInstance {
         value: Bytes,
         tags: &[&str],
     ) -> Result<OpOutcome, TieraError> {
+        let outcome = self.put_unslept(key, value, tags)?;
+        self.maybe_sleep(outcome.latency);
+        Ok(outcome)
+    }
+
+    /// PUT without the trailing sleep: the entry a mounting instance uses
+    /// while it holds its own shard guard.
+    fn put_unslept(&self, key: &str, value: Bytes, tags: &[&str]) -> Result<OpOutcome, TieraError> {
         self.check_deadline()?;
         self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.ingest(key, value, tags, None, None, META_OVERHEAD)?;
+        let outcome = self.shard_session(key, |map, gc| {
+            self.ingest_locked(map, key, value, tags, None, META_OVERHEAD, gc)
+        })?;
         self.note_op("put", outcome.latency);
-        self.maybe_sleep(outcome.latency);
         Ok(outcome)
     }
 
@@ -473,8 +473,7 @@ impl TieraInstance {
     /// Items are grouped by metastore shard and each shard's lock is taken
     /// **once per batch** (see [`MetaStore::shard_write`]); items on the
     /// same key keep their request order because a key always hashes to the
-    /// same shard. When a mounted instance sits in the tier stack the batch
-    /// falls back to the phased per-item path (see `all_local_tiers`).
+    /// same shard.
     #[allow(clippy::type_complexity)]
     pub fn apply_batch(
         &self,
@@ -484,9 +483,6 @@ impl TieraInstance {
         // together (checking per item would tear a half-expired batch).
         if let Err(e) = self.check_deadline() {
             return (ops.iter().map(|_| Err(e.clone())).collect(), META_OVERHEAD);
-        }
-        if !self.all_local_tiers {
-            return self.apply_batch_per_item(ops);
         }
         let mut total = META_OVERHEAD;
         let mut results: Vec<Result<OpOutcome, TieraError>> = ops
@@ -501,7 +497,7 @@ impl TieraInstance {
             };
             groups[self.meta.shard_of(key)].push(i);
         }
-        let mut gc: Vec<(String, Vec<VersionId>)> = Vec::new();
+        let mut gc = PrunedVersions::new();
         for (shard, idxs) in groups.iter().enumerate() {
             if idxs.is_empty() {
                 continue;
@@ -511,18 +507,17 @@ impl TieraInstance {
                 let r = match &ops[i] {
                     BatchOp::Put { key, value } => {
                         self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
-                        // This fast path only runs when every tier is local
-                        // (`all_local_tiers`), so the calls under the shard
-                        // guard are in-memory tier ops that model latency
-                        // without ever blocking on a channel; the blocking
-                        // candidates are widening artifacts of `.put`.
-                        // ws-audit: allow(WS103): all-local fast path, tier ops cannot block
+                        // Tier hops under the shard guard only model
+                        // latency: they never sleep or touch a channel,
+                        // mounted instance or not (see `TierHandle`); the
+                        // blocking candidates are widening artifacts of
+                        // `.put`.
+                        // ws-audit: allow(WS103): tier hops under the guard never sleep or touch a channel
                         self.ingest_locked(
                             &mut map,
                             key,
                             value.clone(),
                             &[],
-                            None,
                             None,
                             BATCH_ITEM_OVERHEAD,
                             &mut gc,
@@ -545,50 +540,7 @@ impl TieraInstance {
                 results[i] = r;
             }
         }
-        // GC pruned version bytes outside the shard sessions.
-        for (key, versions) in gc {
-            for v in versions {
-                let sk = storage_key(&key, v);
-                for (_, h) in &self.tiers {
-                    let _ = h.delete(&sk);
-                }
-            }
-        }
-        self.note_op("batch", total);
-        self.maybe_sleep(total);
-        (results, total)
-    }
-
-    /// Legacy batch path for instances with mounted-instance tiers: each
-    /// item acquires locks step by step, never holding a metastore shard
-    /// lock across a tier hop that could re-enter another metastore.
-    #[allow(clippy::type_complexity)]
-    fn apply_batch_per_item(
-        &self,
-        ops: &[BatchOp],
-    ) -> (Vec<Result<OpOutcome, TieraError>>, SimDuration) {
-        let mut total = META_OVERHEAD;
-        let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            let r = match op {
-                BatchOp::Put { key, value } => {
-                    self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
-                    self.ingest(key, value.clone(), &[], None, None, BATCH_ITEM_OVERHEAD)
-                }
-                BatchOp::Get { key } => {
-                    self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
-                    self.meta
-                        .with(key, |o| o.latest_version())
-                        .flatten()
-                        .ok_or_else(|| TieraError::NotFound(key.clone()))
-                        .and_then(|v| self.read_version(key, v))
-                }
-            };
-            if let Ok(out) = &r {
-                total += out.latency;
-            }
-            results.push(r);
-        }
+        self.delete_pruned(gc);
         self.note_op("batch", total);
         self.maybe_sleep(total);
         (results, total)
@@ -612,25 +564,22 @@ impl TieraInstance {
         modified: SimInstant,
         value: Bytes,
     ) -> Result<Option<OpOutcome>, TieraError> {
-        let accept = self
-            .meta
-            .with(key, |o| o.accepts_update(version, modified))
-            .unwrap_or(true);
-        if !accept {
-            return Ok(None);
-        }
-        self.stats
-            .replicated_updates
-            .fetch_add(1, Ordering::Relaxed);
-        let outcome = self.ingest(
-            key,
-            value,
-            &[],
-            Some(version),
-            Some(modified),
-            META_OVERHEAD,
-        )?;
-        Ok(Some(outcome))
+        self.shard_session(key, |map, gc| {
+            // The last-write-wins test and the write it guards share one
+            // lock hold, so two racing updates cannot both pass it.
+            if map
+                .get(key)
+                .is_some_and(|o| !o.accepts_update(version, modified))
+            {
+                return Ok(None);
+            }
+            self.stats
+                .replicated_updates
+                .fetch_add(1, Ordering::Relaxed);
+            let forced = Some((version, modified));
+            self.ingest_locked(map, key, value, &[], forced, META_OVERHEAD, gc)
+                .map(Some)
+        })
     }
 
     /// Simulate a node crash (§4.4): volatile local tiers lose their
@@ -683,58 +632,43 @@ impl TieraInstance {
         lost
     }
 
-    /// Shared ingest path for local puts and replicated updates. `overhead`
-    /// is the metadata bookkeeping charge: the full [`META_OVERHEAD`] for a
-    /// standalone op, the marginal [`BATCH_ITEM_OVERHEAD`] inside a batch.
-    ///
-    /// With an all-local tier stack the whole op runs under one metastore
-    /// shard session (version allocation and metadata record under the same
-    /// lock hold, closing the alloc/record race); otherwise it takes the
-    /// phased path that never holds a metastore lock across a tier hop.
-    fn ingest(
+    /// Run `f` under one write session on `key`'s metastore shard — the only
+    /// way a single-key write executes — then delete the bytes of the
+    /// versions it pruned, outside the session.
+    fn shard_session<R>(
         &self,
         key: &str,
-        value: Bytes,
-        tags: &[&str],
-        forced_version: Option<VersionId>,
-        forced_modified: Option<SimInstant>,
-        overhead: SimDuration,
-    ) -> Result<OpOutcome, TieraError> {
-        if self.all_local_tiers {
-            let mut gc: Vec<(String, Vec<VersionId>)> = Vec::new();
-            let r = {
-                let mut map = self.meta.shard_write(self.meta.shard_of(key));
-                // All-local fast path: tier ops under the shard guard are
-                // in-memory and never block; see the WS103 note at the
-                // batch-ingest call site.
-                // ws-audit: allow(WS103): all-local fast path, tier ops cannot block
-                self.ingest_locked(
-                    &mut map,
-                    key,
-                    value,
-                    tags,
-                    forced_version,
-                    forced_modified,
-                    overhead,
-                    &mut gc,
-                )
-            };
-            for (k, versions) in gc {
-                for v in versions {
-                    let sk = storage_key(&k, v);
-                    for (_, h) in &self.tiers {
-                        let _ = h.delete(&sk);
-                    }
-                }
-            }
-            return r;
-        }
-        self.ingest_phased(key, value, tags, forced_version, forced_modified, overhead)
+        f: impl FnOnce(&mut MetaShardGuard<'_>, &mut PrunedVersions) -> R,
+    ) -> R {
+        let mut gc = PrunedVersions::new();
+        let r = {
+            let mut map = self.meta.shard_write(self.meta.shard_of(key));
+            f(&mut map, &mut gc)
+        };
+        self.delete_pruned(gc);
+        r
     }
 
-    /// Ingest one put into an already-locked metastore shard. `gc` collects
-    /// `(key, pruned versions)` whose bytes the caller deletes after the
-    /// shard session ends.
+    /// Delete the bytes of GCed versions from every tier.
+    fn delete_pruned(&self, gc: PrunedVersions) {
+        for (key, versions) in gc {
+            for v in versions {
+                let sk = storage_key(&key, v);
+                for (_, h) in &self.tiers {
+                    let _ = h.delete(&sk);
+                }
+            }
+        }
+    }
+
+    /// Ingest one put — local, batched or replicated — into an already-locked
+    /// metastore shard: the version is allocated and recorded under the same
+    /// lock hold, so concurrent puts to one key never share a version.
+    /// `forced` is a replicated update's `(version, modified-time)`;
+    /// `overhead` the metadata bookkeeping charge (the full
+    /// [`META_OVERHEAD`] for a standalone op, the marginal
+    /// [`BATCH_ITEM_OVERHEAD`] inside a batch); `gc` collects the pruned
+    /// versions whose bytes the caller deletes after the shard session ends.
     #[allow(clippy::too_many_arguments)]
     fn ingest_locked(
         &self,
@@ -742,14 +676,15 @@ impl TieraInstance {
         key: &str,
         value: Bytes,
         tags: &[&str],
-        forced_version: Option<VersionId>,
-        forced_modified: Option<SimInstant>,
+        forced: Option<(VersionId, SimInstant)>,
         overhead: SimDuration,
-        gc: &mut Vec<(String, Vec<VersionId>)>,
+        gc: &mut PrunedVersions,
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
-        let version =
-            forced_version.unwrap_or_else(|| map.get(key).map(|o| o.next_version()).unwrap_or(1));
+        let version = match forced {
+            Some((v, _)) => v,
+            None => map.get(key).map(|o| o.next_version()).unwrap_or(1),
+        };
         let skey = storage_key(key, version);
 
         let mut latency = overhead;
@@ -758,107 +693,7 @@ impl TieraInstance {
         let mut dirty = false;
 
         // Insert rules (event `insert.into`) run synchronously. They only
-        // touch tiers (all local here), never the metastore.
-        let insert_rules: Vec<&Rule> = self
-            .config
-            .rules
-            .iter()
-            .filter(|r| matches!(r.event, EventKind::Insert { into: None }))
-            .collect();
-        for rule in insert_rules {
-            for action in &rule.actions {
-                self.run_insert_action(
-                    action,
-                    &skey,
-                    &value,
-                    &mut latency,
-                    &mut location,
-                    &mut replicas,
-                    &mut dirty,
-                )?;
-            }
-        }
-        let location = match location {
-            Some(l) => l,
-            None => {
-                let label = self.default_tier_label().to_string();
-                latency += self.tier_required(&label)?.put(&skey, value.clone())?;
-                label
-            }
-        };
-
-        let scoped: Vec<&Rule> = self
-            .config
-            .rules
-            .iter()
-            .filter(|r| matches!(&r.event, EventKind::Insert { into: Some(t) } if *t == location))
-            .collect();
-        let mut loc2 = Some(location.clone());
-        for rule in scoped {
-            for action in &rule.actions {
-                self.run_insert_action(
-                    action,
-                    &skey,
-                    &value,
-                    &mut latency,
-                    &mut loc2,
-                    &mut replicas,
-                    &mut dirty,
-                )?;
-            }
-        }
-
-        // Record metadata in the same lock hold that allocated the version.
-        let size = value.len() as u64;
-        let obj = map.entry(key.to_string()).or_default();
-        for t in tags {
-            obj.tags.insert(t.to_string());
-        }
-        let mut m = VersionMeta::new(version, size, now, &location);
-        m.dirty = dirty;
-        m.replicas = replicas;
-        if let Some(fm) = forced_modified {
-            m.modified = fm;
-        }
-        obj.versions.insert(version, m);
-        let pruned = match self.config.max_versions {
-            Some(keep) => obj.prune_old_versions(keep),
-            None => Vec::new(),
-        };
-        if !pruned.is_empty() {
-            gc.push((key.to_string(), pruned));
-        }
-
-        Ok(OpOutcome {
-            value: None,
-            version,
-            latency,
-        })
-    }
-
-    /// Phased ingest for tier stacks containing mounted instances: every
-    /// metastore access is its own short lock hold, so the tier hop can
-    /// re-enter another instance's metastore without nesting shard locks.
-    fn ingest_phased(
-        &self,
-        key: &str,
-        value: Bytes,
-        tags: &[&str],
-        forced_version: Option<VersionId>,
-        forced_modified: Option<SimInstant>,
-        overhead: SimDuration,
-    ) -> Result<OpOutcome, TieraError> {
-        let now = self.clock.now();
-        let version = forced_version
-            .unwrap_or_else(|| self.meta.with(key, |o| o.next_version()).unwrap_or(1));
-        let skey = storage_key(key, version);
-
-        let mut latency = overhead;
-        let mut location: Option<String> = None;
-        let mut replicas: BTreeSet<String> = BTreeSet::new();
-        let mut dirty = false;
-
-        // Insert rules (event `insert.into`) run synchronously.
+        // touch tiers, never this metastore.
         let insert_rules: Vec<&Rule> = self
             .config
             .rules
@@ -913,30 +748,25 @@ impl TieraInstance {
             }
         }
 
-        // Record metadata.
+        // Record metadata in the same lock hold that allocated the version.
         let size = value.len() as u64;
-        let pruned = self.meta.with_mut(key, |o| {
-            for t in tags {
-                o.tags.insert(t.to_string());
-            }
-            let mut m = VersionMeta::new(version, size, now, &location);
-            m.dirty = dirty;
-            m.replicas = replicas.clone();
-            if let Some(fm) = forced_modified {
-                m.modified = fm;
-            }
-            o.versions.insert(version, m);
-            match self.config.max_versions {
-                Some(keep) => o.prune_old_versions(keep),
-                None => Vec::new(),
-            }
-        });
-        // GC pruned version bytes.
-        for v in pruned {
-            let sk = storage_key(key, v);
-            for (_, h) in &self.tiers {
-                let _ = h.delete(&sk);
-            }
+        let obj = map.entry(key.to_string()).or_default();
+        for t in tags {
+            obj.tags.insert(t.to_string());
+        }
+        let mut m = VersionMeta::new(version, size, now, &location);
+        m.dirty = dirty;
+        m.replicas = replicas;
+        if let Some((_, modified)) = forced {
+            m.modified = modified;
+        }
+        obj.versions.insert(version, m);
+        let pruned = match self.config.max_versions {
+            Some(keep) => obj.prune_old_versions(keep),
+            None => Vec::new(),
+        };
+        if !pruned.is_empty() {
+            gc.push((key.to_string(), pruned));
         }
 
         Ok(OpOutcome {
@@ -1002,16 +832,25 @@ impl TieraInstance {
 
     /// Retrieve the latest version (GET).
     pub fn get(&self, key: &str) -> Result<OpOutcome, TieraError> {
+        let out = self.get_unslept(key)?;
+        self.maybe_sleep(out.latency);
+        Ok(out)
+    }
+
+    /// GET without the trailing sleep: the entry a mounting instance uses
+    /// while it holds its own shard guard.
+    fn get_unslept(&self, key: &str) -> Result<OpOutcome, TieraError> {
         self.check_deadline()?;
         self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
-        let version = self
+        let missing = || TieraError::NotFound(key.to_string());
+        let out = self
             .meta
-            .with(key, |o| o.latest_version())
-            .flatten()
-            .ok_or_else(|| TieraError::NotFound(key.to_string()))?;
-        let out = self.read_version(key, version)?;
+            .with_existing_mut(key, |o| {
+                let version = o.latest_version().ok_or_else(missing)?;
+                self.read_version_locked(key, version, o)
+            })
+            .unwrap_or_else(|| Err(missing()))?;
         self.note_op("get", out.latency);
-        self.maybe_sleep(out.latency);
         Ok(out)
     }
 
@@ -1041,25 +880,24 @@ impl TieraInstance {
         value: Bytes,
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
-        let holders = self
+        let missing = || TieraError::VersionNotFound(key.to_string(), version);
+        // Holder lookup, rewrite and metadata edit share one shard session.
+        let latency = self
             .meta
-            .with(key, |o| {
-                o.versions.get(&version).map(|m| m.location.clone())
-            })
-            .flatten()
-            .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-        let skey = storage_key(key, version);
-        let mut latency = SimDuration::from_micros(150);
-        latency += self.tier_required(&holders)?.put(&skey, value.clone())?;
-        self.meta.with_mut(key, |o| {
-            if let Some(m) = o.versions.get_mut(&version) {
-                m.size = value.len() as u64;
+            .with_existing_mut(key, |o| {
+                let m = o.versions.get_mut(&version).ok_or_else(missing)?;
+                let size = value.len() as u64;
+                let stored = self
+                    .tier_required(&m.location)?
+                    .put(&storage_key(key, version), value)?;
+                m.size = size;
                 m.modified = now;
                 m.touch(now);
                 // In-place update invalidates intra-instance replicas.
                 m.replicas.clear();
-            }
-        });
+                Ok(META_OVERHEAD + stored)
+            })
+            .unwrap_or_else(|| Err(missing()))?;
         self.note_op("update", latency);
         self.maybe_sleep(latency);
         Ok(OpOutcome {
@@ -1102,17 +940,12 @@ impl TieraInstance {
         Ok(())
     }
 
-    /// Read path shared by get/getVersion: try holders fastest-first, heal
-    /// metadata when a volatile tier has evicted its copy.
+    /// Read one version under one shard session covering holder lookup,
+    /// heal and touch.
     fn read_version(&self, key: &str, version: VersionId) -> Result<OpOutcome, TieraError> {
-        if self.all_local_tiers {
-            // One shard session covers holder lookup, heal, and touch.
-            return self
-                .meta
-                .with_existing_mut(key, |o| self.read_version_locked(key, version, o))
-                .unwrap_or_else(|| Err(TieraError::VersionNotFound(key.to_string(), version)));
-        }
-        self.read_version_phased(key, version)
+        self.meta
+            .with_existing_mut(key, |o| self.read_version_locked(key, version, o))
+            .unwrap_or_else(|| Err(TieraError::VersionNotFound(key.to_string(), version)))
     }
 
     /// Read one version with its object's metadata already locked: try
@@ -1228,86 +1061,6 @@ impl TieraInstance {
         probe_first.extend(healthy);
         probe_first.extend(suspect);
         probe_first
-    }
-
-    /// Phased read for tier stacks containing mounted instances: holder
-    /// lookup, tier hop, and heal/touch are separate lock holds so the hop
-    /// can re-enter another instance's metastore.
-    fn read_version_phased(&self, key: &str, version: VersionId) -> Result<OpOutcome, TieraError> {
-        let now = self.clock.now();
-        let (holders, compressed, encrypted) = self
-            .meta
-            .with(key, |o| {
-                o.versions.get(&version).map(|m| {
-                    (
-                        m.holders()
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect::<Vec<_>>(),
-                        m.compressed,
-                        m.encrypted,
-                    )
-                })
-            })
-            .flatten()
-            .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-
-        // Fastest healthy holder first.
-        let ordered = self.holder_order(holders, now);
-
-        let skey = storage_key(key, version);
-        let mut latency = SimDuration::from_micros(100);
-        let mut lost: Vec<String> = Vec::new();
-        for label in &ordered {
-            let Some(h) = self.tier(label) else {
-                lost.push(label.clone());
-                continue;
-            };
-            match h.get(&skey) {
-                Ok((mut data, l)) => {
-                    if let Some(b) = self.tier_breaker(label) {
-                        b.record_success(self.clock.now(), l);
-                    }
-                    latency += l;
-                    if encrypted {
-                        data = transform::decrypt(&data, self.config.encryption_key);
-                    }
-                    if compressed {
-                        data = transform::decompress(&data).map_err(TieraError::Corrupt)?;
-                    }
-                    // Heal metadata: forget holders that no longer have it.
-                    if !lost.is_empty() {
-                        self.meta.with_mut(key, |o| {
-                            if let Some(m) = o.versions.get_mut(&version) {
-                                for l in &lost {
-                                    m.replicas.remove(l);
-                                    if &m.location == l {
-                                        m.location = label.clone();
-                                    }
-                                }
-                            }
-                        });
-                    }
-                    self.meta.with_mut(key, |o| {
-                        if let Some(m) = o.versions.get_mut(&version) {
-                            m.touch(now);
-                        }
-                    });
-                    return Ok(OpOutcome {
-                        value: Some(data),
-                        version,
-                        latency,
-                    });
-                }
-                Err(_) => {
-                    if let Some(b) = self.tier_breaker(label) {
-                        b.record_failure(self.clock.now());
-                    }
-                    lost.push(label.clone())
-                }
-            }
-        }
-        Err(TieraError::NotFound(key.to_string()))
     }
 
     // ---- background policy execution ---------------------------------------
@@ -1545,28 +1298,7 @@ impl TieraInstance {
         to: &str,
         bandwidth_bps: Option<f64>,
     ) -> Result<SimDuration, TieraError> {
-        let out = self.read_version(key, version)?;
-        let data = out
-            .value
-            .ok_or_else(|| TieraError::Corrupt(format!("read of '{key}' returned no bytes")))?;
-        let mut latency = out.latency;
-        latency += self
-            .tier_required(to)?
-            .put(&storage_key(key, version), data.clone())?;
-        if let Some(bw) = bandwidth_bps {
-            let limited = SimDuration::from_secs_f64(data.len() as f64 / bw.max(1.0));
-            latency = latency.max(limited);
-            if self.config.sleep_background {
-                self.clock.sleep(limited);
-            }
-        }
-        self.meta.with_mut(key, |o| {
-            if let Some(m) = o.versions.get_mut(&version) {
-                m.replicas.insert(to.to_string());
-                m.dirty = false;
-            }
-        });
-        Ok(latency)
+        self.transfer_version(key, version, to, bandwidth_bps, false)
     }
 
     /// Move one version to another tier: the target becomes authoritative
@@ -1578,118 +1310,116 @@ impl TieraInstance {
         to: &str,
         bandwidth_bps: Option<f64>,
     ) -> Result<SimDuration, TieraError> {
+        self.transfer_version(key, version, to, bandwidth_bps, true)
+    }
+
+    /// Copy one version's bytes into tier `to`; with `retire_sources` the
+    /// target then becomes the only holder. The read and the metadata edit
+    /// are separate shard sessions: a bandwidth-limited transfer sleeps in
+    /// between.
+    fn transfer_version(
+        &self,
+        key: &str,
+        version: VersionId,
+        to: &str,
+        bandwidth_bps: Option<f64>,
+        retire_sources: bool,
+    ) -> Result<SimDuration, TieraError> {
         let out = self.read_version(key, version)?;
         let data = out
             .value
             .ok_or_else(|| TieraError::Corrupt(format!("read of '{key}' returned no bytes")))?;
+        let skey = storage_key(key, version);
+        let size = data.len();
         let mut latency = out.latency;
-        latency += self
-            .tier_required(to)?
-            .put(&storage_key(key, version), data.clone())?;
+        latency += self.tier_required(to)?.put(&skey, data)?;
         if let Some(bw) = bandwidth_bps {
-            let limited = SimDuration::from_secs_f64(data.len() as f64 / bw.max(1.0));
+            let limited = SimDuration::from_secs_f64(size as f64 / bw.max(1.0));
             latency = latency.max(limited);
             if self.config.sleep_background {
                 self.clock.sleep(limited);
             }
         }
-        let old_holders: Vec<String> = self
+        let retired: Vec<String> = self
             .meta
-            .with(key, |o| {
-                o.versions
-                    .get(&version)
-                    .map(|m| m.holders().iter().map(|s| s.to_string()).collect())
-                    .unwrap_or_default()
-            })
-            .unwrap_or_default();
-        let skey = storage_key(key, version);
-        for holder in old_holders {
-            if holder != to {
-                if let Some(h) = self.tier(&holder) {
-                    let _ = h.delete(&skey);
+            .with_existing_mut(key, |o| {
+                let Some(m) = o.versions.get_mut(&version) else {
+                    return Vec::new();
+                };
+                m.dirty = false;
+                if !retire_sources {
+                    m.replicas.insert(to.to_string());
+                    return Vec::new();
                 }
-            }
-        }
-        self.meta.with_mut(key, |o| {
-            if let Some(m) = o.versions.get_mut(&version) {
+                let sources = m
+                    .holders()
+                    .iter()
+                    .filter(|h| **h != to)
+                    .map(|h| h.to_string())
+                    .collect();
                 m.location = to.to_string();
                 m.replicas.clear();
-                m.dirty = false;
+                sources
+            })
+            .unwrap_or_default();
+        for holder in retired {
+            if let Some(h) = self.tier(&holder) {
+                let _ = h.delete(&skey);
             }
-        });
+        }
         Ok(latency)
     }
 
-    /// Compress (or encrypt) one version in place.
+    /// Compress (or encrypt) one version in place, under one shard session.
     fn transform_version(
         &self,
         key: &str,
         version: VersionId,
         compress: bool,
     ) -> Result<(), TieraError> {
-        let already = self
-            .meta
-            .with(key, |o| {
-                o.versions
-                    .get(&version)
-                    .map(|m| if compress { m.compressed } else { m.encrypted })
-            })
-            .flatten()
-            .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-        if already {
-            return Ok(());
-        }
-        // Re-encode from plaintext with the new flag set. Encoding order is
-        // compress-then-encrypt (the read path decodes decrypt-then-
-        // decompress), so layering stays correct whichever transform is
-        // applied first by the policy.
-        let (was_compressed, was_encrypted) = self
-            .meta
-            .with(key, |o| {
-                o.versions
-                    .get(&version)
-                    .map(|m| (m.compressed, m.encrypted))
-            })
-            .flatten()
-            .unwrap_or((false, false));
-        let out = self.read_version(key, version)?;
-        let plain = out
-            .value
-            .ok_or_else(|| TieraError::Corrupt(format!("read of '{key}' returned no bytes")))?;
-        let new_compressed = was_compressed || compress;
-        let new_encrypted = was_encrypted || !compress;
-        let mut stored = plain;
-        if new_compressed {
-            stored = transform::compress(&stored);
-        }
-        if new_encrypted {
-            stored = transform::encrypt(&stored, self.config.encryption_key);
-        }
-        // Rewrite in every holder.
-        let holders: Vec<String> = self
-            .meta
-            .with(key, |o| {
-                o.versions
-                    .get(&version)
-                    .map(|m| m.holders().iter().map(|s| s.to_string()).collect())
-                    .unwrap_or_default()
-            })
-            .unwrap_or_default();
-        let skey = storage_key(key, version);
-        for h in holders {
-            self.tier_required(&h)?.put(&skey, stored.clone())?;
-        }
-        self.meta.with_mut(key, |o| {
-            if let Some(m) = o.versions.get_mut(&version) {
-                if compress {
-                    m.compressed = true;
+        let missing = || TieraError::VersionNotFound(key.to_string(), version);
+        self.meta
+            .with_existing_mut(key, |o| {
+                let m = o.versions.get(&version).ok_or_else(missing)?;
+                let (was_compressed, was_encrypted) = (m.compressed, m.encrypted);
+                let already = if compress {
+                    was_compressed
                 } else {
-                    m.encrypted = true;
+                    was_encrypted
+                };
+                if already {
+                    return Ok(());
                 }
+                // Re-encode from plaintext with the new flag set. Encoding
+                // order is compress-then-encrypt (the read path decodes
+                // decrypt-then-decompress), so layering stays correct
+                // whichever transform is applied first by the policy.
+                let mut stored = self
+                    .read_version_locked(key, version, o)?
+                    .value
+                    .ok_or_else(|| {
+                        TieraError::Corrupt(format!("read of '{key}' returned no bytes"))
+                    })?;
+                let new_compressed = was_compressed || compress;
+                let new_encrypted = was_encrypted || !compress;
+                if new_compressed {
+                    stored = transform::compress(&stored);
+                }
+                if new_encrypted {
+                    stored = transform::encrypt(&stored, self.config.encryption_key);
+                }
+                // Rewrite in every holder.
+                let m = o.versions.get_mut(&version).ok_or_else(missing)?;
+                let skey = storage_key(key, version);
+                for h in m.holders() {
+                    self.tier_required(h)?.put(&skey, stored.clone())?;
+                }
+                m.compressed = new_compressed;
+                m.encrypted = new_encrypted;
                 m.size = stored.len() as u64;
-            }
-        });
-        Ok(())
+                Ok(())
+            })
+            .unwrap_or_else(|| Err(missing()))
     }
 
     /// Deterministic per-instance RNG handle (used by the engine for jitter).
@@ -1737,6 +1467,7 @@ mod tests {
     use super::*;
     use wiera_policy::{compile, parse};
     use wiera_sim::ManualClock;
+    use wiera_tiers::TierKind;
 
     fn bytes(n: usize) -> Bytes {
         Bytes::from(vec![0x5Au8; n])
@@ -2095,14 +1826,39 @@ mod tests {
         assert!(inst.get("keep").is_ok());
     }
 
+    /// A front instance whose insert rule places every object in `tier2`,
+    /// the mounted `backing` instance.
+    fn front_storing_into_mount(
+        backing: &Arc<TieraInstance>,
+        read_only: bool,
+        clock: SharedClock,
+    ) -> Arc<TieraInstance> {
+        let src = "Tiera T() {
+            event(insert.into) : response { store(what:insert.object, to:tier2); }
+        }";
+        let compiled = compile(&parse(src).unwrap()).unwrap();
+        let cfg = InstanceConfig::new("intermediate", Region::UsEast)
+            .with_tier("tier1", "Memcached", 1 << 20)
+            .with_rules(compiled.rules);
+        TieraInstance::build(cfg, clock).unwrap().mount_instance(
+            "tier2",
+            backing.clone(),
+            read_only,
+        )
+    }
+
+    fn s3_backing(clock: SharedClock) -> Arc<TieraInstance> {
+        TieraInstance::build(
+            InstanceConfig::new("raw-big-data", Region::UsEast).with_tier("tier1", "S3", 0),
+            clock,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn modular_instance_as_readonly_tier() {
         let clock = ManualClock::new();
-        let backing = TieraInstance::build(
-            InstanceConfig::new("raw-big-data", Region::UsEast).with_tier("tier1", "S3", 0),
-            clock.clone(),
-        )
-        .unwrap();
+        let backing = s3_backing(clock.clone());
         backing
             .put("dataset@v1", Bytes::from_static(b"raw"))
             .unwrap();
@@ -2130,6 +1886,111 @@ mod tests {
         // And the front instance still takes local writes.
         front.put("intermediate-result", bytes(64)).unwrap();
         assert!(front.get("intermediate-result").is_ok());
+
+        // A policy that places objects in the read-only mount fails the op
+        // and records nothing, single or batched.
+        let front = front_storing_into_mount(&backing, true, clock.clone());
+        assert!(matches!(
+            front.put("k", bytes(8)),
+            Err(TieraError::ReadOnlyTier(_))
+        ));
+        let (results, _) = front.apply_batch(&[BatchOp::Put {
+            key: "k".into(),
+            value: bytes(8),
+        }]);
+        assert!(matches!(results[0], Err(TieraError::ReadOnlyTier(_))));
+        assert!(!front.meta().contains("k"));
+    }
+
+    #[test]
+    fn mounted_instance_serves_ops_driven_through_the_parent() {
+        let clock = ManualClock::new();
+        let backing = s3_backing(clock.clone());
+        let front = front_storing_into_mount(&backing, false, clock);
+        // Whatever crosses the mount costs at least the child's own metadata
+        // overhead plus its S3 tier's latency floor (0.4x the median), far
+        // above anything the parent's memory tier could charge.
+        let s3 = TierSpec::of(TierKind::S3);
+        let floor = |typical_ms: f64| SimDuration::from_millis_f64(0.4 * typical_ms);
+        let child_put = META_OVERHEAD + floor(s3.put_latency.typical_ms());
+        let child_get = floor(s3.get_latency.typical_ms());
+
+        let put = front.put("a", Bytes::from_static(b"through")).unwrap();
+        assert!(put.latency >= META_OVERHEAD + child_put, "{}", put.latency);
+        front
+            .meta()
+            .with("a", |o| assert_eq!(o.latest().unwrap().location, "tier2"))
+            .unwrap();
+        assert_eq!(
+            backing
+                .get(&storage_key("a", 1))
+                .unwrap()
+                .value
+                .unwrap()
+                .as_ref(),
+            b"through",
+            "the bytes live in the child"
+        );
+        let got = front.get("a").unwrap();
+        assert_eq!(got.value.unwrap().as_ref(), b"through");
+        assert!(got.latency >= child_get, "{}", got.latency);
+
+        let (results, total) = front.apply_batch(&[
+            BatchOp::Put {
+                key: "b".into(),
+                value: Bytes::from_static(b"batched"),
+            },
+            BatchOp::Get { key: "a".into() },
+            BatchOp::Get { key: "b".into() },
+        ]);
+        let outs: Vec<&OpOutcome> = results.iter().map(|r| r.as_ref().unwrap()).collect();
+        assert!(outs[0].latency >= BATCH_ITEM_OVERHEAD + child_put);
+        assert_eq!(outs[1].value.as_ref().unwrap().as_ref(), b"through");
+        assert_eq!(outs[2].value.as_ref().unwrap().as_ref(), b"batched");
+        assert!(outs[1].latency >= child_get && outs[2].latency >= child_get);
+        assert!(total >= child_put + child_get + child_get);
+
+        // The parent held its shard guard across every hop into the child.
+        // That nesting crossed lock classes (deeper to shallower), so the
+        // registry saw an ordering edge, not two same-class instances.
+        let snap = wiera_sim::lockreg::LockRegistry::global().snapshot();
+        assert!(snap
+            .edges
+            .iter()
+            .any(|e| e.from == "tiera.metastore@1" && e.to == "tiera.metastore"));
+        assert!(!snap
+            .same_class
+            .iter()
+            .any(|sc| sc.class.starts_with("tiera.metastore")));
+    }
+
+    #[test]
+    fn concurrent_puts_through_a_mounted_stack_never_share_a_version() {
+        const THREADS: usize = 8;
+        const PUTS: usize = 500;
+        let clock = ManualClock::new();
+        let backing = s3_backing(clock.clone());
+        let front = front_storing_into_mount(&backing, false, clock);
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        let writers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (front, barrier) = (front.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for _ in 0..PUTS {
+                        front.put("hot", Bytes::from_static(b"v")).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(
+            front.get_version_list("hot").unwrap().len(),
+            THREADS * PUTS,
+            "every acked put owns its version"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! and take each shard's lock exactly once per batch
 //! ([`MetaStore::shard_write`]). Whole-store scans (cold-data sweeps,
 //! snapshots) visit shards one at a time — never holding two shard locks
-//! simultaneously, which keeps wiera-check's same-class-nesting rule clean.
+//! of one store simultaneously, which keeps wiera-check's
+//! same-class-nesting rule clean.
 //! The snapshot image format is unchanged: shards are merged into one map
 //! on serialize and re-split on restore.
 
@@ -50,11 +51,32 @@ impl Default for MetaStore {
 /// One shard's write session: the map of every key that hashes there.
 pub type MetaShardGuard<'a> = TrackedWriteGuard<'a, BTreeMap<String, ObjectMeta>>;
 
+/// Lock class of a metastore whose instance sits `depth` mount levels above
+/// its deepest mounted child (0: no mounted-instance tier). An instance
+/// holds its own shard guard while it enters a mounted child, and a child is
+/// always strictly shallower, so nesting crosses classes in one direction
+/// only: no same-class nesting, no cycle.
+fn depth_class(base: &str, depth: usize) -> String {
+    match depth {
+        0 => base.to_string(),
+        d => format!("{base}@{d}"),
+    }
+}
+
 impl MetaStore {
     pub fn new() -> Self {
+        Self::at_mount_depth(0)
+    }
+
+    /// The store of an instance `depth` mount levels above its leaves.
+    pub(crate) fn at_mount_depth(depth: usize) -> Self {
         MetaStore {
+            // The class literal stays inside the constructor call: that is
+            // where wiera-audit reads lock classes from.
             shards: (0..META_SHARDS)
-                .map(|_| TrackedRwLock::new("tiera.metastore", BTreeMap::new()))
+                .map(|_| {
+                    TrackedRwLock::new(&depth_class("tiera.metastore", depth), BTreeMap::new())
+                })
                 .collect(),
             write_acquisitions: (0..META_SHARDS).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -72,7 +94,7 @@ impl MetaStore {
     /// Open one write session on a shard. `apply_batch` groups a bulk
     /// request by [`MetaStore::shard_of`] and calls this once per group, so
     /// a batch pays one lock acquisition per touched shard instead of
-    /// several per item. Never hold two shard guards at once.
+    /// several per item. Never hold two shard guards of one store at once.
     pub fn shard_write(&self, shard: usize) -> MetaShardGuard<'_> {
         self.write_acquisitions[shard].fetch_add(1, Ordering::Relaxed);
         self.shards[shard].write()

@@ -186,9 +186,6 @@ fn main() {
         ops_per_run: n_ops,
         rows,
     };
-    // Canonical name for the run_all gate, plus the bench_-prefixed alias
-    // the evaluation docs reference.
     wiera_bench::emit("bulk_throughput", &record);
-    wiera_bench::emit("bench_bulk_throughput", &record);
     wiera_bench::emit_metrics("bulk_throughput");
 }

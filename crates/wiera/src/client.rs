@@ -240,39 +240,6 @@ impl WieraClient {
         }
     }
 
-    /// Connect from `region` to one replica group.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use WieraClient::builder(..).replicas(..).build(); \
-                direct replica addressing is a one-group shard map"
-    )]
-    pub fn connect(
-        mesh: Arc<Mesh<DataMsg>>,
-        region: Region,
-        name: impl Into<String>,
-        replicas: Vec<NodeId>,
-    ) -> Arc<Self> {
-        Self::builder(mesh, region, name).replicas(replicas).build()
-    }
-
-    /// [`Self::builder`] shorthand with an explicit retry policy.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use WieraClient::builder(..).replicas(..).policy(..).build()"
-    )]
-    pub fn connect_with_policy(
-        mesh: Arc<Mesh<DataMsg>>,
-        region: Region,
-        name: impl Into<String>,
-        replicas: Vec<NodeId>,
-        policy: RetryPolicy,
-    ) -> Arc<Self> {
-        Self::builder(mesh, region, name)
-            .replicas(replicas)
-            .policy(policy)
-            .build()
-    }
-
     /// The fleet view this client routes through.
     pub fn fleet(&self) -> Arc<FleetView> {
         self.fleet.clone()
@@ -679,34 +646,29 @@ impl WieraClient {
             let Some((outcome, target)) = leg else {
                 continue; // hedge skipped: the primary had answered
             };
-            match outcome {
-                Ok(reply) => {
-                    let latency = reply.total();
-                    match reply.msg {
-                        // Retryable refusals are not answers: leave the
-                        // race open for the other leg, and fall back to
-                        // the failover sweep (which owns retry and
-                        // re-routing policy) if both legs refuse.
-                        DataMsg::Fail {
-                            code:
-                                FailCode::Overloaded | FailCode::StaleEpoch | FailCode::WrongShard,
-                            ..
-                        } => {}
-                        msg => {
-                            done.store(true, std::sync::atomic::Ordering::Release);
-                            let won = if target == hedge {
-                                "hedge-won"
-                            } else {
-                                "primary-won"
-                            };
-                            MetricsRegistry::global().inc("client_hedges", &[("event", won)]);
-                            return Some(view_of_reply(msg, latency, &target));
-                        }
-                    }
+            // A transport failure lets the other leg (or the caller's
+            // failover sweep) decide.
+            let Ok(reply) = outcome else { continue };
+            let latency = reply.total();
+            match reply.msg {
+                // Retryable refusals are not answers: leave the race open
+                // for the other leg, and fall back to the failover sweep
+                // (which owns retry and re-routing policy) if both legs
+                // refuse.
+                DataMsg::Fail {
+                    code: FailCode::Overloaded | FailCode::StaleEpoch | FailCode::WrongShard,
+                    ..
+                } => {}
+                msg => {
+                    done.store(true, std::sync::atomic::Ordering::Release);
+                    let won = if target == hedge {
+                        "hedge-won"
+                    } else {
+                        "primary-won"
+                    };
+                    MetricsRegistry::global().inc("client_hedges", &[("event", won)]);
+                    return Some(view_of_reply(msg, latency, &target));
                 }
-                // Transport failure: let the other leg (or the caller's
-                // failover sweep) decide.
-                Err(_) => {}
             }
         }
         None

@@ -100,8 +100,7 @@ impl FleetView {
     }
 
     /// The degenerate pre-fleet view: one group, one shard, every key
-    /// routes to `replicas`. What the deprecated `WieraClient::connect`
-    /// path builds.
+    /// routes to `replicas`. What a builder given `.replicas(..)` builds.
     pub fn single_group(replicas: Vec<NodeId>) -> Arc<FleetView> {
         FleetView::new(ShardMap::single(), vec![replicas])
     }

@@ -2141,8 +2141,6 @@ impl ReplicaNode {
 
     /// Parallel synchronous replication; latency is the slowest peer (the
     /// "highest round trip latency" the paper attributes to strong puts).
-    /// `fenced` in the outcome means a peer at a higher epoch refused us —
-    /// we are a deposed primary and the write must not be acknowledged.
     fn broadcast_sync(
         self: &Arc<Self>,
         key: &str,
@@ -2150,78 +2148,45 @@ impl ReplicaNode {
         modified: SimInstant,
         value: &Bytes,
     ) -> BroadcastOutcome {
+        self.fan_out_sync(|epoch| DataMsg::Replicate {
+            key: key.to_string(),
+            version,
+            modified,
+            value: value.clone(),
+            epoch,
+        })
+    }
+
+    /// Synchronous batched replication: like [`Self::broadcast_sync`] but
+    /// with one [`DataMsg::ReplicateBatch`] per peer instead of one message
+    /// per item.
+    fn broadcast_batch_sync(self: &Arc<Self>, written: &[SyncObject]) -> BroadcastOutcome {
+        if written.is_empty() {
+            return BroadcastOutcome::default();
+        }
+        // Materialized once; each peer's copy shares the items by refcount.
+        self.fan_out_sync(|epoch| DataMsg::ReplicateBatch {
+            items: written.to_vec().into(),
+            epoch,
+        })
+    }
+
+    /// Send every peer its copy of the message `build` makes for the current
+    /// epoch, concurrently, and wait for all replies; latency is the slowest
+    /// peer. `fenced` in the outcome means a peer at a higher epoch refused
+    /// us — we are a deposed primary and the write must not be acknowledged.
+    fn fan_out_sync(self: &Arc<Self>, build: impl FnOnce(u64) -> DataMsg) -> BroadcastOutcome {
         let peers = self.peers();
         if peers.is_empty() {
             return BroadcastOutcome::default();
         }
-        let epoch = self.epoch();
+        let msg = build(self.epoch());
+        let bytes = msg.wire_bytes();
         let mut handles = Vec::new();
         for peer in peers {
             let r = self.clone();
-            let msg = DataMsg::Replicate {
-                key: key.to_string(),
-                version,
-                modified,
-                value: value.clone(),
-                epoch,
-            };
+            let msg = msg.clone();
             handles.push(std::thread::spawn(move || {
-                let bytes = msg.wire_bytes();
-                match r.mesh.rpc(&r.node, &peer, msg, bytes, DATA_TIMEOUT) {
-                    Ok(reply) => {
-                        r.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
-                        match reply.msg {
-                            DataMsg::ReplicateAck { .. } => Some((reply.total(), false)),
-                            DataMsg::Fail {
-                                code: FailCode::StaleEpoch,
-                                ..
-                            } => Some((reply.total(), true)),
-                            // Anything else means the peer did not apply the
-                            // write; count it like a transport failure.
-                            _ => {
-                                r.stats.replication_failures.fetch_add(1, Ordering::Relaxed);
-                                None
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        r.stats.replication_failures.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }));
-        }
-        let mut out = BroadcastOutcome::default();
-        for h in handles {
-            if let Ok(Some((total, fenced))) = h.join() {
-                out.latency = out.latency.max(total);
-                out.fenced |= fenced;
-            }
-        }
-        out
-    }
-
-    /// Synchronous batched replication: one [`DataMsg::ReplicateBatch`] per
-    /// peer, fanned out concurrently; latency is the slowest peer, exactly
-    /// like [`Self::broadcast_sync`] but with one message per peer instead
-    /// of one per item.
-    fn broadcast_batch_sync(self: &Arc<Self>, written: &[SyncObject]) -> BroadcastOutcome {
-        let peers = self.peers();
-        if peers.is_empty() || written.is_empty() {
-            return BroadcastOutcome::default();
-        }
-        let epoch = self.epoch();
-        // Materialize the batch once; each peer thread shares it by refcount.
-        let items: Arc<[SyncObject]> = written.to_vec().into();
-        let mut handles = Vec::new();
-        for peer in peers {
-            let r = self.clone();
-            let msg = DataMsg::ReplicateBatch {
-                items: Arc::clone(&items),
-                epoch,
-            };
-            handles.push(std::thread::spawn(move || {
-                let bytes = msg.wire_bytes();
                 match r.mesh.rpc(&r.node, &peer, msg, bytes, DATA_TIMEOUT) {
                     Ok(reply) => {
                         r.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
