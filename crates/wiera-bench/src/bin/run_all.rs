@@ -13,7 +13,8 @@
 //! shrink their workloads to CI-sized runs, then checks that every
 //! experiment wrote a parseable `results/<name>.json`, and asserts
 //! invariants over the exported `results/metrics_<name>.json` registry
-//! snapshots (RPCs flowed, tiers served ops, latencies were recorded).
+//! snapshots (RPCs flowed, tiers served ops, latencies were recorded, and
+//! replicas started a bounded number of threads for the ops they served).
 
 use std::process::Command;
 use wiera_sim::RegistrySnapshot;
@@ -121,6 +122,7 @@ const METRIC_CHECKS: [(&str, &[Invariant]); 10] = [
             Invariant::CounterPositive("net_rpc_total"),
             Invariant::CounterPositive("net_rpc_bytes"),
             Invariant::CounterPositive("tiera_ops_total"),
+            workers_reused(1),
         ],
     ),
     (
@@ -138,6 +140,7 @@ const METRIC_CHECKS: [(&str, &[Invariant]); 10] = [
         &[
             Invariant::CounterPositive("tiera_ops_total"),
             Invariant::CounterPositive("tier_ops_total"),
+            workers_reused(1),
         ],
     ),
     (
@@ -149,6 +152,7 @@ const METRIC_CHECKS: [(&str, &[Invariant]); 10] = [
             // The map is stable while the pool runs: with no shard moving,
             // every op must route correctly on the first try.
             Invariant::CounterZero("wiera_wrong_shard_total"),
+            workers_reused(30),
         ],
     ),
     (
@@ -161,9 +165,26 @@ const METRIC_CHECKS: [(&str, &[Invariant]); 10] = [
             // Sequential clients never build an admission backlog, so the
             // armed overload machinery must not shed a single op.
             Invariant::CounterZero("wiera_shed_total"),
+            workers_reused(5),
         ],
     ),
 ];
+
+/// Replicas run application ops on reused workers: the threads they started
+/// are a small share of the ops they served, where a thread per op reads
+/// 100 % (less on batches, which count their items). 1 % where one client at
+/// a time drives a replica; the brownout and fleet smoke runs are only 30–100
+/// ops per client with up to 8 clients blocked on one replica at once, and a
+/// worker per blocked op is what the set is for (measured 2 % and 12 %).
+const fn workers_reused(percent: u64) -> Invariant {
+    const OPS: &[&str] = &[
+        "wiera_put_total",
+        "wiera_put_errors",
+        "wiera_get_total",
+        "wiera_get_errors",
+    ];
+    Invariant::CounterAtMostPercentOf("wiera_worker_spawns_total", percent, OPS)
+}
 
 enum Invariant {
     /// Summed counter (across labels) must be > 0.
@@ -172,6 +193,9 @@ enum Invariant {
     CounterZero(&'static str),
     /// Histogram must have recorded at least one sample.
     HistogramPositive(&'static str),
+    /// Summed counter must be at most this percentage of the sum of the
+    /// listed counters (which must not all be zero).
+    CounterAtMostPercentOf(&'static str, u64, &'static [&'static str]),
 }
 
 impl Invariant {
@@ -193,6 +217,16 @@ impl Invariant {
                 let v = snap.histogram_count(name);
                 if v == 0 {
                     return Err(format!("histogram {name} expected samples, got none"));
+                }
+            }
+            Invariant::CounterAtMostPercentOf(name, percent, of) => {
+                let v = snap.counter_sum(name);
+                let base: u64 = of.iter().map(|c| snap.counter_sum(c)).sum();
+                if base == 0 || v * 100 > base * percent {
+                    let of = of.join(" + ");
+                    return Err(format!(
+                        "counter {name} expected <= {percent}% of {of} = {base}, got {v}"
+                    ));
                 }
             }
         }

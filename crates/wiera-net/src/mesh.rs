@@ -7,6 +7,9 @@
 //!   protocol step (forward-to-primary, synchronous `copy`, lock acquisition).
 //!   The caller's thread pays the modeled round-trip (compressed through the
 //!   shared clock) and gets the modeled cost back for latency accounting.
+//!   [`Mesh::rpc_gather`] runs several at once from one thread: every
+//!   request is posted before any reply is awaited, and the thread pays the
+//!   slowest peer's network time once.
 //! * [`Mesh::send`] — one-way delivery after the modeled one-way latency,
 //!   used for asynchronous replication (the `queue` response) and heartbeats.
 //!   A background dispatcher thread releases messages when their modeled
@@ -91,6 +94,18 @@ impl<M> RpcReply<M> {
     pub fn total(&self) -> SimDuration {
         self.remote_time + self.net_time
     }
+}
+
+/// A request sitting in its target's inbox whose reply has not been
+/// collected yet: what the first half of an RPC hands to the second.
+struct PostedRpc<M> {
+    to: NodeId,
+    /// (`from`, `to`) region labels of the call's metrics.
+    labels: (String, String),
+    started: SimInstant,
+    req_lat: SimDuration,
+    bytes: u64,
+    reply: Receiver<(M, SimDuration, u64)>,
 }
 
 struct DelayedMsg<M> {
@@ -275,6 +290,18 @@ impl<M: Send + 'static> Mesh<M> {
         Ok(delay)
     }
 
+    /// When the last one-way message from `from` that is still in flight
+    /// arrives; `None` once every one has been released to its inbox (or
+    /// dropped: a mesh that has shut down delivers nothing more).
+    pub fn last_arrival_from(&self, from: &NodeId) -> Option<SimInstant> {
+        if self.inner.shutdown.load(Ordering::Acquire) {
+            return None;
+        }
+        let queue = self.inner.queue.lock();
+        let mine = queue.iter().filter(|Reverse(m)| m.from == *from);
+        mine.map(|Reverse(m)| m.deliver_at).max()
+    }
+
     /// Blocking RPC. The caller's thread sleeps the modeled network time (so
     /// wall-clock interleavings track modeled time) and receives the modeled
     /// cost breakdown for latency accounting.
@@ -288,40 +315,107 @@ impl<M: Send + 'static> Mesh<M> {
         bytes: u64,
         timeout: SimDuration,
     ) -> Result<RpcReply<M>, NetError> {
+        let mut replies = self.rpc_gather(from, vec![(to.clone(), msg)], bytes, timeout);
+        replies
+            .pop()
+            .unwrap_or_else(|| Err(NetError::NoReply(to.clone())))
+    }
+
+    /// Concurrent RPCs from one thread ([`Mesh::rpc`] is the one-target
+    /// case): post every request, wait for every reply against one shared
+    /// wall-clock bound, then sleep the slowest peer's network time once —
+    /// the peers' round trips overlap. Outcomes are in `calls` order; each
+    /// call is accounted as a lone `rpc` would be.
+    pub fn rpc_gather(
+        &self,
+        from: &NodeId,
+        calls: Vec<(NodeId, M)>,
+        bytes: u64,
+        timeout: SimDuration,
+    ) -> Vec<Result<RpcReply<M>, NetError>> {
+        let posted: Vec<_> = calls
+            .into_iter()
+            .map(|(to, msg)| self.post_rpc(from, &to, msg, bytes))
+            .collect();
+        // Wall-clock bound on the wait: the modeled timeout compressed by the
+        // clock scale, floored generously so slow CI machines don't produce
+        // spurious timeouts.
+        let wall = timeout.to_wall(self.clock.scale());
+        let deadline = std::time::Instant::now() + wall.max(std::time::Duration::from_millis(250));
+        let replies: Vec<_> = posted
+            .into_iter()
+            .map(|p| self.settle_rpc(from, p?, deadline))
+            .collect();
+        // Pay the network time on this thread so wall time tracks modeled
+        // time. (The remotes' processing time was already paid by the remote
+        // threads while we blocked in recv.)
+        let slowest = replies.iter().flatten().map(|r| r.net_time).max();
+        self.clock.sleep(slowest.unwrap_or(SimDuration::ZERO));
+        replies
+    }
+
+    /// First half of an RPC: put the request in `to`'s inbox.
+    fn post_rpc(
+        &self,
+        from: &NodeId,
+        to: &NodeId,
+        msg: M,
+        bytes: u64,
+    ) -> Result<PostedRpc<M>, NetError> {
         let started = self.clock.now();
-        let (from_r, to_r) = (from.region.to_string(), to.region.to_string());
-        let labels = [("from", from_r.as_str()), ("to", to_r.as_str())];
-        let metrics = MetricsRegistry::global();
+        let labels = (from.region.to_string(), to.region.to_string());
+        let refused = |e: NetError| {
+            let labels = [("from", labels.0.as_str()), ("to", labels.1.as_str())];
+            MetricsRegistry::global().inc("net_rpc_errors", &labels);
+            e
+        };
         if !self.fabric.is_reachable(from.region, to.region) {
-            metrics.inc("net_rpc_errors", &labels);
-            return Err(NetError::Unreachable(to.clone()));
+            return Err(refused(NetError::Unreachable(to.clone())));
         }
         let req_lat = self
             .fabric
             .one_way_at(from.region, to.region, bytes, self.clock.now());
-        let (tx, rx) = unbounded();
-        {
-            let eps = self.inner.endpoints.read();
-            let Some(inbox) = eps.get(to) else {
-                metrics.inc("net_rpc_errors", &labels);
-                return Err(NetError::UnknownNode(to.clone()));
-            };
-            inbox
-                .send(Delivery {
-                    from: from.clone(),
-                    msg,
-                    net_delay: req_lat,
-                    reply: Some(ReplySlot { tx }),
-                })
-                .map_err(|_| NetError::Unreachable(to.clone()))?;
+        let (tx, reply) = unbounded();
+        let delivery = Delivery {
+            from: from.clone(),
+            msg,
+            net_delay: req_lat,
+            reply: Some(ReplySlot { tx }),
+        };
+        let sent = match self.inner.endpoints.read().get(to) {
+            Some(inbox) => inbox.send(delivery).is_ok(),
+            None => return Err(refused(NetError::UnknownNode(to.clone()))),
+        };
+        if !sent {
+            // The node stopped between registering and now: its inbox is gone.
+            return Err(refused(NetError::Unreachable(to.clone())));
         }
-        // Wall-clock bound on the wait: the modeled timeout compressed by the
-        // clock scale, floored generously so slow CI machines don't produce
-        // spurious timeouts.
-        let wall_timeout = timeout
-            .to_wall(self.clock.scale())
-            .max(std::time::Duration::from_millis(250));
-        let (reply, processing, reply_bytes) = match rx.recv_timeout(wall_timeout) {
+        Ok(PostedRpc {
+            to: to.clone(),
+            labels,
+            started,
+            req_lat,
+            bytes,
+            reply,
+        })
+    }
+
+    /// Second half of an RPC: wait until `deadline` for the reply, then
+    /// account the call. The network time is still to be slept.
+    fn settle_rpc(
+        &self,
+        from: &NodeId,
+        posted: PostedRpc<M>,
+        deadline: std::time::Instant,
+    ) -> Result<RpcReply<M>, NetError> {
+        let to = posted.to;
+        let labels = [
+            ("from", posted.labels.0.as_str()),
+            ("to", posted.labels.1.as_str()),
+        ];
+        let metrics = MetricsRegistry::global();
+        let wait = deadline.saturating_duration_since(std::time::Instant::now());
+        let (reply, processing, reply_bytes) = match posted.reply.recv_timeout(wait) {
             Ok(r) => r,
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                 metrics.inc("net_rpc_timeouts", &labels);
@@ -331,37 +425,33 @@ impl<M: Send + 'static> Mesh<M> {
                     "rpc_timeout",
                     Some(format!("{from} -> {to}")),
                 );
-                return Err(NetError::Timeout(to.clone()));
+                return Err(NetError::Timeout(to));
             }
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                 metrics.inc("net_rpc_errors", &labels);
-                return Err(NetError::NoReply(to.clone()));
+                return Err(NetError::NoReply(to));
             }
         };
         if !self.fabric.is_reachable(to.region, from.region) {
             // Partitioned while the call was in flight: the reply is lost.
             metrics.inc("net_rpc_errors", &labels);
-            return Err(NetError::Unreachable(to.clone()));
+            return Err(NetError::Unreachable(to));
         }
         let resp_lat =
             self.fabric
                 .one_way_at(to.region, from.region, reply_bytes, self.clock.now());
-        let net_time = req_lat + resp_lat;
-        // Pay the network time on this thread so wall time tracks modeled
-        // time. (The remote's processing time was already paid by the remote
-        // thread while we blocked in recv.)
-        self.clock.sleep(net_time);
+        let net_time = posted.req_lat + resp_lat;
         let total = processing + net_time;
         metrics.inc("net_rpc_total", &labels);
         metrics
             .counter("net_rpc_bytes", &labels)
-            .add(bytes + reply_bytes);
+            .add(posted.bytes + reply_bytes);
         metrics.observe("net_rpc_latency", &labels, total);
         Tracer::global()
-            .span(started, "net", "rpc")
-            .region(to_r.clone())
+            .span(posted.started, "net", "rpc")
+            .region(posted.labels.1.clone())
             .node(to.name.as_ref())
-            .finish(started + total);
+            .finish(posted.started + total);
         Ok(RpcReply {
             msg: reply,
             remote_time: processing,
@@ -429,6 +519,14 @@ mod tests {
         let net_ms = reply.net_time.as_millis_f64();
         assert!((net_ms - 80.0).abs() < 1.0, "net {net_ms}ms");
         assert!((reply.total().as_millis_f64() - 83.0).abs() < 1.0);
+        // A gather of one is the same call with the same accounting.
+        let calls = vec![(server.clone(), "hello".to_string())];
+        let mut gathered = m.rpc_gather(&client, calls, 128, SimDuration::from_secs(10));
+        let alone = gathered.pop().unwrap().unwrap();
+        assert!(gathered.is_empty());
+        assert_eq!(alone.msg, reply.msg);
+        assert_eq!(alone.remote_time, reply.remote_time);
+        assert_eq!(alone.net_time, reply.net_time);
         m.rpc(
             &client,
             &server,
@@ -503,6 +601,28 @@ mod tests {
         assert_eq!(d.net_delay, sent_delay);
         assert!(d.reply.is_none());
         assert!((sent_delay.as_millis_f64() - 35.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn in_flight_sends_are_visible_until_released() {
+        // Slow clock: 85 ms one-way is 8.5 ms of wall, ample time to look.
+        let fabric = Arc::new(Fabric::multicloud(1).without_jitter());
+        let m: TestMesh = Mesh::new(fabric, ScaledClock::shared(10.0));
+        let (a, b) = (NodeId::new(UsEast, "a"), NodeId::new(UsEast, "b"));
+        let far = NodeId::new(AsiaEast, "far");
+        let rx = m.register(far.clone());
+        assert_eq!(m.last_arrival_from(&a), None);
+        let sent = m.clock.now();
+        let delay = m.send(&a, &far, "x".into(), 0).unwrap();
+        let arrives = m.last_arrival_from(&a).expect("still in flight");
+        assert!(arrives >= sent + delay);
+        assert_eq!(m.last_arrival_from(&b), None, "another sender's view");
+        rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap();
+        assert_eq!(m.last_arrival_from(&a), None);
+        // A message the dispatcher will never release is not waited for.
+        m.send(&a, &far, "y".into(), 0).unwrap();
+        m.shutdown();
+        assert_eq!(m.last_arrival_from(&a), None);
     }
 
     #[test]
@@ -587,6 +707,103 @@ mod tests {
             m.send(&client, &server, "x".into(), 0),
             Err(NetError::Unreachable(_))
         ));
+    }
+
+    /// A clock that records every sleep it is asked for.
+    struct SleepLog {
+        inner: ScaledClock,
+        slept: Mutex<Vec<SimDuration>>,
+    }
+
+    impl wiera_sim::Clock for SleepLog {
+        fn now(&self) -> SimInstant {
+            self.inner.now()
+        }
+        fn sleep(&self, d: SimDuration) {
+            self.slept.lock().push(d);
+            self.inner.sleep(d);
+        }
+        fn scale(&self) -> f64 {
+            self.inner.scale()
+        }
+    }
+
+    #[test]
+    fn gather_pays_the_slowest_network_time_once() {
+        let clock = Arc::new(SleepLog {
+            inner: ScaledClock::new(2000.0),
+            slept: Mutex::new(Vec::new()),
+        });
+        let fabric = Arc::new(Fabric::multicloud(1).without_jitter());
+        let m: TestMesh = Mesh::new(fabric, clock.clone());
+        let client = NodeId::new(UsEast, "cli");
+        // One-way 35, 40 and 85 ms from US-East.
+        let peers = [UsWest, EuWest, AsiaEast].map(|r| NodeId::new(r, "srv"));
+        let echoes: Vec<_> = peers.iter().map(|p| spawn_echo(&m, p.clone())).collect();
+        let calls = |msg: &str| peers.iter().map(|p| (p.clone(), msg.to_string())).collect();
+        let replies = m.rpc_gather(&client, calls("hi"), 128, SimDuration::from_secs(10));
+        let replies: Vec<_> = replies.into_iter().map(Result::unwrap).collect();
+        for (reply, rtt_ms) in replies.iter().zip([70.0, 80.0, 170.0]) {
+            assert_eq!(reply.msg, "re:hi");
+            assert_eq!(reply.remote_time, SimDuration::from_millis(3));
+            assert!((reply.net_time.as_millis_f64() - rtt_ms).abs() < 1.0);
+        }
+        // One sleep, of the slowest peer's network time — not three.
+        assert_eq!(*clock.slept.lock(), vec![replies[2].net_time]);
+        for reply in m.rpc_gather(&client, calls("stop"), 0, SimDuration::from_secs(10)) {
+            assert_eq!(reply.unwrap().msg, "stopped");
+        }
+        for h in echoes {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn gather_waits_one_timeout_for_all_silent_peers_and_keeps_the_rest() {
+        let m = mesh();
+        let client = NodeId::new(UsEast, "cli");
+        let live = NodeId::new(UsWest, "live");
+        let silent = [NodeId::new(EuWest, "mute"), NodeId::new(AsiaEast, "mute")];
+        let peers = [silent[0].clone(), live.clone(), silent[1].clone()];
+        let echo = spawn_echo(&m, live.clone());
+        // Hold every request (and its reply slot) without ever answering.
+        let held = silent.clone().map(|n| m.register(n));
+        let calls = peers
+            .iter()
+            .map(|p| (p.clone(), "hi".to_string()))
+            .collect();
+        let w0 = std::time::Instant::now();
+        // 100 ms modeled is under the 250 ms wall floor: the bound is 250 ms,
+        // shared — two silent peers must not cost two of it.
+        let replies = m.rpc_gather(&client, calls, 0, SimDuration::from_millis(100));
+        let took = w0.elapsed();
+        assert!(took >= std::time::Duration::from_millis(250), "{took:?}");
+        assert!(took < std::time::Duration::from_millis(500), "{took:?}");
+        assert!(matches!(&replies[0], Err(NetError::Timeout(n)) if *n == silent[0]));
+        assert_eq!(replies[1].as_ref().unwrap().msg, "re:hi");
+        assert!(matches!(&replies[2], Err(NetError::Timeout(n)) if *n == silent[1]));
+        drop(held);
+        let stop = m.rpc(&client, &live, "stop".into(), 0, SimDuration::from_secs(10));
+        assert_eq!(stop.unwrap().msg, "stopped");
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn rpc_into_a_closed_inbox_is_unreachable_and_counted() {
+        let m = mesh();
+        // No other test of this crate sends along this pair of regions.
+        let client = NodeId::new(AzureUsEast, "cli");
+        let gone = NodeId::new(UsWest2, "gone");
+        drop(m.register(gone.clone()));
+        let (from, to) = (client.region.to_string(), gone.region.to_string());
+        let labels = [("from", from.as_str()), ("to", to.as_str())];
+        let errors = MetricsRegistry::global().counter("net_rpc_errors", &labels);
+        let before = errors.get();
+        match m.rpc(&client, &gone, "x".into(), 0, SimDuration::from_secs(1)) {
+            Err(NetError::Unreachable(n)) => assert_eq!(n, gone),
+            other => panic!("expected Unreachable, got {other:?}"),
+        }
+        assert_eq!(errors.get(), before + 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod time;
 pub mod trace;
 
 pub use breaker::{Admit, BreakerConfig, BreakerState, CircuitBreaker};
-pub use clock::{Clock, FrozenClock, ManualClock, ScaledClock, SharedClock};
+pub use clock::{sleep_until, Clock, FrozenClock, ManualClock, ScaledClock, SharedClock};
 pub use dist::LatencyDist;
 pub use lockreg::{LockOrderSnapshot, LockRegistry, TrackedMutex, TrackedRwLock};
 pub use metrics::{Counter, Histogram, LatencyRecorder, Summary, TimeSeries};

@@ -5,10 +5,14 @@
 //!
 //! * a **handler thread** drains the inbox; replication and control messages
 //!   are handled inline (they are local and fast), while application
-//!   operations are spawned onto worker threads — so a put blocked on a
+//!   operations are handed to worker threads — so a put blocked on a
 //!   cross-region broadcast never prevents this replica from applying a
 //!   peer's incoming update (which would deadlock two multi-primaries
 //!   writers);
+//! * **worker threads** are reused: one parks after its op and is handed the
+//!   next; a new one starts only when none is parked (the set grows to the
+//!   number of ops in flight, steady state creates no thread) and an idle
+//!   one retires. A synchronous fan-out is one gather on the worker's thread;
 //! * a **flusher thread** distributes queued updates every
 //!   `flush_interval` (the paper: "applications can specify how frequently
 //!   queued updates need to be distributed");
@@ -104,16 +108,6 @@ impl From<TieraError> for OpFail {
     }
 }
 
-/// Map an engine error to its wire-level failure kind.
-fn fail_code(e: &TieraError) -> FailCode {
-    match e {
-        TieraError::NotFound(_) => FailCode::NotFound,
-        TieraError::VersionNotFound(..) => FailCode::VersionMissing,
-        TieraError::DeadlineExceeded => FailCode::DeadlineExceeded,
-        _ => FailCode::Internal,
-    }
-}
-
 /// CoDel-style load-shedding configuration for a replica's admission queue.
 ///
 /// The admission model ([`ReplicaConfig::service_time`]) gives each replica a
@@ -185,6 +179,8 @@ pub struct ReplicaStats {
     pub replication_failures: AtomicU64,
     /// Consistency switches executed.
     pub switches: AtomicU64,
+    /// Worker threads started (none in steady state: workers are reused).
+    pub worker_spawns: AtomicU64,
 }
 
 /// The running replica.
@@ -210,6 +206,8 @@ pub struct ReplicaNode {
     /// True while anti-entropy catch-up runs after a restart; reads are
     /// refused (clients fail over) until the node has converged.
     catching_up: AtomicBool,
+    /// Parked application-op workers; see [`ReplicaNode::run_on_worker`].
+    workers: TrackedMutex<WorkerSet>,
     pub stats: ReplicaStats,
     /// Fleet shard ownership; `None` until a [`DataMsg::SetShards`] arrives
     /// (single-group deployments never install one and serve every key).
@@ -267,6 +265,7 @@ impl ReplicaNode {
             stop: stop.clone(),
             generation: AtomicU64::new(0),
             catching_up: AtomicBool::new(false),
+            workers: TrackedMutex::new("replica.workers", WorkerSet::default()),
             stats: ReplicaStats::default(),
             shard_view: TrackedRwLock::new("replica.shards", None),
             shard_group: config.shard_group,
@@ -425,6 +424,7 @@ impl ReplicaNode {
     /// Take the node off the mesh and stop its threads without flushing.
     fn halt(&self) {
         self.stop.store(true, Ordering::Release);
+        self.workers.lock().parked.clear(); // a dropped mailbox wakes its worker
         self.mesh.unregister(&self.node);
     }
 
@@ -540,7 +540,7 @@ impl ReplicaNode {
             d.msg = *inner;
         }
         match &d.msg {
-            // Application operations may block on WAN round trips: spawn.
+            // Application operations may block on WAN round trips: off-thread.
             DataMsg::Put { .. }
             | DataMsg::Get { .. }
             | DataMsg::GetVersion { .. }
@@ -551,11 +551,11 @@ impl ReplicaNode {
             | DataMsg::MultiPut { .. }
             | DataMsg::MultiGet { .. }
             | DataMsg::ForwardPut { .. } => {
+                // Hand the op to a parked worker; a thread is started only
+                // when none is free, so steady state spawns nothing.
                 let r = self.clone();
-                if let Err(e) = std::thread::Builder::new()
-                    .name("replica-worker".into())
-                    .spawn(move || r.handle_app_op(d, budget))
-                {
+                let op: AppJob = Box::new(move || r.handle_app_op(d, budget));
+                if let Err(e) = self.run_on_worker(op) {
                     // The delivery (and its reply slot) died with the
                     // closure; the caller observes an RPC failure rather
                     // than a replica crash.
@@ -788,8 +788,8 @@ impl ReplicaNode {
                 }
             }
             DataMsg::Stop => {
-                reply(d.reply, DataMsg::Ok, SimDuration::ZERO);
                 self.stop();
+                reply(d.reply, DataMsg::Ok, SimDuration::ZERO);
             }
             other => {
                 reply(
@@ -852,13 +852,13 @@ impl ReplicaNode {
     /// their handler threads — that deadlocks until timeouts).
     fn flush_queue_sync(&self) -> SimDuration {
         let max_delay = self.flush_coalesced();
-        if max_delay == SimDuration::ZERO {
-            return SimDuration::ZERO;
+        // Wait out everything in flight (sent now, or by the flusher a moment
+        // ago), then slack for the peers to apply: a barrier, so on the clock.
+        let clock = self.mesh.clock.as_ref();
+        while let Some(arrives) = self.mesh.last_arrival_from(&self.node) {
+            wiera_sim::sleep_until(clock, arrives);
         }
-        // Wait out the slowest delivery (plus slack for the peer to apply).
-        self.mesh
-            .clock
-            .sleep(max_delay + SimDuration::from_millis(10));
+        wiera_sim::sleep_until(clock, clock.now() + SimDuration::from_millis(10));
         max_delay
     }
 
@@ -873,15 +873,15 @@ impl ReplicaNode {
     /// n queued updates × p peers cost p messages, not n×p). Returns the
     /// slowest modeled delivery delay.
     fn flush_coalesced(&self) -> SimDuration {
-        let items: Arc<[SyncObject]> = {
-            let drained: Vec<SyncObject> = self.queue.lock().drain(..).collect();
-            if drained.is_empty() {
-                return SimDuration::ZERO;
-            }
-            drained.into()
-        };
-        let peers = self.peers();
-        let epoch = self.epoch();
+        let (peers, epoch) = (self.peers(), self.epoch());
+        // The queue stays locked until every send is posted, so an update is
+        // always either queued or in flight on the mesh — never in between,
+        // where a concurrent `flush_queue_sync` could see neither.
+        let mut q = self.queue.lock();
+        if q.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let items: Arc<[SyncObject]> = q.drain(..).collect::<Vec<_>>().into();
         let mut max_delay = SimDuration::ZERO;
         let mut any_failed = false;
         for peer in &peers {
@@ -909,8 +909,8 @@ impl ReplicaNode {
             // Re-queue (keeping only the latest version per key) so the next
             // flush retries once the peer heals: a partition must not
             // silently drop acknowledged eventual-mode writes. Peers that
-            // already received this batch re-apply idempotently under LWW.
-            let mut q = self.queue.lock();
+            // already received this batch re-apply idempotently under LWW;
+            // nothing newer can have been queued meanwhile (still locked).
             for item in items.iter() {
                 match q.iter_mut().find(|o| o.key == item.key) {
                     Some(existing) => {
@@ -1438,7 +1438,7 @@ impl ReplicaNode {
 
     // ---- application operations ---------------------------------------------
 
-    fn handle_app_op(self: &Arc<Self>, d: Delivery<DataMsg>, budget: OpBudget) {
+    fn handle_app_op(self: &Arc<Self>, d: Delivery<DataMsg>, budget: OpBudget) -> Option<Reply> {
         self.gate.wait_open();
         // A rejoining node refuses reads until anti-entropy has converged:
         // serving a pre-crash view would be a stale read the model forbids.
@@ -1459,7 +1459,7 @@ impl ReplicaNode {
                 let bytes = msg.wire_bytes();
                 slot.reply(msg, SimDuration::from_micros(200), bytes);
             }
-            return;
+            return None;
         }
         // Fleet routing enforcement: a key outside this group's owned
         // shards means the client routed on a stale map (or the shard is
@@ -1469,7 +1469,7 @@ impl ReplicaNode {
                 let bytes = fail.wire_bytes();
                 slot.reply(fail, SimDuration::from_micros(200), bytes);
             }
-            return;
+            return None;
         }
         let refuse = |slot: Option<wiera_net::ReplySlot<DataMsg>>, code: FailCode, why: &str| {
             if let Some(slot) = slot {
@@ -1494,7 +1494,7 @@ impl ReplicaNode {
                 FailCode::DeadlineExceeded,
                 "op budget spent before admission",
             );
-            return;
+            return None;
         }
         // Admission control: replication and control traffic is handled
         // inline (never here); ForwardPut is protocol traffic that already
@@ -1514,7 +1514,7 @@ impl ReplicaNode {
                             let bytes = msg.wire_bytes();
                             slot.reply(msg, took, bytes);
                         }
-                        return;
+                        return None;
                     }
                 }
             }
@@ -1524,7 +1524,7 @@ impl ReplicaNode {
                 FailCode::Overloaded,
                 "admission backlog above target; retry elsewhere",
             );
-            return;
+            return None;
         }
         if let Some(service_time) = self.service_time {
             self.claim_service_slot(service_time);
@@ -1541,7 +1541,7 @@ impl ReplicaNode {
                     FailCode::DeadlineExceeded,
                     "op budget spent waiting for admission",
                 );
-                return;
+                return None;
             }
         }
         let Delivery { msg: op, reply, .. } = d;
@@ -1739,9 +1739,89 @@ impl ReplicaNode {
                 SimDuration::ZERO,
             ),
         });
-        if let Some(slot) = reply {
-            let bytes = msg.wire_bytes();
-            slot.reply(msg, took, bytes);
+        // Sent by the worker once it can be claimed again: see `worker_loop`.
+        reply.map(|slot| (slot, msg, took))
+    }
+
+    // ---- application-op workers ---------------------------------------------
+
+    /// Run `op` on a worker thread: a parked one if any is free, else a new
+    /// one. Taking a mailbox out of the set under its lock is the claim — no
+    /// second op can be handed to that worker, and it can no longer retire —
+    /// so no op ever queues behind another: each may block on WAN round
+    /// trips, its admission slot or the gate for as long as it needs, and
+    /// the set grows to the number of ops in flight. Nothing caps it; a cap
+    /// would have to queue ops, which changes admission and forwarding.
+    fn run_on_worker(self: &Arc<Self>, op: AppJob) -> std::io::Result<()> {
+        let claimed = self.workers.lock().parked.pop();
+        if let Some((_, mailbox)) = claimed {
+            // A parked worker is blocked on its mailbox and cannot be gone.
+            let _ = mailbox.send(Handoff {
+                op,
+                mailbox: mailbox.clone(),
+            });
+            return Ok(());
+        }
+        let (r, gen) = (self.clone(), self.generation.load(Ordering::Acquire));
+        std::thread::Builder::new()
+            .name("replica-worker".into())
+            .spawn(move || r.worker_loop(gen, op))
+            .map(drop)
+    }
+
+    /// Body of a worker thread of generation `gen`: run `first`, then park
+    /// for hand-overs until the idle period passes without one or the node
+    /// halts.
+    fn worker_loop(self: Arc<Self>, gen: u64, first: AppJob) {
+        self.stats.worker_spawns.fetch_add(1, Ordering::Relaxed);
+        let region = self.node.region.to_string();
+        MetricsRegistry::global().inc("wiera_worker_spawns_total", &[("region", region.as_str())]);
+        let me = std::thread::current().id();
+        let (mailbox, inbox) = crossbeam::channel::unbounded();
+        let mut next = Some(Handoff { op: first, mailbox });
+        while let Some(Handoff { op, mailbox }) = next.take() {
+            let reply = op();
+            let idle = {
+                // `halt` sets `stop` and then empties the set under this
+                // lock, so a worker either parks before that and is released
+                // by it, or sees the flag here: a stopped or restarted node
+                // keeps no worker of an older generation.
+                let mut set = self.workers.lock();
+                if self.stop.load(Ordering::Acquire)
+                    || self.generation.load(Ordering::Acquire) != gen
+                {
+                    None
+                } else {
+                    set.parked.push((me, mailbox));
+                    Some(set.idle.unwrap_or(WORKER_IDLE))
+                }
+            };
+            // The reply goes out only now, when this worker can already be
+            // claimed: a caller that sends its next op the moment it hears
+            // back finds it parked instead of forcing a second thread.
+            if let Some((slot, msg, took)) = reply {
+                let bytes = msg.wire_bytes();
+                slot.reply(msg, took, bytes);
+            }
+            let Some(idle) = idle else { return };
+            next = match inbox.recv_timeout(idle) {
+                Ok(handoff) => Some(handoff),
+                Err(_) => {
+                    // Retiring and being claimed exclude each other under the
+                    // lock: if this worker's entry is gone, whoever took it
+                    // is sending an op or has dropped the mailbox.
+                    let retired = {
+                        let mut set = self.workers.lock();
+                        let at = set.parked.iter().position(|(id, _)| *id == me);
+                        at.map(|i| set.parked.remove(i)).is_some()
+                    };
+                    if retired {
+                        None
+                    } else {
+                        inbox.recv().ok()
+                    }
+                }
+            };
         }
     }
 
@@ -2172,50 +2252,45 @@ impl ReplicaNode {
     }
 
     /// Send every peer its copy of the message `build` makes for the current
-    /// epoch, concurrently, and wait for all replies; latency is the slowest
-    /// peer. `fenced` in the outcome means a peer at a higher epoch refused
-    /// us — we are a deposed primary and the write must not be acknowledged.
-    fn fan_out_sync(self: &Arc<Self>, build: impl FnOnce(u64) -> DataMsg) -> BroadcastOutcome {
+    /// epoch in one gather on this thread, and wait for all replies; latency
+    /// is the slowest peer. `fenced` in the outcome means a peer at a higher
+    /// epoch refused us — we are a deposed primary and the write must not be
+    /// acknowledged.
+    fn fan_out_sync(&self, build: impl FnOnce(u64) -> DataMsg) -> BroadcastOutcome {
         let peers = self.peers();
         if peers.is_empty() {
             return BroadcastOutcome::default();
         }
         let msg = build(self.epoch());
         let bytes = msg.wire_bytes();
-        let mut handles = Vec::new();
-        for peer in peers {
-            let r = self.clone();
-            let msg = msg.clone();
-            handles.push(std::thread::spawn(move || {
-                match r.mesh.rpc(&r.node, &peer, msg, bytes, DATA_TIMEOUT) {
-                    Ok(reply) => {
-                        r.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
-                        match reply.msg {
-                            DataMsg::ReplicateAck { .. } => Some((reply.total(), false)),
-                            DataMsg::Fail {
-                                code: FailCode::StaleEpoch,
-                                ..
-                            } => Some((reply.total(), true)),
-                            // Anything else means the peer did not apply the
-                            // write; count it like a transport failure.
-                            _ => {
-                                r.stats.replication_failures.fetch_add(1, Ordering::Relaxed);
-                                None
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        r.stats.replication_failures.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }));
-        }
+        // Egress is counted where a request is posted, as for a forwarded
+        // put: the bytes leave whether or not an ack ever comes back.
+        self.stats
+            .egress_bytes
+            .fetch_add(bytes * peers.len() as u64, Ordering::Relaxed);
+        let calls = peers.into_iter().map(|p| (p, msg.clone())).collect();
         let mut out = BroadcastOutcome::default();
-        for h in handles {
-            if let Ok(Some((total, fenced))) = h.join() {
-                out.latency = out.latency.max(total);
-                out.fenced |= fenced;
+        for reply in self.mesh.rpc_gather(&self.node, calls, bytes, DATA_TIMEOUT) {
+            let settled = reply.ok().and_then(|r| match &r.msg {
+                DataMsg::ReplicateAck { .. } => Some((r.total(), false)),
+                DataMsg::Fail {
+                    code: FailCode::StaleEpoch,
+                    ..
+                } => Some((r.total(), true)),
+                // Anything else means the peer did not apply the write;
+                // count it like a transport failure.
+                _ => None,
+            });
+            match settled {
+                Some((total, fenced)) => {
+                    out.latency = out.latency.max(total);
+                    out.fenced |= fenced;
+                }
+                None => {
+                    self.stats
+                        .replication_failures
+                        .fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         out
@@ -2454,6 +2529,35 @@ impl ReplicaNode {
     }
 }
 
+/// An application op's answer, on its way back to the caller.
+type Reply = (wiera_net::ReplySlot<DataMsg>, DataMsg, SimDuration);
+
+/// An application op bound to its delivery, ready to run on a worker, which
+/// sends the reply the op leaves (refusals are answered from inside the op).
+type AppJob = Box<dyn FnOnce() -> Option<Reply> + Send>;
+
+/// What a parked worker receives: the op, and its own mailbox back so it can
+/// park again afterwards. The sender in the set is the only one while a
+/// worker is parked, which is how emptying the set releases every worker.
+struct Handoff {
+    op: AppJob,
+    mailbox: crossbeam::channel::Sender<Handoff>,
+}
+
+/// How long a parked worker waits for an op before it retires. Only bounds
+/// how long a burst's extra threads linger: a halting node releases its
+/// workers at once, and a parked thread costs nothing but its stack.
+const WORKER_IDLE: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// The replica's parked application-op workers.
+#[derive(Default)]
+struct WorkerSet {
+    /// Mailboxes of the workers waiting for an op, most recently parked last.
+    parked: Vec<(std::thread::ThreadId, crossbeam::channel::Sender<Handoff>)>,
+    /// Replaces [`WORKER_IDLE`] for workers parking from now on (tests only).
+    idle: Option<std::time::Duration>,
+}
+
 /// Slowest-peer latency of a synchronous replication fan-out, plus whether
 /// any peer fenced us as a stale-epoch (deposed) sender.
 #[derive(Debug, Clone, Copy)]
@@ -2492,6 +2596,16 @@ pub fn lease_path(node: &NodeId) -> String {
 pub fn election_path(node: &NodeId) -> String {
     let deployment = node.name.split('/').next().unwrap_or("");
     format!("/election/{deployment}")
+}
+
+/// Map an engine error to its wire-level failure kind.
+fn fail_code(e: &TieraError) -> FailCode {
+    match e {
+        TieraError::NotFound(_) => FailCode::NotFound,
+        TieraError::VersionNotFound(..) => FailCode::VersionMissing,
+        TieraError::DeadlineExceeded => FailCode::DeadlineExceeded,
+        _ => FailCode::Internal,
+    }
 }
 
 /// The wire-level refusal a fenced sender sees.
@@ -2787,19 +2901,258 @@ mod tests {
         );
         wire(&[&p, &s], Some(&p));
         let client = NodeId::new(Region::UsWest, "cli");
-        let put = app_rpc(
-            &m,
-            &client,
-            &p.node,
-            DataMsg::Put {
-                key: "k".into(),
+        let put = |key: &str| {
+            let msg = DataMsg::Put {
+                key: key.into(),
                 value: Bytes::from_static(b"v"),
-            },
-        )
-        .unwrap();
+            };
+            app_rpc(&m, &client, &p.node, msg).unwrap()
+        };
         // One US-West↔Tokyo round trip (110 ms) dominates.
-        let ms = put.latency.as_millis_f64();
+        let ms = put("k").latency.as_millis_f64();
         assert!((100.0..200.0).contains(&ms), "primary sync put {ms}ms");
+        // Two more backups, 70 and 145 ms away: the put costs the slowest
+        // round trip, not the sum (325 ms), and every copy left the primary.
+        let pb = ConsistencyModel::PrimaryBackup { sync: true };
+        let near = replica(&m, Region::UsEast, "near", pb);
+        let far = replica(&m, Region::EuWest, "far", pb);
+        wire(&[&p, &s, &near, &far], Some(&p));
+        let egress = p.stats.egress_bytes.load(Ordering::Relaxed);
+        let ms = put("k3").latency.as_millis_f64();
+        assert!((145.0..200.0).contains(&ms), "three-backup sync put {ms}ms");
+        for backup in [&s, &near, &far] {
+            assert!(backup.instance().get("k3").is_ok());
+        }
+        let copy = DataMsg::Replicate {
+            key: "k3".into(),
+            version: 1,
+            modified: SimInstant::EPOCH,
+            value: Bytes::from_static(b"v"),
+            epoch: 1,
+        };
+        let sent = p.stats.egress_bytes.load(Ordering::Relaxed) - egress;
+        assert_eq!(sent, 3 * copy.wire_bytes());
+        assert_eq!(p.stats.replication_failures.load(Ordering::Relaxed), 0);
+    }
+
+    /// Wait (bounded) for another thread to bring about `cond`.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    fn put_msg(key: &str) -> DataMsg {
+        DataMsg::Put {
+            key: key.into(),
+            value: Bytes::from_static(b"v"),
+        }
+    }
+
+    fn parked_workers(r: &ReplicaNode) -> usize {
+        r.workers.lock().parked.len()
+    }
+
+    fn spawns(r: &ReplicaNode) -> u64 {
+        r.stats.worker_spawns.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn sync_fan_out_keeps_the_acks_it_got_when_one_backup_never_answers() {
+        let m = mesh(3000.0);
+        let pb = ConsistencyModel::PrimaryBackup { sync: true };
+        let p = replica(&m, Region::UsWest, "p", pb);
+        let a = replica(&m, Region::UsEast, "a", pb);
+        let b = replica(&m, Region::AsiaEast, "b", pb);
+        // A backup that takes every copy and never acknowledges one.
+        let mute = NodeId::new(Region::EuWest, "mute");
+        let held = m.register(mute.clone());
+        let peers = vec![p.node.clone(), mute, a.node.clone(), b.node.clone()];
+        for r in [&p, &a, &b] {
+            r.set_peers_direct(peers.clone(), Some(p.node.clone()), 1);
+        }
+        let client = NodeId::new(Region::UsWest, "cli");
+        let w0 = std::time::Instant::now();
+        // The caller's own bound must outlast the fan-out's.
+        let patience = SimDuration::from_hours(1);
+        let reply = m.rpc(&client, &p.node, put_msg("k"), 0, patience).unwrap();
+        // DATA_TIMEOUT at 3000x is under the 250 ms wall floor; the silent
+        // backup costs that bound once and nothing else waits behind it.
+        let took = w0.elapsed();
+        assert!(took < std::time::Duration::from_millis(500), "{took:?}");
+        let put = view_of_reply(reply.msg, reply.remote_time, &p.node).unwrap();
+        let ms = put.latency.as_millis_f64();
+        assert!((110.0..145.0).contains(&ms), "slowest *acked* copy {ms}ms");
+        assert!(a.instance().get("k").is_ok() && b.instance().get("k").is_ok());
+        assert_eq!(p.stats.replication_failures.load(Ordering::Relaxed), 1);
+        drop(held);
+    }
+
+    #[test]
+    fn sync_fan_out_is_fenced_by_one_stale_epoch_refusal() {
+        let m = mesh(3000.0);
+        let pb = ConsistencyModel::PrimaryBackup { sync: true };
+        let p = replica(&m, Region::UsWest, "p", pb);
+        let a = replica(&m, Region::UsEast, "a", pb);
+        // A peer already at a higher epoch: it refuses the copy.
+        let ahead = NodeId::new(Region::EuWest, "ahead");
+        let inbox = m.register(ahead.clone());
+        let refuser = std::thread::spawn(move || {
+            let d = inbox.recv().unwrap();
+            let fail = stale_epoch_fail(1, 2);
+            let bytes = fail.wire_bytes();
+            let took = SimDuration::from_micros(100);
+            d.reply.unwrap().reply(fail, took, bytes);
+        });
+        let peers = vec![p.node.clone(), a.node.clone(), ahead];
+        for r in [&p, &a] {
+            r.set_peers_direct(peers.clone(), Some(p.node.clone()), 1);
+        }
+        let client = NodeId::new(Region::UsWest, "cli");
+        match app_rpc(&m, &client, &p.node, put_msg("k")) {
+            Err(AppError::Remote { code, .. }) => assert_eq!(code, FailCode::StaleEpoch),
+            other => panic!("expected StaleEpoch, got {other:?}"),
+        }
+        assert!(p.instance().get("k").is_err(), "unacked write rolled back");
+        assert_eq!(p.stats.replication_failures.load(Ordering::Relaxed), 0);
+        refuser.join().unwrap();
+    }
+
+    // ---- worker set: one test per row of DESIGN.md §3's failure table ------
+
+    #[test]
+    fn ops_behind_a_closed_gate_get_a_worker_each_and_finish_when_it_opens() {
+        const N: u64 = 6;
+        let m = mesh(3000.0);
+        let a = replica(&m, Region::UsEast, "a", ConsistencyModel::Eventual);
+        wire(&[&a], None);
+        a.gate.close();
+        let clients: Vec<_> = (0..N)
+            .map(|i| {
+                let (m, to) = (m.clone(), a.node.clone());
+                std::thread::spawn(move || {
+                    let cli = NodeId::new(Region::UsEast, format!("cli{i}"));
+                    app_rpc(&m, &cli, &to, put_msg(&format!("k{i}"))).map(|v| v.version)
+                })
+            })
+            .collect();
+        // All N are inside `wait_open`, each on a thread of its own: none
+        // is parked and none waits for another to finish.
+        eventually("a worker per blocked op", || spawns(&a) == N);
+        assert_eq!(parked_workers(&a), 0);
+        a.gate.open();
+        for c in clients {
+            assert_eq!(c.join().unwrap().unwrap(), 1);
+        }
+        // The burst's workers are reused, not replaced.
+        eventually("all workers parked", || parked_workers(&a) == N as usize);
+        let cli = NodeId::new(Region::UsEast, "cli");
+        app_rpc(&m, &cli, &a.node, put_msg("k0")).unwrap();
+        assert_eq!(spawns(&a), N);
+    }
+
+    /// Test constructor: an eventual replica whose workers' idle period is
+    /// `idle` instead of [`WORKER_IDLE`].
+    fn replica_with_worker_idle(
+        m: &Arc<Mesh<DataMsg>>,
+        name: &str,
+        idle: std::time::Duration,
+    ) -> Arc<ReplicaNode> {
+        let r = replica(m, Region::UsEast, name, ConsistencyModel::Eventual);
+        wire(&[&r], None);
+        r.workers.lock().idle = Some(idle);
+        r
+    }
+
+    #[test]
+    fn op_handed_over_as_a_worker_retires_runs_exactly_once() {
+        let m = mesh(3000.0);
+        // Idle period zero: a worker starts to retire the moment it parks, so
+        // every hand-over below races one. Either the worker was claimed
+        // first and runs the op, or it retired first and a new one does.
+        let a = replica_with_worker_idle(&m, "a", std::time::Duration::ZERO);
+        let cli = NodeId::new(Region::UsEast, "cli");
+        for i in 1..=300 {
+            // Same key: a put that ran twice would skip a version, one that
+            // never ran would fail the call.
+            let put = app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap();
+            assert_eq!(put.version, i);
+        }
+        assert_eq!(a.instance().get_version_list("k").unwrap().len(), 300);
+        assert!((1..=300).contains(&spawns(&a)));
+        eventually("last worker retired", || parked_workers(&a) == 0);
+    }
+
+    #[test]
+    fn stop_and_crash_restart_leave_no_worker_of_the_old_generation() {
+        let m = mesh(3000.0);
+        let cli = NodeId::new(Region::UsEast, "cli");
+        // The handler, the flusher and each live worker hold the node.
+        let threads = |r: &Arc<ReplicaNode>| Arc::strong_count(r) - 1;
+
+        let a = replica_with_worker_idle(&m, "a", WORKER_IDLE);
+        app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap();
+        eventually("worker parked", || parked_workers(&a) == 1);
+        a.stop();
+        assert_eq!(parked_workers(&a), 0);
+        eventually("every thread of the stopped node gone", || threads(&a) == 0);
+
+        let b = replica_with_worker_idle(&m, "b", WORKER_IDLE);
+        app_rpc(&m, &cli, &b.node, put_msg("k")).unwrap();
+        eventually("worker parked", || parked_workers(&b) == 1);
+        // A second op is still running (held at the gate) across the crash.
+        b.gate.close();
+        let blocked = {
+            let (m, cli, to) = (m.clone(), cli.clone(), b.node.clone());
+            std::thread::spawn(move || app_rpc(&m, &cli, &to, put_msg("k2")))
+        };
+        eventually("op claimed the parked worker", || parked_workers(&b) == 0);
+        assert_eq!(spawns(&b), 1);
+        b.crash();
+        b.restart().unwrap();
+        b.gate.open();
+        let _ = blocked.join().unwrap();
+        // The old generation's worker finished its op and left instead of
+        // parking: what remains is the new handler and flusher.
+        eventually("old worker gone", || threads(&b) == 2);
+        assert_eq!(parked_workers(&b), 0);
+        // The restarted node serves ops, on a worker of the new generation.
+        let put = app_rpc(&m, &cli, &b.node, put_msg("k3")).unwrap();
+        assert_eq!((put.version, spawns(&b)), (1, 2));
+        b.stop();
+    }
+
+    #[test]
+    fn panicking_op_loses_only_its_own_worker() {
+        let m = mesh(3000.0);
+        let a = replica_with_worker_idle(&m, "a", WORKER_IDLE);
+        let cli = NodeId::new(Region::UsEast, "cli");
+        // Get hold of a real delivery (a caller blocked on its reply slot)
+        // and make it the payload of an op that panics.
+        let relay = NodeId::new(Region::UsEast, "relay");
+        let inbox = m.register(relay.clone());
+        let caller = {
+            let (m, cli) = (m.clone(), cli.clone());
+            let patience = SimDuration::from_hours(1);
+            std::thread::spawn(move || m.rpc(&cli, &relay, DataMsg::Ping, 0, patience))
+        };
+        let delivery = inbox.recv().unwrap();
+        a.run_on_worker(Box::new(move || {
+            let _dies_with_the_op = delivery;
+            panic!("injected: op failure (expected in this test's output)");
+        }))
+        .unwrap();
+        match caller.join().unwrap() {
+            Err(wiera_net::NetError::NoReply(_)) => {}
+            other => panic!("expected NoReply, got {other:?}"),
+        }
+        // The worker died with its op and never parked; the next op is
+        // served by a fresh one.
+        assert_eq!((spawns(&a), parked_workers(&a)), (1, 0));
+        assert_eq!(app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap().version, 1);
+        assert_eq!(spawns(&a), 2);
     }
 
     #[test]
