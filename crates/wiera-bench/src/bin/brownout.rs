@@ -156,12 +156,13 @@ fn main() {
     let plain = WieraClient::builder(cluster.data_mesh.clone(), Region::UsEast, "app-plain")
         .replicas(dep.replicas())
         .build();
-    let resilient = WieraClient::builder(cluster.data_mesh.clone(), Region::UsEast, "app-resilient")
-        .replicas(dep.replicas())
-        .deadline_ms(DEADLINE_MS)
-        .breakers(true)
-        .hedged_reads(true)
-        .build();
+    let resilient =
+        WieraClient::builder(cluster.data_mesh.clone(), Region::UsEast, "app-resilient")
+            .replicas(dep.replicas())
+            .deadline_ms(DEADLINE_MS)
+            .breakers(true)
+            .hedged_reads(true)
+            .build();
 
     // Seed the keyset and wait for eventual propagation to EU-West: a
     // hedge leg that races to a replica that has not applied the key yet
@@ -195,7 +196,12 @@ fn main() {
     let mut phases = Vec::new();
     phases.push(run_phase(&plain, &cluster, "plain", "clean", ops, seed + 1));
     phases.push(run_phase(
-        &resilient, &cluster, "resilient", "clean", ops, seed + 2,
+        &resilient,
+        &cluster,
+        "resilient",
+        "clean",
+        ops,
+        seed + 2,
     ));
     let clean_snapshot = MetricsRegistry::global().snapshot();
     let clean_sheds = clean_snapshot.counter_sum("wiera_shed_total");
@@ -213,10 +219,20 @@ fn main() {
     tier.set_degraded(BROWNOUT_FACTOR);
 
     phases.push(run_phase(
-        &plain, &cluster, "plain", "brownout", ops, seed + 3,
+        &plain,
+        &cluster,
+        "plain",
+        "brownout",
+        ops,
+        seed + 3,
     ));
     phases.push(run_phase(
-        &resilient, &cluster, "resilient", "brownout", ops, seed + 4,
+        &resilient,
+        &cluster,
+        "resilient",
+        "brownout",
+        ops,
+        seed + 4,
     ));
 
     // ---- heal and sanity-check ------------------------------------------
@@ -252,7 +268,9 @@ fn main() {
         .collect();
     wiera_bench::print_table(
         &format!("Brownout goodput (SLO {SLO_MS:.0} ms, tier1 {BROWNOUT_FACTOR:.0}x slower)"),
-        &["Client", "Phase", "Ok", "Goodput", "p50 ms", "p95 ms", "p99 ms"],
+        &[
+            "Client", "Phase", "Ok", "Goodput", "p50 ms", "p95 ms", "p99 ms",
+        ],
         &rows,
     );
 

@@ -154,7 +154,11 @@ const PROTOCOLS: &[Protocol] = &[
         name: "multi-primaries",
         body: bodies::MULTI_PRIMARIES,
         layout: &[("US-East", true), ("US-West", false), ("EU-West", false)],
-        menu: &[Fault::CoordSessionExpiry, Fault::SlowTier, Fault::LatencyJitter],
+        menu: &[
+            Fault::CoordSessionExpiry,
+            Fault::SlowTier,
+            Fault::LatencyJitter,
+        ],
         detector: false,
     },
 ];

@@ -249,7 +249,14 @@ fn bench(
     body: &str,
     time_scale: f64,
 ) -> Result<Bench, String> {
-    bench_with(id, regions, layout, body, time_scale, DeploymentConfig::default())
+    bench_with(
+        id,
+        regions,
+        layout,
+        body,
+        time_scale,
+        DeploymentConfig::default(),
+    )
 }
 
 /// [`bench`] with a caller-supplied deployment config (overload knobs,

@@ -155,8 +155,7 @@ impl Fabric {
         } else {
             SimDuration::from_millis_f64(dist.typical_ms())
         };
-        prop
-            + self.transfer_time(from, to, bytes)
+        prop + self.transfer_time(from, to, bytes)
             + self.injected_one_way(from, to)
             + self.sampled_jitter(from, to)
     }

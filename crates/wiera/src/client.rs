@@ -298,9 +298,7 @@ impl WieraClient {
 
     /// This op's absolute deadline, if the client carries a budget.
     fn op_deadline(&self) -> Option<SimInstant> {
-        self.resilience
-            .deadline
-            .map(|d| self.mesh.clock.now() + d)
+        self.resilience.deadline.map(|d| self.mesh.clock.now() + d)
     }
 
     /// Wrap a request in the budget envelope when the client has one (or
@@ -361,8 +359,9 @@ impl WieraClient {
                     return Err(last.unwrap_or_else(|| AppError::blocked("all replicas failed")));
                 }
                 if deadline.is_some_and(|dl| self.mesh.clock.now() >= dl) {
-                    return Err(last
-                        .unwrap_or_else(|| Self::budget_spent("op budget spent mid-failover")));
+                    return Err(
+                        last.unwrap_or_else(|| Self::budget_spent("op budget spent mid-failover"))
+                    );
                 }
                 // Breaker gating: an open breaker skips the replica without
                 // touching it. `admit` may hand out a half-open probe slot,

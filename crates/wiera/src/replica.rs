@@ -1413,8 +1413,7 @@ impl ReplicaNode {
             .flatten()
             .unwrap_or(SimInstant::EPOCH);
         let region = self.node.region.to_string();
-        MetricsRegistry::global()
-            .inc("wiera_degraded_reads_total", &[("region", region.as_str())]);
+        MetricsRegistry::global().inc("wiera_degraded_reads_total", &[("region", region.as_str())]);
         Tracer::global()
             .span(started, "history", "get")
             .region(region)
@@ -1487,8 +1486,10 @@ impl ReplicaNode {
             .deadline
             .is_some_and(|dl| self.mesh.clock.now() >= dl)
         {
-            MetricsRegistry::global()
-                .inc("wiera_deadline_exceeded_total", &[("region", region.as_str())]);
+            MetricsRegistry::global().inc(
+                "wiera_deadline_exceeded_total",
+                &[("region", region.as_str())],
+            );
             refuse(
                 d.reply,
                 FailCode::DeadlineExceeded,
@@ -1505,9 +1506,7 @@ impl ReplicaNode {
             // A client that tolerates staleness gets a local answer instead
             // of a refusal (eventual policy only — under a strong model a
             // stale local read would violate the consistency contract).
-            if budget.allow_degraded
-                && matches!(self.consistency(), ConsistencyModel::Eventual)
-            {
+            if budget.allow_degraded && matches!(self.consistency(), ConsistencyModel::Eventual) {
                 if let DataMsg::Get { key } = &d.msg {
                     if let Some((msg, took)) = self.degraded_get(key) {
                         if let Some(slot) = d.reply {
@@ -1534,8 +1533,10 @@ impl ReplicaNode {
                 .deadline
                 .is_some_and(|dl| self.mesh.clock.now() >= dl)
             {
-                MetricsRegistry::global()
-                    .inc("wiera_deadline_exceeded_total", &[("region", region.as_str())]);
+                MetricsRegistry::global().inc(
+                    "wiera_deadline_exceeded_total",
+                    &[("region", region.as_str())],
+                );
                 refuse(
                     d.reply,
                     FailCode::DeadlineExceeded,
@@ -3458,7 +3459,10 @@ mod tests {
             )
             .expect("replication admitted under overload");
         assert!(matches!(reply.msg, DataMsg::ReplicateAck { applied: true }));
-        assert_eq!(a.instance().get("r").unwrap().value.unwrap().as_ref(), b"from-peer");
+        assert_eq!(
+            a.instance().get("r").unwrap().value.unwrap().as_ref(),
+            b"from-peer"
+        );
     }
 
     #[test]
