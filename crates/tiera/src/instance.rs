@@ -78,12 +78,15 @@ impl From<TierError> for TieraError {
     }
 }
 
-/// Result of a data operation: the value (for reads), the version touched,
-/// and the modeled latency of the whole operation.
+/// Result of a data operation: the value (for reads), the version touched
+/// with its modified-time, and the modeled latency of the whole operation.
 #[derive(Debug, Clone)]
 pub struct OpOutcome {
     pub value: Option<Bytes>,
     pub version: VersionId,
+    /// The version's modified-time, read under the shard guard that served
+    /// the op: a concurrent put pruning the version cannot blank it.
+    pub modified: SimInstant,
     pub latency: SimDuration,
 }
 
@@ -760,6 +763,7 @@ impl TieraInstance {
         if let Some((_, modified)) = forced {
             m.modified = modified;
         }
+        let modified = m.modified;
         obj.versions.insert(version, m);
         let pruned = match self.config.max_versions {
             Some(keep) => obj.prune_old_versions(keep),
@@ -772,6 +776,7 @@ impl TieraInstance {
         Ok(OpOutcome {
             value: None,
             version,
+            modified,
             latency,
         })
     }
@@ -903,6 +908,7 @@ impl TieraInstance {
         Ok(OpOutcome {
             value: None,
             version,
+            modified: now,
             latency,
         })
     }
@@ -958,7 +964,7 @@ impl TieraInstance {
         obj: &mut ObjectMeta,
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
-        let (holders, compressed, encrypted) = obj
+        let (holders, compressed, encrypted, modified) = obj
             .versions
             .get(&version)
             .map(|m| {
@@ -969,6 +975,7 @@ impl TieraInstance {
                         .collect::<Vec<_>>(),
                     m.compressed,
                     m.encrypted,
+                    m.modified,
                 )
             })
             .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
@@ -1007,6 +1014,7 @@ impl TieraInstance {
                     return Ok(OpOutcome {
                         value: Some(data),
                         version,
+                        modified,
                         latency,
                     });
                 }
@@ -1560,6 +1568,35 @@ mod tests {
         // Pruned version bytes are gone from the tier too.
         let t = inst.tier("tier1").unwrap().as_local().unwrap();
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn outcomes_carry_the_versions_modified_time() {
+        let clock = ManualClock::new();
+        let cfg = InstanceConfig::new("t", Region::UsEast)
+            .with_tier("tier1", "EBS", 1 << 30)
+            .with_max_versions(1);
+        let inst = TieraInstance::build(cfg, clock.clone()).unwrap();
+        let secs = |s| SimInstant::EPOCH + SimDuration::from_secs(s);
+        clock.set(secs(3));
+        let put = inst.put("k", bytes(10)).unwrap();
+        clock.set(secs(4));
+        // A read reports when its version was written, not when it was read
+        // — from the same lock hold, so no later put can prune it first.
+        assert_eq!(
+            (put.modified, inst.get("k").unwrap().modified),
+            (secs(3), secs(3))
+        );
+        assert_eq!(inst.put("k", bytes(10)).unwrap().modified, secs(4));
+        let get = BatchOp::Get { key: "k".into() };
+        let (outs, _) = inst.apply_batch(&[get]);
+        assert_eq!(outs[0].as_ref().unwrap().modified, secs(4));
+        // A replicated update keeps its writer's stamp.
+        let update = inst.apply_replicated("k", 3, secs(2), bytes(10)).unwrap();
+        assert_eq!(update.unwrap().modified, secs(2));
+        assert_eq!(inst.get_version("k", 3).unwrap().modified, secs(2));
+        clock.set(secs(9));
+        assert_eq!(inst.update("k", 3, bytes(10)).unwrap().modified, secs(9));
     }
 
     #[test]

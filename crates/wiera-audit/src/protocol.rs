@@ -15,7 +15,7 @@
 //!
 //! Evidence is collected both directly in the arm body and transitively
 //! through the resolved call graph (bounded fixpoint closures), so a
-//! `Put` arm that mutates through `protocol_put -> primary_side_put ->
+//! `Put` arm that mutates through `write_items -> write_local ->
 //! inst.put` still extracts a `StoreWrite` effect.
 //!
 //! The extracted [`ProtocolModel`] renders as a human-auditable JSON

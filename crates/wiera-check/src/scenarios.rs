@@ -99,7 +99,7 @@ pub fn all_scenarios() -> &'static [Scenario] {
             name: "batched-bulk-ops",
             kind: ScenarioKind::Corpus,
             describe: "sync primary-backup driven through the client batch \
-                       API: forwarded MultiPut from the backup region, \
+                       API: a batch forwarded from the backup region, \
                        partial-failure MultiGet, linearizability of the \
                        per-item mput/mget spans",
             expect: &[],
@@ -458,7 +458,7 @@ fn run_batched_bulk_ops() -> Vec<Diagnostic> {
         .build();
     let keys: Vec<String> = (0..3).map(|i| format!("b{i}")).collect();
     // Round 1 from the primary side, round 2 from the backup side (one
-    // forwarded MultiPut); both record per-item mput spans the oracle must
+    // forwarded batch); both record per-item mput spans the oracle must
     // merge and linearize.
     for (round, client) in [(0u8, &east), (1u8, &west)] {
         let items: Vec<(String, bytes::Bytes)> = keys

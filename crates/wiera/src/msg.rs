@@ -55,9 +55,10 @@ pub enum DataMsg {
         key: String,
         version: u64,
     },
-    /// Bulk write: many puts in one request. The whole batch pays a single
-    /// wire header; per-item outcomes come back in [`DataMsg::MultiReply`]
-    /// in request order.
+    /// Bulk write: many puts in one request, client → replica only (a
+    /// backup relays it as [`DataMsg::ForwardPut`]). The whole batch pays a
+    /// single wire header; per-item outcomes come back in
+    /// [`DataMsg::MultiReply`] in request order.
     MultiPut {
         items: Vec<PutItem>,
     },
@@ -119,11 +120,13 @@ pub enum DataMsg {
     ReplicateAck {
         applied: bool,
     },
-    /// A non-primary forwarding an application put to the primary.
-    /// Epoch-fenced: a primary at a higher epoch refuses stale forwards.
+    /// A non-primary forwarding an application put — single or batched —
+    /// to the primary: the only forward message, so every forwarded write
+    /// is epoch-fenced (a primary at a higher epoch refuses stale forwards)
+    /// and attributed to `origin`. Answered like the op it carries:
+    /// [`DataMsg::PutAck`] for one item, [`DataMsg::MultiReply`] for many.
     ForwardPut {
-        key: String,
-        value: Bytes,
+        items: Vec<PutItem>,
         origin: NodeId,
         epoch: u64,
     },
@@ -416,6 +419,24 @@ pub enum ItemResult {
 }
 
 impl ItemResult {
+    /// The single-op reply this item mirrors: how a batch of one answers.
+    pub(crate) fn into_reply(self) -> DataMsg {
+        match self {
+            ItemResult::Put { version } => DataMsg::PutAck { version },
+            ItemResult::Value {
+                value,
+                version,
+                modified,
+            } => DataMsg::GetReply {
+                value,
+                version,
+                modified,
+                degraded: false,
+            },
+            ItemResult::Err { code, why } => DataMsg::Fail { code, why },
+        }
+    }
+
     /// Payload bytes this item contributes to its batch reply (no
     /// per-item header beyond a small fixed tag).
     fn wire_bytes(&self) -> u64 {
@@ -444,7 +465,6 @@ impl DataMsg {
             DataMsg::Put { key, value } => HDR + key.len() as u64 + value.len() as u64,
             DataMsg::Update { key, value, .. } => HDR + key.len() as u64 + value.len() as u64,
             DataMsg::Replicate { key, value, .. } => HDR + key.len() as u64 + value.len() as u64,
-            DataMsg::ForwardPut { key, value, .. } => HDR + key.len() as u64 + value.len() as u64,
             DataMsg::GetReply { value, .. } => HDR + value.len() as u64,
             DataMsg::SyncReply { objects } => {
                 HDR + objects
@@ -464,7 +484,12 @@ impl DataMsg {
             DataMsg::FetchObjects { keys } => {
                 HDR + keys.iter().map(|k| k.len() as u64 + ITEM).sum::<u64>()
             }
-            DataMsg::MultiPut { items } => {
+            // A forwarded put costs what the op it relays would: one item
+            // frames like a `Put`, many like a `MultiPut`.
+            DataMsg::ForwardPut { items, .. } if items.len() == 1 => {
+                HDR + items[0].key.len() as u64 + items[0].value.len() as u64
+            }
+            DataMsg::MultiPut { items } | DataMsg::ForwardPut { items, .. } => {
                 HDR + items
                     .iter()
                     .map(|i| i.key.len() as u64 + i.value.len() as u64 + ITEM)
@@ -484,6 +509,25 @@ impl DataMsg {
                 HDR + key.len() as u64
             }
             _ => HDR,
+        }
+    }
+
+    /// The keys an application op addresses, in request order (empty for
+    /// every other message): what shard ownership is checked against.
+    pub(crate) fn op_keys(&self) -> Vec<&str> {
+        match self {
+            DataMsg::Put { key, .. }
+            | DataMsg::Get { key }
+            | DataMsg::GetVersion { key, .. }
+            | DataMsg::GetVersionList { key }
+            | DataMsg::Update { key, .. }
+            | DataMsg::Remove { key }
+            | DataMsg::RemoveVersion { key, .. } => vec![key.as_str()],
+            DataMsg::MultiPut { items } | DataMsg::ForwardPut { items, .. } => {
+                items.iter().map(|i| i.key.as_str()).collect()
+            }
+            DataMsg::MultiGet { keys } => keys.iter().map(String::as_str).collect(),
+            _ => Vec::new(),
         }
     }
 }
@@ -554,6 +598,33 @@ mod tests {
             batch * 2 <= singles,
             "batch {batch} should cost at most half of per-op {singles}"
         );
+    }
+
+    #[test]
+    fn forwarded_put_costs_what_the_op_it_relays_costs() {
+        let items: Vec<PutItem> = (0..3)
+            .map(|i| PutItem {
+                key: format!("user{i:08}"),
+                value: Bytes::from(vec![0u8; 100 + i]),
+            })
+            .collect();
+        let forward = |items: &[PutItem]| DataMsg::ForwardPut {
+            items: items.to_vec(),
+            origin: NodeId::new(wiera_net::Region::UsEast, "backup"),
+            epoch: 7,
+        };
+        let single = DataMsg::Put {
+            key: items[0].key.clone(),
+            value: items[0].value.clone(),
+        };
+        assert_eq!(forward(&items[..1]).wire_bytes(), single.wire_bytes());
+        let batch = DataMsg::MultiPut {
+            items: items.clone(),
+        };
+        assert_eq!(forward(&items).wire_bytes(), batch.wire_bytes());
+        assert_eq!(forward(&items).op_keys(), batch.op_keys());
+        assert_eq!(single.op_keys(), ["user00000000"]);
+        assert!(DataMsg::Ping.op_keys().is_empty());
     }
 
     #[test]

@@ -1,6 +1,24 @@
 //! A replica: one Tiera instance wrapped in a mesh endpoint, executing the
 //! deployment's consistency protocol.
 //!
+//! **One write path and one read path: a single op is a batch of one.** The
+//! paper's put is one event → response chain (Figs. 3–4); here it is one
+//! function, `write_items`, over a slice of items — `Put` hands it a slice
+//! of one, `MultiPut` and `ForwardPut` their batch. It picks the model once
+//! (multi-primaries: sorted key locks → local write → synchronous copy →
+//! per-item rollback if fenced; primary-backup: the primary or whoever was
+//! forwarded to → local write → copy or queue, a backup → forward;
+//! eventual: local write → queue), counts the op, and records its history
+//! spans. Only three leaves act differently for one item than for many, and
+//! they read the count off the slice: `write_local` (`put` for one, one
+//! `apply_batch` pass for many), `replicate_sync` (`Replicate` /
+//! `ReplicateBatch`, both through `fan_out_sync`) and `forward` (one
+//! `ForwardPut` either way — the only forward message, so every forwarded
+//! write is fenced and attributed — answered `PutAck` or `MultiReply`).
+//! Beyond them the count only picks a label (`put`/`mput` spans,
+//! `deposed_put`/`deposed_mput` fences). `read_keys` is the same shape for
+//! gets over `read_local` and `read_forwarded`. Nothing configures arity.
+//!
 //! Threading model (mirrors §4's description of instances running servers):
 //!
 //! * a **handler thread** drains the inbox; replication and control messages
@@ -512,15 +530,6 @@ impl ReplicaNode {
             .collect()
     }
 
-    fn record_put_latency(&self, at: SimInstant, latency: SimDuration) {
-        let mut w = self.put_window.lock();
-        w.push_back((at, latency.as_millis_f64()));
-        let cutoff = at - WINDOW_RETENTION;
-        while w.front().map(|(t, _)| *t < cutoff).unwrap_or(false) {
-            w.pop_front();
-        }
-    }
-
     // ---- message dispatch ---------------------------------------------------
 
     fn dispatch(self: &Arc<Self>, d: Delivery<DataMsg>) {
@@ -588,62 +597,27 @@ impl ReplicaNode {
             } => {
                 if epoch < self.epoch() {
                     self.note_fenced("replicate");
-                    reply(
-                        d.reply,
-                        stale_epoch_fail(epoch, self.epoch()),
-                        SimDuration::from_micros(100),
-                    );
-                    return;
+                    let fail = stale_epoch_fail(epoch, self.epoch());
+                    return reply(d.reply, fail, SimDuration::from_micros(100));
                 }
-                let digest = value_digest(&value);
-                let out = self.inst.apply_replicated(&key, version, modified, value);
-                let (applied, took) = match out {
-                    Ok(Some(o)) => (true, o.latency),
-                    Ok(None) => (false, SimDuration::from_micros(200)),
-                    Err(_) => (false, SimDuration::from_micros(200)),
+                let update = SyncObject {
+                    key,
+                    version,
+                    modified,
+                    value,
                 };
-                if applied {
-                    let now = self.mesh.clock.now();
-                    self.record_history("replicate_apply", &key, version, digest, now, took);
-                }
-                reply(d.reply, DataMsg::ReplicateAck { applied }, took);
+                let (won, took) = self.apply_updates(&[update]);
+                reply(d.reply, DataMsg::ReplicateAck { applied: won > 0 }, took);
             }
             DataMsg::ReplicateBatch { items, epoch } => {
                 if epoch < self.epoch() {
                     self.note_fenced("replicate_batch");
-                    reply(
-                        d.reply,
-                        stale_epoch_fail(epoch, self.epoch()),
-                        SimDuration::from_micros(100),
-                    );
-                    return;
+                    let fail = stale_epoch_fail(epoch, self.epoch());
+                    return reply(d.reply, fail, SimDuration::from_micros(100));
                 }
-                // LWW per item (§4.2): one losing item does not block the
-                // rest of the batch. `items` is the sender's shared batch —
-                // iterate by reference, value clones are refcount bumps.
-                let mut any = false;
-                let mut took = SimDuration::ZERO;
-                for o in items.iter() {
-                    let digest = value_digest(&o.value);
-                    if let Ok(Some(out)) =
-                        self.inst
-                            .apply_replicated(&o.key, o.version, o.modified, o.value.clone())
-                    {
-                        any = true;
-                        took += out.latency;
-                        let now = self.mesh.clock.now();
-                        self.record_history(
-                            "replicate_apply",
-                            &o.key,
-                            o.version,
-                            digest,
-                            now,
-                            out.latency,
-                        );
-                    }
-                }
-                took = took.max(SimDuration::from_micros(200));
-                reply(d.reply, DataMsg::ReplicateAck { applied: any }, took);
+                // `items` is the sender's shared batch, applied by reference.
+                let (won, took) = self.apply_updates(&items);
+                reply(d.reply, DataMsg::ReplicateAck { applied: won > 0 }, took);
             }
             DataMsg::SetPeers {
                 peers,
@@ -950,6 +924,37 @@ impl ReplicaNode {
         out
     }
 
+    /// Apply updates replicated from a peer — one or a batch, a copy or an
+    /// anti-entropy pull — last-write-wins per item (§4.2): a losing item
+    /// does not block the rest. Returns how many won and the modeled time.
+    /// Value clones are refcount bumps.
+    fn apply_updates(&self, updates: &[SyncObject]) -> (usize, SimDuration) {
+        let (mut applied, mut took) = (0, SimDuration::ZERO);
+        for o in updates {
+            let out = self
+                .inst
+                .apply_replicated(&o.key, o.version, o.modified, o.value.clone());
+            if let Ok(Some(out)) = out {
+                applied += 1;
+                took += out.latency;
+                let digest = value_digest(&o.value);
+                let now = self.mesh.clock.now();
+                self.record_history(
+                    "replicate_apply",
+                    &o.key,
+                    o.version,
+                    digest,
+                    now,
+                    out.latency,
+                );
+            }
+        }
+        if applied == 0 {
+            took = SimDuration::from_micros(200);
+        }
+        (applied, took)
+    }
+
     /// Load a full state dump (replica repair, §4.4).
     pub fn load_state(&self, objects: Vec<SyncObject>) {
         for o in objects {
@@ -1104,24 +1109,7 @@ impl ReplicaNode {
             let bytes = msg.wire_bytes();
             if let Ok(r) = self.mesh.rpc(&self.node, peer, msg, bytes, DATA_TIMEOUT) {
                 if let DataMsg::SyncReply { objects } = r.msg {
-                    for o in objects {
-                        let digest = value_digest(&o.value);
-                        if let Ok(Some(out)) = self
-                            .inst
-                            .apply_replicated(&o.key, o.version, o.modified, o.value)
-                        {
-                            pulled += 1;
-                            let now = self.mesh.clock.now();
-                            self.record_history(
-                                "replicate_apply",
-                                &o.key,
-                                o.version,
-                                digest,
-                                now,
-                                out.latency,
-                            );
-                        }
-                    }
+                    pulled = self.apply_updates(&objects).0;
                 }
             }
         }
@@ -1237,15 +1225,6 @@ impl ReplicaNode {
         true
     }
 
-    /// Undo local writes whose synchronous replication was epoch-fenced:
-    /// they were never acknowledged, so they must not resurface later
-    /// through reads or anti-entropy pushes.
-    fn rollback_written(&self, written: &[SyncObject]) {
-        for w in written {
-            let _ = self.inst.remove_version(&w.key, w.version);
-        }
-    }
-
     fn note_fenced(&self, what: &str) {
         MetricsRegistry::global().inc("wiera_fenced_total", &[("msg", what)]);
     }
@@ -1326,24 +1305,11 @@ impl ReplicaNode {
     fn wrong_shard_refusal(&self, msg: &DataMsg) -> Option<DataMsg> {
         let view = self.shard_view.read();
         let v = view.as_ref()?;
-        let owns = |key: &str| v.owned.contains(&v.ring.shard_of(key));
-        let offending = match msg {
-            DataMsg::Put { key, .. }
-            | DataMsg::Get { key }
-            | DataMsg::GetVersion { key, .. }
-            | DataMsg::GetVersionList { key }
-            | DataMsg::Update { key, .. }
-            | DataMsg::Remove { key }
-            | DataMsg::RemoveVersion { key, .. }
-            | DataMsg::ForwardPut { key, .. } => (!owns(key)).then(|| key.clone()),
-            DataMsg::MultiPut { items } => {
-                items.iter().find(|i| !owns(&i.key)).map(|i| i.key.clone())
-            }
-            DataMsg::MultiGet { keys } => keys.iter().find(|k| !owns(k)).cloned(),
-            _ => None,
-        };
-        let key = offending?;
-        let shard = v.ring.shard_of(&key);
+        let key = msg
+            .op_keys()
+            .into_iter()
+            .find(|k| !v.owned.contains(&v.ring.shard_of(k)))?;
+        let shard = v.ring.shard_of(key);
         let region = self.node.region.to_string();
         MetricsRegistry::global().inc("wiera_wrong_shard_total", &[("region", region.as_str())]);
         Some(DataMsg::Fail {
@@ -1406,12 +1372,6 @@ impl ReplicaNode {
         let started = self.mesh.clock.now();
         let out = self.inst.get(key).ok()?;
         let value = out.value?;
-        let modified = self
-            .inst
-            .meta()
-            .with(key, |o| o.versions.get(&out.version).map(|m| m.modified))
-            .flatten()
-            .unwrap_or(SimInstant::EPOCH);
         let region = self.node.region.to_string();
         MetricsRegistry::global().inc("wiera_degraded_reads_total", &[("region", region.as_str())]);
         Tracer::global()
@@ -1428,7 +1388,7 @@ impl ReplicaNode {
             DataMsg::GetReply {
                 value,
                 version: out.version,
-                modified,
+                modified: out.modified,
                 degraded: true,
             },
             out.latency,
@@ -1548,48 +1508,15 @@ impl ReplicaNode {
         let Delivery { msg: op, reply, .. } = d;
         let (msg, took) = tiera::deadline::with_deadline(budget.deadline, || match op {
             DataMsg::Put { key, value } => {
-                let started = self.mesh.clock.now();
-                self.direct_puts.lock().push_back(started);
-                let digest = value_digest(&value);
-                match self.protocol_put(&key, value) {
-                    Ok((version, latency)) => {
-                        self.record_history("put", &key, version, digest, started, latency);
-                        (DataMsg::PutAck { version }, latency)
-                    }
-                    Err(f) => (
-                        DataMsg::Fail {
-                            code: f.code,
-                            why: f.why,
-                        },
-                        SimDuration::from_millis(1),
-                    ),
-                }
+                let (results, took) = self.write_items(&[PutItem { key, value }], None);
+                (sole(results).into_reply(), took)
             }
             DataMsg::MultiPut { items } => {
-                let started = self.mesh.clock.now();
-                let (results, took) = self.protocol_put_batch(items, started);
-                (DataMsg::MultiReply { results }, took)
-            }
-            DataMsg::MultiGet { keys } => {
-                let started = self.mesh.clock.now();
-                let (results, took) = self.protocol_get_batch(&keys);
-                for (key, res) in keys.iter().zip(&results) {
-                    if let ItemResult::Value { value, version, .. } = res {
-                        self.record_history(
-                            "mget",
-                            key,
-                            *version,
-                            value_digest(value),
-                            started,
-                            took,
-                        );
-                    }
-                }
+                let (results, took) = self.write_items(&items, None);
                 (DataMsg::MultiReply { results }, took)
             }
             DataMsg::ForwardPut {
-                key,
-                value,
+                items,
                 origin,
                 epoch,
             } => {
@@ -1602,82 +1529,26 @@ impl ReplicaNode {
                         SimDuration::from_millis(1),
                     )
                 } else {
-                    // Primary-side accounting for the requests monitor.
-                    let started = self.mesh.clock.now();
-                    self.forwarded_puts
-                        .lock()
-                        .entry(origin)
-                        .or_default()
-                        .push_back(started);
-                    let digest = value_digest(&value);
-                    match self.primary_side_put(&key, value) {
-                        Ok((version, latency)) => {
-                            // Inner span of the forwarded write: the oracle
-                            // merges it with the backup's outer span and it
-                            // is the only evidence the primary holds this
-                            // version.
-                            self.record_history("put", &key, version, digest, started, latency);
-                            (DataMsg::PutAck { version }, latency)
-                        }
-                        Err(f) => (
-                            DataMsg::Fail {
-                                code: f.code,
-                                why: f.why,
-                            },
-                            SimDuration::from_millis(1),
-                        ),
-                    }
+                    let (results, took) = self.write_items(&items, Some(origin));
+                    let reply = match items.len() {
+                        1 => sole(results).into_reply(),
+                        _ => DataMsg::MultiReply { results },
+                    };
+                    (reply, took)
                 }
             }
             DataMsg::Get { key } => {
-                let started = self.mesh.clock.now();
-                match self.protocol_get(&key, None) {
-                    Ok((value, version, modified, latency)) => {
-                        self.record_history(
-                            "get",
-                            &key,
-                            version,
-                            value_digest(&value),
-                            started,
-                            latency,
-                        );
-                        (
-                            DataMsg::GetReply {
-                                value,
-                                version,
-                                modified,
-                                degraded: false,
-                            },
-                            latency,
-                        )
-                    }
-                    Err(f) => (
-                        DataMsg::Fail {
-                            code: f.code,
-                            why: f.why,
-                        },
-                        SimDuration::from_millis(1),
-                    ),
-                }
+                let (results, took) = self.read_keys(&[key], None);
+                (sole(results).into_reply(), took)
             }
-            DataMsg::GetVersion { key, version } => match self.protocol_get(&key, Some(version)) {
-                Ok((value, version, modified, latency)) => (
-                    DataMsg::GetReply {
-                        value,
-                        version,
-                        modified,
-                        degraded: false,
-                    },
-                    latency,
-                ),
-                Err(f) => (
-                    DataMsg::Fail {
-                        code: f.code,
-                        why: f.why,
-                    },
-                    SimDuration::from_millis(1),
-                ),
-            },
+            DataMsg::GetVersion { key, version } => {
+                let (results, took) = self.read_keys(&[key], Some(version));
+                (sole(results).into_reply(), took)
+            }
+            DataMsg::MultiGet { keys } => {
+                let (results, took) = self.read_keys(&keys, None);
+                (DataMsg::MultiReply { results }, took)
+            }
             DataMsg::GetVersionList { key } => match self.inst.get_version_list(&key) {
                 Ok(versions) => (
                     DataMsg::VersionList { versions },
@@ -1826,135 +1697,183 @@ impl ReplicaNode {
         }
     }
 
-    /// Application put under the current consistency model. Returns the
-    /// version written and the modeled latency the application perceives.
-    fn protocol_put(
-        self: &Arc<Self>,
-        key: &str,
-        value: Bytes,
-    ) -> Result<(u64, SimDuration), OpFail> {
-        let model = self.consistency();
-        let result = match model {
-            ConsistencyModel::MultiPrimaries => self.put_multi_primaries(key, value),
-            ConsistencyModel::PrimaryBackup { sync } => {
-                if self.is_primary() {
-                    self.put_as_primary(key, value, sync)
-                } else {
-                    self.put_via_forwarding(key, value)
-                }
-            }
-            ConsistencyModel::Eventual => self.put_eventual(key, value),
-        };
-        let model_label = model.to_string();
-        let region = self.node.region.to_string();
-        let labels = [
-            ("consistency", model_label.as_str()),
-            ("region", region.as_str()),
-        ];
-        let metrics = MetricsRegistry::global();
-        match &result {
-            Ok((_, latency)) => {
-                metrics.inc("wiera_put_total", &labels);
-                metrics.observe("wiera_put_latency", &labels, *latency);
-                self.record_put_latency(self.mesh.clock.now(), *latency);
-            }
-            Err(_) => metrics.inc("wiera_put_errors", &labels),
-        }
-        result
-    }
-
-    /// Bulk application put: one engine pass, one coalesced replication
-    /// fan-out, per-item results. A batch-level failure (no coordinator, no
-    /// primary, forwarding failure) fails every item with the same code;
-    /// per-item engine errors leave the rest of the batch intact.
-    fn protocol_put_batch(
-        self: &Arc<Self>,
-        items: Vec<PutItem>,
-        started: SimInstant,
+    /// Application put under the current consistency model — the one write
+    /// path. A single put is a batch of one: `items` is the whole op,
+    /// `origin` the backup that forwarded it (`None` when a client sent it
+    /// here). Returns per-item results in request order and the modeled
+    /// latency the caller perceives. A failure of the op as a whole (no
+    /// coordinator, no primary, forwarding failure) fails every item with
+    /// the same code; an engine error fails only its own item.
+    fn write_items(
+        &self,
+        items: &[PutItem],
+        origin: Option<NodeId>,
     ) -> (Vec<ItemResult>, SimDuration) {
-        {
-            let mut dp = self.direct_puts.lock();
-            for _ in &items {
-                dp.push_back(started);
-            }
+        let started = self.mesh.clock.now();
+        let forwarded = origin.is_some();
+        // Requests-monitor accounting (Fig. 8): direct vs forwarded-by-origin.
+        match origin {
+            None => stamp_window(&mut self.direct_puts.lock(), started, items.len()),
+            Some(origin) => stamp_window(
+                self.forwarded_puts.lock().entry(origin).or_default(),
+                started,
+                items.len(),
+            ),
         }
         let model = self.consistency();
-        let attempt = match model {
-            ConsistencyModel::MultiPrimaries => self.put_batch_multi_primaries(&items),
-            ConsistencyModel::PrimaryBackup { sync } => {
-                if self.is_primary() {
-                    Ok(self.put_batch_as_primary(&items, sync))
-                } else {
-                    self.put_batch_via_forwarding(&items)
-                }
-            }
-            ConsistencyModel::Eventual => Ok(self.put_batch_local_queued(&items)),
-        };
-        let (results, took) = match attempt {
-            Ok(x) => x,
-            Err(f) => {
-                let results = items
-                    .iter()
-                    .map(|_| ItemResult::Err {
-                        code: f.code,
-                        why: f.why.clone(),
-                    })
-                    .collect();
-                (results, SimDuration::from_millis(1))
-            }
-        };
-        let model_label = model.to_string();
-        let region = self.node.region.to_string();
-        let labels = [
-            ("consistency", model_label.as_str()),
-            ("region", region.as_str()),
-        ];
-        let metrics = MetricsRegistry::global();
+        let (results, took) = self
+            .write_under(model, items, forwarded)
+            .unwrap_or_else(|f| {
+                (
+                    batch_failure(items.len(), f.code, &f.why),
+                    SimDuration::ZERO,
+                )
+            });
         let ok = results
             .iter()
             .filter(|r| matches!(r, ItemResult::Put { .. }))
             .count() as u64;
-        metrics.counter("wiera_put_total", &labels).add(ok);
-        metrics
-            .counter("wiera_put_errors", &labels)
-            .add(results.len() as u64 - ok);
-        if ok > 0 {
-            metrics.observe("wiera_put_latency", &labels, took);
-            self.record_put_latency(self.mesh.clock.now(), took);
+        // An op that acknowledged nothing is charged the flat refusal cost.
+        let took = if ok == 0 {
+            SimDuration::from_millis(1)
+        } else {
+            took
+        };
+        // A put is counted where the client asked for it; the primary's half
+        // of a forwarded put only leaves its history span.
+        if !forwarded {
+            let model_label = model.to_string();
+            let region = self.node.region.to_string();
+            let labels = [
+                ("consistency", model_label.as_str()),
+                ("region", region.as_str()),
+            ];
+            let metrics = MetricsRegistry::global();
+            let failed = results.len() as u64 - ok;
+            if failed > 0 {
+                metrics.counter("wiera_put_errors", &labels).add(failed);
+            }
+            if ok > 0 {
+                metrics.counter("wiera_put_total", &labels).add(ok);
+                metrics.observe("wiera_put_latency", &labels, took);
+                let now = self.mesh.clock.now();
+                let mut window = self.put_window.lock();
+                window.push_back((now, took.as_millis_f64()));
+                trim_window(&mut window, now, |(t, _)| *t);
+            }
         }
+        // One span per written item per serving node: on a forwarded put the
+        // oracle merges the backup's outer span with the primary's inner
+        // one, the only evidence the primary holds the version.
+        let label = if items.len() == 1 { "put" } else { "mput" };
         for (item, res) in items.iter().zip(&results) {
             if let ItemResult::Put { version } = res {
-                self.record_history(
-                    "mput",
-                    &item.key,
-                    *version,
-                    value_digest(&item.value),
-                    started,
-                    took,
-                );
+                let digest = value_digest(&item.value);
+                self.record_history(label, &item.key, *version, digest, started, took);
             }
         }
         (results, took)
     }
 
-    /// Execute a batch's writes locally in one engine pass. Returns per-item
-    /// results, the successfully written objects (replication payload), and
-    /// the engine latency.
-    fn run_batch_puts(
+    /// The protocol decision of a put, made once for the whole op (Figs.
+    /// 3–4). Multi-primaries: global key locks → local write → synchronous
+    /// copy → release. Primary-backup: the primary (or whoever a backup
+    /// forwarded to — a forwarded put is applied, never forwarded again)
+    /// writes locally and copies synchronously or queues; a backup
+    /// forwards. Eventual: local write + queue.
+    fn write_under(
         &self,
+        model: ConsistencyModel,
         items: &[PutItem],
-        modified: SimInstant,
-    ) -> (Vec<ItemResult>, Vec<SyncObject>, SimDuration) {
-        let ops: Vec<BatchOp> = items
-            .iter()
-            .map(|i| BatchOp::Put {
-                key: i.key.clone(),
-                value: i.value.clone(),
-            })
-            .collect();
-        let (outs, total) = self.inst.apply_batch(&ops);
+        forwarded: bool,
+    ) -> Result<(Vec<ItemResult>, SimDuration), OpFail> {
+        let mut guards = Vec::new();
+        let mut lock_cost = SimDuration::ZERO;
+        let sync = match model {
+            // A forwarded put is applied here whatever this node believes
+            // of itself; one that raced a switch away from primary-backup
+            // is queued like an eventual write.
+            _ if forwarded => model == ConsistencyModel::PrimaryBackup { sync: true },
+            ConsistencyModel::PrimaryBackup { sync } if self.is_primary() => sync,
+            ConsistencyModel::PrimaryBackup { .. } => return self.forward(items),
+            ConsistencyModel::MultiPrimaries => {
+                let coord = self
+                    .coord_client()
+                    .ok_or_else(|| OpFail::blocked("multi-primaries requires a coordinator"))?;
+                // Every distinct key in sorted order: a total order across
+                // concurrent writers, so overlapping batches cannot deadlock.
+                let mut keys: Vec<&str> = items.iter().map(|i| i.key.as_str()).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                for key in keys {
+                    let (guard, cost) = coord
+                        .lock(&format!("/keys/{key}"))
+                        .map_err(|e| OpFail::blocked(format!("lock: {e}")))?;
+                    guards.push(guard);
+                    lock_cost += cost;
+                }
+                true
+            }
+            ConsistencyModel::Eventual => false,
+        };
+        let (mut results, written, engine) = self.write_local(items);
+        let copy = if sync {
+            let bcast = self.replicate_sync(&written);
+            if bcast.fenced {
+                // Deposed (§4.4): a peer at a higher epoch refused the copy.
+                // Undo the never-acknowledged local writes so they cannot
+                // resurface through reads or anti-entropy, and fail each
+                // written item so the client retries at the elected primary.
+                for w in &written {
+                    let _ = self.inst.remove_version(&w.key, w.version);
+                }
+                self.note_fenced(if items.len() == 1 {
+                    "deposed_put"
+                } else {
+                    "deposed_mput"
+                });
+                for r in results.iter_mut() {
+                    if matches!(r, ItemResult::Put { .. }) {
+                        *r = ItemResult::Err {
+                            code: FailCode::StaleEpoch,
+                            why: "fenced: this node's epoch is stale".into(),
+                        };
+                    }
+                }
+            }
+            bcast.latency
+        } else {
+            self.queue.lock().extend(written);
+            SimDuration::ZERO
+        };
+        drop(guards); // asynchronous release, off the latency path
+        Ok((results, lock_cost + engine + copy))
+    }
+
+    /// Arity leaf 1 of 3: write `items` into the local instance — `put` for
+    /// one, one `apply_batch` engine pass for many. Returns per-item
+    /// results, the objects written (the replication payload) and the
+    /// engine latency.
+    fn write_local(&self, items: &[PutItem]) -> (Vec<ItemResult>, Vec<SyncObject>, SimDuration) {
+        let (outs, engine) = match items {
+            [one] => {
+                let out = self.inst.put(&one.key, one.value.clone());
+                let engine = out.as_ref().map_or(SimDuration::ZERO, |o| o.latency);
+                (vec![out], engine)
+            }
+            _ => {
+                let ops: Vec<BatchOp> = items
+                    .iter()
+                    .map(|i| BatchOp::Put {
+                        key: i.key.clone(),
+                        value: i.value.clone(),
+                    })
+                    .collect();
+                self.inst.apply_batch(&ops)
+            }
+        };
         let mut results = Vec::with_capacity(outs.len());
-        let mut written = Vec::new();
+        let mut written = Vec::with_capacity(outs.len());
         for (item, out) in items.iter().zip(outs) {
             match out {
                 Ok(o) => {
@@ -1962,7 +1881,7 @@ impl ReplicaNode {
                     written.push(SyncObject {
                         key: item.key.clone(),
                         version: o.version,
-                        modified,
+                        modified: o.modified,
                         value: item.value.clone(),
                     });
                 }
@@ -1972,284 +1891,54 @@ impl ReplicaNode {
                 }),
             }
         }
-        (results, written, total)
+        (results, written, engine)
     }
 
-    /// Batched Fig. 3(a): take the global locks for every distinct key in
-    /// sorted order (a total order across concurrent batchers, so two
-    /// overlapping batches cannot deadlock), write once, broadcast once.
-    fn put_batch_multi_primaries(
-        self: &Arc<Self>,
-        items: &[PutItem],
-    ) -> Result<(Vec<ItemResult>, SimDuration), OpFail> {
-        let coord = self
-            .coord_client()
-            .ok_or_else(|| OpFail::blocked("multi-primaries requires a coordinator"))?;
-        let mut keys: Vec<&str> = items.iter().map(|i| i.key.as_str()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut guards = Vec::with_capacity(keys.len());
-        let mut lock_cost = SimDuration::ZERO;
-        for key in keys {
-            let (guard, cost) = coord
-                .lock(&format!("/keys/{key}"))
-                .map_err(|e| OpFail::blocked(format!("lock: {e}")))?;
-            guards.push(guard);
-            lock_cost += cost;
-        }
-        let modified = self.mesh.clock.now();
-        let (results, written, engine) = self.run_batch_puts(items, modified);
-        let bcast = self.broadcast_batch_sync(&written);
-        drop(guards); // asynchronous release, off the latency path
-        if bcast.fenced {
-            self.rollback_written(&written);
-            self.note_fenced("deposed_mput");
-            return Err(OpFail::new(
-                FailCode::StaleEpoch,
-                "fenced: this node's epoch is stale",
-            ));
-        }
-        Ok((results, lock_cost + engine + bcast.latency))
-    }
-
-    /// Batched Fig. 3(b), primary side: one engine pass, then one
-    /// synchronous `ReplicateBatch` per backup (concurrently) or one queue
-    /// append for the whole batch.
-    fn put_batch_as_primary(
-        self: &Arc<Self>,
-        items: &[PutItem],
-        sync: bool,
-    ) -> (Vec<ItemResult>, SimDuration) {
-        let modified = self.mesh.clock.now();
-        let (mut results, written, engine) = self.run_batch_puts(items, modified);
-        let extra = if sync {
-            let bcast = self.broadcast_batch_sync(&written);
-            if bcast.fenced {
-                // Deposed primary: undo the never-acknowledged local writes
-                // and fail each item so the client retries at the winner.
-                self.rollback_written(&written);
-                self.note_fenced("deposed_mput");
-                for r in results.iter_mut() {
-                    if matches!(r, ItemResult::Put { .. }) {
-                        *r = ItemResult::Err {
-                            code: FailCode::StaleEpoch,
-                            why: "fenced: this node is no longer the primary".into(),
-                        };
-                    }
-                }
-            }
-            bcast.latency
-        } else {
-            let mut q = self.queue.lock();
-            for w in written {
-                q.push_back(w);
-            }
-            SimDuration::ZERO
-        };
-        (results, engine + extra)
-    }
-
-    /// Batched eventual put: local engine pass plus one queue append.
-    fn put_batch_local_queued(
-        self: &Arc<Self>,
-        items: &[PutItem],
-    ) -> (Vec<ItemResult>, SimDuration) {
-        let modified = self.mesh.clock.now();
-        let (results, written, engine) = self.run_batch_puts(items, modified);
-        let mut q = self.queue.lock();
-        for w in written {
-            q.push_back(w);
-        }
-        (results, engine)
-    }
-
-    /// Batched Fig. 3(b), non-primary side: forward the whole batch to the
-    /// primary in one message and relay its per-item results.
-    fn put_batch_via_forwarding(
-        self: &Arc<Self>,
-        items: &[PutItem],
-    ) -> Result<(Vec<ItemResult>, SimDuration), OpFail> {
-        let primary = self
-            .primary()
-            .ok_or_else(|| OpFail::blocked("no primary configured"))?;
-        let msg = DataMsg::MultiPut {
-            items: items.to_vec(),
-        };
-        let bytes = msg.wire_bytes();
-        self.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
-        match self
-            .mesh
-            .rpc(&self.node, &primary, msg, bytes, DATA_TIMEOUT)
-        {
-            Ok(r) => {
-                let total = r.total();
-                match r.msg {
-                    DataMsg::MultiReply { results } => Ok((results, total)),
-                    DataMsg::Fail { code, why } => Err(OpFail::new(code, why)),
-                    other => Err(OpFail::internal(format!("bad forward reply {other:?}"))),
-                }
-            }
-            Err(e) => Err(OpFail::blocked(format!("forward failed: {e}"))),
+    /// Arity leaf 2 of 3: copy `written` to every peer synchronously —
+    /// one `Replicate` for one object, one `ReplicateBatch` (materialized
+    /// once, shared by refcount across peers) for many.
+    fn replicate_sync(&self, written: &[SyncObject]) -> BroadcastOutcome {
+        match written {
+            [] => BroadcastOutcome::default(),
+            [w] => self.fan_out_sync(|epoch| DataMsg::Replicate {
+                key: w.key.clone(),
+                version: w.version,
+                modified: w.modified,
+                value: w.value.clone(),
+                epoch,
+            }),
+            _ => self.fan_out_sync(|epoch| DataMsg::ReplicateBatch {
+                items: written.to_vec().into(),
+                epoch,
+            }),
         }
     }
 
-    /// Fig. 3(a): global lock → local store → synchronous broadcast →
-    /// release.
-    fn put_multi_primaries(
-        self: &Arc<Self>,
-        key: &str,
-        value: Bytes,
-    ) -> Result<(u64, SimDuration), OpFail> {
-        let coord = self
-            .coord_client()
-            .ok_or_else(|| OpFail::blocked("multi-primaries requires a coordinator"))?;
-        let (guard, lock_cost) = coord
-            .lock(&format!("/keys/{key}"))
-            .map_err(|e| OpFail::blocked(format!("lock: {e}")))?;
-        let modified = self.mesh.clock.now();
-        let out = self.inst.put(key, value.clone())?;
-        let bcast = self.broadcast_sync(key, out.version, modified, &value);
-        drop(guard); // asynchronous release, off the latency path
-        if bcast.fenced {
-            let _ = self.inst.remove_version(key, out.version);
-            self.note_fenced("deposed_put");
-            return Err(OpFail::new(
-                FailCode::StaleEpoch,
-                "fenced: this node's epoch is stale",
-            ));
-        }
-        Ok((out.version, lock_cost + out.latency + bcast.latency))
-    }
-
-    /// Fig. 4: local store + queue for background distribution.
-    fn put_eventual(
-        self: &Arc<Self>,
-        key: &str,
-        value: Bytes,
-    ) -> Result<(u64, SimDuration), OpFail> {
-        let modified = self.mesh.clock.now();
-        let out = self.inst.put(key, value.clone())?;
-        self.queue.lock().push_back(SyncObject {
-            key: key.to_string(),
-            version: out.version,
-            modified,
-            value,
-        });
-        Ok((out.version, out.latency))
-    }
-
-    /// Fig. 3(b), primary side: local store + propagate (sync `copy` or
-    /// async `queue`).
-    fn put_as_primary(
-        self: &Arc<Self>,
-        key: &str,
-        value: Bytes,
-        sync: bool,
-    ) -> Result<(u64, SimDuration), OpFail> {
-        let modified = self.mesh.clock.now();
-        let out = self.inst.put(key, value.clone())?;
-        let extra = if sync {
-            let bcast = self.broadcast_sync(key, out.version, modified, &value);
-            if bcast.fenced {
-                // Deposed primary (§4.4): a peer at a higher epoch refused
-                // the copy. Undo the never-acknowledged local write and fail
-                // the put so the client retries at the elected primary.
-                let _ = self.inst.remove_version(key, out.version);
-                self.note_fenced("deposed_put");
-                return Err(OpFail::new(
-                    FailCode::StaleEpoch,
-                    "fenced: this node is no longer the primary",
-                ));
-            }
-            bcast.latency
-        } else {
-            self.queue.lock().push_back(SyncObject {
-                key: key.to_string(),
-                version: out.version,
-                modified,
-                value,
-            });
-            SimDuration::ZERO
-        };
-        Ok((out.version, out.latency + extra))
-    }
-
-    fn primary_side_put(
-        self: &Arc<Self>,
-        key: &str,
-        value: Bytes,
-    ) -> Result<(u64, SimDuration), OpFail> {
-        let sync = match self.consistency() {
-            ConsistencyModel::PrimaryBackup { sync } => sync,
-            // A forwarded put that races a consistency switch still applies.
-            _ => false,
-        };
-        self.put_as_primary(key, value, sync)
-    }
-
-    /// Fig. 3(b), non-primary side: forward to the primary and relay the ack.
-    fn put_via_forwarding(
-        self: &Arc<Self>,
-        key: &str,
-        value: Bytes,
-    ) -> Result<(u64, SimDuration), OpFail> {
+    /// Arity leaf 3 of 3 (Fig. 3(b), non-primary side): forward the whole
+    /// op to the primary as one `ForwardPut` and relay its answer — a
+    /// `PutAck` for one item, a `MultiReply` for many.
+    fn forward(&self, items: &[PutItem]) -> Result<(Vec<ItemResult>, SimDuration), OpFail> {
         let primary = self
             .primary()
             .ok_or_else(|| OpFail::blocked("no primary configured"))?;
         let msg = DataMsg::ForwardPut {
-            key: key.to_string(),
-            value,
+            items: items.to_vec(),
             origin: self.node.clone(),
             epoch: self.epoch(),
         };
         let bytes = msg.wire_bytes();
         self.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
-        match self
+        let reply = self
             .mesh
             .rpc(&self.node, &primary, msg, bytes, DATA_TIMEOUT)
-        {
-            Ok(r) => {
-                let total = r.total();
-                match r.msg {
-                    DataMsg::PutAck { version } => Ok((version, total)),
-                    DataMsg::Fail { code, why } => Err(OpFail::new(code, why)),
-                    other => Err(OpFail::internal(format!("bad forward reply {other:?}"))),
-                }
-            }
-            Err(e) => Err(OpFail::blocked(format!("forward failed: {e}"))),
+            .map_err(|e| OpFail::blocked(format!("forward failed: {e}")))?;
+        let total = reply.total();
+        match reply.msg {
+            DataMsg::PutAck { version } => Ok((vec![ItemResult::Put { version }], total)),
+            DataMsg::MultiReply { results } => Ok((results, total)),
+            DataMsg::Fail { code, why } => Err(OpFail::new(code, why)),
+            other => Err(OpFail::internal(format!("bad forward reply {other:?}"))),
         }
-    }
-
-    /// Parallel synchronous replication; latency is the slowest peer (the
-    /// "highest round trip latency" the paper attributes to strong puts).
-    fn broadcast_sync(
-        self: &Arc<Self>,
-        key: &str,
-        version: u64,
-        modified: SimInstant,
-        value: &Bytes,
-    ) -> BroadcastOutcome {
-        self.fan_out_sync(|epoch| DataMsg::Replicate {
-            key: key.to_string(),
-            version,
-            modified,
-            value: value.clone(),
-            epoch,
-        })
-    }
-
-    /// Synchronous batched replication: like [`Self::broadcast_sync`] but
-    /// with one [`DataMsg::ReplicateBatch`] per peer instead of one message
-    /// per item.
-    fn broadcast_batch_sync(self: &Arc<Self>, written: &[SyncObject]) -> BroadcastOutcome {
-        if written.is_empty() {
-            return BroadcastOutcome::default();
-        }
-        // Materialized once; each peer's copy shares the items by refcount.
-        self.fan_out_sync(|epoch| DataMsg::ReplicateBatch {
-            items: written.to_vec().into(),
-            epoch,
-        })
     }
 
     /// Send every peer its copy of the message `build` makes for the current
@@ -2297,202 +1986,145 @@ impl ReplicaNode {
         out
     }
 
-    /// Application get: local read, or forwarded when the deployment routes
-    /// gets elsewhere (§5.4's "all get operations forwarded to the AWS
-    /// instance's memory tier").
-    fn protocol_get(
-        self: &Arc<Self>,
-        key: &str,
-        version: Option<u64>,
-    ) -> Result<(Bytes, u64, SimInstant, SimDuration), OpFail> {
+    /// Application get — the one read path. A single get is a batch of one:
+    /// `keys` is the whole op, `version` pins an explicit version (single
+    /// ops only; `None` reads the latest). Served locally, or forwarded
+    /// whole when the deployment routes gets elsewhere (§5.4's "all get
+    /// operations forwarded to the AWS instance's memory tier"). A missing
+    /// key fails only its own item.
+    fn read_keys(&self, keys: &[String], version: Option<u64>) -> (Vec<ItemResult>, SimDuration) {
+        let started = self.mesh.clock.now();
         // Clone the route and release the lock before any network hop: the
-        // if-let scrutinee would otherwise keep the read guard alive across
-        // the forwarded RPC, stalling route updates for the call's duration.
-        let forward = self.forward_gets_to.read().clone();
-        if let Some(target) = forward {
-            if target != self.node {
-                let msg = match version {
-                    Some(v) => DataMsg::GetVersion {
-                        key: key.to_string(),
-                        version: v,
-                    },
-                    None => DataMsg::Get {
-                        key: key.to_string(),
-                    },
-                };
-                let bytes = msg.wire_bytes();
-                let region = self.node.region.to_string();
-                let labels = [("region", region.as_str()), ("route", "forwarded")];
-                let metrics = MetricsRegistry::global();
-                return match self.mesh.rpc(&self.node, &target, msg, bytes, DATA_TIMEOUT) {
-                    Ok(r) => {
-                        let total = r.total();
-                        match r.msg {
-                            DataMsg::GetReply {
-                                value,
-                                version,
-                                modified,
-                                ..
-                            } => {
-                                metrics.inc("wiera_get_total", &labels);
-                                metrics.observe("wiera_get_latency", &labels, total);
-                                Ok((value, version, modified, total))
-                            }
-                            DataMsg::Fail { code, why } => {
-                                metrics.inc("wiera_get_errors", &labels);
-                                Err(OpFail::new(code, why))
-                            }
-                            other => {
-                                metrics.inc("wiera_get_errors", &labels);
-                                Err(OpFail::internal(format!("bad get reply {other:?}")))
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        metrics.inc("wiera_get_errors", &labels);
-                        Err(OpFail::blocked(format!("forwarded get failed: {e}")))
-                    }
-                };
+        // guard would otherwise stay alive across the forwarded RPC,
+        // stalling route updates for the call's duration.
+        let target = self.forward_gets_to.read().clone();
+        let (route, (results, took)) = match target.filter(|t| *t != self.node) {
+            Some(target) => ("forwarded", self.read_forwarded(&target, keys, version)),
+            None => ("local", self.read_local(keys, version)),
+        };
+        let ok = results
+            .iter()
+            .filter(|r| matches!(r, ItemResult::Value { .. }))
+            .count() as u64;
+        // An op that answered nothing is charged the flat refusal cost.
+        let took = if ok == 0 {
+            SimDuration::from_millis(1)
+        } else {
+            took
+        };
+        let region = self.node.region.to_string();
+        let labels = [("region", region.as_str()), ("route", route)];
+        let metrics = MetricsRegistry::global();
+        let failed = results.len() as u64 - ok;
+        if failed > 0 {
+            metrics.counter("wiera_get_errors", &labels).add(failed);
+        }
+        if ok > 0 {
+            metrics.counter("wiera_get_total", &labels).add(ok);
+            metrics.observe("wiera_get_latency", &labels, took);
+        }
+        // Reads of the latest version enter the consistency history; a read
+        // of an explicitly named old version promises no freshness.
+        if version.is_none() {
+            let label = if keys.len() == 1 { "get" } else { "mget" };
+            for (key, res) in keys.iter().zip(&results) {
+                if let ItemResult::Value { value, version, .. } = res {
+                    self.record_history(label, key, *version, value_digest(value), started, took);
+                }
             }
         }
-        let region = self.node.region.to_string();
-        let labels = [("region", region.as_str()), ("route", "local")];
-        let metrics = MetricsRegistry::global();
-        let out = match version {
-            Some(v) => self.inst.get_version(key, v),
-            None => self.inst.get(key),
-        }
-        .map_err(|e| {
-            metrics.inc("wiera_get_errors", &labels);
-            OpFail::from(e)
-        })?;
-        metrics.inc("wiera_get_total", &labels);
-        metrics.observe("wiera_get_latency", &labels, out.latency);
-        let modified = self
-            .inst
-            .meta()
-            .with(key, |o| o.versions.get(&out.version).map(|m| m.modified))
-            .flatten()
-            .unwrap_or(SimInstant::EPOCH);
-        let value = out.value.ok_or_else(|| {
-            metrics.inc("wiera_get_errors", &labels);
-            OpFail::internal(format!("get '{key}' returned metadata but no bytes"))
-        })?;
-        Ok((value, out.version, modified, out.latency))
+        (results, took)
     }
 
-    /// Bulk application get: forwarded whole when the deployment routes gets
-    /// elsewhere, otherwise one engine pass over every key. Per-item errors
-    /// (missing keys) do not affect the rest of the batch.
-    fn protocol_get_batch(self: &Arc<Self>, keys: &[String]) -> (Vec<ItemResult>, SimDuration) {
-        let region = self.node.region.to_string();
-        let metrics = MetricsRegistry::global();
-        // As in `protocol_get`: drop the route guard before the network hop.
-        let forward = self.forward_gets_to.read().clone();
-        if let Some(target) = forward {
-            if target != self.node {
-                let labels = [("region", region.as_str()), ("route", "forwarded")];
-                let msg = DataMsg::MultiGet {
-                    keys: keys.to_vec(),
+    /// Local half of the read path and its arity leaf: `get`/`get_version`
+    /// for one key, one `apply_batch` engine pass for many.
+    fn read_local(&self, keys: &[String], version: Option<u64>) -> (Vec<ItemResult>, SimDuration) {
+        let (outs, took) = match keys {
+            [key] => {
+                let out = match version {
+                    Some(v) => self.inst.get_version(key, v),
+                    None => self.inst.get(key),
                 };
-                let bytes = msg.wire_bytes();
-                return match self.mesh.rpc(&self.node, &target, msg, bytes, DATA_TIMEOUT) {
-                    Ok(r) => {
-                        let total = r.total();
-                        match r.msg {
-                            DataMsg::MultiReply { results } => {
-                                let ok = results
-                                    .iter()
-                                    .filter(|x| matches!(x, ItemResult::Value { .. }))
-                                    .count() as u64;
-                                metrics.counter("wiera_get_total", &labels).add(ok);
-                                metrics
-                                    .counter("wiera_get_errors", &labels)
-                                    .add(results.len() as u64 - ok);
-                                metrics.observe("wiera_get_latency", &labels, total);
-                                (results, total)
-                            }
-                            DataMsg::Fail { code, why } => {
-                                metrics
-                                    .counter("wiera_get_errors", &labels)
-                                    .add(keys.len() as u64);
-                                (batch_failure(keys.len(), code, &why), total)
-                            }
-                            other => {
-                                metrics
-                                    .counter("wiera_get_errors", &labels)
-                                    .add(keys.len() as u64);
-                                (
-                                    batch_failure(
-                                        keys.len(),
-                                        FailCode::Internal,
-                                        &format!("bad get reply {other:?}"),
-                                    ),
-                                    total,
-                                )
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        metrics
-                            .counter("wiera_get_errors", &labels)
-                            .add(keys.len() as u64);
-                        (
-                            batch_failure(
-                                keys.len(),
-                                FailCode::Blocked,
-                                &format!("forwarded get failed: {e}"),
-                            ),
-                            SimDuration::from_millis(1),
-                        )
-                    }
-                };
+                let took = out.as_ref().map_or(SimDuration::ZERO, |o| o.latency);
+                (vec![out], took)
             }
-        }
-        let labels = [("region", region.as_str()), ("route", "local")];
-        let ops: Vec<BatchOp> = keys
+            _ => {
+                let ops: Vec<BatchOp> = keys
+                    .iter()
+                    .map(|k| BatchOp::Get { key: k.clone() })
+                    .collect();
+                self.inst.apply_batch(&ops)
+            }
+        };
+        let results = keys
             .iter()
-            .map(|k| BatchOp::Get { key: k.clone() })
-            .collect();
-        let (outs, total) = self.inst.apply_batch(&ops);
-        let mut results = Vec::with_capacity(outs.len());
-        for (key, out) in keys.iter().zip(outs) {
-            results.push(match out {
-                Ok(o) => {
-                    let modified = self
-                        .inst
-                        .meta()
-                        .with(key, |obj| obj.versions.get(&o.version).map(|m| m.modified))
-                        .flatten()
-                        .unwrap_or(SimInstant::EPOCH);
-                    match o.value {
-                        Some(value) => ItemResult::Value {
-                            value,
-                            version: o.version,
-                            modified,
-                        },
-                        None => ItemResult::Err {
-                            code: FailCode::Internal,
-                            why: format!("get '{key}' returned metadata but no bytes"),
-                        },
-                    }
-                }
+            .zip(outs)
+            .map(|(key, out)| match out {
+                Ok(o) => match o.value {
+                    Some(value) => ItemResult::Value {
+                        value,
+                        version: o.version,
+                        modified: o.modified,
+                    },
+                    None => ItemResult::Err {
+                        code: FailCode::Internal,
+                        why: format!("get '{key}' returned metadata but no bytes"),
+                    },
+                },
                 Err(e) => ItemResult::Err {
                     code: fail_code(&e),
                     why: e.to_string(),
                 },
-            });
+            })
+            .collect();
+        (results, took)
+    }
+
+    /// Forwarded half of the read path and its arity leaf: `Get` or
+    /// `GetVersion` for one key, one `MultiGet` for many.
+    fn read_forwarded(
+        &self,
+        target: &NodeId,
+        keys: &[String],
+        version: Option<u64>,
+    ) -> (Vec<ItemResult>, SimDuration) {
+        let msg = match (keys, version) {
+            ([key], Some(version)) => DataMsg::GetVersion {
+                key: key.clone(),
+                version,
+            },
+            ([key], None) => DataMsg::Get { key: key.clone() },
+            _ => DataMsg::MultiGet {
+                keys: keys.to_vec(),
+            },
+        };
+        let bytes = msg.wire_bytes();
+        let fail = |code, why: String| batch_failure(keys.len(), code, &why);
+        match self.mesh.rpc(&self.node, target, msg, bytes, DATA_TIMEOUT) {
+            Ok(r) => {
+                let total = r.total();
+                let results = match r.msg {
+                    DataMsg::GetReply {
+                        value,
+                        version,
+                        modified,
+                        ..
+                    } => vec![ItemResult::Value {
+                        value,
+                        version,
+                        modified,
+                    }],
+                    DataMsg::MultiReply { results } => results,
+                    DataMsg::Fail { code, why } => fail(code, why),
+                    other => fail(FailCode::Internal, format!("bad get reply {other:?}")),
+                };
+                (results, total)
+            }
+            Err(e) => (
+                fail(FailCode::Blocked, format!("forwarded get failed: {e}")),
+                SimDuration::ZERO,
+            ),
         }
-        let ok = results
-            .iter()
-            .filter(|x| matches!(x, ItemResult::Value { .. }))
-            .count() as u64;
-        metrics.counter("wiera_get_total", &labels).add(ok);
-        metrics
-            .counter("wiera_get_errors", &labels)
-            .add(results.len() as u64 - ok);
-        metrics.observe("wiera_get_latency", &labels, total);
-        (results, total)
     }
 
     /// Emit one consistency-history event on the sim-time axis. The
@@ -2617,7 +2249,30 @@ fn stale_epoch_fail(got: u64, current: u64) -> DataMsg {
     }
 }
 
-/// Fan a batch-level failure out to every item in the batch.
+/// The one result of a batch of one.
+fn sole(results: Vec<ItemResult>) -> ItemResult {
+    results.into_iter().next().unwrap_or(ItemResult::Err {
+        code: FailCode::Internal,
+        why: "op produced no result".into(),
+    })
+}
+
+/// Stamp `n` puts at `at` into a requests-monitor window.
+fn stamp_window(window: &mut VecDeque<SimInstant>, at: SimInstant, n: usize) {
+    window.extend(std::iter::repeat_n(at, n));
+    trim_window(window, at, |t| *t);
+}
+
+/// Drop what has aged out of a time-ordered monitor window: every window
+/// keeps [`WINDOW_RETENTION`] and no more, however long the replica runs.
+fn trim_window<T>(window: &mut VecDeque<T>, now: SimInstant, at: impl Fn(&T) -> SimInstant) {
+    let cutoff = now - WINDOW_RETENTION;
+    while window.front().is_some_and(|e| at(e) < cutoff) {
+        window.pop_front();
+    }
+}
+
+/// Fan an op-level failure out to every item of the op.
 fn batch_failure(len: usize, code: FailCode, why: &str) -> Vec<ItemResult> {
     (0..len)
         .map(|_| ItemResult::Err {
@@ -2768,32 +2423,41 @@ mod tests {
         )
     }
 
+    /// The configuration every test replica starts from; `tier1_bytes` is
+    /// the memory tier's capacity (an object larger than it fails its put).
+    fn config(
+        region: Region,
+        name: &str,
+        consistency: ConsistencyModel,
+        tier1_bytes: u64,
+    ) -> ReplicaConfig {
+        ReplicaConfig {
+            node: NodeId::new(region, name),
+            instance: InstanceConfig::new(name, region)
+                .with_tier("tier1", "Memcached", tier1_bytes)
+                .with_tier("tier2", "EBS", 1 << 30)
+                .with_sleep(true, false),
+            consistency,
+            flush_interval: SimDuration::from_millis(200),
+            coord: None,
+            forward_gets_to: None,
+            shard_group: None,
+            service_time: None,
+            overload: None,
+        }
+    }
+
+    fn spawn(mesh: &Arc<Mesh<DataMsg>>, config: ReplicaConfig) -> Arc<ReplicaNode> {
+        ReplicaNode::spawn(mesh.clone(), config).expect("replica spawns")
+    }
+
     fn replica(
         mesh: &Arc<Mesh<DataMsg>>,
         region: Region,
         name: &str,
         consistency: ConsistencyModel,
     ) -> Arc<ReplicaNode> {
-        let node = NodeId::new(region, name);
-        let instance = InstanceConfig::new(name, region)
-            .with_tier("tier1", "Memcached", 1 << 30)
-            .with_tier("tier2", "EBS", 1 << 30)
-            .with_sleep(true, false);
-        ReplicaNode::spawn(
-            mesh.clone(),
-            ReplicaConfig {
-                node,
-                instance,
-                consistency,
-                flush_interval: SimDuration::from_millis(200),
-                coord: None,
-                forward_gets_to: None,
-                shard_group: None,
-                service_time: None,
-                overload: None,
-            },
-        )
-        .expect("replica spawns")
+        spawn(mesh, config(region, name, consistency, 1 << 30))
     }
 
     fn wire(replicas: &[&Arc<ReplicaNode>], primary: Option<&Arc<ReplicaNode>>) {
@@ -3383,32 +3047,25 @@ mod tests {
         assert!(app_rpc(&m, &cli, &a.node, DataMsg::Get { key: "k".into() }).is_err());
     }
 
-    /// Spawn an eventual-consistency replica with the admission model and
-    /// CoDel shedding enabled (zero patience interval, so the second op
-    /// above target sheds — deterministic for tests).
-    fn overloaded_replica(m: &Arc<Mesh<DataMsg>>) -> Arc<ReplicaNode> {
-        let node = NodeId::new(Region::UsEast, "ov");
-        let instance = InstanceConfig::new("ov", Region::UsEast)
-            .with_tier("tier1", "Memcached", 1 << 30)
-            .with_sleep(true, false);
-        ReplicaNode::spawn(
-            m.clone(),
+    /// Spawn a replica with the admission model and CoDel shedding enabled
+    /// (zero patience interval, so the second op above target sheds —
+    /// deterministic for tests).
+    fn overloaded_replica(
+        m: &Arc<Mesh<DataMsg>>,
+        consistency: ConsistencyModel,
+    ) -> Arc<ReplicaNode> {
+        let overload = OverloadConfig {
+            target_delay: SimDuration::from_millis(10),
+            interval: SimDuration::ZERO,
+        };
+        spawn(
+            m,
             ReplicaConfig {
-                node,
-                instance,
-                consistency: ConsistencyModel::Eventual,
-                flush_interval: SimDuration::from_millis(200),
-                coord: None,
-                forward_gets_to: None,
-                shard_group: None,
                 service_time: Some(SimDuration::from_millis(1)),
-                overload: Some(OverloadConfig {
-                    target_delay: SimDuration::from_millis(10),
-                    interval: SimDuration::ZERO,
-                }),
+                overload: Some(overload),
+                ..config(Region::UsEast, "ov", consistency, 1 << 30)
             },
         )
-        .expect("replica spawns")
     }
 
     /// Force the admission queue into a standing-overload state: a huge
@@ -3420,7 +3077,7 @@ mod tests {
     #[test]
     fn overloaded_replica_sheds_clients_but_not_replication() {
         let m = mesh(3000.0);
-        let a = overloaded_replica(&m);
+        let a = overloaded_replica(&m, ConsistencyModel::Eventual);
         wire(&[&a], None);
         let cli = NodeId::new(Region::UsEast, "cli");
         force_overload(&a);
@@ -3468,7 +3125,7 @@ mod tests {
     #[test]
     fn degraded_get_answers_locally_when_shedding() {
         let m = mesh(3000.0);
-        let a = overloaded_replica(&m);
+        let a = overloaded_replica(&m, ConsistencyModel::Eventual);
         wire(&[&a], None);
         let cli = NodeId::new(Region::UsEast, "cli");
         app_rpc(
@@ -3592,6 +3249,446 @@ mod tests {
         }
         for i in 0..5 {
             assert!(b.instance().get(&format!("k{i}")).is_ok());
+        }
+    }
+
+    // ---- one write path and one read path: a single op is a batch of one ----
+
+    const MP: ConsistencyModel = ConsistencyModel::MultiPrimaries;
+    const PB_SYNC: ConsistencyModel = ConsistencyModel::PrimaryBackup { sync: true };
+    const PB_ASYNC: ConsistencyModel = ConsistencyModel::PrimaryBackup { sync: false };
+
+    fn item(key: &str, fill: u8, len: usize) -> PutItem {
+        PutItem {
+            key: key.into(),
+            value: Bytes::from(vec![fill; len]),
+        }
+    }
+
+    /// Send `items` the way a client does — `Put` for one, `MultiPut` for
+    /// many — and return each item's version or failure code.
+    fn put_items(
+        m: &Arc<Mesh<DataMsg>>,
+        to: &NodeId,
+        items: &[PutItem],
+    ) -> Vec<Result<u64, FailCode>> {
+        let msg = match items {
+            [one] => DataMsg::Put {
+                key: one.key.clone(),
+                value: one.value.clone(),
+            },
+            _ => DataMsg::MultiPut {
+                items: items.to_vec(),
+            },
+        };
+        let cli = NodeId::new(to.region, "cli");
+        let bytes = msg.wire_bytes();
+        let patience = SimDuration::from_hours(1);
+        let reply = m
+            .rpc(&cli, to, msg, bytes, patience)
+            .expect("replica answers");
+        let results = match reply.msg {
+            DataMsg::MultiReply { results } => results,
+            DataMsg::PutAck { version } => vec![ItemResult::Put { version }],
+            DataMsg::Fail { code, why } => vec![ItemResult::Err { code, why }],
+            other => panic!("put answered with {other:?}"),
+        };
+        results
+            .into_iter()
+            .map(|r| match r {
+                ItemResult::Put { version } => Ok(version),
+                ItemResult::Err { code, .. } => Err(code),
+                other => panic!("put answered with {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Drain `r`'s update queue and wait for what it sent to land.
+    fn flush(m: &Arc<Mesh<DataMsg>>, r: &ReplicaNode) {
+        let ctrl = NodeId::new(r.node.region, "ctrl");
+        let patience = SimDuration::from_hours(1);
+        let reply = m.rpc(&ctrl, &r.node, DataMsg::FlushQueue, 64, patience);
+        assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Ok)));
+    }
+
+    /// A coordination service on the data mesh's clock, and sessions on it.
+    struct Coord {
+        mesh: Arc<Mesh<wiera_coord::CoordMsg>>,
+        service: Arc<wiera_coord::CoordService>,
+        config: wiera_coord::CoordConfig,
+    }
+
+    impl Coord {
+        fn on_clock_of(m: &Arc<Mesh<DataMsg>>) -> Coord {
+            let fabric = Arc::new(Fabric::multicloud(5).without_jitter());
+            let mesh = Mesh::new(fabric, m.clock.clone());
+            // Generous: compressed 3000x, the default would be a few wall ms.
+            let config = wiera_coord::CoordConfig {
+                session_timeout: SimDuration::from_secs(6000),
+                sweep_interval: SimDuration::from_secs(50),
+            };
+            let zk = NodeId::new(Region::UsEast, "zk");
+            let service = wiera_coord::CoordService::spawn(mesh.clone(), zk, config.clone())
+                .expect("coord service spawns");
+            Coord {
+                mesh,
+                service,
+                config,
+            }
+        }
+
+        fn session(&self, region: Region, name: &str) -> Arc<CoordClient> {
+            let me = NodeId::new(region, format!("{name}/coord"));
+            CoordClient::connect(
+                self.mesh.clone(),
+                me,
+                self.service.node.clone(),
+                &self.config,
+            )
+            .expect("coord session opens")
+        }
+    }
+
+    fn sorted_digests(r: &ReplicaNode) -> Vec<KeyDigest> {
+        let mut table = r.digest_table();
+        table.sort_by(|a, b| a.key.cmp(&b.key));
+        table
+    }
+
+    /// The labels of the put spans `r` left in the consistency history.
+    fn put_spans(r: &ReplicaNode) -> Vec<String> {
+        Tracer::global()
+            .events()
+            .into_iter()
+            .filter(|e| e.subsystem == "history" && (e.op == "put" || e.op == "mput"))
+            .filter(|e| e.node.as_deref() == Some(r.node.name.as_ref()))
+            .map(|e| e.op)
+            .collect()
+    }
+
+    fn egress(r: &ReplicaNode) -> u64 {
+        r.stats.egress_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Wire size of the one message that replicates `items`: a `Replicate`
+    /// for a single synchronous copy, else a `ReplicateBatch` (the flusher
+    /// coalesces even a queue of one).
+    fn replication_bytes(items: &[PutItem], sync: bool) -> u64 {
+        let objects: Vec<SyncObject> = items
+            .iter()
+            .map(|i| SyncObject {
+                key: i.key.clone(),
+                version: 1,
+                modified: SimInstant::EPOCH,
+                value: i.value.clone(),
+            })
+            .collect();
+        let msg = match (objects.as_slice(), sync) {
+            ([o], true) => DataMsg::Replicate {
+                key: o.key.clone(),
+                version: o.version,
+                modified: o.modified,
+                value: o.value.clone(),
+                epoch: 1,
+            },
+            _ => DataMsg::ReplicateBatch {
+                items: objects.into(),
+                epoch: 1,
+            },
+        };
+        msg.wire_bytes()
+    }
+
+    /// The equivalence table: every consistency model × the node the client
+    /// asked × one item or three (one key twice). Every row makes the same
+    /// assertions, so a single put and a batch cannot drift apart again.
+    #[test]
+    fn a_put_is_one_op_for_any_model_entry_node_and_item_count() {
+        let m = mesh(3000.0);
+        let coord = Coord::on_clock_of(&m);
+        // No other test serves puts in this region: the put counters of
+        // these labels move only by what a row does.
+        let region = Region::UsWest2;
+        let mut row = 0;
+        for model in [MP, PB_SYNC, PB_ASYNC, ConsistencyModel::Eventual] {
+            for at_backup in [false, true] {
+                for n in [1usize, 3] {
+                    row += 1;
+                    let at = if at_backup { "backup" } else { "primary" };
+                    let what = format!("row {row}: {model}, at the {at}, {n} item(s)");
+                    let node = |name: String| {
+                        let session = (model == MP).then(|| coord.session(region, &name));
+                        spawn(
+                            &m,
+                            ReplicaConfig {
+                                coord: session,
+                                ..config(region, &name, model, 1 << 30)
+                            },
+                        )
+                    };
+                    let (p, b) = (node(format!("eq{row}p")), node(format!("eq{row}b")));
+                    let has_primary = matches!(model, ConsistencyModel::PrimaryBackup { .. });
+                    wire(&[&p, &b], has_primary.then_some(&p));
+                    let (target, other) = if at_backup { (&b, &p) } else { (&p, &b) };
+                    let forwarded = at_backup && has_primary;
+                    let sent = [
+                        item("k", 0x11, 16),
+                        item("j", 0x22, 24),
+                        item("k", 0x33, 32),
+                    ];
+                    let sent = &sent[..n];
+
+                    let model_label = model.to_string();
+                    let region_label = region.to_string();
+                    let labels = [
+                        ("consistency", model_label.as_str()),
+                        ("region", region_label.as_str()),
+                    ];
+                    let puts = MetricsRegistry::global().counter("wiera_put_total", &labels);
+                    let errors = MetricsRegistry::global().counter("wiera_put_errors", &labels);
+                    let (puts0, errors0) = (puts.get(), errors.get());
+
+                    // Versions: the second write of "k" follows the first.
+                    let versions = put_items(&m, &target.node, sent);
+                    let want: &[Result<u64, FailCode>] = &[Ok(1), Ok(1), Ok(2)];
+                    assert_eq!(versions, want[..n], "{what}");
+
+                    // Both replicas converge on the same table, timestamps
+                    // included.
+                    flush(&m, &p);
+                    flush(&m, &b);
+                    let table = sorted_digests(&p);
+                    assert_eq!(table, sorted_digests(&b), "{what}");
+                    let latest: Vec<(&str, u64)> =
+                        table.iter().map(|d| (d.key.as_str(), d.version)).collect();
+                    let want: &[(&str, u64)] = if n == 1 {
+                        &[("k", 1)]
+                    } else {
+                        &[("j", 1), ("k", 2)]
+                    };
+                    assert_eq!(latest, want, "{what}");
+
+                    // One span per item per serving node, labelled by arity.
+                    let label = if n == 1 { "put" } else { "mput" };
+                    assert_eq!(put_spans(target), vec![label; n], "{what}");
+                    let inner = if forwarded { n } else { 0 };
+                    assert_eq!(put_spans(other), vec![label; inner], "{what}");
+
+                    // Counted once per item, where the client asked.
+                    assert_eq!(puts.get() - puts0, n as u64, "{what}");
+                    assert_eq!(errors.get() - errors0, 0, "{what}");
+
+                    // Exactly the messages the row should send left each node.
+                    let sync = matches!(model, MP | PB_SYNC);
+                    let (writer, relay) = if forwarded {
+                        (other, target)
+                    } else {
+                        (target, other)
+                    };
+                    assert_eq!(egress(writer), replication_bytes(sent, sync), "{what}");
+                    let forward = DataMsg::ForwardPut {
+                        items: sent.to_vec(),
+                        origin: b.node.clone(),
+                        epoch: 1,
+                    };
+                    let relayed = if forwarded { forward.wire_bytes() } else { 0 };
+                    assert_eq!(egress(relay), relayed, "{what}");
+
+                    for r in [&p, &b] {
+                        r.stop();
+                        if let Some(session) = r.coord_client() {
+                            let _ = session.close();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fenced rows of the table: a deposed writer's synchronous batch is
+    /// rolled back item by item under both models that copy synchronously.
+    #[test]
+    fn deposed_sync_batch_is_rolled_back_item_by_item() {
+        let m = mesh(3000.0);
+        let coord = Coord::on_clock_of(&m);
+        let fenced =
+            MetricsRegistry::global().counter("wiera_fenced_total", &[("msg", "deposed_mput")]);
+        for model in [PB_SYNC, MP] {
+            let node = |region: Region, name: &str| {
+                let session = (model == MP).then(|| coord.session(region, name));
+                // A memory tier of 1 KiB: a larger object fails in the engine.
+                spawn(
+                    &m,
+                    ReplicaConfig {
+                        coord: session,
+                        ..config(region, name, model, 1024)
+                    },
+                )
+            };
+            let p = node(Region::UsWest, &format!("dep-p-{model}"));
+            let b = node(Region::UsEast, &format!("dep-b-{model}"));
+            wire(&[&p, &b], Some(&p));
+            // The peer has been through a failover `p` never heard of.
+            b.set_peers_direct(vec![p.node.clone()], Some(b.node.clone()), 2);
+            let fenced0 = fenced.get();
+            let sent = [item("a", 1, 16), item("big", 2, 2048), item("c", 3, 16)];
+            let results = put_items(&m, &p.node, &sent);
+            // Each written item is refused; the one the engine rejected keeps
+            // its own error.
+            let want = [
+                Err(FailCode::StaleEpoch),
+                Err(FailCode::Internal),
+                Err(FailCode::StaleEpoch),
+            ];
+            assert_eq!(results, want, "{model}");
+            assert_eq!(
+                p.digest_table(),
+                Vec::new(),
+                "{model}: unacked writes rolled back"
+            );
+            assert_eq!(
+                b.digest_table(),
+                Vec::new(),
+                "{model}: the stale copy was refused"
+            );
+            assert_eq!(fenced.get() - fenced0, 1, "{model}: fenced once per op");
+            p.stop();
+            b.stop();
+        }
+    }
+
+    // ---- forwarded batches: fenced, attributed, never shed or re-forwarded --
+
+    fn batch_of_three() -> [PutItem; 3] {
+        [item("x", 1, 16), item("y", 2, 16), item("z", 3, 16)]
+    }
+
+    #[test]
+    fn backup_behind_the_primarys_epoch_is_fenced_for_a_batch_as_for_a_put() {
+        let m = mesh(3000.0);
+        let p = replica(&m, Region::UsWest, "p", PB_SYNC);
+        let s = replica(&m, Region::UsEast, "s", PB_SYNC);
+        wire(&[&p, &s], Some(&p));
+        // The primary's leadership was confirmed at epoch 2; `s` missed it.
+        p.set_peers_direct(vec![s.node.clone()], Some(p.node.clone()), 2);
+        assert_eq!(
+            put_items(&m, &s.node, &[item("k", 1, 16)]),
+            [Err(FailCode::StaleEpoch)]
+        );
+        assert_eq!(
+            put_items(&m, &s.node, &batch_of_three()),
+            [Err(FailCode::StaleEpoch); 3]
+        );
+        assert_eq!(p.digest_table(), Vec::new());
+    }
+
+    #[test]
+    fn forwarded_batch_is_counted_under_its_origin_not_as_direct_puts() {
+        let m = mesh(3000.0);
+        let p = replica(&m, Region::UsWest, "p", PB_SYNC);
+        let s = replica(&m, Region::UsEast, "s", PB_SYNC);
+        wire(&[&p, &s], Some(&p));
+        assert_eq!(put_items(&m, &s.node, &batch_of_three()), [Ok(1); 3]);
+        // The requests monitor (Fig. 8) sees batched remote traffic too.
+        assert_eq!(
+            p.forwarded_puts_since(SimInstant::EPOCH),
+            vec![(s.node.clone(), 3)]
+        );
+        assert_eq!(p.direct_puts_since(SimInstant::EPOCH), 0);
+        assert_eq!(s.direct_puts_since(SimInstant::EPOCH), 3);
+    }
+
+    #[test]
+    fn forwarded_batch_is_served_by_a_primary_that_sheds_its_own_clients() {
+        // Slow clock: the backlog must outlast a stalled test thread.
+        let m = mesh(200.0);
+        let p = overloaded_replica(&m, PB_SYNC);
+        let s = replica(&m, Region::UsWest, "s", PB_SYNC);
+        wire(&[&p, &s], Some(&p));
+        // A standing backlog the forwarded op can still wait out.
+        p.force_backlog(SimDuration::from_secs(30));
+        assert_eq!(
+            put_items(&m, &p.node, &batch_of_three()),
+            [Err(FailCode::Overloaded)]
+        );
+        // Shed for the primary's own clients, served for the backup's: the
+        // forwarded op already paid admission at `s`.
+        assert_eq!(put_items(&m, &s.node, &batch_of_three()), [Ok(1); 3]);
+    }
+
+    #[test]
+    fn forwarded_batch_is_applied_by_its_receiver_never_forwarded_again() {
+        let m = mesh(3000.0);
+        let x = replica(&m, Region::UsWest, "x", PB_SYNC);
+        let s = replica(&m, Region::UsEast, "s", PB_SYNC);
+        // `s` believes `x` leads; `x` itself knows of no primary at all.
+        s.set_peers_direct(vec![x.node.clone()], Some(x.node.clone()), 1);
+        x.set_peers_direct(vec![s.node.clone()], None, 1);
+        assert_eq!(put_items(&m, &s.node, &batch_of_three()), [Ok(1); 3]);
+        assert_eq!(sorted_digests(&x).len(), 3);
+        assert_eq!(egress(&x), replication_bytes(&batch_of_three(), true));
+    }
+
+    // ---- monitor windows and read timestamps --------------------------------
+
+    #[test]
+    fn monitor_windows_keep_the_retention_period_and_no_more() {
+        let m = mesh(3000.0);
+        let p = replica(&m, Region::UsWest, "p", PB_SYNC);
+        let s = replica(&m, Region::UsEast, "s", PB_SYNC);
+        wire(&[&p, &s], Some(&p));
+        let mut recent = SimInstant::EPOCH;
+        for round in 0..3 {
+            if round > 0 {
+                m.clock.sleep(WINDOW_RETENTION + SimDuration::from_secs(10));
+            }
+            recent = m.clock.now();
+            assert_eq!(put_items(&m, &p.node, &[item("d", round, 16)]).len(), 1);
+            assert_eq!(put_items(&m, &s.node, &batch_of_three()).len(), 3);
+        }
+        // Three rounds more than a retention period apart: only the last
+        // is still held, and a recent `since` is answered as before.
+        assert_eq!(p.direct_puts.lock().len(), 1);
+        assert_eq!(p.forwarded_puts.lock()[&s.node].len(), 3);
+        assert_eq!(p.put_window.lock().len(), 1);
+        assert_eq!(p.direct_puts_since(recent), 1);
+        assert_eq!(p.forwarded_puts_since(recent), vec![(s.node.clone(), 3)]);
+        assert_eq!(p.put_latencies_since(recent).len(), 1);
+    }
+
+    #[test]
+    fn get_reports_the_modified_time_the_put_stamped() {
+        let m = mesh(3000.0);
+        let p = replica(&m, Region::UsWest, "p", PB_SYNC);
+        let s = replica(&m, Region::UsEast, "s", PB_SYNC);
+        wire(&[&p, &s], Some(&p));
+        assert_eq!(put_items(&m, &p.node, &[item("k", 1, 16)]), [Ok(1)]);
+        let stamped = |r: &ReplicaNode| {
+            let meta = r.instance().meta();
+            meta.with("k", |o| o.versions[&1].modified)
+                .expect("k exists")
+        };
+        let at = stamped(&p);
+        assert!(at > SimInstant::EPOCH);
+        // The backup holds the primary's stamp, not one of its own.
+        assert_eq!(stamped(&s), at);
+        let cli = NodeId::new(Region::UsWest, "cli");
+        let get = |to: &ReplicaNode, msg: DataMsg| app_rpc(&m, &cli, &to.node, msg).unwrap();
+        assert_eq!(get(&p, DataMsg::Get { key: "k".into() }).modified, at);
+        let pinned = DataMsg::GetVersion {
+            key: "k".into(),
+            version: 1,
+        };
+        assert_eq!(get(&s, pinned).modified, at);
+        // Batched and forwarded reads carry it through unchanged.
+        s.set_forward_gets_to(Some(p.node.clone()));
+        let keys = vec!["k".to_string(), "missing".to_string()];
+        let (results, _) = s.read_keys(&keys, None);
+        match results.as_slice() {
+            [ItemResult::Value { modified, .. }, ItemResult::Err { code, .. }] => {
+                assert_eq!((*modified, *code), (at, FailCode::NotFound));
+            }
+            other => panic!("{other:?}"),
         }
     }
 }
