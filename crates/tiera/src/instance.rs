@@ -21,12 +21,13 @@ use crate::transform;
 use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wiera_net::Region;
 use wiera_policy::compile::{
     Action, CondValue, Condition, Env, EnvValue, EventKind, Rule, Selector, Target, TierLayout,
 };
 use wiera_sim::lockreg::TrackedMutex;
+use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{
     BreakerConfig, BreakerState, CircuitBreaker, SharedClock, SimDuration, SimInstant, SimRng,
 };
@@ -245,6 +246,25 @@ pub struct InstanceStats {
     pub forwarded_in: AtomicU64,
 }
 
+/// A tier's circuit breaker, with the `tiera_tier_deferrals` counter of the
+/// reads it deprioritized, resolved on the first.
+struct TierBreaker {
+    label: String,
+    breaker: CircuitBreaker,
+    deferrals: OnceLock<Arc<CounterHandle>>,
+}
+
+/// The instance-level ops `tiera_ops_total` / `tiera_op_latency` count, in
+/// the order of [`TieraInstance::series`] and of their labels in `note_op`.
+#[derive(Clone, Copy)]
+enum InstanceOp {
+    Put,
+    Get,
+    Batch,
+    Update,
+    Remove,
+}
+
 /// The instance. Thread-safe; share via `Arc`.
 pub struct TieraInstance {
     config: InstanceConfig,
@@ -257,9 +277,11 @@ pub struct TieraInstance {
     /// feeds every tier access into its breaker and *deprioritizes* (never
     /// rejects) holders whose breaker is not closed — a browned-out tier
     /// may be the only holder of a version.
-    tier_breakers: Vec<(String, CircuitBreaker)>,
+    tier_breakers: Vec<TierBreaker>,
     pub stats: InstanceStats,
     rng: TrackedMutex<SimRng>,
+    /// Each op's registry series, resolved on its first record.
+    series: [OnceLock<OpSeries>; 5],
 }
 
 impl TieraInstance {
@@ -294,6 +316,7 @@ impl TieraInstance {
             tier_breakers,
             stats: InstanceStats::default(),
             rng,
+            series: Default::default(),
         }))
     }
 
@@ -301,7 +324,7 @@ impl TieraInstance {
     /// own typical get latency (with a small floor), so a memory tier and an
     /// archival tier each trip only on *their* kind of brownout; healthy
     /// jitter never reaches 20x the median EWMA-smoothed.
-    fn build_breakers(name: &str, tiers: &[(String, TierHandle)]) -> Vec<(String, CircuitBreaker)> {
+    fn build_breakers(name: &str, tiers: &[(String, TierHandle)]) -> Vec<TierBreaker> {
         tiers
             .iter()
             .map(|(label, h)| {
@@ -310,10 +333,11 @@ impl TieraInstance {
                     latency_threshold: Some(threshold),
                     ..BreakerConfig::default()
                 };
-                (
-                    label.clone(),
-                    CircuitBreaker::new(format!("{name}:{label}"), cfg),
-                )
+                TierBreaker {
+                    label: label.clone(),
+                    breaker: CircuitBreaker::new(format!("{name}:{label}"), cfg),
+                    deferrals: OnceLock::new(),
+                }
             })
             .collect()
     }
@@ -343,6 +367,7 @@ impl TieraInstance {
             tier_breakers,
             stats: InstanceStats::default(),
             rng: TrackedMutex::new("inst.rng", SimRng::new(self.config.seed).child("mounted")),
+            series: Default::default(),
         })
     }
 
@@ -397,8 +422,8 @@ impl TieraInstance {
     pub fn tier_breaker(&self, label: &str) -> Option<&CircuitBreaker> {
         self.tier_breakers
             .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, b)| b)
+            .find(|t| t.label == label)
+            .map(|t| &t.breaker)
     }
 
     /// True while any tier's breaker is not closed — the instance-level
@@ -406,7 +431,7 @@ impl TieraInstance {
     pub fn browned_out(&self) -> bool {
         self.tier_breakers
             .iter()
-            .any(|(_, b)| b.state() != BreakerState::Closed)
+            .any(|t| t.breaker.state() != BreakerState::Closed)
     }
 
     /// Fail fast when the thread-scoped op budget is already spent.
@@ -462,7 +487,7 @@ impl TieraInstance {
         let outcome = self.shard_session(key, |map, gc| {
             self.ingest_locked(map, key, value, tags, None, META_OVERHEAD, gc)
         })?;
-        self.note_op("put", outcome.latency);
+        self.note_op(InstanceOp::Put, outcome.latency);
         Ok(outcome)
     }
 
@@ -544,17 +569,23 @@ impl TieraInstance {
             }
         }
         self.delete_pruned(gc);
-        self.note_op("batch", total);
+        self.note_op(InstanceOp::Batch, total);
         self.maybe_sleep(total);
         (results, total)
     }
 
     /// Record one instance-level op into the global metrics registry.
-    fn note_op(&self, op: &str, latency: SimDuration) {
-        let labels = [("instance", self.config.name.as_str()), ("op", op)];
-        let metrics = wiera_sim::MetricsRegistry::global();
-        metrics.inc("tiera_ops_total", &labels);
-        metrics.observe("tiera_op_latency", &labels, latency);
+    fn note_op(&self, op: InstanceOp, latency: SimDuration) {
+        let series = self.series[op as usize].get_or_init(|| {
+            let op = ["put", "get", "batch", "update", "remove"][op as usize];
+            let labels = [("instance", self.config.name.as_str()), ("op", op)];
+            let metrics = wiera_sim::MetricsRegistry::global();
+            OpSeries {
+                total: metrics.counter("tiera_ops_total", &labels),
+                latency: metrics.histogram("tiera_op_latency", &labels),
+            }
+        });
+        series.record(1, latency);
     }
 
     /// Apply an update replicated from another instance (§4.2): last-write-
@@ -855,7 +886,7 @@ impl TieraInstance {
                 self.read_version_locked(key, version, o)
             })
             .unwrap_or_else(|| Err(missing()))?;
-        self.note_op("get", out.latency);
+        self.note_op(InstanceOp::Get, out.latency);
         Ok(out)
     }
 
@@ -864,7 +895,7 @@ impl TieraInstance {
         self.check_deadline()?;
         self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
         let out = self.read_version(key, version)?;
-        self.note_op("get", out.latency);
+        self.note_op(InstanceOp::Get, out.latency);
         self.maybe_sleep(out.latency);
         Ok(out)
     }
@@ -903,7 +934,7 @@ impl TieraInstance {
                 Ok(META_OVERHEAD + stored)
             })
             .unwrap_or_else(|| Err(missing()))?;
-        self.note_op("update", latency);
+        self.note_op(InstanceOp::Update, latency);
         self.maybe_sleep(latency);
         Ok(OpOutcome {
             value: None,
@@ -915,11 +946,11 @@ impl TieraInstance {
 
     /// Remove all versions of `key`.
     pub fn remove(&self, key: &str) -> Result<(), TieraError> {
-        self.note_op("remove", SimDuration::ZERO);
         let obj = self
             .meta
             .remove(key)
             .ok_or_else(|| TieraError::NotFound(key.to_string()))?;
+        self.note_op(InstanceOp::Remove, SimDuration::ZERO);
         for (v, m) in obj.versions {
             let sk = storage_key(key, v);
             for holder in m.holders() {
@@ -1047,18 +1078,21 @@ impl TieraInstance {
         let mut healthy: Vec<String> = Vec::new();
         let mut suspect: Vec<String> = Vec::new();
         for label in ordered {
-            match self.tier_breaker(&label) {
+            match self.tier_breakers.iter().find(|t| t.label == label) {
                 None => healthy.push(label),
-                Some(b) if b.state() == BreakerState::Closed => healthy.push(label),
-                Some(b) => {
-                    wiera_sim::MetricsRegistry::global().inc(
-                        "tiera_tier_deferrals",
-                        &[
-                            ("instance", self.config.name.as_str()),
-                            ("tier", label.as_str()),
-                        ],
-                    );
-                    if b.admit(now) == wiera_sim::Admit::Probe {
+                Some(t) if t.breaker.state() == BreakerState::Closed => healthy.push(label),
+                Some(t) => {
+                    let deferrals = t.deferrals.get_or_init(|| {
+                        wiera_sim::MetricsRegistry::global().counter(
+                            "tiera_tier_deferrals",
+                            &[
+                                ("instance", self.config.name.as_str()),
+                                ("tier", label.as_str()),
+                            ],
+                        )
+                    });
+                    deferrals.inc();
+                    if t.breaker.admit(now) == wiera_sim::Admit::Probe {
                         probe_first.push(label);
                     } else {
                         suspect.push(label);
@@ -1553,6 +1587,28 @@ mod tests {
         inst.remove("k").unwrap();
         assert!(matches!(inst.get("k"), Err(TieraError::NotFound(_))));
         assert!(matches!(inst.remove("k"), Err(TieraError::NotFound(_))));
+    }
+
+    #[test]
+    fn only_a_remove_that_removed_something_is_counted() {
+        let cfg = InstanceConfig::new("remove-counting", Region::UsEast).with_tier(
+            "tier1",
+            "EBS",
+            1 << 30,
+        );
+        let inst = TieraInstance::build(cfg, ManualClock::new()).unwrap();
+        let removes = || {
+            let snap = wiera_sim::MetricsRegistry::global().snapshot();
+            snap.counters
+                .get("tiera_ops_total{instance=remove-counting,op=remove}")
+                .copied()
+        };
+        inst.put("k", bytes(10)).unwrap();
+        inst.remove("k").unwrap();
+        assert_eq!(removes(), Some(1));
+        assert!(matches!(inst.remove("k"), Err(TieraError::NotFound(_))));
+        assert!(matches!(inst.remove("never"), Err(TieraError::NotFound(_))));
+        assert_eq!(removes(), Some(1));
     }
 
     #[test]

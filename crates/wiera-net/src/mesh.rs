@@ -28,7 +28,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{MetricsRegistry, SharedClock, SimDuration, SimInstant, Tracer};
 
 /// Identity of a node on the mesh: the site it runs in plus a name unique
@@ -100,8 +101,6 @@ impl<M> RpcReply<M> {
 /// collected yet: what the first half of an RPC hands to the second.
 struct PostedRpc<M> {
     to: NodeId,
-    /// (`from`, `to`) region labels of the call's metrics.
-    labels: (String, String),
     started: SimInstant,
     req_lat: SimDuration,
     bytes: u64,
@@ -134,6 +133,38 @@ impl<M> Ord for DelayedMsg<M> {
     }
 }
 
+const SITES: usize = Region::ALL.len();
+
+/// One value per directed region pair, each made on first use: the
+/// registry series of a link, resolved once instead of by name per message.
+struct PerLink<T>([OnceLock<T>; SITES * SITES]);
+
+impl<T> PerLink<T> {
+    fn new() -> Self {
+        PerLink(std::array::from_fn(|_| OnceLock::new()))
+    }
+
+    /// The pair's value; `resolve` gets its `from`/`to` labels.
+    fn get(&self, from: Region, to: Region, resolve: impl FnOnce(&[(&str, &str)]) -> T) -> &T {
+        self.0[from.index() * SITES + to.index()].get_or_init(|| {
+            let (from, to) = (from.to_string(), to.to_string());
+            resolve(&[("from", from.as_str()), ("to", to.as_str())])
+        })
+    }
+}
+
+/// `net_send_total` and `net_send_bytes` of one link.
+struct SendSeries {
+    total: Arc<CounterHandle>,
+    bytes: Arc<CounterHandle>,
+}
+
+/// `net_rpc_total` / `net_rpc_latency` and `net_rpc_bytes` of one link.
+struct RpcSeries {
+    calls: OpSeries,
+    bytes: Arc<CounterHandle>,
+}
+
 struct MeshInner<M> {
     endpoints: RwLock<HashMap<NodeId, Sender<Delivery<M>>>>,
     queue: Mutex<BinaryHeap<Reverse<DelayedMsg<M>>>>,
@@ -147,6 +178,8 @@ pub struct Mesh<M: Send + 'static> {
     pub fabric: Arc<Fabric>,
     pub clock: SharedClock,
     inner: Arc<MeshInner<M>>,
+    sends: PerLink<SendSeries>,
+    rpcs: PerLink<RpcSeries>,
 }
 
 impl<M: Send + 'static> Mesh<M> {
@@ -162,6 +195,8 @@ impl<M: Send + 'static> Mesh<M> {
             fabric,
             clock: clock.clone(),
             inner: inner.clone(),
+            sends: PerLink::new(),
+            rpcs: PerLink::new(),
         });
         // Dispatcher thread releasing delayed one-way messages. Holds a weak
         // ref via the shutdown flag; exits when the mesh shuts down.
@@ -282,11 +317,15 @@ impl<M: Send + 'static> Mesh<M> {
             net_delay: delay,
         }));
         self.inner.queue_cond.notify_one();
-        let (from_r, to_r) = (from.region.to_string(), to.region.to_string());
-        let labels = [("from", from_r.as_str()), ("to", to_r.as_str())];
-        let metrics = MetricsRegistry::global();
-        metrics.inc("net_send_total", &labels);
-        metrics.counter("net_send_bytes", &labels).add(bytes);
+        let link = self.sends.get(from.region, to.region, |labels| {
+            let metrics = MetricsRegistry::global();
+            SendSeries {
+                total: metrics.counter("net_send_total", labels),
+                bytes: metrics.counter("net_send_bytes", labels),
+            }
+        });
+        link.total.inc();
+        link.bytes.add(bytes);
         Ok(delay)
     }
 
@@ -363,10 +402,8 @@ impl<M: Send + 'static> Mesh<M> {
         bytes: u64,
     ) -> Result<PostedRpc<M>, NetError> {
         let started = self.clock.now();
-        let labels = (from.region.to_string(), to.region.to_string());
         let refused = |e: NetError| {
-            let labels = [("from", labels.0.as_str()), ("to", labels.1.as_str())];
-            MetricsRegistry::global().inc("net_rpc_errors", &labels);
+            rpc_failed(from.region, to.region, false);
             e
         };
         if !self.fabric.is_reachable(from.region, to.region) {
@@ -392,7 +429,6 @@ impl<M: Send + 'static> Mesh<M> {
         }
         Ok(PostedRpc {
             to: to.clone(),
-            labels,
             started,
             req_lat,
             bytes,
@@ -409,16 +445,11 @@ impl<M: Send + 'static> Mesh<M> {
         deadline: std::time::Instant,
     ) -> Result<RpcReply<M>, NetError> {
         let to = posted.to;
-        let labels = [
-            ("from", posted.labels.0.as_str()),
-            ("to", posted.labels.1.as_str()),
-        ];
-        let metrics = MetricsRegistry::global();
         let wait = deadline.saturating_duration_since(std::time::Instant::now());
         let (reply, processing, reply_bytes) = match posted.reply.recv_timeout(wait) {
             Ok(r) => r,
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                metrics.inc("net_rpc_timeouts", &labels);
+                rpc_failed(from.region, to.region, true);
                 Tracer::global().point(
                     self.clock.now(),
                     "net",
@@ -428,13 +459,13 @@ impl<M: Send + 'static> Mesh<M> {
                 return Err(NetError::Timeout(to));
             }
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                metrics.inc("net_rpc_errors", &labels);
+                rpc_failed(from.region, to.region, false);
                 return Err(NetError::NoReply(to));
             }
         };
         if !self.fabric.is_reachable(to.region, from.region) {
             // Partitioned while the call was in flight: the reply is lost.
-            metrics.inc("net_rpc_errors", &labels);
+            rpc_failed(from.region, to.region, false);
             return Err(NetError::Unreachable(to));
         }
         let resp_lat =
@@ -442,14 +473,21 @@ impl<M: Send + 'static> Mesh<M> {
                 .one_way_at(to.region, from.region, reply_bytes, self.clock.now());
         let net_time = posted.req_lat + resp_lat;
         let total = processing + net_time;
-        metrics.inc("net_rpc_total", &labels);
-        metrics
-            .counter("net_rpc_bytes", &labels)
-            .add(posted.bytes + reply_bytes);
-        metrics.observe("net_rpc_latency", &labels, total);
+        let link = self.rpcs.get(from.region, to.region, |labels| {
+            let metrics = MetricsRegistry::global();
+            RpcSeries {
+                calls: OpSeries {
+                    total: metrics.counter("net_rpc_total", labels),
+                    latency: metrics.histogram("net_rpc_latency", labels),
+                },
+                bytes: metrics.counter("net_rpc_bytes", labels),
+            }
+        });
+        link.calls.record(1, total);
+        link.bytes.add(posted.bytes + reply_bytes);
         Tracer::global()
             .span(posted.started, "net", "rpc")
-            .region(posted.labels.1.clone())
+            .region(to.region.to_string())
             .node(to.name.as_ref())
             .finish(posted.started + total);
         Ok(RpcReply {
@@ -457,6 +495,16 @@ impl<M: Send + 'static> Mesh<M> {
             remote_time: processing,
             net_time,
         })
+    }
+}
+
+/// Count a failed RPC. Failures are rare: their series are looked up by name.
+fn rpc_failed(from: Region, to: Region, timed_out: bool) {
+    let (from, to) = (from.to_string(), to.to_string());
+    let labels = [("from", from.as_str()), ("to", to.as_str())];
+    match timed_out {
+        true => MetricsRegistry::global().inc("net_rpc_timeouts", &labels),
+        false => MetricsRegistry::global().inc("net_rpc_errors", &labels),
     }
 }
 

@@ -10,12 +10,16 @@
 //!
 //! Design notes:
 //!
-//! * **Handles are cheap.** [`MetricsRegistry::counter`] /
-//!   [`MetricsRegistry::gauge`] / [`MetricsRegistry::histogram`] return
-//!   `Arc` handles resolved through a read-locked map; hot paths may also
-//!   cache the handle. Counters and gauges are single atomics; histograms
-//!   shard their buckets by thread so concurrent recording rarely contends
-//!   on one lock.
+//! * **Resolve once, record with atomics.** [`MetricsRegistry::counter`] /
+//!   [`MetricsRegistry::gauge`] / [`MetricsRegistry::histogram`] look a
+//!   series up by name (a [`MetricKey`] of fresh strings, searched in a
+//!   locked map) and return an `Arc` handle. The data path resolves each
+//!   handle on first use and keeps it; [`MetricsRegistry::resolutions`]
+//!   counts lookups. A counter or gauge is one atomic; a histogram locks
+//!   only the shard its thread was dealt.
+//! * **Reset zeroes in place**, so a handle kept across a reset counts what
+//!   follows it. A snapshot lists the series recorded into or looked up
+//!   since the last reset.
 //! * **Snapshots are deterministic.** Metrics are keyed by
 //!   `(name, sorted labels)` in `BTreeMap`s, so two runs with the same
 //!   events produce byte-identical JSON (the serde shim keeps object keys
@@ -26,10 +30,10 @@ use crate::time::SimDuration;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Number of histogram shards. Power of two; thread ids hash onto shards.
+/// Number of histogram shards. Threads are dealt shards round-robin.
 const SHARDS: usize = 8;
 
 /// A metric identity: name plus sorted `key=value` labels.
@@ -66,10 +70,27 @@ impl MetricKey {
     }
 }
 
+/// Set a series' in-use flag: it belongs in snapshots until the next
+/// reset. Loads first, so a recorded series leaves the flag's line shared.
+fn mark(in_use: &AtomicBool) {
+    if !in_use.load(Ordering::Relaxed) {
+        in_use.store(true, Ordering::Relaxed);
+    }
+}
+
+/// What the registry does to a series of any kind.
+trait Series: Default {
+    /// Set when recorded into or looked up by name, cleared by a reset.
+    fn in_use(&self) -> &AtomicBool;
+    /// Back to the value of a new series; handles stay attached.
+    fn zero(&self);
+}
+
 /// Monotonic event counter.
 #[derive(Debug, Default)]
 pub struct CounterHandle {
     value: AtomicU64,
+    in_use: AtomicBool,
 }
 
 impl CounterHandle {
@@ -79,6 +100,7 @@ impl CounterHandle {
 
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
+        mark(&self.in_use);
     }
 
     pub fn get(&self) -> u64 {
@@ -86,31 +108,54 @@ impl CounterHandle {
     }
 }
 
+impl Series for CounterHandle {
+    fn in_use(&self) -> &AtomicBool {
+        &self.in_use
+    }
+
+    fn zero(&self) {
+        self.value.store(0, Ordering::Relaxed);
+    }
+}
+
 /// Instantaneous level (queue depths, open sessions, bytes resident).
 #[derive(Debug, Default)]
 pub struct GaugeHandle {
     value: AtomicI64,
+    in_use: AtomicBool,
 }
 
 impl GaugeHandle {
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
+        mark(&self.in_use);
     }
 
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     pub fn dec(&self) {
-        self.value.fetch_sub(1, Ordering::Relaxed);
+        self.add(-1);
     }
 
     pub fn add(&self, delta: i64) {
         self.value.fetch_add(delta, Ordering::Relaxed);
+        mark(&self.in_use);
     }
 
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
+    }
+}
+
+impl Series for GaugeHandle {
+    fn in_use(&self) -> &AtomicBool {
+        &self.in_use
+    }
+
+    fn zero(&self) {
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -120,26 +165,33 @@ impl GaugeHandle {
 #[derive(Debug)]
 pub struct HistogramHandle {
     shards: [Mutex<Histogram>; SHARDS],
+    in_use: AtomicBool,
 }
 
 impl Default for HistogramHandle {
     fn default() -> Self {
         HistogramHandle {
             shards: std::array::from_fn(|_| Mutex::new(Histogram::new())),
+            in_use: AtomicBool::new(false),
         }
     }
 }
 
+/// The calling thread's histogram shard, dealt round-robin on its first
+/// record: up to [`SHARDS`] recording threads never share a shard.
 fn shard_index() -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    (h.finish() as usize) % SHARDS
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SHARD: std::cell::Cell<usize> =
+            std::cell::Cell::new(NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS);
+    }
+    SHARD.get()
 }
 
 impl HistogramHandle {
     pub fn record(&self, sample: SimDuration) {
         self.shards[shard_index()].lock().record(sample);
+        mark(&self.in_use);
     }
 
     /// Merge all shards into one histogram (snapshot path only).
@@ -149,6 +201,34 @@ impl HistogramHandle {
             out.merge(&shard.lock());
         }
         out
+    }
+}
+
+impl Series for HistogramHandle {
+    fn in_use(&self) -> &AtomicBool {
+        &self.in_use
+    }
+
+    fn zero(&self) {
+        for shard in &self.shards {
+            *shard.lock() = Histogram::new();
+        }
+    }
+}
+
+/// An op counter and the latency histogram recorded beside it, resolved
+/// together: e.g. `tier_ops_total` and `tier_op_latency` of one label set.
+#[derive(Debug)]
+pub struct OpSeries {
+    pub total: Arc<CounterHandle>,
+    pub latency: Arc<HistogramHandle>,
+}
+
+impl OpSeries {
+    /// Count `ops` ops that took `latency` as a whole.
+    pub fn record(&self, ops: u64, latency: SimDuration) {
+        self.total.add(ops);
+        self.latency.record(latency);
     }
 }
 
@@ -181,19 +261,32 @@ impl RegistrySnapshot {
     }
 }
 
+type SeriesMap<H> = RwLock<BTreeMap<MetricKey, Arc<H>>>;
+
 /// The registry proper. Cloneable handles, deterministic snapshots.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<MetricKey, Arc<CounterHandle>>>,
-    gauges: RwLock<BTreeMap<MetricKey, Arc<GaugeHandle>>>,
-    histograms: RwLock<BTreeMap<MetricKey, Arc<HistogramHandle>>>,
+    counters: SeriesMap<CounterHandle>,
+    gauges: SeriesMap<GaugeHandle>,
+    histograms: SeriesMap<HistogramHandle>,
+    resolutions: AtomicU64,
 }
 
-fn get_or_insert<H: Default>(map: &RwLock<BTreeMap<MetricKey, Arc<H>>>, key: MetricKey) -> Arc<H> {
-    if let Some(h) = map.read().get(&key) {
-        return Arc::clone(h);
+/// Zero every series of one kind in place.
+fn zero_all<H: Series>(map: &SeriesMap<H>) {
+    for h in map.read().values() {
+        h.in_use().store(false, Ordering::Relaxed);
+        h.zero();
     }
-    Arc::clone(map.write().entry(key).or_default())
+}
+
+/// The series of one kind in use since the last reset, rendered.
+fn in_use<H: Series, T>(map: &SeriesMap<H>, value: impl Fn(&H) -> T) -> BTreeMap<String, T> {
+    map.read()
+        .iter()
+        .filter(|(_, h)| h.in_use().load(Ordering::Relaxed))
+        .map(|(k, h)| (k.render(), value(h)))
+        .collect()
 }
 
 impl MetricsRegistry {
@@ -207,16 +300,31 @@ impl MetricsRegistry {
         GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
+    /// Look a series up by name, creating it if new, and mark it in use.
+    fn resolve<H: Series>(
+        &self,
+        map: &SeriesMap<H>,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Arc<H> {
+        self.resolutions.fetch_add(1, Ordering::Relaxed);
+        let key = MetricKey::new(name, labels);
+        let found = map.read().get(&key).map(Arc::clone);
+        let handle = found.unwrap_or_else(|| Arc::clone(map.write().entry(key).or_default()));
+        mark(handle.in_use());
+        handle
+    }
+
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<CounterHandle> {
-        get_or_insert(&self.counters, MetricKey::new(name, labels))
+        self.resolve(&self.counters, name, labels)
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<GaugeHandle> {
-        get_or_insert(&self.gauges, MetricKey::new(name, labels))
+        self.resolve(&self.gauges, name, labels)
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<HistogramHandle> {
-        get_or_insert(&self.histograms, MetricKey::new(name, labels))
+        self.resolve(&self.histograms, name, labels)
     }
 
     /// Convenience: bump a labeled counter by one.
@@ -229,38 +337,28 @@ impl MetricsRegistry {
         self.histogram(name, labels).record(sample);
     }
 
-    /// Drop every registered metric. Benchmark binaries call this before a
-    /// run so exported snapshots cover exactly that run.
-    pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
+    /// By-name lookups made so far: every `counter` / `gauge` /
+    /// `histogram` call, including those inside `inc` and `observe`.
+    pub fn resolutions(&self) -> u64 {
+        self.resolutions.load(Ordering::Relaxed)
     }
 
-    /// Scrape everything into an ordered, serializable snapshot.
+    /// Zero every registered series and take it out of snapshots until it
+    /// is recorded into or looked up again. Benchmark binaries call this
+    /// before a run so exported snapshots cover exactly that run; handles
+    /// resolved earlier keep counting into the same series.
+    pub fn reset(&self) {
+        zero_all(&self.counters);
+        zero_all(&self.gauges);
+        zero_all(&self.histograms);
+    }
+
+    /// Scrape every series in use into an ordered, serializable snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let counters = self
-            .counters
-            .read()
-            .iter()
-            .map(|(k, h)| (k.render(), h.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, h)| (k.render(), h.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, h)| (k.render(), h.merged().summary()))
-            .collect();
         RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: in_use(&self.counters, CounterHandle::get),
+            gauges: in_use(&self.gauges, GaugeHandle::get),
+            histograms: in_use(&self.histograms, |h| h.merged().summary()),
         }
     }
 }
@@ -348,7 +446,65 @@ mod tests {
     fn reset_clears_everything() {
         let reg = MetricsRegistry::new();
         reg.inc("c", &[]);
+        reg.gauge("g", &[]).set(4);
+        reg.observe("h", &[], SimDuration::from_millis(1));
         reg.reset();
-        assert!(reg.snapshot().counters.is_empty());
+        let snap = reg.snapshot();
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn a_handle_resolved_before_reset_counts_only_what_follows_it() {
+        let reg = MetricsRegistry::new();
+        let ops = reg.counter("ops", &[("op", "put")]);
+        let lat = reg.histogram("lat", &[("op", "put")]);
+        ops.add(5);
+        lat.record(SimDuration::from_millis(9));
+        reg.reset();
+        ops.inc();
+        lat.record(SimDuration::from_millis(2));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["ops{op=put}"], 1);
+        assert_eq!(snap.histograms["lat{op=put}"].count, 1);
+        assert_eq!(snap.histograms["lat{op=put}"].max_ms, 2.0);
+        // The by-name view and the kept handle are one series.
+        assert!(Arc::ptr_eq(&ops, &reg.counter("ops", &[("op", "put")])));
+    }
+
+    #[test]
+    fn a_series_not_recorded_since_reset_is_absent_until_recorded_or_looked_up() {
+        let reg = MetricsRegistry::new();
+        let quiet = reg.counter("quiet", &[]);
+        let depth = reg.gauge("depth", &[]);
+        let lat = reg.histogram("lat", &[]);
+        quiet.inc();
+        depth.set(3);
+        lat.record(SimDuration::from_millis(1));
+        reg.reset();
+        let snap = reg.snapshot();
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
+        // Recording through the kept handle brings a series back, and so
+        // does a lookup by name, at zero — as a fresh series would read.
+        depth.dec();
+        reg.histogram("lat", &[]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauges["depth"], -1);
+        assert_eq!(snap.histograms["lat"].count, 0);
+        assert!(!snap.counters.contains_key("quiet"));
+    }
+
+    #[test]
+    fn resolutions_count_lookups_by_name_and_not_records() {
+        let reg = MetricsRegistry::new();
+        let ops = reg.counter("ops", &[]);
+        let before = reg.resolutions();
+        for _ in 0..100 {
+            ops.inc();
+        }
+        assert_eq!(reg.resolutions(), before);
+        reg.inc("ops", &[]);
+        reg.observe("lat", &[], SimDuration::from_millis(1));
+        assert_eq!(reg.resolutions(), before + 2);
+        assert_eq!(ops.get(), 101);
     }
 }

@@ -14,10 +14,11 @@ use crate::cost::CostMeter;
 use crate::spec::TierSpec;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wiera_sim::lockreg::TrackedRwLock;
+use wiera_sim::registry::OpSeries;
 use wiera_sim::{MetricsRegistry, SharedClock, SimDuration, SimInstant, SimRng};
 
 /// Number of independently locked key partitions per tier.
@@ -105,6 +106,67 @@ struct Slot {
     last_access: SimInstant,
 }
 
+/// One independently locked partition of the slot map, with the age list
+/// eviction reads.
+#[derive(Default)]
+struct SlotShard {
+    slots: HashMap<Arc<str>, Slot>,
+    /// `(last_access, key)` of every slot as of the last rebuild, oldest
+    /// first; an entry is current while its slot still carries that stamp.
+    /// Stamps are taken under the shard guard, so a slot touched since the
+    /// rebuild is at least as new as every entry: the first current entry
+    /// is the shard's least recently used slot. A hit only stores a stamp.
+    by_age: VecDeque<(SimInstant, Arc<str>)>,
+}
+
+impl SlotShard {
+    fn is_current(&self, (at, key): &(SimInstant, Arc<str>)) -> bool {
+        self.slots.get(key).is_some_and(|s| s.last_access == *at)
+    }
+
+    fn rebuild(&mut self) {
+        self.by_age.clear();
+        let entries = self.slots.iter().map(|(k, s)| (s.last_access, k.clone()));
+        self.by_age.extend(entries);
+        self.by_age
+            .make_contiguous()
+            .sort_unstable_by_key(|(at, _)| *at);
+    }
+
+    /// The least recently used slot other than `protect`: its stamp and key.
+    /// Pops the stale entries ahead of it; when nothing but `protect` is
+    /// listed, the slots touched since the last rebuild are not listed yet,
+    /// so the list is rebuilt once.
+    fn oldest_except(&mut self, protect: &str) -> Option<(SimInstant, Arc<str>)> {
+        for rebuild in [false, true] {
+            if rebuild {
+                self.rebuild();
+            }
+            while self.by_age.front().is_some_and(|e| !self.is_current(e)) {
+                self.by_age.pop_front();
+            }
+            let mut entries = self.by_age.iter();
+            let found = match entries.next() {
+                Some(e) if e.1.as_ref() == protect => entries.find(|e| self.is_current(e)),
+                head => head,
+            };
+            if found.is_some() {
+                return found.cloned();
+            }
+        }
+        None
+    }
+}
+
+/// The ops a tier records, in the order of [`SimTier::series`] and of
+/// their labels in `note_op`.
+#[derive(Clone, Copy)]
+enum TierOp {
+    Put,
+    Get,
+    Delete,
+}
+
 /// One simulated storage service instance.
 ///
 /// Since the hot-path overhaul the slot map is **sharded** ([`TIER_SHARDS`]
@@ -117,7 +179,7 @@ pub struct SimTier {
     capacity: AtomicU64,
     clock: SharedClock,
     rng: Mutex<SimRng>,
-    shards: Vec<TrackedRwLock<HashMap<Arc<str>, Slot>>>,
+    shards: Vec<TrackedRwLock<SlotShard>>,
     used: AtomicU64,
     /// Token-bucket state for IOPS throttling: earliest time the next
     /// operation may start.
@@ -132,6 +194,8 @@ pub struct SimTier {
     meter: CostMeter,
     /// Cached `{tier=<kind>}` label value for registry recording.
     kind_label: String,
+    /// Each op's registry series, resolved on its first record.
+    series: [OnceLock<OpSeries>; 3],
 }
 
 impl SimTier {
@@ -145,7 +209,7 @@ impl SimTier {
             capacity: AtomicU64::new(capacity),
             clock: clock.clone(),
             shards: (0..TIER_SHARDS)
-                .map(|_| TrackedRwLock::new("tiers.slots", HashMap::new()))
+                .map(|_| TrackedRwLock::new("tiers.slots", SlotShard::default()))
                 .collect(),
             used: AtomicU64::new(0),
             next_free: Mutex::new(now),
@@ -154,6 +218,7 @@ impl SimTier {
             page_cache_on: AtomicBool::new(spec_page_cache),
             stats: TierStats::default(),
             meter: CostMeter::new(now),
+            series: Default::default(),
         })
     }
 
@@ -189,11 +254,11 @@ impl SimTier {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().slots.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.shards.iter().all(|s| s.read().slots.is_empty())
     }
 
     pub fn meter(&self) -> &CostMeter {
@@ -243,11 +308,17 @@ impl SimTier {
     }
 
     /// Record one completed operation into the shared registry.
-    fn note_op(&self, op: &str, lat: SimDuration) {
-        let metrics = MetricsRegistry::global();
-        let labels = [("tier", self.kind_label.as_str()), ("op", op)];
-        metrics.inc("tier_ops_total", &labels);
-        metrics.observe("tier_op_latency", &labels, lat);
+    fn note_op(&self, op: TierOp, lat: SimDuration) {
+        let series = self.series[op as usize].get_or_init(|| {
+            let op = ["put", "get", "delete"][op as usize];
+            let labels = [("tier", self.kind_label.as_str()), ("op", op)];
+            let metrics = MetricsRegistry::global();
+            OpSeries {
+                total: metrics.counter("tier_ops_total", &labels),
+                latency: metrics.histogram("tier_op_latency", &labels),
+            }
+        });
+        series.record(1, lat);
     }
 
     fn note_capacity_rejection(&self) {
@@ -271,15 +342,19 @@ impl SimTier {
             return Err(TierError::TooLarge { capacity, need });
         }
         let lat = self.throttle() + self.native_latency(false, need);
-        let now = self.clock.now();
-        let shard = shard_of(key);
+        let home = shard_of(key);
         loop {
             let over = {
-                let mut slots = self.shards[shard].write();
-                let freed = slots.get(key).map(|s| s.data.len() as u64).unwrap_or(0);
+                let mut shard = self.shards[home].write();
+                let now = self.clock.now();
+                let freed = shard
+                    .slots
+                    .get(key)
+                    .map(|s| s.data.len() as u64)
+                    .unwrap_or(0);
                 match self.try_reserve(freed, need, capacity) {
                     Ok(new_used) => {
-                        slots.insert(
+                        shard.slots.insert(
                             Arc::from(key),
                             Slot {
                                 data: val,
@@ -289,7 +364,7 @@ impl SimTier {
                         self.meter.set_bytes(new_used, now);
                         self.stats.puts.fetch_add(1, Ordering::Relaxed);
                         self.meter.note_put();
-                        self.note_op("put", lat);
+                        self.note_op(TierOp::Put, lat);
                         return Ok(lat);
                     }
                     Err(used) => used,
@@ -297,7 +372,7 @@ impl SimTier {
             };
             // Over capacity. Durable tiers reject; volatile tiers evict the
             // globally least-recently-used object and retry (shard lock is
-            // released first — eviction scans lock one shard at a time).
+            // released first — eviction locks one shard at a time).
             if !self.spec.kind.volatile() || !self.evict_one_lru(key) {
                 self.note_capacity_rejection();
                 return Err(TierError::Full {
@@ -331,50 +406,45 @@ impl SimTier {
         }
     }
 
-    /// Evict the globally least-recently-used slot (excluding `protect`).
-    /// Scans shards one at a time, then removes the victim under its own
-    /// shard lock; never holds two shard locks. Returns false when there is
+    /// Evict the globally least-recently-used slot (excluding `protect`):
+    /// the oldest of the shards' oldest slots, removed under its own shard
+    /// lock; never holds two shard locks. Returns false when there is
     /// nothing to evict.
     fn evict_one_lru(&self, protect: &str) -> bool {
-        let mut victim: Option<(usize, Arc<str>, SimInstant)> = None;
+        let mut victim: Option<(SimInstant, usize, Arc<str>)> = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            let slots = shard.read();
-            for (k, s) in slots.iter() {
-                if k.as_ref() == protect {
-                    continue;
-                }
-                if victim
-                    .as_ref()
-                    .map(|(_, _, at)| s.last_access < *at)
-                    .unwrap_or(true)
-                {
-                    victim = Some((i, k.clone(), s.last_access));
-                }
+            let Some((at, key)) = shard.write().oldest_except(protect) else {
+                continue;
+            };
+            if victim.as_ref().is_none_or(|(oldest, ..)| at < *oldest) {
+                victim = Some((at, i, key));
             }
         }
-        let Some((i, vk, _)) = victim else {
+        let Some((at, i, key)) = victim else {
             return false;
         };
-        let mut slots = self.shards[i].write();
-        if let Some(slot) = slots.remove(&vk) {
-            self.used
-                .fetch_sub(slot.data.len() as u64, Ordering::Relaxed);
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            // Lost a race: someone else removed it; report progress anyway
-            // so the caller re-checks capacity.
-            true
+        let mut shard = self.shards[i].write();
+        // A victim read, rewritten or removed since its shard was looked at
+        // is no longer the oldest; report progress so the caller re-checks
+        // capacity and looks again.
+        if shard.slots.get(&key).is_some_and(|s| s.last_access == at) {
+            if let Some(slot) = shard.slots.remove(&key) {
+                self.used
+                    .fetch_sub(slot.data.len() as u64, Ordering::Relaxed);
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            }
         }
+        true
     }
 
     /// Fetch an object. Returns the bytes and modeled latency.
     pub fn get(&self, key: &str) -> TierResult<(Bytes, SimDuration)> {
         self.check_up()?;
-        let now = self.clock.now();
         let data = {
-            let mut slots = self.shards[shard_of(key)].write();
-            let slot = slots
+            let mut shard = self.shards[shard_of(key)].write();
+            let now = self.clock.now();
+            let slot = shard
+                .slots
                 .get_mut(key)
                 .ok_or_else(|| TierError::NotFound(key.into()))?;
             slot.last_access = now;
@@ -388,7 +458,7 @@ impl SimTier {
         };
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         self.meter.note_get();
-        self.note_op("get", lat);
+        self.note_op(TierOp::Get, lat);
         Ok((data, lat))
     }
 
@@ -398,8 +468,8 @@ impl SimTier {
         self.check_up()?;
         let now = self.clock.now();
         {
-            let mut slots = self.shards[shard_of(key)].write();
-            if let Some(slot) = slots.remove(key) {
+            let mut shard = self.shards[shard_of(key)].write();
+            if let Some(slot) = shard.slots.remove(key) {
                 let new_used = self
                     .used
                     .fetch_sub(slot.data.len() as u64, Ordering::Relaxed)
@@ -409,19 +479,19 @@ impl SimTier {
         }
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
         let lat = self.native_latency(false, 0) * 0.5;
-        self.note_op("delete", lat);
+        self.note_op(TierOp::Delete, lat);
         Ok(lat)
     }
 
     pub fn contains(&self, key: &str) -> bool {
-        self.shards[shard_of(key)].read().contains_key(key)
+        self.shards[shard_of(key)].read().slots.contains_key(key)
     }
 
     /// Keys currently stored (unordered).
     pub fn keys(&self) -> Vec<Arc<str>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.read().keys().cloned());
+            out.extend(shard.read().slots.keys().cloned());
         }
         out
     }
@@ -430,6 +500,7 @@ impl SimTier {
     pub fn last_access(&self, key: &str) -> Option<SimInstant> {
         self.shards[shard_of(key)]
             .read()
+            .slots
             .get(key)
             .map(|s| s.last_access)
     }
@@ -461,10 +532,11 @@ impl SimTier {
     pub fn wipe(&self) {
         let now = self.clock.now();
         for shard in &self.shards {
-            let mut slots = shard.write();
-            let freed: u64 = slots.values().map(|s| s.data.len() as u64).sum();
-            slots.clear();
-            drop(slots);
+            let mut shard = shard.write();
+            let freed: u64 = shard.slots.values().map(|s| s.data.len() as u64).sum();
+            shard.slots.clear();
+            shard.by_age.clear();
+            drop(shard);
             self.used.fetch_sub(freed, Ordering::Relaxed);
         }
         self.meter.set_bytes(self.used.load(Ordering::Relaxed), now);
@@ -574,6 +646,49 @@ mod tests {
         assert!(!t.contains("newer"), "LRU victim should be evicted");
         assert!(t.contains("third"));
         assert_eq!(t.stats.snapshot().evictions, 1);
+    }
+
+    #[test]
+    fn rewriting_the_oldest_slot_evicts_the_next_oldest_never_itself() {
+        // `mate` shares the rewritten key's shard; in one variant its age
+        // entry is still current, in the other a read made it stale, so the
+        // next-oldest slot is found only by rebuilding the shard's list.
+        for touch_mate in [false, true] {
+            let clock = ManualClock::new();
+            let t = SimTier::new(TierSpec::of(TierKind::Memcached), 1000, clock.clone(), 1);
+            let tick = || clock.advance(SimDuration::from_micros(1));
+            let home = shard_of("k0");
+            let name = |i: usize| format!("k{i}");
+            let mate = (1..).map(name).find(|k| shard_of(k) == home).unwrap();
+            let others: Vec<String> = (1..)
+                .map(name)
+                .filter(|k| shard_of(k) != home)
+                .take(3)
+                .collect();
+            for k in [&others[0], &name(0), &mate, &others[1]] {
+                tick();
+                t.put(k, payload(250)).unwrap();
+            }
+            // Evicting the global oldest lists every shard: k0 heads its own.
+            tick();
+            t.put(&others[2], payload(250)).unwrap();
+            assert!(!t.contains(&others[0]));
+            if touch_mate {
+                tick();
+                t.get(&mate).unwrap();
+            }
+            for k in &others[1..] {
+                tick();
+                t.get(k).unwrap();
+            }
+            tick();
+            t.put("k0", payload(500)).unwrap();
+            assert!(t.contains("k0"), "touch_mate={touch_mate}");
+            assert!(!t.contains(&mate), "touch_mate={touch_mate}");
+            assert!(others[1..].iter().all(|k| t.contains(k)));
+            assert_eq!(t.stats.snapshot().evictions, 2);
+            assert_eq!(t.used_bytes(), 1000);
+        }
     }
 
     #[test]

@@ -43,12 +43,13 @@ use bytes::Bytes;
 use parking_lot::Condvar;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tiera::{BatchOp, InstanceConfig, TieraError, TieraInstance};
 use wiera_coord::{CoordClient, ShardMap};
 use wiera_net::{Delivery, Mesh, NodeId};
 use wiera_policy::ConsistencyModel;
 use wiera_sim::lockreg::{TrackedMutex, TrackedRwLock};
+use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{MetricsRegistry, SimDuration, SimInstant, Tracer};
 
 /// RPC timeout for data-path calls.
@@ -201,6 +202,26 @@ pub struct ReplicaStats {
     pub worker_spawns: AtomicU64,
 }
 
+/// The application-op series, each resolved on its first record: puts per
+/// consistency model (see [`model_slot`]), gets per route (local,
+/// forwarded).
+#[derive(Default)]
+struct OpCounts {
+    puts: [OnceLock<OpSeries>; 4],
+    put_errors: [OnceLock<Arc<CounterHandle>>; 4],
+    gets: [OnceLock<OpSeries>; 2],
+    get_errors: [OnceLock<Arc<CounterHandle>>; 2],
+}
+
+fn model_slot(model: ConsistencyModel) -> usize {
+    match model {
+        ConsistencyModel::MultiPrimaries => 0,
+        ConsistencyModel::PrimaryBackup { sync: true } => 1,
+        ConsistencyModel::PrimaryBackup { sync: false } => 2,
+        ConsistencyModel::Eventual => 3,
+    }
+}
+
 /// The running replica.
 pub struct ReplicaNode {
     pub node: NodeId,
@@ -248,6 +269,7 @@ pub struct ReplicaNode {
     direct_puts: TrackedMutex<VecDeque<SimInstant>>,
     /// Puts forwarded to us, per origin replica (primary-side bookkeeping).
     forwarded_puts: TrackedMutex<HashMap<NodeId, VecDeque<SimInstant>>>,
+    op_counts: OpCounts,
 }
 
 impl ReplicaNode {
@@ -294,6 +316,7 @@ impl ReplicaNode {
             put_window: TrackedMutex::new("replica.put_window", VecDeque::new()),
             direct_puts: TrackedMutex::new("replica.direct_puts", VecDeque::new()),
             forwarded_puts: TrackedMutex::new("replica.forwarded_puts", HashMap::new()),
+            op_counts: OpCounts::default(),
         });
         replica.create_lease();
         replica.start_threads(inbox)?;
@@ -1742,20 +1765,28 @@ impl ReplicaNode {
         // A put is counted where the client asked for it; the primary's half
         // of a forwarded put only leaves its history span.
         if !forwarded {
-            let model_label = model.to_string();
-            let region = self.node.region.to_string();
-            let labels = [
-                ("consistency", model_label.as_str()),
-                ("region", region.as_str()),
-            ];
-            let metrics = MetricsRegistry::global();
+            let slot = model_slot(model);
+            let labels = || [model.to_string(), self.node.region.to_string()];
             let failed = results.len() as u64 - ok;
             if failed > 0 {
-                metrics.counter("wiera_put_errors", &labels).add(failed);
+                let errors = self.op_counts.put_errors[slot].get_or_init(|| {
+                    let [model, region] = labels();
+                    let labels = [("consistency", model.as_str()), ("region", region.as_str())];
+                    MetricsRegistry::global().counter("wiera_put_errors", &labels)
+                });
+                errors.add(failed);
             }
             if ok > 0 {
-                metrics.counter("wiera_put_total", &labels).add(ok);
-                metrics.observe("wiera_put_latency", &labels, took);
+                let puts = self.op_counts.puts[slot].get_or_init(|| {
+                    let [model, region] = labels();
+                    let labels = [("consistency", model.as_str()), ("region", region.as_str())];
+                    let metrics = MetricsRegistry::global();
+                    OpSeries {
+                        total: metrics.counter("wiera_put_total", &labels),
+                        latency: metrics.histogram("wiera_put_latency", &labels),
+                    }
+                });
+                puts.record(ok, took);
                 let now = self.mesh.clock.now();
                 let mut window = self.put_window.lock();
                 window.push_back((now, took.as_millis_f64()));
@@ -1999,8 +2030,8 @@ impl ReplicaNode {
         // stalling route updates for the call's duration.
         let target = self.forward_gets_to.read().clone();
         let (route, (results, took)) = match target.filter(|t| *t != self.node) {
-            Some(target) => ("forwarded", self.read_forwarded(&target, keys, version)),
-            None => ("local", self.read_local(keys, version)),
+            Some(target) => (1, self.read_forwarded(&target, keys, version)),
+            None => (0, self.read_local(keys, version)),
         };
         let ok = results
             .iter()
@@ -2012,16 +2043,28 @@ impl ReplicaNode {
         } else {
             took
         };
-        let region = self.node.region.to_string();
-        let labels = [("region", region.as_str()), ("route", route)];
-        let metrics = MetricsRegistry::global();
+        let region = || self.node.region.to_string();
+        let route_label = ["local", "forwarded"][route];
         let failed = results.len() as u64 - ok;
         if failed > 0 {
-            metrics.counter("wiera_get_errors", &labels).add(failed);
+            let errors = self.op_counts.get_errors[route].get_or_init(|| {
+                let region = region();
+                let labels = [("region", region.as_str()), ("route", route_label)];
+                MetricsRegistry::global().counter("wiera_get_errors", &labels)
+            });
+            errors.add(failed);
         }
         if ok > 0 {
-            metrics.counter("wiera_get_total", &labels).add(ok);
-            metrics.observe("wiera_get_latency", &labels, took);
+            let gets = self.op_counts.gets[route].get_or_init(|| {
+                let region = region();
+                let labels = [("region", region.as_str()), ("route", route_label)];
+                let metrics = MetricsRegistry::global();
+                OpSeries {
+                    total: metrics.counter("wiera_get_total", &labels),
+                    latency: metrics.histogram("wiera_get_latency", &labels),
+                }
+            });
+            gets.record(ok, took);
         }
         // Reads of the latest version enter the consistency history; a read
         // of an explicitly named old version promises no freshness.
