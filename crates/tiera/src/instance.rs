@@ -16,7 +16,7 @@
 //! timelines stay aligned with modeled time.
 
 use crate::metastore::{MetaShardGuard, MetaStore};
-use crate::object::{storage_key, ObjectMeta, VersionId, VersionMeta};
+use crate::object::{storage_key, storage_key_in, ObjectMeta, VersionId, VersionMeta};
 use crate::transform;
 use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
@@ -29,7 +29,8 @@ use wiera_policy::compile::{
 use wiera_sim::lockreg::TrackedMutex;
 use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{
-    BreakerConfig, BreakerState, CircuitBreaker, SharedClock, SimDuration, SimInstant, SimRng,
+    Admit, BreakerConfig, BreakerState, CircuitBreaker, SharedClock, SimDuration, SimInstant,
+    SimRng,
 };
 use wiera_tiers::{SimTier, TierError, TierKind, TierSpec};
 
@@ -39,9 +40,28 @@ const META_OVERHEAD: SimDuration = SimDuration::from_micros(150);
 /// [`META_OVERHEAD`] once, then this per item.
 const BATCH_ITEM_OVERHEAD: SimDuration = SimDuration::from_micros(10);
 
-/// `(key, versions)` GCed out of the metadata during a shard session; their
-/// bytes are deleted from the tiers after the session ends.
-type PrunedVersions = Vec<(String, Vec<VersionId>)>;
+/// Storage keys of the versions GCed out of the metadata during a shard
+/// session; their bytes are deleted from the tiers after the session ends.
+type PrunedVersions = Vec<String>;
+
+/// The ingest of a put no insert rule stores.
+static DEFAULT_STORE: Action = Action::Store {
+    what: Selector::InsertObject,
+    to: Target::LocalInstance,
+};
+
+/// A set of an instance's tiers, one bit per index into its tier list.
+type TierSet = u64;
+
+/// Where one put's bytes went: the tier a `store` action chose, the tiers
+/// `copy` actions wrote to, the dirty bit, and every tier written so far.
+#[derive(Default)]
+struct Placement<'a> {
+    location: Option<&'a str>,
+    replicas: BTreeSet<String>,
+    dirty: bool,
+    written: TierSet,
+}
 
 /// Errors surfaced by instance operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,7 +269,6 @@ pub struct InstanceStats {
 /// A tier's circuit breaker, with the `tiera_tier_deferrals` counter of the
 /// reads it deprioritized, resolved on the first.
 struct TierBreaker {
-    label: String,
     breaker: CircuitBreaker,
     deferrals: OnceLock<Arc<CounterHandle>>,
 }
@@ -325,6 +344,8 @@ impl TieraInstance {
     /// archival tier each trip only on *their* kind of brownout; healthy
     /// jitter never reaches 20x the median EWMA-smoothed.
     fn build_breakers(name: &str, tiers: &[(String, TierHandle)]) -> Vec<TierBreaker> {
+        // The data path passes sets of tiers as `TierSet` bits.
+        assert!(tiers.len() <= TierSet::BITS as usize, "over 64 tiers");
         tiers
             .iter()
             .map(|(label, h)| {
@@ -334,7 +355,6 @@ impl TieraInstance {
                     ..BreakerConfig::default()
                 };
                 TierBreaker {
-                    label: label.clone(),
                     breaker: CircuitBreaker::new(format!("{name}:{label}"), cfg),
                     deferrals: OnceLock::new(),
                 }
@@ -406,7 +426,18 @@ impl TieraInstance {
     }
 
     pub fn tier(&self, label: &str) -> Option<&TierHandle> {
-        self.tiers.iter().find(|(l, _)| l == label).map(|(_, h)| h)
+        self.tier_index(label).map(|i| &self.tiers[i].1)
+    }
+
+    /// Position of the tier labeled `label` in the tier list; its breaker
+    /// sits at the same position of `tier_breakers`.
+    fn tier_index(&self, label: &str) -> Option<usize> {
+        self.tiers.iter().position(|(l, _)| l == label)
+    }
+
+    /// The tier indices in `set`, ascending.
+    fn tiers_in(&self, set: TierSet) -> impl Iterator<Item = usize> {
+        (0..self.tiers.len()).filter(move |i| set >> i & 1 == 1)
     }
 
     pub fn tier_labels(&self) -> Vec<&str> {
@@ -420,10 +451,8 @@ impl TieraInstance {
 
     /// The circuit breaker guarding one tier.
     pub fn tier_breaker(&self, label: &str) -> Option<&CircuitBreaker> {
-        self.tier_breakers
-            .iter()
-            .find(|t| t.label == label)
-            .map(|t| &t.breaker)
+        self.tier_index(label)
+            .map(|i| &self.tier_breakers[i].breaker)
     }
 
     /// True while any tier's breaker is not closed — the instance-level
@@ -685,12 +714,9 @@ impl TieraInstance {
 
     /// Delete the bytes of GCed versions from every tier.
     fn delete_pruned(&self, gc: PrunedVersions) {
-        for (key, versions) in gc {
-            for v in versions {
-                let sk = storage_key(&key, v);
-                for (_, h) in &self.tiers {
-                    let _ = h.delete(&sk);
-                }
+        for skey in gc {
+            for (_, h) in &self.tiers {
+                let _ = h.delete(&skey);
             }
         }
     }
@@ -715,93 +741,60 @@ impl TieraInstance {
         gc: &mut PrunedVersions,
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
+        // One lookup: a new key's entry is built aside and inserted only
+        // once its bytes are placed.
+        let mut fresh = None;
+        let obj = match map.get_mut(key) {
+            Some(obj) => obj,
+            None => fresh.insert(ObjectMeta::default()),
+        };
         let version = match forced {
             Some((v, _)) => v,
-            None => map.get(key).map(|o| o.next_version()).unwrap_or(1),
+            None => obj.next_version(),
         };
         let skey = storage_key(key, version);
-
         let mut latency = overhead;
-        let mut location: Option<String> = None;
-        let mut replicas: BTreeSet<String> = BTreeSet::new();
-        let mut dirty = false;
-
-        // Insert rules (event `insert.into`) run synchronously. They only
-        // touch tiers, never this metastore.
-        let insert_rules: Vec<&Rule> = self
-            .config
-            .rules
-            .iter()
-            .filter(|r| matches!(r.event, EventKind::Insert { into: None }))
-            .collect();
-        for rule in insert_rules {
-            for action in &rule.actions {
-                self.run_insert_action(
-                    action,
-                    &skey,
-                    &value,
-                    &mut latency,
-                    &mut location,
-                    &mut replicas,
-                    &mut dirty,
-                )?;
-            }
-        }
-        // No rule placed the bytes locally (no insert rules at all, or a
-        // global policy whose local leg is just `store(to:local_instance)`,
-        // handled as the default ingest): store into the first tier.
-        let location = match location {
-            Some(l) => l,
-            None => {
-                let label = self.default_tier_label().to_string();
-                latency += self.tier_required(&label)?.put(&skey, value.clone())?;
-                label
+        let mut placed = Placement::default();
+        let location = match self.place(&skey, &value, &mut latency, &mut placed) {
+            Ok(location) => location,
+            Err(e) => {
+                // A failed put leaves no bytes behind — unless the version
+                // is already recorded (a replicated rewrite of it): then
+                // the copies overwrote bytes its metadata points at.
+                if !obj.versions.contains_key(&version) {
+                    for (_, tier) in self.tiers_in(placed.written).map(|i| &self.tiers[i]) {
+                        let _ = tier.delete(&skey);
+                    }
+                }
+                return Err(e);
             }
         };
 
-        // Write-through rules scoped to the tier we stored into
-        // (`event(insert.into == tier1)`).
-        let scoped: Vec<&Rule> = self
-            .config
-            .rules
-            .iter()
-            .filter(|r| matches!(&r.event, EventKind::Insert { into: Some(t) } if *t == location))
-            .collect();
-        let mut loc2 = Some(location.clone());
-        for rule in scoped {
-            for action in &rule.actions {
-                self.run_insert_action(
-                    action,
-                    &skey,
-                    &value,
-                    &mut latency,
-                    &mut loc2,
-                    &mut replicas,
-                    &mut dirty,
-                )?;
-            }
-        }
-
         // Record metadata in the same lock hold that allocated the version.
-        let size = value.len() as u64;
-        let obj = map.entry(key.to_string()).or_default();
         for t in tags {
             obj.tags.insert(t.to_string());
         }
-        let mut m = VersionMeta::new(version, size, now, &location);
-        m.dirty = dirty;
-        m.replicas = replicas;
+        let mut m = VersionMeta::new(version, value.len() as u64, now, location);
+        m.dirty = placed.dirty;
+        m.replicas = placed.replicas;
         if let Some((_, modified)) = forced {
             m.modified = modified;
         }
         let modified = m.modified;
         obj.versions.insert(version, m);
-        let pruned = match self.config.max_versions {
-            Some(keep) => obj.prune_old_versions(keep),
-            None => Vec::new(),
-        };
-        if !pruned.is_empty() {
-            gc.push((key.to_string(), pruned));
+        if let Some(keep) = self.config.max_versions {
+            // The new version's key is spent; its buffer becomes the first
+            // pruned version's key.
+            let mut spare = Some(skey);
+            for v in obj.prune_old_versions(keep) {
+                gc.push(match spare.take() {
+                    Some(buf) => storage_key_in(buf, key, v),
+                    None => storage_key(key, v),
+                });
+            }
+        }
+        if let Some(obj) = fresh {
+            map.insert(key.to_string(), obj);
         }
 
         Ok(OpOutcome {
@@ -812,58 +805,96 @@ impl TieraInstance {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_insert_action(
-        &self,
-        action: &Action,
+    /// Place one put's bytes: run the insert rules, store into the first
+    /// tier when none of them stored, then run the write-through rules
+    /// scoped to the tier stored into. Returns that tier's label; `placed`
+    /// records every tier written, also when a step fails.
+    fn place<'a>(
+        &'a self,
         skey: &str,
         value: &Bytes,
         latency: &mut SimDuration,
-        location: &mut Option<String>,
-        replicas: &mut BTreeSet<String>,
-        dirty: &mut bool,
-    ) -> Result<(), TieraError> {
-        match action {
-            Action::SetAttr { path, value: v } => {
-                if path.last().map(String::as_str) == Some("dirty") {
-                    if let CondValue::Bool(b) = v {
-                        *dirty = *b;
-                    }
+        placed: &mut Placement<'a>,
+    ) -> Result<&'a str, TieraError> {
+        // Insert rules (event `insert.into`) run synchronously. They only
+        // touch tiers, never this metastore.
+        for rule in &self.config.rules {
+            if matches!(rule.event, EventKind::Insert { into: None }) {
+                for action in &rule.actions {
+                    self.run_insert_action(action, skey, value, latency, placed)?;
                 }
-                Ok(())
+            }
+        }
+        // No rule placed the bytes locally (no insert rules at all, or a
+        // global policy whose local leg is just `store(to:local_instance)`,
+        // handled as the default ingest): store into the first tier.
+        let location = match placed.location {
+            Some(l) => l,
+            None => {
+                self.run_insert_action(&DEFAULT_STORE, skey, value, latency, placed)?;
+                self.default_tier_label()
+            }
+        };
+        // Write-through rules scoped to the tier we stored into
+        // (`event(insert.into == tier1)`); a `store` among them does not
+        // move the recorded location.
+        for rule in &self.config.rules {
+            if matches!(&rule.event, EventKind::Insert { into: Some(t) } if t == location) {
+                for action in &rule.actions {
+                    self.run_insert_action(action, skey, value, latency, placed)?;
+                }
+            }
+        }
+        Ok(location)
+    }
+
+    fn run_insert_action<'a>(
+        &'a self,
+        action: &'a Action,
+        skey: &str,
+        value: &Bytes,
+        latency: &mut SimDuration,
+        placed: &mut Placement<'a>,
+    ) -> Result<(), TieraError> {
+        let (label, stores) = match action {
+            Action::SetAttr {
+                path,
+                value: CondValue::Bool(b),
+            } if path.last().map(String::as_str) == Some("dirty") => {
+                placed.dirty = *b;
+                return Ok(());
             }
             Action::Store {
                 what: Selector::InsertObject,
                 to: Target::Tier(label),
-            } => {
-                *latency += self.tier_required(label)?.put(skey, value.clone())?;
-                *location = Some(label.clone());
-                Ok(())
-            }
+            } => (label.as_str(), true),
             // `store(to:local_instance)` — the local leg of a global policy:
             // ingest through the default (first) tier.
             Action::Store {
                 what: Selector::InsertObject,
                 to: Target::LocalInstance,
-            } => {
-                let label = self.default_tier_label().to_string();
-                *latency += self.tier_required(&label)?.put(skey, value.clone())?;
-                *location = Some(label);
-                Ok(())
-            }
+            } => (self.default_tier_label(), true),
             Action::Copy {
                 what: Selector::InsertObject,
                 to: Target::Tier(label),
                 ..
-            } => {
-                *latency += self.tier_required(label)?.put(skey, value.clone())?;
-                replicas.insert(label.clone());
-                Ok(())
-            }
+            } => (label.as_str(), false),
             // Global actions (lock/copy-to-regions/forward/queue/...) are the
             // Wiera layer's responsibility; the local engine ignores them.
-            _ => Ok(()),
+            _ => return Ok(()),
+        };
+        let i = self
+            .tier_index(label)
+            .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))?;
+        let (_, tier) = &self.tiers[i];
+        *latency += tier.put(skey, value.clone())?;
+        placed.written |= 1 << i;
+        if stores {
+            placed.location = Some(label);
+        } else {
+            placed.replicas.insert(label.to_string());
         }
+        Ok(())
     }
 
     /// Retrieve the latest version (GET).
@@ -986,8 +1017,8 @@ impl TieraInstance {
     }
 
     /// Read one version with its object's metadata already locked: try
-    /// holders fastest-first, heal metadata in place when a volatile tier
-    /// has evicted its copy, touch the access time.
+    /// holders in [`TieraInstance::holder_order`], heal metadata in place
+    /// when tiers have lost their copies, touch the access time.
     fn read_version_locked(
         &self,
         key: &str,
@@ -995,114 +1026,115 @@ impl TieraInstance {
         obj: &mut ObjectMeta,
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
-        let (holders, compressed, encrypted, modified) = obj
+        let m = obj
             .versions
-            .get(&version)
-            .map(|m| {
-                (
-                    m.holders()
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect::<Vec<_>>(),
-                    m.compressed,
-                    m.encrypted,
-                    m.modified,
-                )
-            })
+            .get_mut(&version)
             .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-
-        let ordered = self.holder_order(holders, now);
-
         let skey = storage_key(key, version);
         let mut latency = SimDuration::from_micros(100);
-        let mut lost: Vec<String> = Vec::new();
-        for label in &ordered {
-            let Some(h) = self.tier(label) else {
-                lost.push(label.clone());
-                continue;
-            };
-            match h.get(&skey) {
+        // Holders tried and found empty.
+        let mut lost: TierSet = 0;
+        for i in self.holder_order(m, now) {
+            let (label, tier) = &self.tiers[i];
+            let breaker = &self.tier_breakers[i].breaker;
+            match tier.get(&skey) {
                 Ok((mut data, l)) => {
-                    if let Some(b) = self.tier_breaker(label) {
-                        b.record_success(self.clock.now(), l);
-                    }
+                    breaker.record_success(self.clock.now(), l);
                     latency += l;
-                    if encrypted {
+                    if m.encrypted {
                         data = transform::decrypt(&data, self.config.encryption_key);
                     }
-                    if compressed {
+                    if m.compressed {
                         data = transform::decompress(&data).map_err(TieraError::Corrupt)?;
                     }
-                    if let Some(m) = obj.versions.get_mut(&version) {
-                        for l in &lost {
-                            m.replicas.remove(l);
-                            if &m.location == l {
-                                m.location = label.clone();
-                            }
+                    if lost != 0 {
+                        let gone = |r: &str| self.tier_index(r).is_some_and(|j| lost >> j & 1 == 1);
+                        if gone(&m.location) {
+                            m.location = label.clone();
                         }
-                        m.touch(now);
+                        m.replicas.retain(|r| !gone(r));
                     }
+                    m.touch(now);
                     return Ok(OpOutcome {
                         value: Some(data),
                         version,
-                        modified,
+                        modified: m.modified,
                         latency,
                     });
                 }
                 Err(_) => {
-                    if let Some(b) = self.tier_breaker(label) {
-                        b.record_failure(self.clock.now());
-                    }
-                    lost.push(label.clone())
+                    breaker.record_failure(self.clock.now());
+                    lost |= 1 << i;
                 }
             }
         }
         Err(TieraError::NotFound(key.to_string()))
     }
 
-    /// Order candidate holders for a read: fastest typical latency first,
-    /// with two breaker-driven exceptions. A holder whose breaker is not
-    /// closed is *deprioritized*, never rejected — it may hold the only
-    /// copy. And when an open breaker's cooldown has expired, that holder
-    /// is promoted to the very front so this read doubles as the probe;
-    /// without real probe traffic a healed tier could never close again
-    /// while a healthy replica keeps absorbing all reads.
-    fn holder_order(&self, holders: Vec<String>, now: SimInstant) -> Vec<String> {
-        let mut ordered = holders;
-        ordered.sort_by(|a, b| {
-            let la = self.tier(a).map(|h| h.typical_get_ms()).unwrap_or(f64::MAX);
-            let lb = self.tier(b).map(|h| h.typical_get_ms()).unwrap_or(f64::MAX);
-            la.total_cmp(&lb)
-        });
-        let mut probe_first: Vec<String> = Vec::new();
-        let mut healthy: Vec<String> = Vec::new();
-        let mut suspect: Vec<String> = Vec::new();
-        for label in ordered {
-            match self.tier_breakers.iter().find(|t| t.label == label) {
-                None => healthy.push(label),
-                Some(t) if t.breaker.state() == BreakerState::Closed => healthy.push(label),
-                Some(t) => {
-                    let deferrals = t.deferrals.get_or_init(|| {
-                        wiera_sim::MetricsRegistry::global().counter(
-                            "tiera_tier_deferrals",
-                            &[
-                                ("instance", self.config.name.as_str()),
-                                ("tier", label.as_str()),
-                            ],
-                        )
-                    });
-                    deferrals.inc();
-                    if t.breaker.admit(now) == wiera_sim::Admit::Probe {
-                        probe_first.push(label);
-                    } else {
-                        suspect.push(label);
-                    }
-                }
+    /// Order a version's holders for a read, as tier indices (a holder
+    /// label names one of this instance's tiers: only a write to that tier
+    /// records it, and the tier list never changes). Fastest typical
+    /// latency first, with two breaker-driven exceptions. A holder whose
+    /// breaker is not closed is *deprioritized*, never rejected — it may
+    /// hold the only copy. And when an open breaker's cooldown has expired,
+    /// that holder is promoted to the very front so this read doubles as
+    /// the probe; without real probe traffic a healed tier could never
+    /// close again while a healthy replica keeps absorbing all reads. The
+    /// breakers are asked fastest holder first, before any holder is read.
+    fn holder_order(&self, m: &VersionMeta, now: SimInstant) -> impl Iterator<Item = usize> + '_ {
+        let loc = self.tier_index(&m.location);
+        let held = std::iter::once(&m.location)
+            .chain(&m.replicas)
+            .filter_map(|label| self.tier_index(label))
+            .fold(0, |set: TierSet, i| set | 1 << i);
+        let (mut probe, mut healthy, mut suspect): (TierSet, TierSet, TierSet) = (0, 0, 0);
+        for i in self.fastest_first(held, loc) {
+            let t = &self.tier_breakers[i];
+            if t.breaker.state() == BreakerState::Closed {
+                healthy |= 1 << i;
+                continue;
+            }
+            let deferrals = t.deferrals.get_or_init(|| {
+                wiera_sim::MetricsRegistry::global().counter(
+                    "tiera_tier_deferrals",
+                    &[
+                        ("instance", self.config.name.as_str()),
+                        ("tier", self.tiers[i].0.as_str()),
+                    ],
+                )
+            });
+            deferrals.inc();
+            if t.breaker.admit(now) == Admit::Probe {
+                probe |= 1 << i;
+            } else {
+                suspect |= 1 << i;
             }
         }
-        probe_first.extend(healthy);
-        probe_first.extend(suspect);
-        probe_first
+        self.fastest_first(probe, loc)
+            .chain(self.fastest_first(healthy, loc))
+            .chain(self.fastest_first(suspect, loc))
+    }
+
+    /// The tiers of `set`, fastest typical get first; among equally fast
+    /// tiers `loc` first, then label order — the order a stable sort by
+    /// speed gives a version's holder list (location, then replica set).
+    fn fastest_first(
+        &self,
+        mut set: TierSet,
+        loc: Option<usize>,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let rank = move |i: usize| {
+            let (label, tier) = &self.tiers[i];
+            (tier.typical_get_ms(), Some(i) != loc, label)
+        };
+        std::iter::from_fn(move || {
+            let next = self.tiers_in(set).min_by(|&a, &b| {
+                let (a, b) = (rank(a), rank(b));
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(b.2))
+            })?;
+            set &= !(1 << next);
+            Some(next)
+        })
     }
 
     // ---- background policy execution ---------------------------------------
@@ -1759,6 +1791,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_write_through_leaves_no_orphan_bytes() {
+        let compiled = compile(&parse(wiera_policy::canned::PERSISTENT_INSTANCE).unwrap()).unwrap();
+        let cfg = InstanceConfig::new("orphan", Region::UsEast)
+            .with_tier("tier1", "Memcached", 1 << 30)
+            .with_tier("tier2", "EBS", 1 << 30)
+            .with_tier("tier3", "S3", 0)
+            .with_rules(compiled.rules);
+        let inst = TieraInstance::build(cfg, ManualClock::new()).unwrap();
+        let local = |label| inst.tier(label).unwrap().as_local().unwrap().clone();
+        let (tier1, tier2) = (local("tier1"), local("tier2"));
+        inst.put("old", Bytes::from_static(b"kept")).unwrap();
+        tier2.set_down(true);
+        // tier1 takes the bytes, the write-through copy to tier2 fails.
+        for key in ["new", "old"] {
+            assert_eq!(
+                inst.put(key, Bytes::from_static(b"hello")).unwrap_err(),
+                TieraError::Tier(TierError::Down)
+            );
+        }
+        assert_eq!((tier1.len(), tier1.used_bytes()), (1, 4), "only old@v1");
+        assert!(!inst.meta().contains("new"), "a new key's entry is dropped");
+        assert_eq!(inst.get_version_list("old").unwrap(), vec![1]);
+        tier2.set_down(false);
+        assert_eq!(inst.get("old").unwrap().value.unwrap().as_ref(), b"kept");
+    }
+
+    #[test]
     fn filled_rule_fires_once_per_crossing() {
         let src = "Tiera T() {
             event(tier1.filled == 50%) : response {
@@ -1843,6 +1902,43 @@ mod tests {
             .with("a", |o| {
                 let m = o.latest().unwrap();
                 assert_eq!(m.location, "tier2", "healed to the surviving holder");
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn equally_fast_holders_serve_the_authoritative_copy_first() {
+        // Both EBS: the stored copy in tier2 is read before tier1's copy,
+        // and once tier2 fails, tier1 serves and becomes the location.
+        let src = "Tiera T() {
+            event(insert.into) : response {
+                store(what:insert.object, to:tier2);
+                copy(what:insert.object, to:tier1);
+            }
+        }";
+        let compiled = compile(&parse(src).unwrap()).unwrap();
+        let cfg = InstanceConfig::new("tie", Region::UsEast)
+            .with_tier("tier1", "EBS", 1 << 30)
+            .with_tier("tier2", "EBS", 1 << 30)
+            .with_rules(compiled.rules);
+        let inst = TieraInstance::build(cfg, ManualClock::new()).unwrap();
+        let local = |label| inst.tier(label).unwrap().as_local().unwrap().clone();
+        let (tier1, tier2) = (local("tier1"), local("tier2"));
+        inst.put("k", bytes(16)).unwrap();
+        inst.get("k").unwrap();
+        let gets = || (tier1.stats.snapshot().gets, tier2.stats.snapshot().gets);
+        assert_eq!(gets(), (0, 1));
+        tier2.set_down(true);
+        inst.get("k").unwrap();
+        assert_eq!(gets(), (1, 1));
+        inst.meta()
+            .with("k", |o| {
+                let m = o.latest().unwrap();
+                assert_eq!(m.location, "tier1");
+                assert!(
+                    !m.replicas.contains("tier2"),
+                    "the failed holder is dropped"
+                );
             })
             .unwrap();
     }

@@ -4,40 +4,35 @@
 //! Here the store is an in-memory map with snapshot/restore to a serialized
 //! byte image, which is what instance recovery needs from it.
 //!
-//! Since the hot-path overhaul the map is **sharded**: keys are partitioned
-//! by FNV-1a hash into [`META_SHARDS`] independent `TrackedRwLock`ed
-//! `BTreeMap`s, so writers to different keys no longer serialize on one
-//! engine-wide lock, and `apply_batch` can group a bulk request by shard
-//! and take each shard's lock exactly once per batch
-//! ([`MetaStore::shard_write`]). Whole-store scans (cold-data sweeps,
-//! snapshots) visit shards one at a time — never holding two shard locks
-//! of one store simultaneously, which keeps wiera-check's
-//! same-class-nesting rule clean.
-//! The snapshot image format is unchanged: shards are merged into one map
-//! on serialize and re-split on restore.
+//! The map is **sharded**: keys are partitioned by FNV-1a hash into
+//! [`META_SHARDS`] independent `TrackedRwLock`ed hash maps, so writers to
+//! different keys never serialize on one engine-wide lock, and
+//! `apply_batch` can group a bulk request by shard and take each shard's
+//! lock exactly once per batch ([`MetaStore::shard_write`]). A shard is a
+//! `HashMap` with the deterministic FNV hasher, so an op costs one hash
+//! lookup, not a walk down B-tree nodes comparing key strings. Nothing
+//! reads a shard in its own order: whole-store reads (`keys`, cold-data
+//! sweeps, snapshots) visit shards one at a time — never holding two shard
+//! locks of one store at once, which keeps wiera-check's
+//! same-class-nesting rule clean — and sort or merge what they collect.
+//! The snapshot image is one key-sorted map, whatever the insertion order.
 
 use crate::object::{ObjectMeta, VersionId, VersionMeta};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use wiera_sim::hash::{fnv1a, FnvBuildHasher};
 use wiera_sim::lockreg::{TrackedRwLock, TrackedWriteGuard};
 use wiera_sim::SimInstant;
 
 /// Number of independently locked key partitions.
 pub const META_SHARDS: usize = 16;
 
-/// Stable key → shard mapping (FNV-1a, endian-independent).
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// One shard: the metadata of every key that hashes there.
+type Shard = HashMap<String, ObjectMeta, FnvBuildHasher>;
 
 /// Thread-safe metadata store for one instance.
 pub struct MetaStore {
-    shards: Vec<TrackedRwLock<BTreeMap<String, ObjectMeta>>>,
+    shards: Vec<TrackedRwLock<Shard>>,
     /// Write-lock acquisitions per shard, for the batch-locking tests.
     write_acquisitions: Vec<AtomicU64>,
 }
@@ -49,7 +44,7 @@ impl Default for MetaStore {
 }
 
 /// One shard's write session: the map of every key that hashes there.
-pub type MetaShardGuard<'a> = TrackedWriteGuard<'a, BTreeMap<String, ObjectMeta>>;
+pub type MetaShardGuard<'a> = TrackedWriteGuard<'a, Shard>;
 
 /// Lock class of a metastore whose instance sits `depth` mount levels above
 /// its deepest mounted child (0: no mounted-instance tier). An instance
@@ -75,7 +70,7 @@ impl MetaStore {
             // where wiera-audit reads lock classes from.
             shards: (0..META_SHARDS)
                 .map(|_| {
-                    TrackedRwLock::new(&depth_class("tiera.metastore", depth), BTreeMap::new())
+                    TrackedRwLock::new(&depth_class("tiera.metastore", depth), Shard::default())
                 })
                 .collect(),
             write_acquisitions: (0..META_SHARDS).map(|_| AtomicU64::new(0)).collect(),
@@ -88,7 +83,7 @@ impl MetaStore {
 
     /// Which shard owns `key`.
     pub fn shard_of(&self, key: &str) -> usize {
-        (fnv1a(key) % self.shards.len() as u64) as usize
+        (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Open one write session on a shard. `apply_batch` groups a bulk
@@ -112,6 +107,9 @@ impl MetaStore {
     /// Run `f` over the object's metadata, creating the entry if absent.
     pub fn with_mut<R>(&self, key: &str, f: impl FnOnce(&mut ObjectMeta) -> R) -> R {
         let mut map = self.shard_write(self.shard_of(key));
+        if let Some(obj) = map.get_mut(key) {
+            return f(obj);
+        }
         f(map.entry(key.to_string()).or_default())
     }
 
@@ -318,15 +316,31 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards_and_stay_sorted() {
-        let ms = MetaStore::new();
         let keys: Vec<String> = (0..256).map(|i| format!("key{i:04}")).collect();
-        for k in &keys {
-            ms.with_mut(k, |o| {
-                o.versions.insert(1, VersionMeta::new(1, 8, t(0), "tier1"));
-            });
-        }
+        // The same keys inserted in opposite orders: the hash-map shards
+        // hold them in different orders, and nothing read out may show it.
+        let fill = |order: &mut dyn Iterator<Item = &String>| {
+            let ms = MetaStore::new();
+            for k in order {
+                ms.with_mut(k, |o| {
+                    o.versions.insert(1, VersionMeta::new(1, 8, t(1), "tier1"));
+                    o.versions.insert(2, VersionMeta::new(2, 8, t(3), "tier1"));
+                });
+            }
+            ms
+        };
+        let (ms, rev) = (fill(&mut keys.iter()), fill(&mut keys.iter().rev()));
         assert_eq!(ms.len(), 256);
         assert_eq!(ms.keys(), keys, "keys() is globally sorted");
+        assert_eq!(rev.keys(), keys);
+        assert_eq!(ms.snapshot(), rev.snapshot(), "one image per content");
+        let (cold, all) = (ms.cold_versions(t(2)), ms.all_versions());
+        assert_eq!(cold.len(), 256);
+        assert_eq!(all.len(), 512);
+        assert!(cold.windows(2).all(|w| w[0] < w[1]), "cold sorted");
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "all sorted");
+        assert_eq!(cold, rev.cold_versions(t(2)));
+        assert_eq!(all, rev.all_versions());
         // 256 uniform keys should land on well more than one shard.
         let hit: usize = (0..ms.shard_count())
             .filter(|&s| keys.iter().any(|k| ms.shard_of(k) == s))

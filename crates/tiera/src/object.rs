@@ -106,23 +106,35 @@ impl ObjectMeta {
         }
     }
 
-    /// Prune to the newest `keep` versions; returns the pruned version ids.
-    pub fn prune_old_versions(&mut self, keep: usize) -> Vec<VersionId> {
-        if self.versions.len() <= keep {
-            return Vec::new();
-        }
-        let cut = self.versions.len() - keep;
-        let doomed: Vec<VersionId> = self.versions.keys().take(cut).copied().collect();
-        for v in &doomed {
-            self.versions.remove(v);
-        }
-        doomed
+    /// Prune to the newest `keep` versions, oldest first, yielding each
+    /// pruned version id; a version is pruned as the iterator reaches it.
+    pub fn prune_old_versions(&mut self, keep: usize) -> impl Iterator<Item = VersionId> + '_ {
+        std::iter::from_fn(move || {
+            (self.versions.len() > keep)
+                .then(|| self.versions.pop_first())
+                .flatten()
+                .map(|(v, _)| v)
+        })
     }
 }
 
 /// Composite storage key used inside tier backends: one slot per version.
 pub fn storage_key(key: &str, version: VersionId) -> String {
-    format!("{key}@v{version}")
+    storage_key_in(String::new(), key, version)
+}
+
+/// [`storage_key`] written into `buf`, allocating only when `buf` lacks
+/// room (a spent storage key of the same key never does), and then once:
+/// the widest version number (20 digits) is reserved up front, where
+/// `format!` grows its buffer from a guess.
+pub(crate) fn storage_key_in(mut buf: String, key: &str, version: VersionId) -> String {
+    use std::fmt::Write;
+    buf.clear();
+    buf.reserve(key.len() + "@v".len() + 20);
+    buf.push_str(key);
+    buf.push_str("@v");
+    let _ = write!(buf, "{version}");
+    buf
 }
 
 #[cfg(test)]
@@ -190,15 +202,16 @@ mod tests {
         for v in 1..=5 {
             o.versions.insert(v, VersionMeta::new(v, 10, t(v), "tier1"));
         }
-        let doomed = o.prune_old_versions(2);
+        let doomed: Vec<VersionId> = o.prune_old_versions(2).collect();
         assert_eq!(doomed, vec![1, 2, 3]);
         assert_eq!(o.versions.keys().copied().collect::<Vec<_>>(), vec![4, 5]);
-        assert!(o.prune_old_versions(2).is_empty(), "already at limit");
+        assert_eq!(o.prune_old_versions(2).next(), None, "already at limit");
     }
 
     #[test]
     fn storage_keys_are_distinct_per_version() {
         assert_eq!(storage_key("k", 1), "k@v1");
+        assert_eq!(storage_key("k", u64::MAX), format!("k@v{}", u64::MAX));
         assert_ne!(storage_key("k", 1), storage_key("k", 2));
         assert_ne!(storage_key("a@v1", 1), storage_key("a", 11)); // no accidental collision here
     }

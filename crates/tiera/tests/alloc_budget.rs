@@ -1,0 +1,144 @@
+//! Heap-allocation budget of one engine op, measured on a warm one-tier
+//! instance with `max_versions 1` (every put prunes the version it
+//! replaces). A global allocator counts the allocations made by the calling
+//! thread only, so other tests of this binary running in parallel do not
+//! pollute the count.
+//!
+//! Print the measured counts with `cargo test -p tiera --test alloc_budget
+//! -- --nocapture`.
+
+use bytes::Bytes;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use tiera::{BatchOp, InstanceConfig, TieraInstance};
+use wiera_net::Region;
+use wiera_sim::ManualClock;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const KEYS: usize = 1024;
+const BATCH: usize = 64;
+
+/// Allocations per op of `ops` calls of `f`, on this thread.
+fn per_op(ops: usize, f: impl FnOnce()) -> f64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    (ALLOCS.with(Cell::get) - before) as f64 / ops as f64
+}
+
+/// A one-tier instance holding every key, warmed up by the ops measured.
+fn warm_instance(keys: &[String], value: &Bytes) -> Arc<TieraInstance> {
+    let config = InstanceConfig::new("alloc-budget", Region::UsEast)
+        .with_tier("tier1", "LocalMemory", 8 << 30)
+        .with_max_versions(1);
+    let inst = TieraInstance::build(config, ManualClock::new()).unwrap();
+    for _ in 0..2 {
+        for k in keys {
+            inst.put(k, value.clone()).unwrap();
+            inst.get(k).unwrap();
+        }
+        for chunk in keys.chunks(BATCH) {
+            let puts: Vec<BatchOp> = chunk
+                .iter()
+                .map(|k| BatchOp::Put {
+                    key: k.clone(),
+                    value: value.clone(),
+                })
+                .collect();
+            let gets: Vec<BatchOp> = chunk
+                .iter()
+                .map(|k| BatchOp::Get { key: k.clone() })
+                .collect();
+            inst.apply_batch(&puts);
+            inst.apply_batch(&gets);
+        }
+    }
+    inst
+}
+
+#[test]
+fn engine_ops_stay_within_their_allocation_budget() {
+    let keys: Vec<String> = (0..KEYS).map(|i| format!("k{i:07}")).collect();
+    let value = Bytes::from(vec![0x5Au8; 256]);
+    let inst = warm_instance(&keys, &value);
+    let batches = |put: bool| -> Vec<Vec<BatchOp>> {
+        keys.chunks(BATCH)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .map(|k| match put {
+                        true => BatchOp::Put {
+                            key: k.clone(),
+                            value: value.clone(),
+                        },
+                        false => BatchOp::Get { key: k.clone() },
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let (puts, gets) = (batches(true), batches(false));
+
+    let batched_put = per_op(KEYS, || {
+        for b in &puts {
+            assert!(inst.apply_batch(b).0.iter().all(Result::is_ok));
+        }
+    });
+    let batched_get = per_op(KEYS, || {
+        for b in &gets {
+            assert!(inst.apply_batch(b).0.iter().all(Result::is_ok));
+        }
+    });
+    let single_put = per_op(KEYS, || {
+        for k in &keys {
+            inst.put(k, value.clone()).unwrap();
+        }
+    });
+    let single_get = per_op(KEYS, || {
+        for k in &keys {
+            inst.get(k).unwrap();
+        }
+    });
+    println!(
+        "allocations per op: batched put {batched_put:.4}, batched get {batched_get:.4}, \
+         single put {single_put:.4}, single get {single_get:.4}"
+    );
+    assert!(batched_put <= 5.0, "batched put: {batched_put:.2}");
+    assert!(batched_get <= 3.5, "batched get: {batched_get:.2}");
+    assert!(single_put <= 5.0, "single put: {single_put:.2}");
+    assert!(single_get <= 3.5, "single get: {single_get:.2}");
+}

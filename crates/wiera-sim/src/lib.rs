@@ -13,6 +13,8 @@
 //! * [`clock`] — the [`Clock`] trait with a wall-time-backed [`ScaledClock`]
 //!   (real threads, compressed time) and a fully deterministic
 //!   [`ManualClock`] for unit tests.
+//! * [`hash`] — FNV-1a: the stable key hash that picks engine shards, and
+//!   the deterministic hasher of the hash maps on the data path.
 //! * [`rng`] — seed derivation and a small deterministic RNG façade so every
 //!   experiment is reproducible from a single `u64` seed.
 //! * [`dist`] — latency distributions (constant / uniform / normal /
@@ -34,6 +36,7 @@
 pub mod breaker;
 pub mod clock;
 pub mod dist;
+pub mod hash;
 pub mod lockreg;
 pub mod metrics;
 pub mod registry;

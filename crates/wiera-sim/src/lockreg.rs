@@ -35,6 +35,7 @@
 //! when a *nested* acquisition sees a class pair this thread has not
 //! recorded before (a per-thread cache makes repeat edges free).
 
+use crate::hash::FnvBuildHasher;
 use parking_lot as pl;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -92,8 +93,10 @@ thread_local! {
     static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
     /// Per-thread cache of (registry, epoch, from_class, to_class) edges
     /// already pushed to the global graph, so steady-state nesting never
-    /// touches the registry mutex.
-    static SEEN: RefCell<HashSet<(u64, u64, u32, u32)>> = RefCell::new(HashSet::new());
+    /// touches the registry mutex. FNV-keyed: every nested acquisition
+    /// looks it up, and SipHash cost more than the lookup.
+    static SEEN: RefCell<HashSet<(u64, u64, u32, u32), FnvBuildHasher>> =
+        RefCell::new(HashSet::default());
 }
 
 static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);

@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use wiera_sim::hash::fnv1a;
 use wiera_sim::lockreg::TrackedRwLock;
 use wiera_sim::registry::OpSeries;
 use wiera_sim::{MetricsRegistry, SharedClock, SimDuration, SimInstant, SimRng};
@@ -26,12 +27,7 @@ const TIER_SHARDS: usize = 16;
 
 /// Stable key → shard mapping (FNV-1a, endian-independent).
 fn shard_of(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % TIER_SHARDS as u64) as usize
+    (fnv1a(key.as_bytes()) % TIER_SHARDS as u64) as usize
 }
 
 /// Errors a storage tier can surface.
@@ -184,8 +180,9 @@ pub struct SimTier {
     /// Token-bucket state for IOPS throttling: earliest time the next
     /// operation may start.
     next_free: Mutex<SimInstant>,
-    /// Latency multiplier ≥ 1.0 for degradation injection.
-    degraded: Mutex<f64>,
+    /// Latency multiplier ≥ 1.0 for degradation injection, as `f64` bits:
+    /// every latency sample reads it.
+    degraded: AtomicU64,
     down: AtomicBool,
     /// Runtime page-cache toggle (in addition to the spec's static flag):
     /// models freeing/consuming the VM's memory at run time.
@@ -213,7 +210,7 @@ impl SimTier {
                 .collect(),
             used: AtomicU64::new(0),
             next_free: Mutex::new(now),
-            degraded: Mutex::new(1.0),
+            degraded: AtomicU64::new(1.0f64.to_bits()),
             down: AtomicBool::new(false),
             page_cache_on: AtomicBool::new(spec_page_cache),
             stats: TierStats::default(),
@@ -275,7 +272,7 @@ impl SimTier {
         let base = dist.sample(&mut self.rng.lock());
         let xfer =
             SimDuration::from_millis_f64(self.spec.per_mib_ms * bytes as f64 / (1024.0 * 1024.0));
-        (base + xfer) * *self.degraded.lock()
+        (base + xfer) * f64::from_bits(self.degraded.load(Ordering::Relaxed))
     }
 
     /// Apply the IOPS token bucket; returns queueing delay.
@@ -361,9 +358,8 @@ impl SimTier {
                                 last_access: now,
                             },
                         );
-                        self.meter.set_bytes(new_used, now);
+                        self.meter.note_put(new_used, now);
                         self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                        self.meter.note_put();
                         self.note_op(TierOp::Put, lat);
                         return Ok(lat);
                     }
@@ -523,7 +519,8 @@ impl SimTier {
     /// Multiply all native latencies by `factor` (≥ 1.0): a "poorly
     /// performing data tier" for dynamic policies to react to.
     pub fn set_degraded(&self, factor: f64) {
-        *self.degraded.lock() = factor.max(1.0);
+        self.degraded
+            .store(factor.max(1.0).to_bits(), Ordering::Relaxed);
     }
 
     /// Drop all contents (volatile-tier crash, or test reset). Shards are

@@ -145,8 +145,13 @@ impl CostMeter {
         s.current_bytes = bytes;
     }
 
-    pub fn note_put(&self) {
-        self.state.lock().usage.puts += 1;
+    /// Count one put after which the tier holds `bytes`: the request and
+    /// [`CostMeter::set_bytes`] under one lock hold.
+    pub fn note_put(&self, bytes: u64, now: SimInstant) {
+        let mut s = self.state.lock();
+        Self::integrate(&mut s, now);
+        s.current_bytes = bytes;
+        s.usage.puts += 1;
     }
 
     pub fn note_get(&self) {
@@ -286,7 +291,7 @@ mod tests {
         let t0 = SimInstant::EPOCH;
         let m = CostMeter::new(t0);
         for _ in 0..20_000 {
-            m.note_put();
+            m.note_put(0, t0);
         }
         for _ in 0..10_000 {
             m.note_get();

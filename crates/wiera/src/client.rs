@@ -26,8 +26,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use wiera_net::{Mesh, NetError, NodeId, Region, RpcReply};
 use wiera_sim::{
-    derive_seed, Admit, BreakerConfig, CircuitBreaker, MetricsRegistry, SimDuration, SimInstant,
-    SimRng,
+    derive_seed, sleep_until, Admit, BreakerConfig, CircuitBreaker, MetricsRegistry, SimDuration,
+    SimInstant, SimRng,
 };
 
 /// How many recent get latencies feed the hedged-read trigger.
@@ -466,8 +466,8 @@ impl WieraClient {
             let capped = exp.min(self.policy.max_backoff_ms);
             let jitter = self.rng.lock().gen_range_f64(0.0, capped);
             let mut pause = SimDuration::from_millis_f64(capped + jitter);
+            let now = self.mesh.clock.now();
             if let Some(dl) = deadline {
-                let now = self.mesh.clock.now();
                 if now >= dl {
                     return Err(
                         last.unwrap_or_else(|| Self::budget_spent("op budget spent mid-failover"))
@@ -475,7 +475,9 @@ impl WieraClient {
                 }
                 pause = pause.min(dl.elapsed_since(now));
             }
-            self.mesh.clock.sleep(pause);
+            // A barrier: one `Clock::sleep` of less wall time than the
+            // thread's sleep account carries returns at once.
+            sleep_until(self.mesh.clock.as_ref(), now + pause);
             sweep += 1;
         }
     }
@@ -508,7 +510,10 @@ impl WieraClient {
                         return Err(Self::budget_spent("op budget spent during re-routing"));
                     }
                     self.note_retry("wrong-shard");
-                    self.mesh.clock.sleep(self.refresh_backoff);
+                    sleep_until(
+                        self.mesh.clock.as_ref(),
+                        self.mesh.clock.now() + self.refresh_backoff,
+                    );
                 }
                 other => return other,
             }
@@ -839,7 +844,10 @@ impl WieraClient {
                 break;
             }
             self.note_retry("wrong-shard");
-            self.mesh.clock.sleep(self.refresh_backoff);
+            sleep_until(
+                self.mesh.clock.as_ref(),
+                self.mesh.clock.now() + self.refresh_backoff,
+            );
         }
         Ok(results
             .into_iter()
