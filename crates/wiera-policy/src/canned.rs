@@ -3,6 +3,61 @@
 //!
 //! Applications launch these by id through the Wiera API, exactly as §3.3
 //! envisions: `startInstances(instance_id, policy)`.
+//!
+//! Each protocol's insert rule (Figs. 3(a), 3(b), 4) is written once, as a
+//! `*_BODY` constant the figure text embeds. [`policy_over`], the one
+//! renderer of a region list, puts a body over any regions; the Wiera test
+//! harness, the placement advisor and `wiera-check` generate through it.
+
+macro_rules! multi_primaries_body {
+    () => {
+        r#"
+   event(insert.into) : response {
+      lock(what:insert.key)
+      store(what:insert.object, to:local_instance)
+      copy(what:insert.object, to:all_regions)
+      release(what:insert.key)
+   }"#
+    };
+}
+
+/// `$propagate` is `copy` (synchronous) or `queue` (asynchronous).
+macro_rules! primary_backup_body {
+    ($propagate:literal) => {
+        concat!(
+            r#"
+   event(insert.into) : response {
+      if(local_instance.isPrimary == True)
+         store(what:insert.object, to:local_instance)
+         "#,
+            $propagate,
+            r#"(what:insert.object, to:all_regions)
+      else
+         forward(what:insert.object, to:primary_instance)
+   }"#
+        )
+    };
+}
+
+macro_rules! eventual_body {
+    () => {
+        r#"
+   event(insert.into) : response {
+      store(what:insert.oject, to:local_instance)
+      queue(what:insert.object, to:all_regions)
+   }"#
+    };
+}
+
+/// Fig. 3(a)'s insert rule: global lock, local store, synchronous broadcast.
+pub const MULTI_PRIMARIES_BODY: &str = multi_primaries_body!();
+/// Fig. 3(b)'s insert rule: forward to the primary, which broadcasts
+/// synchronously.
+pub const PRIMARY_BACKUP_SYNC_BODY: &str = primary_backup_body!("copy");
+/// Fig. 3(b)'s insert rule with `queue` propagation (§3.3.1, §5.2).
+pub const PRIMARY_BACKUP_ASYNC_BODY: &str = primary_backup_body!("queue");
+/// Fig. 4's insert rule: local store, queued distribution.
+pub const EVENTUAL_BODY: &str = eventual_body!();
 
 /// Fig. 1(a): write-back local policy — memory first, flushed to disk on a
 /// timer.
@@ -42,7 +97,8 @@ Tiera PersistentInstance(time t) {
 "#;
 
 /// Fig. 3(a): multiple primaries — global lock + synchronous broadcast.
-pub const MULTI_PRIMARIES_CONSISTENCY: &str = r#"
+pub const MULTI_PRIMARIES_CONSISTENCY: &str = concat!(
+    r#"
 Wiera MultiPrimariesConsistency() {
    Region1 = {name:LowLatencyInstance, region:US-West,
       tier1 = {name:LocalMemory, size=5G},
@@ -53,19 +109,15 @@ Wiera MultiPrimariesConsistency() {
    Region3 = {name:LowLatencyInstance, region:EU-West,
       tier1 = {name:LocalMemory, size=5G},
       tier2 = {name:LocalDisk, size=5G} }
-   %MultiPrimaries Consistency
-   event(insert.into) : response {
-      lock(what:insert.key)
-      store(what:insert.object, to:local_instance)
-      copy(what:insert.object, to:all_regions)
-      release(what:insert.key)
-   }
-}
-"#;
+   %MultiPrimaries Consistency"#,
+    multi_primaries_body!(),
+    "\n}\n"
+);
 
 /// Fig. 3(b): primary-backup — non-primaries forward to the primary, which
 /// broadcasts synchronously.
-pub const PRIMARY_BACKUP_CONSISTENCY: &str = r#"
+pub const PRIMARY_BACKUP_CONSISTENCY: &str = concat!(
+    r#"
 Wiera PrimaryBackupConsistency() {
    % Primary instance is running on Region1
    Region1 = {name:LowLatencyInstance, region:US-West, primary:True,
@@ -77,40 +129,30 @@ Wiera PrimaryBackupConsistency() {
    Region3 = {name:LowLatencyInstance, region:EU-West,
       tier1 = {name:LocalMemory, size=5G},
       tier2 = {name:LocalDisk, size=5G} }
-   %PrimaryBackup Consistency
-   event(insert.into) : response {
-      if(local_instance.isPrimary == True)
-         store(what:insert.object, to:local_instance)
-         copy(what:insert.object, to:all_regions)
-      else
-         forward(what:insert.object, to:primary_instance)
-   }
-}
-"#;
+   %PrimaryBackup Consistency"#,
+    primary_backup_body!("copy"),
+    "\n}\n"
+);
 
 /// Fig. 3(b) variant with asynchronous propagation (`queue` instead of
 /// `copy`), the trade-off §3.3.1 describes for better put latency.
-pub const PRIMARY_BACKUP_ASYNC: &str = r#"
+pub const PRIMARY_BACKUP_ASYNC: &str = concat!(
+    r#"
 Wiera PrimaryBackupAsync() {
    Region1 = {name:LowLatencyInstance, region:US-West, primary:True,
       tier1 = {name:LocalMemory, size=5G},
       tier2 = {name:LocalDisk, size=5G} }
    Region2 = {name:LowLatencyInstance, region:US-East,
       tier1 = {name:LocalMemory, size=5G},
-      tier2 = {name:LocalDisk, size=5G} }
-   event(insert.into) : response {
-      if(local_instance.isPrimary == True)
-         store(what:insert.object, to:local_instance)
-         queue(what:insert.object, to:all_regions)
-      else
-         forward(what:insert.object, to:primary_instance)
-   }
-}
-"#;
+      tier2 = {name:LocalDisk, size=5G} }"#,
+    primary_backup_body!("queue"),
+    "\n}\n"
+);
 
 /// Fig. 4: eventual consistency — local write, queued distribution.
 /// (The `insert.oject` typo is the figure's own; the compiler accepts it.)
-pub const EVENTUAL_CONSISTENCY: &str = r#"
+pub const EVENTUAL_CONSISTENCY: &str = concat!(
+    r#"
 Wiera EventualConsistency() {
    Region1 = {name:LowLatencyInstance, region:US-West,
       tier1 = {name:LocalMemory, size=5G},
@@ -118,13 +160,10 @@ Wiera EventualConsistency() {
    Region2 = {name:LowLatencyInstance, region:US-East,
       tier1 = {name:LocalMemory, size=5G},
       tier2 = {name:LocalDisk, size=5G} }
-   %Eventual Consistency
-   event(insert.into) : response {
-      store(what:insert.oject, to:local_instance)
-      queue(what:insert.object, to:all_regions)
-   }
-}
-"#;
+   %Eventual Consistency"#,
+    eventual_body!(),
+    "\n}\n"
+);
 
 /// Fig. 5(a): dynamic consistency — switch to eventual when put latency
 /// exceeds 800 ms for 30 s, and back when it recovers.
@@ -230,6 +269,41 @@ pub fn by_name(id: &str) -> Option<&'static str> {
         .map(|(_, _, src)| *src)
 }
 
+/// Render a Wiera policy named `name` (hyphens become underscores) that
+/// runs `body` over `regions`, each a `(region, primary)` pair. Every region
+/// gets the tier stack `tiers`, given as `(kind, size)` pairs labelled
+/// `tier1`, `tier2`, …; an empty size leaves the tier provider-managed.
+pub fn policy_over(
+    name: &str,
+    regions: &[(&str, bool)],
+    tiers: &[(&str, &str)],
+    body: &str,
+) -> String {
+    let mut src = format!("Wiera {}() {{\n", name.replace('-', "_"));
+    for (i, (region, primary)) in regions.iter().enumerate() {
+        let primary = if *primary { ", primary:True" } else { "" };
+        src.push_str(&format!(
+            "  Region{n} = {{name:LowLatencyInstance, region:{region}{primary}",
+            n = i + 1
+        ));
+        for (t, (kind, size)) in tiers.iter().enumerate() {
+            let size = if size.is_empty() {
+                String::new()
+            } else {
+                format!(", size={size}")
+            };
+            src.push_str(&format!(
+                ",\n    tier{n} = {{name:{kind}{size}}}",
+                n = t + 1
+            ));
+        }
+        src.push_str(" }\n");
+    }
+    src.push_str(body);
+    src.push_str("\n}\n");
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +382,30 @@ mod tests {
         assert!(by_name("EventualConsistency").is_some());
         assert!(by_name("EVENTUAL").is_some());
         assert!(by_name("nonsense").is_none());
+    }
+
+    #[test]
+    fn policy_over_renders_primary_flags_and_omitted_sizes() {
+        let src = policy_over(
+            "two-sites",
+            &[("US-East", false), ("EU-West", true)],
+            &[("Memcached", "2G"), ("S3", "")],
+            EVENTUAL_BODY,
+        );
+        assert!(src.contains("tier2 = {name:S3}"), "{src}");
+        let c = compile(&parse(&src).unwrap()).unwrap();
+        assert_eq!(c.name, "two_sites");
+        let sites: Vec<(&str, bool)> = c
+            .regions
+            .iter()
+            .map(|r| (r.region_name.as_str(), r.primary))
+            .collect();
+        assert_eq!(sites, [("US-East", false), ("EU-West", true)]);
+        for r in &c.regions {
+            let sizes: Vec<u64> = r.instance.tiers.iter().map(|t| t.size_bytes).collect();
+            assert_eq!(sizes, [2 << 30, 0], "an omitted size is provider-managed");
+        }
+        assert_eq!(c.consistency, Some(ConsistencyModel::Eventual));
     }
 
     #[test]

@@ -140,6 +140,9 @@ pub enum Code {
     Wp016,
     /// Unrecognized event shape.
     Wp017,
+    /// Wiera insert rule that matches none of the paper's consistency
+    /// protocols.
+    Wp018,
     // --- WC codes: runtime concurrency/consistency findings (wiera-check) ---
     /// Lock-order cycle: potential ABBA deadlock in the runtime lock graph.
     Wc001,
@@ -201,7 +204,7 @@ pub enum Code {
 }
 
 /// All codes the analyzer can emit, for documentation and golden tests.
-pub const ALL_CODES: [Code; 18] = [
+pub const ALL_CODES: [Code; 19] = [
     Code::Wp000,
     Code::Wp001,
     Code::Wp002,
@@ -220,6 +223,7 @@ pub const ALL_CODES: [Code; 18] = [
     Code::Wp015,
     Code::Wp016,
     Code::Wp017,
+    Code::Wp018,
 ];
 
 /// All codes `wiera-check` can emit (runtime concurrency/consistency
@@ -275,6 +279,7 @@ impl Code {
             Code::Wp015 => "WP015",
             Code::Wp016 => "WP016",
             Code::Wp017 => "WP017",
+            Code::Wp018 => "WP018",
             Code::Wc001 => "WC001",
             Code::Wc002 => "WC002",
             Code::Wc003 => "WC003",
@@ -321,6 +326,7 @@ impl Code {
             Code::Wp015 => "constant condition makes a branch unreachable",
             Code::Wp016 => "rule reads a tier no flow path populates",
             Code::Wp017 => "unrecognized event shape",
+            Code::Wp018 => "insert rule matches no consistency protocol",
             Code::Wc001 => "lock-order cycle (potential deadlock)",
             Code::Wc002 => "same-class lock nesting with no intra-class order",
             Code::Wc003 => "lock release without a matching acquisition",
@@ -533,6 +539,6 @@ mod tests {
             assert!(seen.insert(c.as_str()), "duplicate code {c}");
             assert!(!c.describe().is_empty());
         }
-        assert_eq!(seen.len(), 40);
+        assert_eq!(seen.len(), 41);
     }
 }

@@ -19,7 +19,8 @@
 //!   event-response shape (the paper hand-codes these; we compile them).
 //! * [`canned`] — the verbatim policy text of each figure, as a named
 //!   registry (`lowlatency`, `multi-primaries`, `eventual`, …) so
-//!   applications can launch paper policies by id.
+//!   applications can launch paper policies by id; [`canned::policy_over`]
+//!   renders a protocol's insert rule over any region list.
 //! * [`analyze`] / [`diag`] — a multi-pass static analyzer producing
 //!   span-carrying diagnostics with stable `WP###` codes; [`compile`]
 //!   refuses policies with deny-level findings, and the `wiera-lint`
@@ -35,7 +36,6 @@
 
 pub mod analyze;
 pub mod ast;
-pub mod builder;
 pub mod canned;
 pub mod compile;
 pub mod diag;

@@ -16,12 +16,13 @@
 //!   latency, and monthly cost (storage + inter-DC update egress), with
 //!   weights expressing the application's desired metric (§3.3.3).
 //! * **Output** — a [`PlacementAdvice`] carrying the chosen configuration,
-//!   its estimated metrics, and a ready-to-register policy generated with
-//!   [`wiera_policy::builder::PolicyBuilder`].
+//!   its estimated metrics, and a ready-to-register policy: the model's
+//!   insert rule from [`wiera_policy::canned`] rendered over the chosen
+//!   regions by [`wiera_policy::canned::policy_over`], then parsed and
+//!   compiled like any user policy.
 
 use wiera_net::{Fabric, Region};
-use wiera_policy::builder::PolicyBuilder;
-use wiera_policy::{ConsistencyModel, PolicySpec};
+use wiera_policy::{canned, ConsistencyModel, PolicyError, PolicySpec};
 use wiera_tiers::{CostSpec, TierKind};
 
 /// Aggregated observations for one region (what the workload monitor sees).
@@ -74,27 +75,31 @@ pub struct PlacementAdvice {
 }
 
 impl PlacementAdvice {
-    /// Generate the policy this advice describes, in the paper's notation
-    /// (via the shared builder, so it compiles and pretty-prints).
-    pub fn to_policy(&self, name: &str, memory_size: &str, disk_size: &str) -> PolicySpec {
-        let mut b = PolicyBuilder::wiera(name);
-        for (i, &region) in self.replicas.iter().enumerate() {
-            b = b.region(
-                &format!("Region{}", i + 1),
-                region.name(),
-                region == self.primary,
-                &[
-                    ("tier1", "Memcached", memory_size),
-                    ("tier2", "EBS-SSD", disk_size),
-                ],
-            );
-        }
-        match self.consistency {
-            ConsistencyModel::MultiPrimaries => b.multi_primaries(),
-            ConsistencyModel::PrimaryBackup { sync } => b.primary_backup(sync),
-            ConsistencyModel::Eventual => b.eventual(),
-        }
-        .build()
+    /// Generate the policy this advice describes, in the paper's notation:
+    /// `Memcached` and `EBS-SSD` tiers of the given sizes (an empty size
+    /// leaves the tier provider-managed) in every chosen region. A size
+    /// that is not a size, or that breaks the text, is an error.
+    pub fn to_policy(
+        &self,
+        name: &str,
+        memory_size: &str,
+        disk_size: &str,
+    ) -> Result<PolicySpec, PolicyError> {
+        let regions: Vec<(&str, bool)> = self
+            .replicas
+            .iter()
+            .map(|&r| (r.name(), r == self.primary))
+            .collect();
+        let body = match self.consistency {
+            ConsistencyModel::MultiPrimaries => canned::MULTI_PRIMARIES_BODY,
+            ConsistencyModel::PrimaryBackup { sync: true } => canned::PRIMARY_BACKUP_SYNC_BODY,
+            ConsistencyModel::PrimaryBackup { sync: false } => canned::PRIMARY_BACKUP_ASYNC_BODY,
+            ConsistencyModel::Eventual => canned::EVENTUAL_BODY,
+        };
+        let tiers = [("Memcached", memory_size), ("EBS-SSD", disk_size)];
+        let spec = wiera_policy::parse(&canned::policy_over(name, &regions, &tiers, body))?;
+        wiera_policy::compile(&spec)?;
+        Ok(spec)
     }
 }
 
@@ -442,13 +447,71 @@ mod tests {
             &base_cfg(),
         )
         .unwrap();
-        let policy = advice.to_policy("AdvisedPolicy", "1G", "10G");
-        let compiled = wiera_policy::compile(&policy).unwrap();
-        assert_eq!(compiled.consistency, Some(advice.consistency));
-        assert_eq!(compiled.regions.len(), advice.replicas.len());
-        // And the generated DSL text parses.
-        let printed = policy.to_string();
-        assert_eq!(wiera_policy::parse(&printed).unwrap(), policy);
+        let figures = [
+            (
+                ConsistencyModel::MultiPrimaries,
+                canned::MULTI_PRIMARIES_CONSISTENCY,
+            ),
+            (
+                ConsistencyModel::PrimaryBackup { sync: true },
+                canned::PRIMARY_BACKUP_CONSISTENCY,
+            ),
+            (
+                ConsistencyModel::PrimaryBackup { sync: false },
+                canned::PRIMARY_BACKUP_ASYNC,
+            ),
+            (ConsistencyModel::Eventual, canned::EVENTUAL_CONSISTENCY),
+        ];
+        for (model, figure) in figures {
+            let advice = PlacementAdvice {
+                consistency: model,
+                ..advice.clone()
+            };
+            let policy = advice.to_policy("AdvisedPolicy", "1G", "10G").unwrap();
+            let compiled = wiera_policy::compile(&policy).unwrap();
+            assert_eq!(compiled.consistency, Some(model));
+            let sites: Vec<(String, bool)> = advice
+                .replicas
+                .iter()
+                .map(|&r| (r.name().to_string(), r == advice.primary))
+                .collect();
+            let compiled_sites: Vec<(String, bool)> = compiled
+                .regions
+                .iter()
+                .map(|r| (r.region_name.clone(), r.primary))
+                .collect();
+            assert_eq!(compiled_sites, sites);
+            // The insert rule is the paper figure's own.
+            let paper = wiera_policy::compile(&wiera_policy::parse(figure).unwrap()).unwrap();
+            assert_eq!(compiled.rules, paper.rules, "{model}");
+            let diags = wiera_policy::analyze(&policy);
+            assert!(diags.is_empty(), "{model}: {diags:?}");
+            // And the generated DSL text prints and parses back.
+            let printed = policy.to_string();
+            assert_eq!(wiera_policy::parse(&printed).unwrap(), policy);
+        }
+    }
+
+    #[test]
+    fn malformed_tier_sizes_are_errors_and_empty_ones_are_provider_managed() {
+        let advice = PlacementAdvice {
+            primary: Region::UsEast,
+            replicas: vec![Region::UsEast, Region::EuWest],
+            consistency: ConsistencyModel::Eventual,
+            est_get_ms: 0.0,
+            est_put_ms: 0.0,
+            est_monthly_cost: 0.0,
+            score: 0.0,
+        };
+        let err = advice.to_policy("P", "lots", "10G").unwrap_err();
+        assert!(err.message.contains("size not numeric"), "{err}");
+        assert!(advice.to_policy("P", "1G}", "10G").is_err());
+
+        let policy = advice.to_policy("P", "", "10G").unwrap();
+        for r in wiera_policy::compile(&policy).unwrap().regions {
+            let sizes: Vec<u64> = r.instance.tiers.iter().map(|t| t.size_bytes).collect();
+            assert_eq!(sizes, [0, 10 << 30]);
+        }
     }
 
     #[test]

@@ -280,7 +280,7 @@ impl WieraDeployment {
     }
 
     /// Compiled-policy helper: the consistency the policy's insert rule
-    /// encodes, defaulting to eventual.
+    /// encodes; eventual only for a policy with no insert rule (WP018).
     pub fn policy_consistency(policy: &CompiledPolicy) -> ConsistencyModel {
         policy.consistency.unwrap_or(ConsistencyModel::Eventual)
     }

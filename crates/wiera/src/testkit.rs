@@ -145,64 +145,35 @@ impl Cluster {
     /// Register a policy combining one of the canned consistency bodies
     /// (or any custom body) with an explicit region list — experiments
     /// often need the paper's policy shape over a different set of sites.
+    /// Every region gets the figures' `LocalMemory 5G` / `LocalDisk 5G`
+    /// stack.
     pub fn register_policy_over(
         &self,
         id: &str,
         regions: &[(&str, bool)],
         body: &str,
     ) -> Result<(), String> {
-        let mut src = format!("Wiera {}() {{\n", id.replace('-', "_"));
-        for (i, (region, primary)) in regions.iter().enumerate() {
-            let primary_attr = if *primary { ", primary:True" } else { "" };
-            src.push_str(&format!(
-                "  Region{n} = {{name:LowLatencyInstance, region:{region}{primary_attr},\n    \
-                 tier1 = {{name:LocalMemory, size=5G}},\n    \
-                 tier2 = {{name:LocalDisk, size=5G}} }}\n",
-                n = i + 1,
-            ));
-        }
-        src.push_str(body);
-        src.push_str("\n}\n");
+        let tiers = [("LocalMemory", "5G"), ("LocalDisk", "5G")];
+        let src = wiera_policy::canned::policy_over(id, regions, &tiers, body);
         self.controller.register_policy(id, &src)
     }
 }
 
 /// Consistency-protocol bodies in the policy language, for use with
-/// [`Cluster::register_policy_over`].
+/// [`Cluster::register_policy_over`]: the insert rules of the paper's
+/// figures, as written in [`wiera_policy::canned`].
 pub mod bodies {
+    use wiera_policy::canned;
+
     /// Fig. 3(a) without the region list.
-    pub const MULTI_PRIMARIES: &str = "
-  event(insert.into) : response {
-      lock(what:insert.key)
-      store(what:insert.object, to:local_instance)
-      copy(what:insert.object, to:all_regions)
-      release(what:insert.key)
-  }";
+    pub const MULTI_PRIMARIES: &str = canned::MULTI_PRIMARIES_BODY;
 
     /// Fig. 4 without the region list.
-    pub const EVENTUAL: &str = "
-  event(insert.into) : response {
-      store(what:insert.object, to:local_instance)
-      queue(what:insert.object, to:all_regions)
-  }";
+    pub const EVENTUAL: &str = canned::EVENTUAL_BODY;
 
     /// Fig. 3(b) without the region list (synchronous propagation).
-    pub const PRIMARY_BACKUP_SYNC: &str = "
-  event(insert.into) : response {
-      if(local_instance.isPrimary == True)
-         store(what:insert.object, to:local_instance)
-         copy(what:insert.object, to:all_regions)
-      else
-         forward(what:insert.object, to:primary_instance)
-  }";
+    pub const PRIMARY_BACKUP_SYNC: &str = canned::PRIMARY_BACKUP_SYNC_BODY;
 
     /// Fig. 3(b) with `queue` propagation (the §5.2 configuration).
-    pub const PRIMARY_BACKUP_ASYNC: &str = "
-  event(insert.into) : response {
-      if(local_instance.isPrimary == True)
-         store(what:insert.object, to:local_instance)
-         queue(what:insert.object, to:all_regions)
-      else
-         forward(what:insert.object, to:primary_instance)
-  }";
+    pub const PRIMARY_BACKUP_ASYNC: &str = canned::PRIMARY_BACKUP_ASYNC_BODY;
 }

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use std::sync::Arc;
 use wiera::client::WieraClient;
 use wiera::deployment::DeploymentConfig;
-use wiera::testkit::Cluster;
+use wiera::testkit::{bodies, Cluster};
 use wiera_net::Region;
 use wiera_policy::ConsistencyModel;
 use wiera_sim::SimDuration;
@@ -33,49 +33,6 @@ fn wait_until(mut cond: impl FnMut() -> bool, wall_ms: u64, what: &str) {
     }
 }
 
-/// Register a policy with the given consistency body over specific regions.
-fn register_policy_over(cluster: &Cluster, id: &str, regions: &[(&str, bool)], body: &str) {
-    let mut src = format!("Wiera {}() {{\n", id.replace('-', "_"));
-    for (i, (region, primary)) in regions.iter().enumerate() {
-        let primary_attr = if *primary { ", primary:True" } else { "" };
-        src.push_str(&format!(
-            "  Region{n} = {{name:LowLatencyInstance, region:{region}{primary_attr},\n    \
-             tier1 = {{name:LocalMemory, size=5G}},\n    tier2 = {{name:LocalDisk, size=5G}} }}\n",
-            n = i + 1,
-        ));
-    }
-    src.push_str(body);
-    src.push_str("\n}\n");
-    cluster
-        .controller
-        .register_policy(id, &src)
-        .expect("test policy compiles");
-}
-
-const EVENTUAL_BODY: &str = "
-  event(insert.into) : response {
-      store(what:insert.object, to:local_instance)
-      queue(what:insert.object, to:all_regions)
-  }";
-
-const PRIMARY_BACKUP_SYNC_BODY: &str = "
-  event(insert.into) : response {
-      if(local_instance.isPrimary == True)
-         store(what:insert.object, to:local_instance)
-         copy(what:insert.object, to:all_regions)
-      else
-         forward(what:insert.object, to:primary_instance)
-  }";
-
-const PRIMARY_BACKUP_ASYNC_BODY: &str = "
-  event(insert.into) : response {
-      if(local_instance.isPrimary == True)
-         store(what:insert.object, to:local_instance)
-         queue(what:insert.object, to:all_regions)
-      else
-         forward(what:insert.object, to:primary_instance)
-  }";
-
 #[test]
 fn wui_lifecycle_start_get_stop() {
     let cluster = Cluster::launch(&[Region::UsEast, Region::UsWest], 2000.0, 1);
@@ -98,6 +55,25 @@ fn wui_lifecycle_start_get_stop() {
         .is_err());
     cluster.controller.stop_instances("app-1").unwrap();
     assert!(cluster.controller.get_instances("app-1").is_none());
+    cluster.shutdown();
+}
+
+#[test]
+fn register_policy_refuses_an_insert_rule_that_matches_no_protocol() {
+    let cluster = Cluster::launch(&[Region::UsEast, Region::UsWest], 2000.0, 1);
+    // Stores locally and nothing else: no lock, no forward, no queue.
+    let src = wiera_policy::canned::policy_over(
+        "store-only",
+        &[("US-East", false), ("US-West", false)],
+        &[("LocalMemory", "5G")],
+        "event(insert.into) : response { store(what:insert.object, to:local_instance) }",
+    );
+    let err = cluster
+        .controller
+        .register_policy("store-only", &src)
+        .unwrap_err();
+    assert!(err.contains("WP018"), "{err}");
+    assert!(cluster.controller.policy("store-only").is_none());
     cluster.shutdown();
 }
 
@@ -145,12 +121,13 @@ fn multi_primaries_put_pays_lock_and_broadcast() {
 #[test]
 fn eventual_put_fast_then_converges() {
     let cluster = Cluster::launch(&[Region::UsEast, Region::AsiaEast], 3000.0, 3);
-    register_policy_over(
-        &cluster,
-        "ev-wide",
-        &[("US-East", false), ("Asia-East", false)],
-        EVENTUAL_BODY,
-    );
+    cluster
+        .register_policy_over(
+            "ev-wide",
+            &[("US-East", false), ("Asia-East", false)],
+            bodies::EVENTUAL,
+        )
+        .expect("test policy compiles");
     let dep = cluster
         .controller
         .start_instances(
@@ -268,12 +245,13 @@ fn runtime_consistency_switch_via_deployment() {
 fn change_primary_redirects_forwarding() {
     let _serial = heavy_guard();
     let cluster = Cluster::launch(&[Region::UsWest, Region::AsiaEast], 3000.0, 6);
-    register_policy_over(
-        &cluster,
-        "pb-pacific",
-        &[("US-West", true), ("Asia-East", false)],
-        PRIMARY_BACKUP_SYNC_BODY,
-    );
+    cluster
+        .register_policy_over(
+            "pb-pacific",
+            &[("US-West", true), ("Asia-East", false)],
+            bodies::PRIMARY_BACKUP_SYNC,
+        )
+        .expect("test policy compiles");
     let dep = cluster
         .controller
         .start_instances("cp", "pb-pacific", DeploymentConfig::default())
@@ -380,12 +358,13 @@ fn requests_monitor_moves_primary_toward_load() {
     // Fig. 5(b)/§5.2 in miniature: primary in US-West, but all the traffic
     // comes from Tokyo. The requests monitor must move the primary there.
     let cluster = Cluster::launch(&[Region::UsWest, Region::AsiaEast], 6000.0, 8);
-    register_policy_over(
-        &cluster,
-        "pba-pacific",
-        &[("US-West", true), ("Asia-East", false)],
-        PRIMARY_BACKUP_ASYNC_BODY,
-    );
+    cluster
+        .register_policy_over(
+            "pba-pacific",
+            &[("US-West", true), ("Asia-East", false)],
+            bodies::PRIMARY_BACKUP_ASYNC,
+        )
+        .expect("test policy compiles");
     let dep = cluster
         .controller
         .start_instances(

@@ -74,7 +74,9 @@ fn main() {
     println!("  est. cost   : ${:.2}/month", advice.est_monthly_cost);
 
     // Generate the policy in the paper's notation and deploy it.
-    let policy = advice.to_policy("AdvisedPolicy", "1G", "10G");
+    let policy = advice
+        .to_policy("AdvisedPolicy", "1G", "10G")
+        .expect("the advised policy compiles");
     println!("\ngenerated policy:\n{policy}");
     cluster
         .controller
