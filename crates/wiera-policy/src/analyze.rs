@@ -1,18 +1,22 @@
 //! Static semantic analysis of policy specifications.
 //!
-//! [`analyze`] runs a series of passes over a parsed [`PolicySpec`] and
-//! returns every finding as a [`Diagnostic`] with a stable `WP###` code
-//! (see [`crate::diag::Code`] for the catalog):
+//! The compiler's lowering ([`crate::compile`]) is the analyzer's front
+//! end. [`analyze`] lowers a parsed [`PolicySpec`] once; every part that
+//! does not lower is already a deny finding: an unrecognized event shape
+//! (WP017), an unknown response (WP012), a missing or malformed argument
+//! (WP013), a unit of the wrong kind (WP009), a malformed tier or region
+//! declaration (WP019). The analyzer then runs the checks lowering cannot
+//! make on the lowered layouts and rules, taking spans, labels and
+//! parameter names from the AST beside them:
 //!
 //! 1. **Declarations** — duplicate tier labels per scope (WP001), duplicate
-//!    region labels (WP011), tier attribute unit sanity (WP009).
-//! 2. **Parameters** — events referencing undefined parameters (WP003),
-//!    parameters that are never used (WP004).
-//! 3. **Events** — unrecognized event shapes (WP017), duplicate handlers
-//!    for the same event (WP005), infeasible thresholds (WP006, WP009).
-//! 4. **Responses** — unknown response names (WP012), missing required
-//!    arguments (WP013), `change_policy` to unknown policies (WP014),
-//!    constant branch conditions (WP015), bandwidth/grow unit sanity
+//!    region labels (WP011).
+//! 2. **Parameters** — timer events referencing undefined parameters
+//!    (WP003), parameters that are never used (WP004).
+//! 3. **Events** — duplicate handlers for the same event (WP005),
+//!    thresholds that lower but can never fire (WP006).
+//! 4. **Responses** — `change_policy` to unknown policies (WP014),
+//!    contradictory branch conditions (WP015), non-positive bandwidth
 //!    (WP009), archival-class tiers on latency-sensitive paths (WP008).
 //! 5. **References & flow** — undeclared tier references (WP002), flows
 //!    into tiers smaller than their source (WP007), rules reading tiers no
@@ -21,14 +25,16 @@
 //!    consistency models (WP010); a Wiera insert rule that deduces to none
 //!    (WP018).
 //!
-//! The analyzer never panics: malformed specifications produce diagnostics
-//! (or, for text that does not parse, [`analyze_source`] converts the
-//! parse error into a `WP000` diagnostic).
+//! Findings are [`Diagnostic`]s with stable `WP###` codes (see
+//! [`crate::diag::Code`]). The analyzer never panics: text that does not
+//! parse becomes a single `WP000` finding ([`analyze_source`]).
 
-use crate::ast::{BinOp, EventRule, Expr, PolicySpec, SpecKind, Stmt};
-use crate::compile::{deduce_consistency, lower_with_params, ConsistencyModel, EventKind};
+use crate::ast::{EventRule, Expr, PolicySpec, SpecKind, Stmt, TierDecl};
+use crate::compile::{
+    deduce_consistency, lower, Action, CmpOp, CondValue, Condition, ConsistencyModel, EventKind,
+    Lowered, Rule, Selector, Target, TierLayout,
+};
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Span};
-use crate::units::{self, Unit};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Analyze policy source text: parse errors become a single `WP000`
@@ -43,82 +49,33 @@ pub fn analyze_source(src: &str) -> (Option<PolicySpec>, Vec<Diagnostic>) {
     }
 }
 
-/// Run every analyzer pass over a parsed specification. Findings come back
-/// sorted in source order.
+/// Lower a parsed specification and run every analyzer pass over it.
+/// Findings come back sorted in source order.
 pub fn analyze(spec: &PolicySpec) -> Vec<Diagnostic> {
+    check(spec, &lower(spec, &BTreeMap::new()))
+}
+
+/// The lowering's findings and every analyzer pass's over `spec` and its
+/// lowering, sorted in source order.
+pub(crate) fn check(spec: &PolicySpec, lowered: &Lowered) -> Vec<Diagnostic> {
+    let region_tiers = lowered.regions.iter().flat_map(|r| &r.instance.tiers);
+    let mut tiers = BTreeMap::new();
+    for t in lowered.tiers.iter().chain(region_tiers) {
+        tiers.entry(t.label.as_str()).or_insert(t);
+    }
     let mut a = Analyzer {
         spec,
-        tiers: tier_table(spec),
-        diags: Vec::new(),
+        lowered,
+        tiers,
+        diags: lowered.diags.clone(),
     };
     a.check_declarations();
     a.check_parameters();
-    a.check_events_and_responses();
+    a.check_rules();
     a.check_flow();
     a.check_consistency();
     sort_diagnostics(&mut a.diags);
     a.diags
-}
-
-/// Tier names a policy can legally reference: declared local tiers for a
-/// Tiera spec, the union of all region tier stacks for a Wiera spec.
-#[derive(Debug, Default)]
-struct TierTable {
-    /// label → (size in bytes, lowercased kind name). First declaration
-    /// wins when regions disagree.
-    by_label: BTreeMap<String, (u64, String)>,
-}
-
-impl TierTable {
-    fn declares(&self, label: &str) -> bool {
-        self.by_label.contains_key(label)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.by_label.is_empty()
-    }
-
-    fn size(&self, label: &str) -> Option<u64> {
-        self.by_label.get(label).map(|(s, _)| *s)
-    }
-
-    fn kind(&self, label: &str) -> Option<&str> {
-        self.by_label.get(label).map(|(_, k)| k.as_str())
-    }
-}
-
-fn tier_attrs(attrs: &BTreeMap<String, Expr>) -> (u64, String) {
-    let size = attrs
-        .get("size")
-        .and_then(Expr::as_num)
-        .and_then(|(v, u)| match u {
-            Some(u) => units::to_bytes(v, u),
-            None => Some(v as u64),
-        })
-        .unwrap_or(0);
-    let kind = attrs
-        .get("name")
-        .and_then(Expr::as_ident)
-        .unwrap_or("")
-        .to_ascii_lowercase();
-    (size, kind)
-}
-
-fn tier_table(spec: &PolicySpec) -> TierTable {
-    let mut t = TierTable::default();
-    for decl in &spec.tiers {
-        t.by_label
-            .entry(decl.label.clone())
-            .or_insert_with(|| tier_attrs(&decl.attrs));
-    }
-    for region in &spec.regions {
-        for decl in &region.tiers {
-            t.by_label
-                .entry(decl.label.clone())
-                .or_insert_with(|| tier_attrs(&decl.attrs));
-        }
-    }
-    t
 }
 
 /// Tier kind names that are archival-class (high read latency — Glacier
@@ -131,145 +88,13 @@ const ARCHIVAL_KINDS: [&str; 5] = [
     "archival",
 ];
 
-/// Responses the engines implement, post `chage_policy` typo
-/// normalization.
-const KNOWN_RESPONSES: [&str; 13] = [
-    "store",
-    "copy",
-    "move",
-    "delete",
-    "forward",
-    "queue",
-    "lock",
-    "release",
-    "change_policy",
-    "compress",
-    "encrypt",
-    "grow",
-    "chage_policy", // figure typo, normalized during lowering
-];
-
-fn normalize_response(name: &str) -> &str {
-    if name == "chage_policy" {
-        "change_policy"
-    } else {
-        name
-    }
-}
-
-/// Event shapes the engines recognize, mirrored from the compiler.
-enum EventShape {
-    Insert {
-        into: Option<(String, Span)>,
-    },
-    Timer {
-        period: TimerPeriod,
-    },
-    Filled {
-        tier: String,
-        value: f64,
-        unit: Option<Unit>,
-    },
-    Cold {
-        value: f64,
-        unit: Option<Unit>,
-    },
-    OpLatency,
-    Requests,
-    Unknown,
-}
-
-enum TimerPeriod {
-    Literal { value: f64, unit: Option<Unit> },
-    Param(String),
-    Bad,
-}
-
-fn classify_event(e: &Expr, span: Span) -> EventShape {
-    match e {
-        Expr::Path(p) if p == &["insert".to_string(), "into".to_string()] => {
-            EventShape::Insert { into: None }
-        }
-        Expr::Binary {
-            op: BinOp::Eq,
-            lhs,
-            rhs,
-        } => {
-            let lpath = lhs.as_path().map(|p| p.join("."));
-            match lpath.as_deref() {
-                Some("insert.into") => match rhs.as_ident() {
-                    Some(t) => EventShape::Insert {
-                        into: Some((t.to_string(), span)),
-                    },
-                    None => EventShape::Unknown,
-                },
-                Some("time") => match rhs.as_ref() {
-                    Expr::Num { value, unit } => EventShape::Timer {
-                        period: TimerPeriod::Literal {
-                            value: *value,
-                            unit: *unit,
-                        },
-                    },
-                    Expr::Path(p) if p.len() == 1 => EventShape::Timer {
-                        period: TimerPeriod::Param(p[0].clone()),
-                    },
-                    _ => EventShape::Timer {
-                        period: TimerPeriod::Bad,
-                    },
-                },
-                Some("threshold.type") => match rhs.as_ident() {
-                    Some("put") | Some("get") => EventShape::OpLatency,
-                    Some("primary") => EventShape::Requests,
-                    _ => EventShape::Unknown,
-                },
-                Some(path) if path.ends_with(".filled") => match rhs.as_num() {
-                    Some((v, u)) => EventShape::Filled {
-                        tier: path.trim_end_matches(".filled").to_string(),
-                        value: v,
-                        unit: u,
-                    },
-                    None => EventShape::Unknown,
-                },
-                _ => EventShape::Unknown,
-            }
-        }
-        Expr::Binary {
-            op: BinOp::Gt,
-            lhs,
-            rhs,
-        } => {
-            let lpath = lhs.as_path().map(|p| p.join("."));
-            if lpath.as_deref() == Some("object.lastAccessedTime") {
-                match rhs.as_num() {
-                    Some((v, u)) => EventShape::Cold { value: v, unit: u },
-                    None => EventShape::Unknown,
-                }
-            } else {
-                EventShape::Unknown
-            }
-        }
-        _ => EventShape::Unknown,
-    }
-}
-
-/// Is this rule's event a latency-sensitive path (in the request path of a
-/// put/get, per §3.2.3)?
-fn latency_sensitive(e: &Expr, span: Span) -> bool {
-    matches!(
-        classify_event(e, span),
-        EventShape::Insert { .. } | EventShape::OpLatency
-    )
-}
-
-/// A tier mentioned by a rule: where and how.
-struct TierRef {
-    label: String,
-    span: Span,
-}
-
 struct Analyzer<'a> {
     spec: &'a PolicySpec,
-    tiers: TierTable,
+    lowered: &'a Lowered,
+    /// Tiers a policy can legally reference, by label: the declared local
+    /// tiers for a Tiera spec, the union of all region stacks for a Wiera
+    /// spec. The first declaration wins when regions disagree.
+    tiers: BTreeMap<&'a str, &'a TierLayout>,
     diags: Vec<Diagnostic>,
 }
 
@@ -278,12 +103,30 @@ impl<'a> Analyzer<'a> {
         self.diags.push(d);
     }
 
+    /// Each rule that lowered, beside its source.
+    fn rules(&self) -> impl Iterator<Item = (&'a EventRule, &'a Rule)> {
+        let (spec, lowered) = (self.spec, self.lowered);
+        (spec.events.iter().zip(&lowered.rules))
+            .filter_map(|(rule, lowered)| Some((rule, lowered.as_ref()?)))
+    }
+
+    /// The declared tier an action's `to:` names. Lowering resolves a
+    /// `tier`-prefixed label to `Target::Tier`; a region tier labelled
+    /// otherwise arrives as `Target::Policy`.
+    fn tier_target(&self, to: &Target) -> Option<&'a TierLayout> {
+        match to {
+            Target::Tier(t) | Target::Policy(t) => self.tiers.get(t.as_str()).copied(),
+            _ => None,
+        }
+    }
+
     // ---- pass 1: declarations ---------------------------------------------
 
     fn check_declarations(&mut self) {
-        self.check_tier_scope(&self.spec.tiers.iter().collect::<Vec<_>>(), "specification");
+        let spec = self.spec;
+        self.check_tier_scope(&spec.tiers, "specification");
         let mut region_seen: BTreeMap<&str, Span> = BTreeMap::new();
-        for region in &self.spec.regions {
+        for region in &spec.regions {
             match region_seen.get(region.label.as_str()) {
                 Some(first) => {
                     let d = Diagnostic::deny(
@@ -298,100 +141,71 @@ impl<'a> Analyzer<'a> {
                     region_seen.insert(&region.label, region.span);
                 }
             }
-            self.check_tier_scope(
-                &region.tiers.iter().collect::<Vec<_>>(),
-                &format!("region '{}'", region.label),
-            );
+            self.check_tier_scope(&region.tiers, &format!("region '{}'", region.label));
         }
     }
 
-    fn check_tier_scope(&mut self, decls: &[&crate::ast::TierDecl], scope: &str) {
-        let mut seen: BTreeMap<String, Span> = BTreeMap::new();
-        let mut found = Vec::new();
+    fn check_tier_scope(&mut self, decls: &[TierDecl], scope: &str) {
+        let mut seen: BTreeMap<&str, Span> = BTreeMap::new();
         for decl in decls {
-            match seen.get(&decl.label) {
+            match seen.get(decl.label.as_str()) {
                 Some(first) => {
-                    found.push(
-                        Diagnostic::deny(
-                            Code::Wp001,
-                            format!("duplicate tier declaration '{}' in {scope}", decl.label),
-                        )
-                        .at(decl.span)
-                        .with_note(format!("first declared at line {}", first.line)),
-                    );
+                    let d = Diagnostic::deny(
+                        Code::Wp001,
+                        format!("duplicate tier declaration '{}' in {scope}", decl.label),
+                    )
+                    .at(decl.span)
+                    .with_note(format!("first declared at line {}", first.line));
+                    self.push(d);
                 }
                 None => {
-                    seen.insert(decl.label.clone(), decl.span);
+                    seen.insert(&decl.label, decl.span);
                 }
             }
-            if let Some((_, Some(u))) = decl.attrs.get("size").and_then(Expr::as_num) {
-                if !u.is_size() {
-                    found.push(
-                        Diagnostic::deny(
-                            Code::Wp009,
-                            format!(
-                                "tier '{}' declares size with non-size unit '{u}'",
-                                decl.label
-                            ),
-                        )
-                        .at(decl.span),
-                    );
-                }
-            }
-        }
-        for d in found {
-            self.push(d);
         }
     }
 
     // ---- pass 2: parameters -----------------------------------------------
 
     fn check_parameters(&mut self) {
-        let declared: BTreeSet<&str> = self.spec.params.iter().map(|p| p.name.as_str()).collect();
+        let spec = self.spec;
+        let declared: BTreeSet<&str> = spec.params.iter().map(|p| p.name.as_str()).collect();
         let mut used: BTreeSet<String> = BTreeSet::new();
-        for rule in &self.spec.events {
+        for rule in &spec.events {
             collect_single_idents(&rule.event, &mut used);
             for stmt in &rule.body {
                 collect_stmt_idents(stmt, &mut used);
             }
         }
-        for rule in &self.spec.events {
-            if let EventShape::Timer {
-                period: TimerPeriod::Param(name),
-            } = classify_event(&rule.event, rule.span)
-            {
-                if !declared.contains(name.as_str()) {
-                    let d = Diagnostic::deny(
-                        Code::Wp003,
-                        format!("timer event references undefined parameter '{name}'"),
-                    )
-                    .at(rule.span)
-                    .with_note("declare it in the specification header, e.g. `(time t)`");
-                    self.push(d);
-                }
+        for (rule, lowered) in self.rules() {
+            // A timer lowered from `time = t` reads its period from `t`.
+            let param = match (&lowered.event, &rule.event) {
+                (EventKind::Timer { .. }, Expr::Binary { rhs, .. }) => rhs.as_ident(),
+                _ => None,
+            };
+            if let Some(name) = param.filter(|name| !declared.contains(name)) {
+                let d = Diagnostic::deny(
+                    Code::Wp003,
+                    format!("timer event references undefined parameter '{name}'"),
+                )
+                .at(rule.span)
+                .with_note("declare it in the specification header, e.g. `(time t)`");
+                self.push(d);
             }
         }
-        let unused: Vec<Diagnostic> = self
-            .spec
-            .params
-            .iter()
-            .filter(|p| !used.contains(&p.name))
-            .map(|p| {
-                Diagnostic::note(
-                    Code::Wp004,
-                    format!("parameter '{} {}' is never used", p.ty, p.name),
-                )
-                .at(p.span)
-            })
-            .collect();
-        for d in unused {
+        for p in spec.params.iter().filter(|p| !used.contains(&p.name)) {
+            let d = Diagnostic::note(
+                Code::Wp004,
+                format!("parameter '{} {}' is never used", p.ty, p.name),
+            )
+            .at(p.span);
             self.push(d);
         }
     }
 
     // ---- passes 3+4: events and responses ---------------------------------
 
-    fn check_events_and_responses(&mut self) {
+    fn check_rules(&mut self) {
         let mut handler_seen: BTreeMap<String, Span> = BTreeMap::new();
         for rule in &self.spec.events {
             let key = rule.event.to_string();
@@ -412,313 +226,143 @@ impl<'a> Analyzer<'a> {
                     handler_seen.insert(key, rule.span);
                 }
             }
-            self.check_event_shape(rule);
-            let sensitive = latency_sensitive(&rule.event, rule.span);
-            for stmt in &rule.body {
-                self.check_stmt(stmt, sensitive);
-            }
+        }
+        for (rule, lowered) in self.rules() {
+            self.check_event(&lowered.event, rule.span);
+            // In the request path of a put or get (§3.2.3)?
+            let sensitive = matches!(
+                lowered.event,
+                EventKind::Insert { .. } | EventKind::OpLatency { .. }
+            );
+            for_each_action(&rule.body, &lowered.actions, &mut |action, span| {
+                self.check_action(action, span, sensitive)
+            });
         }
     }
 
-    fn check_event_shape(&mut self, rule: &EventRule) {
-        match classify_event(&rule.event, rule.span) {
-            EventShape::Unknown => {
-                let d = Diagnostic::deny(
-                    Code::Wp017,
-                    format!("unrecognized event shape '{}'", rule.event),
-                )
-                .at(rule.span)
-                .with_note(
-                    "recognized events: insert.into[==tier], time=<t>, tierX.filled==N%, \
-                     object.lastAccessedTime><duration>, threshold.type==put|get|primary",
+    fn check_event(&mut self, event: &EventKind, span: Span) {
+        let dead = match *event {
+            EventKind::Timer {
+                period_ms: Some(ms),
+            } if ms <= 0.0 => Some("timer period is not positive; rule can never fire".to_string()),
+            EventKind::TierFilled { fraction, .. } if fraction <= 0.0 || fraction > 1.0 => {
+                Some(format!(
+                    "fill threshold {:.0}% can never be reached; rule is dead",
+                    fraction * 100.0
+                ))
+            }
+            EventKind::ColdData { older_than_ms } if older_than_ms <= 0.0 => {
+                Some("cold-data threshold is not positive; rule matches everything".to_string())
+            }
+            _ => None,
+        };
+        if let EventKind::Insert { into: Some(tier) } | EventKind::TierFilled { tier, .. } = event {
+            self.check_tier_ref(tier, span);
+        }
+        if let Some(message) = dead {
+            self.push(Diagnostic::warn(Code::Wp006, message).at(span));
+        }
+    }
+
+    fn check_action(&mut self, action: &Action, span: Span, sensitive: bool) {
+        let (what, to) = operands(action);
+        if let Some(Selector::Where(cond)) = what {
+            self.check_condition(cond, span);
+        }
+        if let Some(Target::Tier(t)) = to {
+            self.check_tier_ref(t, span);
+        }
+        let lands = matches!(
+            action,
+            Action::Store { .. } | Action::Copy { .. } | Action::Forward { .. }
+        );
+        if let Some(tier) = to.and_then(|to| self.tier_target(to)) {
+            let kind = tier.kind_name.to_ascii_lowercase();
+            if sensitive && lands && ARCHIVAL_KINDS.contains(&kind.as_str()) {
+                self.push(
+                    Diagnostic::warn(
+                        Code::Wp008,
+                        format!(
+                            "archival-class tier '{}' ({kind}) targeted on a \
+                             latency-sensitive path",
+                            tier.label
+                        ),
+                    )
+                    .at(span)
+                    .with_note(
+                        "archival stores have minutes-to-hours retrieval latency; \
+                         use a timer or cold-data rule instead",
+                    ),
                 );
-                self.push(d);
             }
-            EventShape::Timer { period } => match period {
-                TimerPeriod::Literal { value, unit } => {
-                    if let Some(u) = unit {
-                        if !u.is_duration() {
-                            self.push(
-                                Diagnostic::deny(
-                                    Code::Wp009,
-                                    format!("timer period has non-duration unit '{u}'"),
-                                )
-                                .at(rule.span),
-                            );
-                            return;
-                        }
-                    }
-                    let ms = unit
-                        .and_then(|u| units::to_millis(value, u))
-                        .unwrap_or(value);
-                    if ms <= 0.0 {
-                        self.push(
-                            Diagnostic::warn(
-                                Code::Wp006,
-                                "timer period is not positive; rule can never fire".to_string(),
-                            )
-                            .at(rule.span),
-                        );
-                    }
-                }
-                TimerPeriod::Param(_) | TimerPeriod::Bad => {}
-            },
-            EventShape::Filled { tier, value, unit } => {
-                self.check_tier_ref(&TierRef {
-                    label: tier,
-                    span: rule.span,
-                });
-                if let Some(u) = unit {
-                    if u != Unit::Percent {
-                        self.push(
-                            Diagnostic::deny(
-                                Code::Wp009,
-                                format!("filled threshold has non-percent unit '{u}'"),
-                            )
-                            .at(rule.span),
-                        );
-                        return;
-                    }
-                }
-                let fraction = match unit {
-                    Some(u) => units::to_fraction(value, u).unwrap_or(value),
-                    None => value,
-                };
-                if fraction <= 0.0 || fraction > 1.0 {
-                    self.push(
-                        Diagnostic::warn(
-                            Code::Wp006,
-                            format!(
-                                "fill threshold {:.0}% can never be reached; rule is dead",
-                                fraction * 100.0
-                            ),
-                        )
-                        .at(rule.span),
-                    );
-                }
-            }
-            EventShape::Cold { value, unit } => {
-                if let Some(u) = unit {
-                    if !u.is_duration() {
-                        self.push(
-                            Diagnostic::deny(
-                                Code::Wp009,
-                                format!("cold-data threshold has non-duration unit '{u}'"),
-                            )
-                            .at(rule.span),
-                        );
-                        return;
-                    }
-                }
-                if value <= 0.0 {
-                    self.push(
-                        Diagnostic::warn(
-                            Code::Wp006,
-                            "cold-data threshold is not positive; rule matches everything"
-                                .to_string(),
-                        )
-                        .at(rule.span),
-                    );
-                }
-            }
-            EventShape::Insert { into } => {
-                if let Some((tier, span)) = into {
-                    self.check_tier_ref(&TierRef { label: tier, span });
-                }
-            }
-            EventShape::OpLatency | EventShape::Requests => {}
         }
-    }
-
-    fn check_stmt(&mut self, stmt: &Stmt, sensitive: bool) {
-        match stmt {
-            Stmt::Assign { .. } => {}
-            Stmt::If {
-                cond,
-                then,
-                otherwise,
-                span,
-            } => {
-                self.check_condition(cond, *span);
-                if let Some(why) = constant_condition(cond) {
+        match action {
+            Action::If { cond, .. } => {
+                self.check_condition(cond, span);
+                if let Some(why) = contradiction(cond) {
                     self.push(
                         Diagnostic::warn(
                             Code::Wp015,
                             format!("branch condition is constant: {why}"),
                         )
-                        .at(*span),
+                        .at(span),
                     );
                 }
-                for s in then.iter().chain(otherwise) {
-                    self.check_stmt(s, sensitive);
-                }
             }
-            Stmt::Call { name, args, span } => self.check_call(name, args, *span, sensitive),
-        }
-    }
-
-    fn check_condition(&mut self, cond: &Expr, span: Span) {
-        for tier in condition_tier_refs(cond) {
-            self.check_tier_ref(&TierRef { label: tier, span });
-        }
-    }
-
-    fn check_call(&mut self, name: &str, args: &[(String, Expr)], span: Span, sensitive: bool) {
-        if !KNOWN_RESPONSES.contains(&name) {
-            let d = Diagnostic::deny(Code::Wp012, format!("unknown response '{name}'"))
-                .at(span)
-                .with_note(format!(
-                    "known responses: {}",
-                    KNOWN_RESPONSES[..KNOWN_RESPONSES.len() - 1].join(", ")
-                ));
-            self.push(d);
-            return;
-        }
-        let norm = normalize_response(name);
-        let get = |key: &str| args.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-
-        let required: &[&str] = match norm {
-            "store" | "copy" | "move" | "forward" | "queue" | "change_policy" => &["what", "to"],
-            "delete" | "lock" | "release" | "compress" | "encrypt" => &["what"],
-            "grow" => &["what", "by"],
-            _ => &[],
-        };
-        for req in required {
-            if get(req).is_none() {
+            Action::Grow { tier, .. } => self.check_tier_ref(tier, span),
+            Action::Copy {
+                bandwidth_bps: Some(bps),
+                ..
+            }
+            | Action::Move {
+                bandwidth_bps: Some(bps),
+                ..
+            } if *bps <= 0.0 => {
                 self.push(
-                    Diagnostic::deny(
-                        Code::Wp013,
-                        format!("{norm}() is missing required argument '{req}:'"),
-                    )
-                    .at(span),
+                    Diagnostic::deny(Code::Wp009, "bandwidth limit must be positive").at(span),
                 );
             }
-        }
-
-        // Tier references in `what:` conditions and tier-valued arguments.
-        if let Some(what) = get("what") {
-            if matches!(what, Expr::Binary { .. }) {
-                self.check_condition(what, span);
+            // change_policy(what:consistency, to:<policy>) must name a policy
+            // that exists (a canned policy or this specification itself).
+            Action::ChangePolicy {
+                what: Selector::Consistency,
+                to: Target::Policy(to) | Target::Tier(to),
+            } if crate::canned::by_name(to).is_none() && *to != self.spec.name => {
+                self.push(
+                    Diagnostic::warn(
+                        Code::Wp014,
+                        format!("change_policy targets unknown policy '{to}'"),
+                    )
+                    .at(span)
+                    .with_note(
+                        "not a canned policy or this specification; the switch will \
+                         fail at run time unless the coordinator registered it",
+                    ),
+                );
             }
-            if norm == "grow" {
-                if let Some(t) = what.as_ident() {
-                    self.check_tier_ref(&TierRef {
-                        label: t.to_string(),
-                        span,
-                    });
-                }
-            }
-        }
-        if norm != "change_policy" {
-            if let Some(t) = get("to").and_then(Expr::as_ident) {
-                if t.to_ascii_lowercase().starts_with("tier") {
-                    self.check_tier_ref(&TierRef {
-                        label: t.to_string(),
-                        span,
-                    });
-                }
-                if sensitive && matches!(norm, "store" | "copy" | "forward") {
-                    if let Some(kind) = self.tiers.kind(t) {
-                        if ARCHIVAL_KINDS.contains(&kind) {
-                            self.push(
-                                Diagnostic::warn(
-                                    Code::Wp008,
-                                    format!(
-                                        "archival-class tier '{t}' ({kind}) targeted on a \
-                                         latency-sensitive path"
-                                    ),
-                                )
-                                .at(span)
-                                .with_note(
-                                    "archival stores have minutes-to-hours retrieval latency; \
-                                     use a timer or cold-data rule instead",
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // change_policy(what:consistency, to:<policy>) must name a policy
-        // that exists (a canned policy or this specification itself).
-        if norm == "change_policy" {
-            let what_is_consistency = get("what")
-                .and_then(Expr::as_ident)
-                .is_some_and(|w| w == "consistency");
-            if what_is_consistency {
-                if let Some(to) = get("to").and_then(Expr::as_ident) {
-                    if crate::canned::by_name(to).is_none() && to != self.spec.name {
-                        self.push(
-                            Diagnostic::warn(
-                                Code::Wp014,
-                                format!("change_policy targets unknown policy '{to}'"),
-                            )
-                            .at(span)
-                            .with_note(
-                                "not a canned policy or this specification; the switch will \
-                                 fail at run time unless the coordinator registered it",
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Bandwidth and grow-size unit sanity.
-        if let Some(bw) = get("bandwidth") {
-            if let Some((v, u)) = bw.as_num() {
-                let bad_unit = u.is_some_and(|u| !u.is_rate());
-                if bad_unit {
-                    self.push(
-                        Diagnostic::deny(
-                            Code::Wp009,
-                            format!(
-                                "bandwidth has non-rate unit '{}'",
-                                u.map(|u| u.to_string()).unwrap_or_default()
-                            ),
-                        )
-                        .at(span),
-                    );
-                } else if v <= 0.0 {
-                    self.push(
-                        Diagnostic::deny(
-                            Code::Wp009,
-                            "bandwidth limit must be positive".to_string(),
-                        )
-                        .at(span),
-                    );
-                }
-            }
-        }
-        if norm == "grow" {
-            if let Some((_, Some(u))) = get("by").and_then(Expr::as_num) {
-                if !u.is_size() {
-                    self.push(
-                        Diagnostic::deny(
-                            Code::Wp009,
-                            format!("grow() 'by' has non-size unit '{u}'"),
-                        )
-                        .at(span),
-                    );
-                }
-            }
+            _ => {}
         }
     }
 
-    fn check_tier_ref(&mut self, r: &TierRef) {
-        // A spec that declares no tiers at all delegates layout to the
-        // embedder (common in programmatic use); only check references when
-        // the spec itself declares the layout.
-        if self.tiers.is_empty() || self.tiers.declares(&r.label) {
+    fn check_condition(&mut self, cond: &Condition, span: Span) {
+        for tier in condition_tier_refs(cond) {
+            self.check_tier_ref(tier, span);
+        }
+    }
+
+    fn check_tier_ref(&mut self, label: &str, span: Span) {
+        // A spec that declares no tiers at all takes its tier stack from the
+        // instance it is launched on, so its references cannot be checked;
+        // only check them when the spec itself declares the layout.
+        if self.tiers.is_empty() || self.tiers.contains_key(label) {
             return;
         }
-        let declared: Vec<&str> = self.tiers.by_label.keys().map(String::as_str).collect();
+        let declared: Vec<&str> = self.tiers.keys().copied().collect();
         let d = Diagnostic::deny(
             Code::Wp002,
-            format!("reference to undeclared tier '{}'", r.label),
+            format!("reference to undeclared tier '{label}'"),
         )
-        .at(r.span)
+        .at(span)
         .with_note(format!("declared tiers: {}", declared.join(", ")));
         self.push(d);
     }
@@ -732,82 +376,84 @@ impl<'a> Analyzer<'a> {
         if self.tiers.is_empty() {
             return;
         }
-        let first_tiers = self.first_tiers();
-        let mut populated: BTreeSet<String> = BTreeSet::new();
-        let mut edges: Vec<(String, String)> = Vec::new();
+        // Default ingest tiers: the first tier of the local stack (Tiera) or
+        // of each region's stack (Wiera) — where `to:local_instance` and
+        // `to:all_regions` place data.
+        let stacks: Vec<&[TierLayout]> = match self.spec.kind {
+            SpecKind::Tiera => vec![&self.lowered.tiers],
+            SpecKind::Wiera => (self.lowered.regions.iter())
+                .map(|r| r.instance.tiers.as_slice())
+                .collect(),
+        };
+        let first_tiers: Vec<&str> = (stacks.iter())
+            .filter_map(|stack| Some(stack.first()?.label.as_str()))
+            .collect();
+        let mut populated: BTreeSet<&str> = BTreeSet::new();
+        let mut edges: Vec<(&str, &str)> = Vec::new();
         // (label, span) pairs of tiers a rule observes.
-        let mut reads: Vec<(String, Span)> = Vec::new();
+        let mut reads: Vec<(&str, Span)> = Vec::new();
         let mut has_insert = false;
         let mut flow_warns = Vec::new();
 
-        for rule in &self.spec.events {
-            let shape = classify_event(&rule.event, rule.span);
-            match &shape {
-                EventShape::Insert { into } => {
-                    has_insert = true;
-                    if let Some((tier, _)) = into {
-                        populated.insert(tier.clone());
-                    }
+        for (rule, lowered) in self.rules() {
+            let is_insert = matches!(lowered.event, EventKind::Insert { .. });
+            has_insert |= is_insert;
+            match &lowered.event {
+                EventKind::Insert { into: Some(tier) } => {
+                    populated.insert(tier);
                 }
-                EventShape::Filled { tier, .. } => {
-                    reads.push((tier.clone(), rule.span));
-                }
+                EventKind::TierFilled { tier, .. } => reads.push((tier, rule.span)),
                 _ => {}
             }
-            let is_insert = matches!(shape, EventShape::Insert { .. });
-            for_each_call(&rule.body, &mut |name, args, span| {
-                let norm = normalize_response(name);
-                if !matches!(norm, "store" | "copy" | "move" | "queue" | "forward") {
+            for_each_action(&rule.body, &lowered.actions, &mut |action, span| {
+                let (what, Some(to)) = operands(action) else {
                     return;
-                }
-                let get = |key: &str| args.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                let to = get("to").and_then(Expr::as_ident);
-                let what = get("what");
-                let sources: Vec<String> = what.map(condition_location_refs).unwrap_or_default();
-                for src in &sources {
-                    reads.push((src.clone(), span));
-                }
-                match to {
-                    Some(t) if self.tiers.declares(t) => {
+                };
+                let sources = match what {
+                    Some(Selector::Where(cond)) => location_refs(cond),
+                    _ => Vec::new(),
+                };
+                reads.extend(sources.iter().map(|src| (*src, span)));
+                match self.tier_target(to) {
+                    Some(into) => {
                         if is_insert && sources.is_empty() {
                             // Ingest flows populate their target directly.
-                            populated.insert(t.to_string());
+                            populated.insert(&into.label);
                         }
-                        for src in &sources {
-                            edges.push((src.clone(), t.to_string()));
+                        for src in sources {
+                            edges.push((src, &into.label));
                             // WP007: bounded flow into a strictly smaller tier.
-                            if let (Some(from), Some(into)) =
-                                (self.tiers.size(src), self.tiers.size(t))
-                            {
-                                if from > 0 && into > 0 && into < from {
-                                    flow_warns.push(
-                                        Diagnostic::warn(
-                                            Code::Wp007,
-                                            format!(
-                                                "flow from tier '{src}' ({from} bytes) into \
-                                                 smaller tier '{t}' ({into} bytes) can overflow",
-                                            ),
-                                        )
-                                        .at(span),
-                                    );
-                                }
+                            let from = self.tiers.get(src).map_or(0, |t| t.size_bytes);
+                            let into_size = into.size_bytes;
+                            if from > 0 && into_size > 0 && into_size < from {
+                                flow_warns.push(
+                                    Diagnostic::warn(
+                                        Code::Wp007,
+                                        format!(
+                                            "flow from tier '{src}' ({from} bytes) into \
+                                             smaller tier '{}' ({into_size} bytes) can overflow",
+                                            into.label
+                                        ),
+                                    )
+                                    .at(span),
+                                );
                             }
                         }
                     }
-                    Some("local_instance" | "all_regions" | "primary_instance")
-                        if is_insert && sources.is_empty() =>
+                    None if is_insert
+                        && sources.is_empty()
+                        && matches!(
+                            to,
+                            Target::LocalInstance | Target::AllRegions | Target::PrimaryInstance
+                        ) =>
                     {
-                        for ft in &first_tiers {
-                            populated.insert(ft.clone());
-                        }
+                        populated.extend(first_tiers.iter().copied());
                     }
-                    _ => {}
+                    None => {}
                 }
             });
         }
-        for d in flow_warns {
-            self.push(d);
-        }
+        self.diags.extend(flow_warns);
 
         // WP016 only makes sense when the policy itself defines the ingest
         // path; without an insert rule, data arrives by means the analyzer
@@ -820,19 +466,18 @@ impl<'a> Analyzer<'a> {
         while changed {
             changed = false;
             for (src, dst) in &edges {
-                if populated.contains(src) && populated.insert(dst.clone()) {
+                if populated.contains(src) && populated.insert(dst) {
                     changed = true;
                 }
             }
         }
-        let mut reported: BTreeSet<String> = BTreeSet::new();
-        let mut dead_reads = Vec::new();
+        let mut reported: BTreeSet<&str> = BTreeSet::new();
         for (label, span) in reads {
-            if self.tiers.declares(&label)
-                && !populated.contains(&label)
-                && reported.insert(label.clone())
+            if self.tiers.contains_key(label)
+                && !populated.contains(label)
+                && reported.insert(label)
             {
-                dead_reads.push(
+                self.push(
                     Diagnostic::warn(
                         Code::Wp016,
                         format!("rule reads tier '{label}' but no data-flow path populates it"),
@@ -841,29 +486,6 @@ impl<'a> Analyzer<'a> {
                     .with_note("no insert, store, copy, or move rule ever places data there"),
                 );
             }
-        }
-        for d in dead_reads {
-            self.push(d);
-        }
-    }
-
-    /// Default ingest tiers: the first tier of the local stack (Tiera) or
-    /// of each region's stack (Wiera) — where `to:local_instance` and
-    /// `to:all_regions` place data.
-    fn first_tiers(&self) -> Vec<String> {
-        match self.spec.kind {
-            SpecKind::Tiera => self
-                .spec
-                .tiers
-                .first()
-                .map(|t| vec![t.label.clone()])
-                .unwrap_or_default(),
-            SpecKind::Wiera => self
-                .spec
-                .regions
-                .iter()
-                .filter_map(|r| r.tiers.first().map(|t| t.label.clone()))
-                .collect(),
         }
     }
 
@@ -874,23 +496,20 @@ impl<'a> Analyzer<'a> {
     /// instance in an undefined model, and a Wiera policy whose first insert
     /// rule implies none has no protocol to run.
     fn check_consistency(&mut self) {
-        let Ok(compiled) = lower_with_params(self.spec, &BTreeMap::new()) else {
-            // Lowering problems surface as their own diagnostics/errors.
+        if !self.lowered.diags.is_empty() {
+            // A rule that did not lower has no shape; its finding refuses
+            // the policy already.
             return;
-        };
+        }
         let mut models: Vec<(ConsistencyModel, Span)> = Vec::new();
-        let mut found = Vec::new();
         let inserts = self
-            .spec
-            .events
-            .iter()
-            .zip(&compiled.rules)
+            .rules()
             .filter(|(_, lowered)| matches!(lowered.event, EventKind::Insert { .. }));
         for (i, (rule, lowered)) in inserts.enumerate() {
             match deduce_consistency(std::slice::from_ref(lowered)) {
                 Some(model) => models.push((model, rule.span)),
                 // The first insert rule is the one the runtime deduces from.
-                None if i == 0 && self.spec.kind == SpecKind::Wiera => found.push(
+                None if i == 0 && self.spec.kind == SpecKind::Wiera => self.push(
                     Diagnostic::deny(
                         Code::Wp018,
                         "insert rule matches none of the consistency protocols \
@@ -908,7 +527,7 @@ impl<'a> Analyzer<'a> {
         if let Some((first, _)) = models.first() {
             for (model, span) in &models[1..] {
                 if model != first {
-                    found.push(
+                    self.push(
                         Diagnostic::warn(
                             Code::Wp010,
                             format!(
@@ -922,28 +541,50 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        for d in found {
-            self.push(d);
+    }
+}
+
+// ---- walkers ---------------------------------------------------------------
+
+/// Call `f` on every lowered action of a rule body, nested ones included,
+/// with the span of the statement it was lowered from. A rule that lowered
+/// has one action per statement, so the two trees walk in step.
+fn for_each_action<'l>(body: &[Stmt], actions: &'l [Action], f: &mut dyn FnMut(&'l Action, Span)) {
+    for (stmt, action) in body.iter().zip(actions) {
+        f(action, stmt.span());
+        if let (
+            Stmt::If {
+                then, otherwise, ..
+            },
+            Action::If {
+                then: lowered_then,
+                otherwise: lowered_otherwise,
+                ..
+            },
+        ) = (stmt, action)
+        {
+            for_each_action(then, lowered_then, f);
+            for_each_action(otherwise, lowered_otherwise, f);
         }
     }
 }
 
-// ---- expression walkers ----------------------------------------------------
-
-/// Call `f(name, args, span)` for every response call in `body`, including
-/// calls nested under `if`/`else`.
-fn for_each_call<'s>(body: &'s [Stmt], f: &mut dyn FnMut(&'s str, &'s [(String, Expr)], Span)) {
-    for stmt in body {
-        match stmt {
-            Stmt::Call { name, args, span } => f(name, args, *span),
-            Stmt::If {
-                then, otherwise, ..
-            } => {
-                for_each_call(then, f);
-                for_each_call(otherwise, f);
-            }
-            Stmt::Assign { .. } => {}
-        }
+/// An action's `what:` and the `to:` it moves data to (`change_policy`'s
+/// `to:` names a policy or a role instead).
+fn operands(action: &Action) -> (Option<&Selector>, Option<&Target>) {
+    match action {
+        Action::Store { what, to }
+        | Action::Copy { what, to, .. }
+        | Action::Move { what, to, .. }
+        | Action::Forward { what, to }
+        | Action::Queue { what, to } => (Some(what), Some(to)),
+        Action::Delete { what }
+        | Action::Lock { what }
+        | Action::Release { what }
+        | Action::ChangePolicy { what, .. }
+        | Action::Compress { what }
+        | Action::Encrypt { what } => (Some(what), None),
+        Action::SetAttr { .. } | Action::Grow { .. } | Action::If { .. } => (None, None),
     }
 }
 
@@ -984,123 +625,87 @@ fn collect_stmt_idents(stmt: &Stmt, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Tier labels a condition compares against: `object.location == tierX`,
-/// `insert.into == tierX`, plus bare `tierX.<attr>` field references.
-fn condition_tier_refs(e: &Expr) -> Vec<String> {
+/// The comparisons at the leaves of a condition, in source order.
+fn comparisons(c: &Condition) -> Vec<(&[String], CmpOp, &CondValue)> {
+    fn walk<'c>(c: &'c Condition, out: &mut Vec<(&'c [String], CmpOp, &'c CondValue)>) {
+        match c {
+            Condition::And(a, b) | Condition::Or(a, b) => {
+                walk(a, out);
+                walk(b, out);
+            }
+            Condition::Cmp { field, op, value } => out.push((field, *op, value)),
+        }
+    }
     let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<String>) {
-        if let Expr::Binary { op, lhs, rhs } = e {
-            if matches!(op, BinOp::And | BinOp::Or) {
-                walk(lhs, out);
-                walk(rhs, out);
-                return;
+    walk(c, &mut out);
+    out
+}
+
+/// Tier labels a condition names: the tier compared with
+/// `object.location` or `insert.into`, plus `tierX` in a `tierX.<attr>`
+/// field.
+fn condition_tier_refs(c: &Condition) -> Vec<&str> {
+    let is_tier = |s: &str| s.to_ascii_lowercase().starts_with("tier");
+    let mut out = Vec::new();
+    for (field, _, value) in comparisons(c) {
+        let pinned = matches!(field.join(".").as_str(), "object.location" | "insert.into");
+        let other_field = match value {
+            CondValue::Ident(t) if pinned && is_tier(t) => {
+                out.push(t.as_str());
+                None
             }
-            let lpath = lhs.as_path().map(|p| p.join("."));
-            if matches!(
-                lpath.as_deref(),
-                Some("object.location") | Some("insert.into")
-            ) {
-                if let Some(t) = rhs.as_ident() {
-                    if t.to_ascii_lowercase().starts_with("tier") {
-                        out.push(t.to_string());
-                    }
-                }
-            }
-            for side in [lhs.as_ref(), rhs.as_ref()] {
-                if let Some(p) = side.as_path() {
-                    if p.len() > 1 && p[0].to_ascii_lowercase().starts_with("tier") {
-                        out.push(p[0].clone());
-                    }
-                }
+            CondValue::Field(p) => Some(p.as_slice()),
+            _ => None,
+        };
+        for path in std::iter::once(field).chain(other_field) {
+            if path.len() > 1 && is_tier(&path[0]) {
+                out.push(path[0].as_str());
             }
         }
     }
-    walk(e, &mut out);
     out
 }
 
 /// Tier labels a condition pins `object.location` to (data-flow sources).
-fn condition_location_refs(e: &Expr) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk(e: &Expr, out: &mut Vec<String>) {
-        if let Expr::Binary { op, lhs, rhs } = e {
-            if matches!(op, BinOp::And | BinOp::Or) {
-                walk(lhs, out);
-                walk(rhs, out);
-                return;
-            }
-            if *op == BinOp::Eq
-                && lhs.as_path().map(|p| p.join(".")).as_deref() == Some("object.location")
-            {
-                if let Some(t) = rhs.as_ident() {
-                    out.push(t.to_string());
-                }
-            }
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
-/// Is this condition constant? Returns a human explanation when it is.
-fn constant_condition(e: &Expr) -> Option<String> {
-    // Literal-vs-literal comparison anywhere in the tree.
-    fn literal(e: &Expr) -> bool {
-        matches!(e, Expr::Num { .. } | Expr::Bool(_) | Expr::Str(_))
-    }
-    fn find_folded(e: &Expr) -> Option<String> {
-        match e {
-            Expr::Bool(b) => Some(format!("literal {}", if *b { "True" } else { "False" })),
-            Expr::Binary { op, lhs, rhs } => {
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    return find_folded(lhs).or_else(|| find_folded(rhs));
-                }
-                if literal(lhs) && literal(rhs) {
-                    return Some(format!("'{lhs} {op} {rhs}' compares two literals"));
-                }
-                None
+fn location_refs(c: &Condition) -> Vec<&str> {
+    comparisons(c)
+        .into_iter()
+        .filter_map(|(field, op, value)| match value {
+            CondValue::Ident(t) if op == CmpOp::Eq && field.join(".") == "object.location" => {
+                Some(t.as_str())
             }
             _ => None,
+        })
+        .collect()
+}
+
+/// A conjunction pinning one field to two different values is always
+/// false; returns why. An `||` anywhere makes the analysis inconclusive.
+fn contradiction(c: &Condition) -> Option<String> {
+    fn has_or(c: &Condition) -> bool {
+        match c {
+            Condition::Or(..) => true,
+            Condition::And(a, b) => has_or(a) || has_or(b),
+            Condition::Cmp { .. } => false,
         }
     }
-    if let Some(why) = find_folded(e) {
-        return Some(why);
+    if has_or(c) {
+        return None;
     }
-    // Contradictory conjunction: the same field equal to two different
-    // literals (`object.location == tier1 && object.location == tier2`).
-    fn eq_pins(e: &Expr, pins: &mut Vec<(String, String)>) -> bool {
-        match e {
-            Expr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => eq_pins(lhs, pins) && eq_pins(rhs, pins),
-            Expr::Binary {
-                op: BinOp::Eq,
-                lhs,
-                rhs,
-            } => {
-                if let (Some(field), Some(v)) = (lhs.as_path(), rhs.as_ident()) {
-                    pins.push((field.join("."), v.to_string()));
-                }
-                true
-            }
-            // Or-branches and other comparisons make the analysis
-            // inconclusive; bail out rather than guess.
-            Expr::Binary { op: BinOp::Or, .. } => false,
-            _ => true,
-        }
-    }
-    let mut pins = Vec::new();
-    if eq_pins(e, &mut pins) {
-        for (i, (field, value)) in pins.iter().enumerate() {
-            for (field2, value2) in &pins[i + 1..] {
-                if field == field2 && value != value2 {
-                    return Some(format!(
-                        "'{field} == {value}' contradicts '{field2} == {value2}'; the \
-                         condition is always false"
-                    ));
-                }
+    let pins: Vec<(String, &str)> = comparisons(c)
+        .into_iter()
+        .filter_map(|(field, op, value)| match value {
+            CondValue::Ident(v) if op == CmpOp::Eq => Some((field.join("."), v.as_str())),
+            _ => None,
+        })
+        .collect();
+    for (i, (field, value)) in pins.iter().enumerate() {
+        for (field2, value2) in &pins[i + 1..] {
+            if field == field2 && value != value2 {
+                return Some(format!(
+                    "'{field} == {value}' contradicts '{field2} == {value2}'; the \
+                     condition is always false"
+                ));
             }
         }
     }
@@ -1329,6 +934,67 @@ mod tests {
         assert!(spec.is_none());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::Wp000);
+    }
+
+    /// Inputs the compiler rejects that an analyzer with its own copy of the
+    /// lowering tables once passed as clean: each is now a deny finding on
+    /// its line, and `compile` refuses it with the findings attached.
+    #[test]
+    fn what_does_not_lower_is_a_deny_on_its_line() {
+        let in_rule = |stmt: &str| {
+            format!(
+                "Tiera T(time t) {{\n  tier1: {{name: Memcached, size: 5G}};\n  \
+                 tier2: {{name: EBS, size: 10G}};\n  event(time=t) : response {{\n    \
+                 {stmt}\n  }}\n}}"
+            )
+        };
+        let rows: Vec<(String, usize)> = vec![
+            (in_rule("grow(what:tier1, by:lots);"), 5),
+            (in_rule("grow(what:tier1.x, by:1G);"), 5),
+            (
+                in_rule("copy(what:object.location == tier1, to:tier2, bandwidth:fast);"),
+                5,
+            ),
+            (in_rule("store(what:insert.object, to:tier1.x);"), 5),
+            (in_rule("store(what:5, to:tier1);"), 5),
+            (in_rule("copy(what: 5 == object.dirty, to:tier2);"), 5),
+            (
+                in_rule("if (5 == object.dirty) { delete(what:object.dirty == true); }"),
+                5,
+            ),
+            (in_rule("insert.object.dirty = (a == b);"), 5),
+            (
+                "Tiera T() {\n  tier1: {name: Memcached, size: 5G};\n  \
+                 event(time = tier1.x) : response { delete(what:object.dirty == true); }\n}"
+                    .to_string(),
+                3,
+            ),
+            (
+                "Tiera T() {\n  tier1: {name: Memcached, size: lots};\n}".to_string(),
+                2,
+            ),
+            ("Tiera T() {\n  tier1: {size: 5G};\n}".to_string(), 2),
+            (
+                "Wiera W() {\n  Region1 = {name:LowLatencyInstance,\n    \
+                 tier1 = {name:LocalMemory, size=5G} }\n}"
+                    .to_string(),
+                2,
+            ),
+        ];
+        for (src, line) in rows {
+            let (spec, diags) = analyze_source(&src);
+            let spec = spec.unwrap_or_else(|| panic!("parses: {src}"));
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.severity == crate::diag::Severity::Deny
+                        && d.span.map(|s| s.line) == Some(line)),
+                "{src}\n{diags:?}"
+            );
+            let err = crate::compile::compile(&spec).expect_err(&src);
+            assert!(!err.diagnostics.is_empty(), "{src}: {err}");
+            assert_eq!(err.span.map(|s| s.line), Some(line), "{src}: {err}");
+        }
     }
 
     #[test]

@@ -14,8 +14,14 @@
 //!    consistency protocols from event/response shapes; we recognize those
 //!    shapes in the insert rule and report them as a [`ConsistencyModel`]
 //!    so the Wiera engine can run its native protocol implementation.
+//!
+//! This module is the one place the notation's meaning is written: which
+//! event shapes, responses, arguments and units exist. A part that does not
+//! lower becomes a coded deny [`Diagnostic`] at its span, and the static
+//! analyzer ([`crate::analyze`]) runs its checks on the lowered result.
 
-use crate::ast::{BinOp, EventRule, Expr, PolicySpec, SpecKind, Stmt};
+use crate::ast::{BinOp, EventRule, Expr, PolicySpec, RegionDecl, SpecKind, Stmt, TierDecl};
+use crate::diag::{Code, Diagnostic, Span};
 use crate::error::PolicyError;
 use crate::units;
 use crate::units::Unit;
@@ -319,134 +325,160 @@ pub fn compile(spec: &PolicySpec) -> Result<CompiledPolicy, PolicyError> {
 /// Compile, binding specification parameters (e.g. `time t`) to values in
 /// canonical units (durations in ms).
 ///
-/// Runs the static analyzer first and refuses the specification when it
-/// produces any deny-level diagnostic; the findings are carried in
-/// [`PolicyError::diagnostics`]. Use [`lower_with_params`] to skip the gate.
+/// Lowers the specification once and runs the static analyzer's checks on
+/// the result. A deny-level finding — a part that does not lower, or a
+/// failed check — refuses the specification; the findings are carried in
+/// [`PolicyError::diagnostics`].
 pub fn compile_with_params(
     spec: &PolicySpec,
     params: &BTreeMap<String, f64>,
 ) -> Result<CompiledPolicy, PolicyError> {
-    let diags = crate::analyze::analyze(spec);
+    let lowered = lower(spec, params);
+    let diags = crate::analyze::check(spec, &lowered);
     if crate::diag::worst_is_deny(&diags, false) {
         return Err(PolicyError::rejected(diags));
     }
-    lower_with_params(spec, params)
+    // Without a deny finding every rule lowered.
+    let rules: Vec<Rule> = lowered.rules.into_iter().flatten().collect();
+    Ok(CompiledPolicy {
+        kind: spec.kind,
+        name: spec.name.clone(),
+        tiers: lowered.tiers,
+        regions: lowered.regions,
+        consistency: deduce_consistency(&rules),
+        rules,
+    })
 }
 
-/// Lower without the analyzer gate (the analyzer itself uses this; tools
-/// that already ran [`crate::analyze::analyze`] can too).
-pub fn lower_with_params(
-    spec: &PolicySpec,
-    params: &BTreeMap<String, f64>,
-) -> Result<CompiledPolicy, PolicyError> {
-    let c = Compiler { spec, params };
-    c.run()
+/// A specification lowered as far as each part goes, with a deny finding
+/// for each part that does not lower.
+pub(crate) struct Lowered {
+    /// One layout per tier declaration; a malformed one keeps its label and
+    /// leaves a missing kind empty and a malformed size 0.
+    pub(crate) tiers: Vec<TierLayout>,
+    /// One layout per region declaration, likewise.
+    pub(crate) regions: Vec<RegionLayout>,
+    /// One entry per source rule, in order; `None` for a rule any part of
+    /// which did not lower.
+    pub(crate) rules: Vec<Option<Rule>>,
+    pub(crate) diags: Vec<Diagnostic>,
+}
+
+/// Lower every declaration and rule: the front end of both [`compile`] and
+/// [`crate::analyze::analyze`].
+pub(crate) fn lower(spec: &PolicySpec, params: &BTreeMap<String, f64>) -> Lowered {
+    let mut c = Compiler {
+        params,
+        diags: Vec::new(),
+    };
+    let tiers = spec.tiers.iter().map(|t| c.tier_layout(t)).collect();
+    let regions = spec.regions.iter().map(|r| c.region_layout(r)).collect();
+    let tier_labels: Vec<&str> = spec.tiers.iter().map(|t| t.label.as_str()).collect();
+    let rules = spec
+        .events
+        .iter()
+        .map(|e| c.rule(e, &tier_labels))
+        .collect();
+    Lowered {
+        tiers,
+        regions,
+        rules,
+        diags: c.diags,
+    }
 }
 
 struct Compiler<'a> {
-    spec: &'a PolicySpec,
     params: &'a BTreeMap<String, f64>,
+    diags: Vec<Diagnostic>,
 }
 
-impl<'a> Compiler<'a> {
-    fn run(&self) -> Result<CompiledPolicy, PolicyError> {
-        let tiers = self
-            .spec
-            .tiers
-            .iter()
-            .map(|t| self.tier_layout(&t.label, &t.attrs))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let mut regions = Vec::new();
-        for r in &self.spec.regions {
-            let region_name = r
-                .attr("region")
-                .and_then(|e| e.as_ident().map(str::to_string))
-                .ok_or_else(|| {
-                    PolicyError::general(format!("region '{}' missing 'region' attribute", r.label))
-                })?;
-            let primary = r.attr("primary").and_then(Expr::as_bool).unwrap_or(false);
-            let name = r
-                .attr("name")
-                .and_then(|e| e.as_ident().map(str::to_string))
-                .unwrap_or_else(|| "Instance".to_string());
-            let rtiers = r
-                .tiers
-                .iter()
-                .map(|t| self.tier_layout(&t.label, &t.attrs))
-                .collect::<Result<Vec<_>, _>>()?;
-            regions.push(RegionLayout {
-                label: r.label.clone(),
-                region_name,
-                primary,
-                instance: InstanceLayout {
-                    name,
-                    tiers: rtiers,
-                },
-            });
-        }
-
-        let tier_labels: Vec<&str> = tiers.iter().map(|t| t.label.as_str()).collect();
-        let rules = self
-            .spec
-            .events
-            .iter()
-            .map(|e| self.rule(e, &tier_labels))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let consistency = deduce_consistency(&rules);
-
-        Ok(CompiledPolicy {
-            kind: self.spec.kind,
-            name: self.spec.name.clone(),
-            tiers,
-            regions,
-            rules,
-            consistency,
-        })
+impl Compiler<'_> {
+    fn deny(&mut self, code: Code, message: String, span: Span) {
+        self.diags.push(Diagnostic::deny(code, message).at(span));
     }
 
-    fn tier_layout(
-        &self,
-        label: &str,
-        attrs: &BTreeMap<String, Expr>,
-    ) -> Result<TierLayout, PolicyError> {
-        let kind_name = attrs
-            .get("name")
-            .and_then(|e| e.as_ident().map(str::to_string))
-            .ok_or_else(|| PolicyError::general(format!("tier '{label}' missing 'name'")))?;
-        let size_bytes = match attrs.get("size") {
-            Some(e) => {
-                let (v, u) = e.as_num().ok_or_else(|| {
-                    PolicyError::general(format!("tier '{label}' size not numeric"))
-                })?;
-                match u {
-                    Some(u) => units::to_bytes(v, u).ok_or_else(|| {
-                        PolicyError::general(format!("tier '{label}' size has non-size unit"))
-                    })?,
-                    None => v as u64, // raw bytes
-                }
+    fn region_layout(&mut self, r: &RegionDecl) -> RegionLayout {
+        let region_name = match r.attr("region").and_then(Expr::as_ident) {
+            Some(name) => name.to_string(),
+            None => {
+                let message = format!("region '{}' missing 'region' attribute", r.label);
+                self.deny(Code::Wp019, message, r.span);
+                String::new()
             }
-            None => 0, // unlimited / provider-managed (e.g. S3)
         };
-        Ok(TierLayout {
-            label: label.to_string(),
+        RegionLayout {
+            label: r.label.clone(),
+            region_name,
+            primary: r.attr("primary").and_then(Expr::as_bool).unwrap_or(false),
+            instance: InstanceLayout {
+                name: r
+                    .attr("name")
+                    .and_then(Expr::as_ident)
+                    .unwrap_or("Instance")
+                    .to_string(),
+                tiers: r.tiers.iter().map(|t| self.tier_layout(t)).collect(),
+            },
+        }
+    }
+
+    fn tier_layout(&mut self, t: &TierDecl) -> TierLayout {
+        let label = &t.label;
+        let kind_name = match t.attr("name").and_then(Expr::as_ident) {
+            Some(name) => name.to_string(),
+            None => {
+                self.deny(
+                    Code::Wp019,
+                    format!("tier '{label}' missing 'name'"),
+                    t.span,
+                );
+                String::new()
+            }
+        };
+        let size_bytes = match t.attr("size").map(Expr::as_num) {
+            None => 0, // unlimited / provider-managed (e.g. S3)
+            Some(None) => {
+                let message = format!("tier '{label}' size not numeric");
+                self.deny(Code::Wp019, message, t.span);
+                0
+            }
+            Some(Some((v, None))) => v as u64, // raw bytes
+            Some(Some((v, Some(u)))) => units::to_bytes(v, u).unwrap_or_else(|| {
+                let message = format!("tier '{label}' declares size with non-size unit '{u}'");
+                self.deny(Code::Wp009, message, t.span);
+                0
+            }),
+        };
+        TierLayout {
+            label: label.clone(),
             kind_name,
             size_bytes,
-        })
+        }
     }
 
     // ---- events -----------------------------------------------------------
 
-    fn rule(&self, rule: &EventRule, tier_labels: &[&str]) -> Result<Rule, PolicyError> {
-        let event = self
-            .event_kind(&rule.event)
-            .map_err(|e| e.or_at(rule.span))?;
-        let actions = self.actions(&rule.body, tier_labels)?;
-        Ok(Rule { event, actions })
+    fn rule(&mut self, rule: &EventRule, tier_labels: &[&str]) -> Option<Rule> {
+        let before = self.diags.len();
+        let event = self.event_kind(&rule.event);
+        // Lowered even under an event that does not, so its findings show too.
+        let actions = self.actions(&rule.body, tier_labels);
+        match event {
+            Ok(event) => (self.diags.len() == before).then_some(Rule { event, actions }),
+            Err(d) => {
+                self.diags.push(d.at(rule.span));
+                None
+            }
+        }
     }
 
-    fn event_kind(&self, e: &Expr) -> Result<EventKind, PolicyError> {
+    fn event_kind(&self, e: &Expr) -> Result<EventKind, Diagnostic> {
+        let unrecognized = || {
+            Diagnostic::deny(Code::Wp017, format!("unrecognized event shape '{e}'")).with_note(
+                "recognized events: insert.into[==tier], time=<t>, tierX.filled==N%, \
+                 object.lastAccessedTime><duration>, threshold.type==put|get|primary",
+            )
+        };
+        let bad_unit = |message: String| Diagnostic::deny(Code::Wp009, message);
         match e {
             // `insert.into`
             Expr::Path(p) if p == &["insert".to_string(), "into".to_string()] => {
@@ -461,9 +493,7 @@ impl<'a> Compiler<'a> {
                 match lpath.as_deref() {
                     // `insert.into == tier1`
                     Some("insert.into") => {
-                        let tier = rhs.as_ident().ok_or_else(|| {
-                            PolicyError::general("insert.into == <tier> expected")
-                        })?;
+                        let tier = rhs.as_ident().ok_or_else(unrecognized)?;
                         Ok(EventKind::Insert {
                             into: Some(tier.to_string()),
                         })
@@ -473,7 +503,7 @@ impl<'a> Compiler<'a> {
                         Expr::Num { value, unit } => {
                             let ms = match unit {
                                 Some(u) => units::to_millis(*value, *u).ok_or_else(|| {
-                                    PolicyError::general("timer period must have a duration unit")
+                                    bad_unit(format!("timer period has non-duration unit '{u}'"))
                                 })?,
                                 None => *value,
                             };
@@ -484,38 +514,29 @@ impl<'a> Compiler<'a> {
                         Expr::Path(p) if p.len() == 1 => Ok(EventKind::Timer {
                             period_ms: self.params.get(&p[0]).copied(),
                         }),
-                        other => Err(PolicyError::general(format!("bad timer period {other}"))),
+                        _ => Err(unrecognized()),
                     },
                     // `threshold.type == put|get|primary`
-                    Some("threshold.type") => {
-                        let what = rhs.as_ident().ok_or_else(|| {
-                            PolicyError::general("threshold.type == <op> expected")
-                        })?;
-                        match what {
-                            "put" | "get" => Ok(EventKind::OpLatency {
-                                op: what.to_string(),
-                            }),
-                            "primary" => Ok(EventKind::Requests),
-                            other => Err(PolicyError::general(format!(
-                                "unknown threshold type '{other}'"
-                            ))),
+                    Some("threshold.type") => match rhs.as_ident() {
+                        Some(op @ ("put" | "get")) => {
+                            Ok(EventKind::OpLatency { op: op.to_string() })
                         }
-                    }
+                        Some("primary") => Ok(EventKind::Requests),
+                        _ => Err(unrecognized()),
+                    },
                     // `tierX.filled == 50%`
                     Some(path) if path.ends_with(".filled") => {
                         let tier = path.trim_end_matches(".filled").to_string();
-                        let (v, u) = rhs
-                            .as_num()
-                            .ok_or_else(|| PolicyError::general("filled threshold not numeric"))?;
+                        let (v, u) = rhs.as_num().ok_or_else(unrecognized)?;
                         let fraction = match u {
                             Some(u) => units::to_fraction(v, u).ok_or_else(|| {
-                                PolicyError::general("filled threshold must be a percentage")
+                                bad_unit(format!("filled threshold has non-percent unit '{u}'"))
                             })?,
                             None => v,
                         };
                         Ok(EventKind::TierFilled { tier, fraction })
                     }
-                    _ => Err(PolicyError::general(format!("unrecognized event '{e}'"))),
+                    _ => Err(unrecognized()),
                 }
             }
             // `object.lastAccessedTime > 120 hours`
@@ -523,265 +544,253 @@ impl<'a> Compiler<'a> {
                 op: BinOp::Gt,
                 lhs,
                 rhs,
-            } => {
-                let lpath = lhs.as_path().map(|p| p.join("."));
-                if lpath.as_deref() == Some("object.lastAccessedTime") {
-                    let (v, u) = rhs
-                        .as_num()
-                        .ok_or_else(|| PolicyError::general("cold-data threshold not numeric"))?;
-                    let ms = match u {
-                        Some(u) => units::to_millis(v, u).ok_or_else(|| {
-                            PolicyError::general("cold-data threshold must be a duration")
-                        })?,
-                        None => v,
-                    };
-                    Ok(EventKind::ColdData { older_than_ms: ms })
-                } else {
-                    Err(PolicyError::general(format!("unrecognized event '{e}'")))
-                }
+            } if lhs.as_path().map(|p| p.join(".")).as_deref()
+                == Some("object.lastAccessedTime") =>
+            {
+                let (v, u) = rhs.as_num().ok_or_else(unrecognized)?;
+                let ms = match u {
+                    Some(u) => units::to_millis(v, u).ok_or_else(|| {
+                        bad_unit(format!("cold-data threshold has non-duration unit '{u}'"))
+                    })?,
+                    None => v,
+                };
+                Ok(EventKind::ColdData { older_than_ms: ms })
             }
-            other => Err(PolicyError::general(format!(
-                "unrecognized event '{other}'"
-            ))),
+            _ => Err(unrecognized()),
         }
     }
 
     // ---- actions ----------------------------------------------------------
 
-    fn actions(&self, body: &[Stmt], tiers: &[&str]) -> Result<Vec<Action>, PolicyError> {
-        body.iter().map(|s| self.action(s, tiers)).collect()
+    /// Lower a statement list, recording each statement that does not lower
+    /// (and leaving it out).
+    fn actions(&mut self, body: &[Stmt], tiers: &[&str]) -> Vec<Action> {
+        let mut out = Vec::new();
+        for stmt in body {
+            match self.action(stmt, tiers) {
+                Ok(action) => out.push(action),
+                Err(d) => self.diags.push(d.at(stmt.span())),
+            }
+        }
+        out
     }
 
-    fn action(&self, stmt: &Stmt, tiers: &[&str]) -> Result<Action, PolicyError> {
+    fn action(&mut self, stmt: &Stmt, tiers: &[&str]) -> Result<Action, Diagnostic> {
         match stmt {
-            Stmt::Assign {
-                target,
-                value,
-                span,
-            } => Ok(Action::SetAttr {
+            Stmt::Assign { target, value, .. } => Ok(Action::SetAttr {
                 path: target.clone(),
-                value: self.cond_value(value).map_err(|e| e.or_at(*span))?,
+                value: cond_value(value).map_err(|why| {
+                    let target = target.join(".");
+                    Diagnostic::deny(Code::Wp013, format!("assignment to '{target}': {why}"))
+                })?,
             }),
             Stmt::If {
                 cond,
                 then,
                 otherwise,
-                span,
-            } => Ok(Action::If {
-                cond: self.condition(cond).map_err(|e| e.or_at(*span))?,
-                then: self.actions(then, tiers)?,
-                otherwise: self.actions(otherwise, tiers)?,
-            }),
-            Stmt::Call { name, args, span } => {
-                self.call(name, args, tiers).map_err(|e| e.or_at(*span))
-            }
-        }
-    }
-
-    fn call(
-        &self,
-        name: &str,
-        args: &[(String, Expr)],
-        tiers: &[&str],
-    ) -> Result<Action, PolicyError> {
-        let get = |key: &str| args.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let what = || -> Result<Selector, PolicyError> {
-            let e = get("what")
-                .ok_or_else(|| PolicyError::general(format!("{name}() missing 'what:'")))?;
-            self.selector(e)
-        };
-        let to = |ts: &[&str]| -> Result<Target, PolicyError> {
-            let e =
-                get("to").ok_or_else(|| PolicyError::general(format!("{name}() missing 'to:'")))?;
-            self.target(e, ts)
-        };
-        let bandwidth = || -> Result<Option<f64>, PolicyError> {
-            match get("bandwidth") {
-                None => Ok(None),
-                Some(e) => {
-                    let (v, u) = e
-                        .as_num()
-                        .ok_or_else(|| PolicyError::general("bandwidth must be numeric"))?;
-                    let bps = match u {
-                        Some(u) => units::to_bytes_per_sec(v, u)
-                            .ok_or_else(|| PolicyError::general("bandwidth needs a rate unit"))?,
-                        None => v,
-                    };
-                    Ok(Some(bps))
-                }
-            }
-        };
-
-        // Normalize the paper's `chage_policy` typo.
-        let name_norm = if name == "chage_policy" {
-            "change_policy"
-        } else {
-            name
-        };
-        match name_norm {
-            "store" => Ok(Action::Store {
-                what: what()?,
-                to: to(tiers)?,
-            }),
-            "copy" => Ok(Action::Copy {
-                what: what()?,
-                to: to(tiers)?,
-                bandwidth_bps: bandwidth()?,
-            }),
-            "move" => Ok(Action::Move {
-                what: what()?,
-                to: to(tiers)?,
-                bandwidth_bps: bandwidth()?,
-            }),
-            "delete" => Ok(Action::Delete { what: what()? }),
-            "forward" => Ok(Action::Forward {
-                what: what()?,
-                to: to(tiers)?,
-            }),
-            "queue" => Ok(Action::Queue {
-                what: what()?,
-                to: to(tiers)?,
-            }),
-            "lock" => Ok(Action::Lock { what: what()? }),
-            "release" => Ok(Action::Release { what: what()? }),
-            "change_policy" => Ok(Action::ChangePolicy {
-                what: what()?,
-                to: to(tiers)?,
-            }),
-            "compress" => Ok(Action::Compress { what: what()? }),
-            "encrypt" => Ok(Action::Encrypt { what: what()? }),
-            "grow" => {
-                let tier = get("what")
-                    .and_then(|e| e.as_ident().map(str::to_string))
-                    .ok_or_else(|| PolicyError::general("grow() needs what:<tier>"))?;
-                let by = get("by")
-                    .and_then(Expr::as_num)
-                    .ok_or_else(|| PolicyError::general("grow() needs by:<size>"))?;
-                let by_bytes = match by.1 {
-                    Some(u) => units::to_bytes(by.0, u)
-                        .ok_or_else(|| PolicyError::general("grow() 'by' needs a size unit"))?,
-                    None => by.0 as u64,
-                };
-                Ok(Action::Grow { tier, by_bytes })
-            }
-            other => Err(PolicyError::general(format!("unknown response '{other}'"))),
-        }
-    }
-
-    fn selector(&self, e: &Expr) -> Result<Selector, PolicyError> {
-        match e {
-            Expr::Path(p) => match p.join(".").as_str() {
-                "insert.object" | "insert.oject" => Ok(Selector::InsertObject), // figure typo
-                "insert.key" => Ok(Selector::InsertKey),
-                "consistency" => Ok(Selector::Consistency),
-                "primary_instance" => Ok(Selector::PrimaryRole),
-                _ => Ok(Selector::Where(self.condition(e)?)),
-            },
-            Expr::Binary { .. } => Ok(Selector::Where(self.condition(e)?)),
-            other => Err(PolicyError::general(format!("bad selector '{other}'"))),
-        }
-    }
-
-    fn target(&self, e: &Expr, tiers: &[&str]) -> Result<Target, PolicyError> {
-        let ident = e
-            .as_ident()
-            .ok_or_else(|| PolicyError::general(format!("bad target '{e}'")))?;
-        Ok(match ident {
-            "local_instance" => Target::LocalInstance,
-            "all_regions" => Target::AllRegions,
-            "primary_instance" => Target::PrimaryInstance,
-            "instance_forward_most" => Target::InstanceForwardMost,
-            t if tiers.contains(&t) || t.to_ascii_lowercase().starts_with("tier") => {
-                Target::Tier(t.to_string())
-            }
-            policy => Target::Policy(policy.to_string()),
-        })
-    }
-
-    fn condition(&self, e: &Expr) -> Result<Condition, PolicyError> {
-        match e {
-            Expr::Binary {
-                op: BinOp::And,
-                lhs,
-                rhs,
-            } => Ok(Condition::And(
-                Box::new(self.condition(lhs)?),
-                Box::new(self.condition(rhs)?),
-            )),
-            Expr::Binary {
-                op: BinOp::Or,
-                lhs,
-                rhs,
-            } => Ok(Condition::Or(
-                Box::new(self.condition(lhs)?),
-                Box::new(self.condition(rhs)?),
-            )),
-            Expr::Binary { op, lhs, rhs } => {
-                let field = lhs
-                    .as_path()
-                    .ok_or_else(|| {
-                        PolicyError::general(format!("condition lhs must be a field: {e}"))
-                    })?
-                    .to_vec();
-                let cmp = match op {
-                    BinOp::Eq => CmpOp::Eq,
-                    BinOp::Ne => CmpOp::Ne,
-                    BinOp::Lt => CmpOp::Lt,
-                    BinOp::Le => CmpOp::Le,
-                    BinOp::Gt => CmpOp::Gt,
-                    BinOp::Ge => CmpOp::Ge,
-                    _ => unreachable!("and/or handled above"),
-                };
-                Ok(Condition::Cmp {
-                    field,
-                    op: cmp,
-                    value: self.cond_value(rhs)?,
+                ..
+            } => {
+                let then = self.actions(then, tiers);
+                let otherwise = self.actions(otherwise, tiers);
+                Ok(Action::If {
+                    cond: condition(cond).map_err(|why| {
+                        Diagnostic::deny(Code::Wp013, format!("if condition: {why}"))
+                    })?,
+                    then,
+                    otherwise,
                 })
             }
-            // Bare path: truthiness of a boolean field.
-            Expr::Path(p) => Ok(Condition::Cmp {
-                field: p.clone(),
-                op: CmpOp::Eq,
-                value: CondValue::Bool(true),
-            }),
-            other => Err(PolicyError::general(format!("bad condition '{other}'"))),
+            Stmt::Call { name, args, .. } => call(name, args, tiers),
         }
     }
+}
 
-    /// Normalize a literal to canonical units; paths with >1 segment become
-    /// field references, single idents stay symbolic.
-    fn cond_value(&self, e: &Expr) -> Result<CondValue, PolicyError> {
-        let bad_unit = |u: Unit| {
-            PolicyError::general(format!(
-                "cannot normalize value with unit '{u}' in condition"
-            ))
-        };
-        Ok(match e {
-            Expr::Num { value, unit } => {
-                let v = match unit {
-                    None => *value,
-                    Some(u) if u.is_duration() => {
-                        units::to_millis(*value, *u).ok_or_else(|| bad_unit(*u))?
-                    }
-                    Some(u) if u.is_size() => {
-                        units::to_bytes(*value, *u).ok_or_else(|| bad_unit(*u))? as f64
-                    }
-                    Some(u) if u.is_rate() => {
-                        units::to_bytes_per_sec(*value, *u).ok_or_else(|| bad_unit(*u))?
-                    }
-                    Some(Unit::Percent) => units::to_fraction(*value, Unit::Percent)
-                        .ok_or_else(|| bad_unit(Unit::Percent))?,
-                    Some(_) => *value,
-                };
-                CondValue::Num(v)
-            }
-            Expr::Bool(b) => CondValue::Bool(*b),
-            Expr::Str(s) => CondValue::Ident(s.clone()),
-            Expr::Path(p) if p.len() == 1 => CondValue::Ident(p[0].clone()),
-            Expr::Path(p) => CondValue::Field(p.clone()),
-            other => return Err(PolicyError::general(format!("bad value '{other}'"))),
+fn call(name: &str, args: &[(String, Expr)], tiers: &[&str]) -> Result<Action, Diagnostic> {
+    // Normalize the paper's `chage_policy` typo.
+    let name = if name == "chage_policy" {
+        "change_policy"
+    } else {
+        name
+    };
+    let get = |key: &str| args.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let arg = |key: &str| {
+        get(key).ok_or_else(|| {
+            let message = format!("{name}() is missing required argument '{key}:'");
+            Diagnostic::deny(Code::Wp013, message)
         })
+    };
+    let malformed = |key: &str, why: String| {
+        Diagnostic::deny(Code::Wp013, format!("{name}() argument '{key}:': {why}"))
+    };
+    let what = || arg("what").and_then(|e| selector(e).map_err(|why| malformed("what", why)));
+    let to = || arg("to").and_then(|e| target(e, tiers).map_err(|why| malformed("to", why)));
+    // A number in canonical units; `convert` refuses a unit of another kind.
+    let amount = |key: &str, kind: &str, convert: fn(f64, Unit) -> Option<f64>, e: &Expr| {
+        let (v, u) = e
+            .as_num()
+            .ok_or_else(|| malformed(key, format!("'{e}' is not a number")))?;
+        match u {
+            None => Ok(v),
+            Some(u) => convert(v, u).ok_or_else(|| {
+                let message = format!("{name}() '{key}:' has non-{kind} unit '{u}'");
+                Diagnostic::deny(Code::Wp009, message)
+            }),
+        }
+    };
+    let bandwidth = || {
+        get("bandwidth")
+            .map(|e| amount("bandwidth", "rate", units::to_bytes_per_sec, e))
+            .transpose()
+    };
+
+    match name {
+        "store" => Ok(Action::Store {
+            what: what()?,
+            to: to()?,
+        }),
+        "copy" => Ok(Action::Copy {
+            what: what()?,
+            to: to()?,
+            bandwidth_bps: bandwidth()?,
+        }),
+        "move" => Ok(Action::Move {
+            what: what()?,
+            to: to()?,
+            bandwidth_bps: bandwidth()?,
+        }),
+        "delete" => Ok(Action::Delete { what: what()? }),
+        "forward" => Ok(Action::Forward {
+            what: what()?,
+            to: to()?,
+        }),
+        "queue" => Ok(Action::Queue {
+            what: what()?,
+            to: to()?,
+        }),
+        "lock" => Ok(Action::Lock { what: what()? }),
+        "release" => Ok(Action::Release { what: what()? }),
+        "change_policy" => Ok(Action::ChangePolicy {
+            what: what()?,
+            to: to()?,
+        }),
+        "compress" => Ok(Action::Compress { what: what()? }),
+        "encrypt" => Ok(Action::Encrypt { what: what()? }),
+        "grow" => {
+            let what = arg("what")?;
+            let tier = what
+                .as_ident()
+                .ok_or_else(|| malformed("what", format!("'{what}' is not a tier label")))?;
+            let to_bytes = |v, u| units::to_bytes(v, u).map(|b| b as f64);
+            let by = amount("by", "size", to_bytes, arg("by")?)?;
+            Ok(Action::Grow {
+                tier: tier.to_string(),
+                by_bytes: by as u64,
+            })
+        }
+        other => Err(
+            Diagnostic::deny(Code::Wp012, format!("unknown response '{other}'")).with_note(
+                "known responses: store, copy, move, delete, forward, queue, lock, release, \
+                 change_policy, compress, encrypt, grow",
+            ),
+        ),
     }
+}
+
+fn selector(e: &Expr) -> Result<Selector, String> {
+    match e {
+        Expr::Path(p) => match p.join(".").as_str() {
+            "insert.object" | "insert.oject" => Ok(Selector::InsertObject), // figure typo
+            "insert.key" => Ok(Selector::InsertKey),
+            "consistency" => Ok(Selector::Consistency),
+            "primary_instance" => Ok(Selector::PrimaryRole),
+            _ => Ok(Selector::Where(condition(e)?)),
+        },
+        Expr::Binary { .. } => Ok(Selector::Where(condition(e)?)),
+        other => Err(format!("bad selector '{other}'")),
+    }
+}
+
+fn target(e: &Expr, tiers: &[&str]) -> Result<Target, String> {
+    let ident = e.as_ident().ok_or_else(|| format!("bad target '{e}'"))?;
+    Ok(match ident {
+        "local_instance" => Target::LocalInstance,
+        "all_regions" => Target::AllRegions,
+        "primary_instance" => Target::PrimaryInstance,
+        "instance_forward_most" => Target::InstanceForwardMost,
+        t if tiers.contains(&t) || t.to_ascii_lowercase().starts_with("tier") => {
+            Target::Tier(t.to_string())
+        }
+        policy => Target::Policy(policy.to_string()),
+    })
+}
+
+fn condition(e: &Expr) -> Result<Condition, String> {
+    match e {
+        Expr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } => Ok(Condition::And(
+            Box::new(condition(lhs)?),
+            Box::new(condition(rhs)?),
+        )),
+        Expr::Binary {
+            op: BinOp::Or,
+            lhs,
+            rhs,
+        } => Ok(Condition::Or(
+            Box::new(condition(lhs)?),
+            Box::new(condition(rhs)?),
+        )),
+        Expr::Binary { op, lhs, rhs } => {
+            let field = lhs
+                .as_path()
+                .ok_or_else(|| format!("condition lhs must be a field: {e}"))?
+                .to_vec();
+            let cmp = match op {
+                BinOp::Eq => CmpOp::Eq,
+                BinOp::Ne => CmpOp::Ne,
+                BinOp::Lt => CmpOp::Lt,
+                BinOp::Le => CmpOp::Le,
+                BinOp::Gt => CmpOp::Gt,
+                BinOp::Ge => CmpOp::Ge,
+                _ => unreachable!("and/or handled above"),
+            };
+            Ok(Condition::Cmp {
+                field,
+                op: cmp,
+                value: cond_value(rhs)?,
+            })
+        }
+        // Bare path: truthiness of a boolean field.
+        Expr::Path(p) => Ok(Condition::Cmp {
+            field: p.clone(),
+            op: CmpOp::Eq,
+            value: CondValue::Bool(true),
+        }),
+        other => Err(format!("bad condition '{other}'")),
+    }
+}
+
+/// Normalize a literal to canonical units; paths with >1 segment become
+/// field references, single idents stay symbolic.
+fn cond_value(e: &Expr) -> Result<CondValue, String> {
+    Ok(match e {
+        // Every unit is a duration, a size, a rate or a percentage.
+        Expr::Num { value, unit } => CondValue::Num(match *unit {
+            Some(u) => units::to_millis(*value, u)
+                .or_else(|| units::to_bytes(*value, u).map(|b| b as f64))
+                .or_else(|| units::to_bytes_per_sec(*value, u))
+                .or_else(|| units::to_fraction(*value, u))
+                .unwrap_or(*value),
+            None => *value,
+        }),
+        Expr::Bool(b) => CondValue::Bool(*b),
+        Expr::Str(s) => CondValue::Ident(s.clone()),
+        Expr::Path(p) if p.len() == 1 => CondValue::Ident(p[0].clone()),
+        Expr::Path(p) => CondValue::Field(p.clone()),
+        other => return Err(format!("bad value '{other}'")),
+    })
 }
 
 /// Recognize the paper's consistency protocols from the insert rule's shape.

@@ -104,7 +104,7 @@ impl fmt::Display for Severity {
 /// published; retired codes are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
-    /// Syntax or lowering error from the parser/compiler front end.
+    /// Syntax error from the parser.
     Wp000,
     /// Duplicate tier declaration in one scope.
     Wp001,
@@ -130,7 +130,8 @@ pub enum Code {
     Wp011,
     /// Unknown response (action) name.
     Wp012,
-    /// Response call missing a required argument.
+    /// Missing or malformed argument: a response call's, an `if`
+    /// condition, or an assigned value.
     Wp013,
     /// `change_policy` targets an unknown policy.
     Wp014,
@@ -143,6 +144,9 @@ pub enum Code {
     /// Wiera insert rule that matches none of the paper's consistency
     /// protocols.
     Wp018,
+    /// Malformed tier or region declaration (an attribute missing or not
+    /// of its kind).
+    Wp019,
     // --- WC codes: runtime concurrency/consistency findings (wiera-check) ---
     /// Lock-order cycle: potential ABBA deadlock in the runtime lock graph.
     Wc001,
@@ -204,7 +208,7 @@ pub enum Code {
 }
 
 /// All codes the analyzer can emit, for documentation and golden tests.
-pub const ALL_CODES: [Code; 19] = [
+pub const ALL_CODES: [Code; 20] = [
     Code::Wp000,
     Code::Wp001,
     Code::Wp002,
@@ -224,6 +228,7 @@ pub const ALL_CODES: [Code; 19] = [
     Code::Wp016,
     Code::Wp017,
     Code::Wp018,
+    Code::Wp019,
 ];
 
 /// All codes `wiera-check` can emit (runtime concurrency/consistency
@@ -280,6 +285,7 @@ impl Code {
             Code::Wp016 => "WP016",
             Code::Wp017 => "WP017",
             Code::Wp018 => "WP018",
+            Code::Wp019 => "WP019",
             Code::Wc001 => "WC001",
             Code::Wc002 => "WC002",
             Code::Wc003 => "WC003",
@@ -308,7 +314,7 @@ impl Code {
     /// One-line catalog description (used by `wiera-lint --explain`).
     pub fn describe(self) -> &'static str {
         match self {
-            Code::Wp000 => "syntax or lowering error",
+            Code::Wp000 => "syntax error",
             Code::Wp001 => "duplicate tier declaration",
             Code::Wp002 => "reference to an undeclared tier",
             Code::Wp003 => "event references an undefined parameter",
@@ -321,12 +327,13 @@ impl Code {
             Code::Wp010 => "conflicting consistency models across insert rules",
             Code::Wp011 => "duplicate region declaration",
             Code::Wp012 => "unknown response name",
-            Code::Wp013 => "response missing a required argument",
+            Code::Wp013 => "missing or malformed argument",
             Code::Wp014 => "change_policy targets an unknown policy",
             Code::Wp015 => "constant condition makes a branch unreachable",
             Code::Wp016 => "rule reads a tier no flow path populates",
             Code::Wp017 => "unrecognized event shape",
             Code::Wp018 => "insert rule matches no consistency protocol",
+            Code::Wp019 => "malformed tier or region declaration",
             Code::Wc001 => "lock-order cycle (potential deadlock)",
             Code::Wc002 => "same-class lock nesting with no intra-class order",
             Code::Wc003 => "lock release without a matching acquisition",
@@ -539,6 +546,6 @@ mod tests {
             assert!(seen.insert(c.as_str()), "duplicate code {c}");
             assert!(!c.describe().is_empty());
         }
-        assert_eq!(seen.len(), 41);
+        assert_eq!(seen.len(), 42);
     }
 }

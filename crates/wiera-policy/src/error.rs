@@ -35,15 +35,6 @@ impl PolicyError {
         }
     }
 
-    pub fn general(message: impl Into<String>) -> Self {
-        PolicyError {
-            message: message.into(),
-            line: None,
-            span: None,
-            diagnostics: Vec::new(),
-        }
-    }
-
     /// An error carrying the analyzer findings that produced it.
     pub fn rejected(diagnostics: Vec<Diagnostic>) -> Self {
         let first_deny = diagnostics
@@ -65,18 +56,8 @@ impl PolicyError {
         }
     }
 
-    /// Attach a span when this error has none (used to anchor lowering
-    /// errors to the statement or rule they came from).
-    pub fn or_at(mut self, span: Span) -> Self {
-        if self.span.is_none() {
-            self.span = Some(span);
-            self.line = self.line.or(Some(span.line));
-        }
-        self
-    }
-
     /// Render this error as a single front-end diagnostic (`WP000`), so
-    /// parse and lowering failures print uniformly with analyzer findings.
+    /// parse failures print uniformly with analyzer findings.
     pub fn to_diagnostic(&self) -> Diagnostic {
         let d = Diagnostic::deny(crate::diag::Code::Wp000, self.message.clone());
         match self.span {

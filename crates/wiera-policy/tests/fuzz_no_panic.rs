@@ -6,9 +6,11 @@
 //! overflows are bugs.
 
 use proptest::prelude::*;
+use wiera_policy::diag::worst_is_deny;
 use wiera_policy::{analyze_source, parser};
 
 /// Run the full front end on arbitrary text; returns whether it parsed.
+/// A spec that lints without a deny finding must also compile.
 fn front_end_survives(src: &str) -> bool {
     let _ = wiera_policy::lexer::lex(src);
     let (spec, diags) = analyze_source(src);
@@ -20,7 +22,10 @@ fn front_end_survives(src: &str) -> bool {
     }
     match spec {
         Some(spec) => {
-            let _ = wiera_policy::compile(&spec);
+            let compiled = wiera_policy::compile(&spec);
+            if !worst_is_deny(&diags, false) {
+                assert!(compiled.is_ok(), "lints clean but fails to compile: {src}");
+            }
             true
         }
         None => false,
