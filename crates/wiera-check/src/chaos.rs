@@ -38,9 +38,9 @@ use wiera_coord::{CoordClient, CoordConfig};
 use wiera_net::{NodeId, Region};
 use wiera_policy::diag::{sort_diagnostics, worst_is_deny, Code, Diagnostic};
 use wiera_sim::lockreg::LockRegistry;
-use wiera_sim::{MetricsRegistry, SimRng, TraceEvent, Tracer};
+use wiera_sim::{MetricsRegistry, SimRng, Tracer};
 
-use crate::history::{check_history, extract_history};
+use crate::history::check_trace;
 use crate::lockdiag::registry_diagnostics;
 use crate::scenarios;
 
@@ -461,9 +461,7 @@ fn run_protocol(p: &Protocol, seed: u64) -> ChaosReport {
     cluster.shutdown();
     wall(20);
 
-    let events: Vec<TraceEvent> = Tracer::global().events();
-    let (history, mut diags) = extract_history(&events);
-    diags.extend(check_history(&history, model));
+    let mut diags = check_trace(Tracer::global(), model);
     diags.extend(registry_diagnostics(LockRegistry::global()));
     diags.extend(extra_diags);
     sort_diagnostics(&mut diags);

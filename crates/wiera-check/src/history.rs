@@ -3,9 +3,9 @@
 //! Replicas record every client-visible operation as a span on the modeled
 //! time axis (subsystem `history`, op `put` / `get` / `replicate_apply`,
 //! plus `mput` / `mget` — one span per item of a batched operation,
-//! detail `key=K ver=N val=<fnv64 hex>`). This module re-extracts those
-//! spans from a [`Tracer`] export and checks them against the policy's
-//! deduced [`ConsistencyModel`]:
+//! detail `key=K ver=N val=<64-bit value digest, hex>`). This module
+//! re-extracts those spans from a [`Tracer`] export and checks them against
+//! the policy's deduced [`ConsistencyModel`]:
 //!
 //! * `MultiPrimaries` and `PrimaryBackup { sync: true }` promise
 //!   linearizability, which for a versioned register reduces to interval
@@ -22,12 +22,32 @@
 //!
 //! Anything the oracle cannot check — an empty history, a read of a version
 //! no recorded write produced, an unparseable record — is surfaced as a
-//! WC013 note rather than silently skipped.
+//! WC013 note rather than silently skipped. A trace whose ring overflowed
+//! lost its oldest events, so the history it holds is not the whole one:
+//! that is a WC013 deny.
 
 use std::collections::BTreeMap;
 use wiera_policy::diag::{Code, Diagnostic};
 use wiera_policy::ConsistencyModel;
-use wiera_sim::TraceEvent;
+use wiera_sim::{TraceEvent, Tracer};
+
+/// Extract the history a tracer holds and check it against the model. A
+/// tracer that dropped events fails the run, whatever survived.
+pub fn check_trace(tracer: &Tracer, model: Option<ConsistencyModel>) -> Vec<Diagnostic> {
+    let (history, mut diags) = extract_history(&tracer.events());
+    let dropped = tracer.dropped();
+    if dropped > 0 {
+        diags.push(Diagnostic::deny(
+            Code::Wc013,
+            format!(
+                "trace ring overflowed: its {dropped} oldest events were dropped, \
+                 so the history checked is truncated"
+            ),
+        ));
+    }
+    diags.extend(check_history(&history, model));
+    diags
+}
 
 /// What kind of history record a span is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +66,7 @@ pub struct HistoryEvent {
     pub kind: HistoryKind,
     pub key: String,
     pub version: u64,
-    /// FNV-1a digest of the value bytes — equality proxy for the payload.
+    /// 64-bit digest of the value bytes — equality proxy for the payload.
     pub digest: u64,
     pub node: String,
     pub start_us: u64,
@@ -524,6 +544,36 @@ mod tests {
         let (hist, diags) = extract_history(&[e]);
         assert!(diags.is_empty());
         assert!(hist[0].degraded);
+    }
+
+    #[test]
+    fn a_trace_that_dropped_events_fails_the_run() {
+        use wiera_policy::diag::worst_is_deny;
+        use wiera_sim::{SimDuration, SimInstant};
+        let record = |tracer: &Tracer| {
+            for (t, ver) in [(0, 1), (200, 2), (400, 3)] {
+                let at = |us| SimInstant::EPOCH + SimDuration::from_micros(us);
+                tracer
+                    .span(at(t), "history", "put")
+                    .node("p")
+                    .object("k", ver, 0xa0 + ver, false)
+                    .finish(at(t + 100));
+            }
+        };
+        let whole = Tracer::with_capacity(3);
+        record(&whole);
+        assert!(check_trace(&whole, PB_SYNC).is_empty());
+        // The same writes through a ring one record short: what survives
+        // is a clean history, yet the run fails.
+        let truncated = Tracer::with_capacity(2);
+        record(&truncated);
+        let diags = check_trace(&truncated, PB_SYNC);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::Wc013);
+        assert!(diags[0]
+            .message
+            .contains("its 1 oldest events were dropped"));
+        assert!(worst_is_deny(&diags, false));
     }
 
     #[test]

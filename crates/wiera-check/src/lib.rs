@@ -16,7 +16,8 @@
 //!   policy's *deduced* [`wiera_policy::ConsistencyModel`]: a Wing–Gong-style
 //!   interval linearizability check for `PrimaryBackup {{ sync: true }}` and
 //!   locked `MultiPrimaries` (WC010), read-your-writes (WC011) plus eventual
-//!   convergence (WC012) for `Eventual`.
+//!   convergence (WC012) for `Eventual`. A trace ring that overflowed holds
+//!   a truncated history, which fails the run (WC013 deny).
 //! * [`scenarios`] — a canned corpus of whole-cluster scenarios (including
 //!   outage and session-expiry fault injection) that must check clean, and
 //!   adversarial scenarios with *planted* bugs (an ABBA deadlock, a stale
@@ -47,7 +48,7 @@ pub mod modelbridge;
 pub mod scenarios;
 
 pub use chaos::{run_campaign, ChaosReport};
-pub use history::{check_history, extract_history, HistoryEvent, HistoryKind};
+pub use history::{check_history, check_trace, extract_history, HistoryEvent, HistoryKind};
 pub use lockdiag::registry_diagnostics;
 pub use modelbridge::{soundness, workspace_model, SoundnessReport};
 pub use scenarios::{all_scenarios, run_scenario, Scenario, ScenarioKind, ScenarioReport};

@@ -29,7 +29,7 @@ use wiera_policy::ConsistencyModel;
 use wiera_sim::lockreg::{LockRegistry, TrackedMutex};
 use wiera_sim::{SimDuration, TraceEvent, Tracer};
 
-use crate::history::{check_history, extract_history};
+use crate::history::{check_history, check_trace, extract_history};
 use crate::lockdiag::registry_diagnostics;
 
 /// Whether a scenario is expected to be clean or to trip the checker.
@@ -286,9 +286,7 @@ fn collect(b: Bench, extra: Vec<Diagnostic>) -> Vec<Diagnostic> {
     b.cluster.shutdown();
     quiesce(20);
 
-    let events: Vec<TraceEvent> = Tracer::global().events();
-    let (history, mut diags) = extract_history(&events);
-    diags.extend(check_history(&history, b.model));
+    let mut diags = check_trace(Tracer::global(), b.model);
     // Scenario workloads always record puts and gets; an empty history here
     // means the instrumentation broke, so the WC013 note stands.
     diags.extend(registry_diagnostics(LockRegistry::global()));
@@ -796,9 +794,7 @@ fn fleet_collect(b: FleetBench, extra: Vec<Diagnostic>) -> Vec<Diagnostic> {
     b.fleet.stop_all();
     b.cluster.shutdown();
     quiesce(20);
-    let events: Vec<TraceEvent> = Tracer::global().events();
-    let (history, mut diags) = extract_history(&events);
-    diags.extend(check_history(&history, b.model));
+    let mut diags = check_trace(Tracer::global(), b.model);
     diags.extend(registry_diagnostics(LockRegistry::global()));
     diags.extend(extra);
     diags

@@ -487,8 +487,8 @@ impl<M: Send + 'static> Mesh<M> {
         link.bytes.add(posted.bytes + reply_bytes);
         Tracer::global()
             .span(posted.started, "net", "rpc")
-            .region(to.region.to_string())
-            .node(to.name.as_ref())
+            .region(to.region.name())
+            .node(to.name.clone())
             .finish(posted.started + total);
         Ok(RpcReply {
             msg: reply,

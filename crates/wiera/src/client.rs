@@ -23,6 +23,7 @@ use crate::replica::{view_of_item, view_of_reply, AppError, OpView, DATA_TIMEOUT
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use wiera_net::{Mesh, NetError, NodeId, Region, RpcReply};
 use wiera_sim::{
@@ -731,17 +732,16 @@ impl WieraClient {
         &self,
         items: &[(String, Bytes)],
     ) -> Result<Vec<Result<OpView, AppError>>, AppError> {
-        let payload: Vec<PutItem> = items
-            .iter()
-            .map(|(key, value)| PutItem {
-                key: key.clone(),
-                value: value.clone(),
-            })
-            .collect();
         self.fan_out(
             &items.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
             |idxs| DataMsg::MultiPut {
-                items: idxs.iter().map(|&i| payload[i].clone()).collect(),
+                items: idxs
+                    .iter()
+                    .map(|&i| PutItem {
+                        key: items[i].0.clone(),
+                        value: items[i].1.clone(),
+                    })
+                    .collect(),
             },
         )
     }
@@ -759,9 +759,12 @@ impl WieraClient {
 
     /// Split item indices by owning group under the current map, issue one
     /// group message per group concurrently, and stitch per-item results
-    /// back in input order. Indices whose group answers `WrongShard` are
-    /// re-split on the next round (the map moved under us); the redirect
-    /// round count is capped by the retry policy's attempt budget.
+    /// back in input order. The lowest-numbered group runs on the calling
+    /// thread and every other group on a scoped thread of its own, so a
+    /// batch that one group owns starts no thread. Indices whose group
+    /// answers `WrongShard` are re-split on the next round (the map moved
+    /// under us); the redirect round count is capped by the retry policy's
+    /// attempt budget.
     fn fan_out(
         &self,
         keys: &[&str],
@@ -784,30 +787,31 @@ impl WieraClient {
             }
             let make_ref = &make_group_msg;
             type GroupOutcome = (Vec<usize>, Result<Vec<Result<OpView, AppError>>, AppError>);
+            let call_group = |(group, idxs): (u32, Vec<usize>)| -> GroupOutcome {
+                let result = self.with_failover(
+                    deadline,
+                    || self.candidates_of_group(group),
+                    || make_ref(&idxs),
+                    batch_views,
+                );
+                (idxs, result)
+            };
+            let settled = |outcome: std::thread::Result<GroupOutcome>| {
+                outcome.unwrap_or_else(|_| {
+                    (
+                        Vec::new(),
+                        Err(AppError::internal("batch fan-out worker panicked")),
+                    )
+                })
+            };
+            let mut groups = by_group.into_iter();
+            let inline = groups.next();
             let outcomes: Vec<GroupOutcome> = std::thread::scope(|s| {
-                let handles: Vec<_> = by_group
-                    .into_iter()
-                    .map(|(group, idxs)| {
-                        s.spawn(move || {
-                            let result = self.with_failover(
-                                deadline,
-                                || self.candidates_of_group(group),
-                                || make_ref(&idxs),
-                                batch_views,
-                            );
-                            (idxs, result)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(outcome) => outcome,
-                        Err(_) => (
-                            Vec::new(),
-                            Err(AppError::internal("batch fan-out worker panicked")),
-                        ),
-                    })
+                let handles: Vec<_> = groups.map(|g| s.spawn(move || call_group(g))).collect();
+                let here = inline.map(|g| catch_unwind(AssertUnwindSafe(|| call_group(g))));
+                here.into_iter()
+                    .chain(handles.into_iter().map(|h| h.join()))
+                    .map(settled)
                     .collect()
             });
             let mut wrong: Vec<usize> = Vec::new();

@@ -42,6 +42,7 @@ use crate::msg::{DataMsg, FailCode, ItemResult, KeyDigest, PutItem, SyncObject};
 use bytes::Bytes;
 use parking_lot::Condvar;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tiera::{BatchOp, InstanceConfig, TieraError, TieraInstance};
@@ -480,13 +481,13 @@ impl ReplicaNode {
         if let Some(coord) = self.coord_client() {
             coord.pause_heartbeats();
         }
-        let region = self.node.region.to_string();
-        MetricsRegistry::global().inc("wiera_crashes", &[("region", region.as_str())]);
+        let region = self.node.region.name();
+        MetricsRegistry::global().inc("wiera_crashes", &[("region", region)]);
         let now = self.mesh.clock.now();
         Tracer::global()
             .span(now, "wiera", "crash")
             .region(region)
-            .node(self.node.name.as_ref())
+            .node(self.node.name.clone())
             .detail(format!("volatile_versions_lost={wiped}"))
             .finish(now);
     }
@@ -834,8 +835,8 @@ impl ReplicaNode {
         MetricsRegistry::global().observe("wiera_consistency_switch_time", &[], took);
         Tracer::global()
             .span(started, "wiera", "consistency_switch")
-            .region(self.node.region.to_string())
-            .node(self.node.name.as_ref())
+            .region(self.node.region.name())
+            .node(self.node.name.clone())
             .detail(to_label)
             .finish(started + took);
         took
@@ -960,15 +961,14 @@ impl ReplicaNode {
             if let Ok(Some(out)) = out {
                 applied += 1;
                 took += out.latency;
-                let digest = value_digest(&o.value);
                 let now = self.mesh.clock.now();
                 self.record_history(
                     "replicate_apply",
                     &o.key,
                     o.version,
-                    digest,
-                    now,
-                    out.latency,
+                    &o.value,
+                    false,
+                    now..now + out.latency,
                 );
             }
         }
@@ -1210,7 +1210,7 @@ impl ReplicaNode {
             s.primary = Some(self.node.clone());
             s.epoch
         };
-        let region = self.node.region.to_string();
+        let region = self.node.region.name();
         // Failover events are per shard group: a fleet runs one primary per
         // group, so the event names which group's leadership moved instead
         // of implying a deployment-global primary.
@@ -1220,13 +1220,13 @@ impl ReplicaNode {
             .unwrap_or_else(|| "-".into());
         MetricsRegistry::global().inc(
             "wiera_failovers",
-            &[("region", region.as_str()), ("group", group_label.as_str())],
+            &[("region", region), ("group", group_label.as_str())],
         );
         let now = self.mesh.clock.now();
         Tracer::global()
             .span(now, "wiera", "failover")
             .region(region)
-            .node(self.node.name.as_ref())
+            .node(self.node.name.clone())
             .detail(format!(
                 "deposed={suspect} epoch={epoch} group={group_label}"
             ))
@@ -1395,18 +1395,16 @@ impl ReplicaNode {
         let started = self.mesh.clock.now();
         let out = self.inst.get(key).ok()?;
         let value = out.value?;
-        let region = self.node.region.to_string();
-        MetricsRegistry::global().inc("wiera_degraded_reads_total", &[("region", region.as_str())]);
-        Tracer::global()
-            .span(started, "history", "get")
-            .region(region)
-            .node(self.node.name.as_ref())
-            .detail(format!(
-                "key={key} ver={} val={:016x} degraded=1",
-                out.version,
-                value_digest(&value)
-            ))
-            .finish(started + out.latency);
+        let region = self.node.region.name();
+        MetricsRegistry::global().inc("wiera_degraded_reads_total", &[("region", region)]);
+        self.record_history(
+            "get",
+            key,
+            out.version,
+            &value,
+            true,
+            started..started + out.latency,
+        );
         Some((
             DataMsg::GetReply {
                 value,
@@ -1463,16 +1461,13 @@ impl ReplicaNode {
                 slot.reply(msg, SimDuration::from_micros(100), bytes);
             }
         };
-        let region = self.node.region.to_string();
+        let region = self.node.region.name();
         // A spent budget fails fast, before any queueing or engine work.
         if budget
             .deadline
             .is_some_and(|dl| self.mesh.clock.now() >= dl)
         {
-            MetricsRegistry::global().inc(
-                "wiera_deadline_exceeded_total",
-                &[("region", region.as_str())],
-            );
+            MetricsRegistry::global().inc("wiera_deadline_exceeded_total", &[("region", region)]);
             refuse(
                 d.reply,
                 FailCode::DeadlineExceeded,
@@ -1500,7 +1495,7 @@ impl ReplicaNode {
                     }
                 }
             }
-            MetricsRegistry::global().inc("wiera_shed_total", &[("region", region.as_str())]);
+            MetricsRegistry::global().inc("wiera_shed_total", &[("region", region)]);
             refuse(
                 d.reply,
                 FailCode::Overloaded,
@@ -1516,10 +1511,8 @@ impl ReplicaNode {
                 .deadline
                 .is_some_and(|dl| self.mesh.clock.now() >= dl)
             {
-                MetricsRegistry::global().inc(
-                    "wiera_deadline_exceeded_total",
-                    &[("region", region.as_str())],
-                );
+                MetricsRegistry::global()
+                    .inc("wiera_deadline_exceeded_total", &[("region", region)]);
                 refuse(
                     d.reply,
                     FailCode::DeadlineExceeded,
@@ -1799,8 +1792,8 @@ impl ReplicaNode {
         let label = if items.len() == 1 { "put" } else { "mput" };
         for (item, res) in items.iter().zip(&results) {
             if let ItemResult::Put { version } = res {
-                let digest = value_digest(&item.value);
-                self.record_history(label, &item.key, *version, digest, started, took);
+                let interval = started..started + took;
+                self.record_history(label, &item.key, *version, &item.value, false, interval);
             }
         }
         (results, took)
@@ -2072,7 +2065,8 @@ impl ReplicaNode {
             let label = if keys.len() == 1 { "get" } else { "mget" };
             for (key, res) in keys.iter().zip(&results) {
                 if let ItemResult::Value { value, version, .. } = res {
-                    self.record_history(label, key, *version, value_digest(value), started, took);
+                    let interval = started..started + took;
+                    self.record_history(label, key, *version, value, false, interval);
                 }
             }
         }
@@ -2173,22 +2167,23 @@ impl ReplicaNode {
     /// Emit one consistency-history event on the sim-time axis. The
     /// `wiera-check` oracle reconstructs operation intervals from these
     /// `subsystem = "history"` trace events and checks them against the
-    /// deployment's deduced consistency model.
+    /// deployment's deduced consistency model. A `degraded` read is marked
+    /// `degraded=1`: it opted out of freshness.
     fn record_history(
         &self,
-        op: &str,
+        op: &'static str,
         key: &str,
         version: u64,
-        digest: u64,
-        start: SimInstant,
-        latency: SimDuration,
+        value: &Bytes,
+        degraded: bool,
+        interval: Range<SimInstant>,
     ) {
         Tracer::global()
-            .span(start, "history", op)
-            .region(self.node.region.to_string())
-            .node(self.node.name.as_ref())
-            .detail(format!("key={key} ver={version} val={digest:016x}"))
-            .finish(start + latency);
+            .span(interval.start, "history", op)
+            .region(self.node.region.name())
+            .node(self.node.name.clone())
+            .object(key, version, value_digest(value), degraded)
+            .finish(interval.end);
     }
 
     // ---- direct (in-process) API for deployments and tests -----------------
@@ -2325,14 +2320,32 @@ fn batch_failure(len: usize, code: FailCode, why: &str) -> Vec<ItemResult> {
         .collect()
 }
 
-/// FNV-1a digest of a value body, so history events can carry a compact,
-/// comparable fingerprint of what was written or read.
+/// Digest of a value body, so history events and anti-entropy tables carry
+/// a compact, comparable fingerprint of what was written or read. The body
+/// is read eight bytes at a time, the last word zero-padded, into a state
+/// seeded with the length. A step is a bijection of the state for a fixed
+/// word and of the word for a fixed state, and so is the finalizer: two
+/// bodies of one word count cannot collide if they have the same length and
+/// differ in one word, or the same words and different lengths.
 fn value_digest(value: &Bytes) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in value.iter() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    let absorb = |h: u64, word: [u8; 8]| {
+        (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    };
+    let mut words = value.chunks_exact(8);
+    let mut h = value.len() as u64;
+    for word in &mut words {
+        h = absorb(h, word.try_into().unwrap_or_default());
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, word);
+    }
+    // Murmur3's 64-bit finalizer, so every input bit reaches every output bit.
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Result of a client-visible operation, with the modeled latency the
@@ -3205,6 +3218,40 @@ mod tests {
         .unwrap();
         assert!(got.degraded, "reply must carry the staleness marker");
         assert_eq!(got.value.unwrap().as_ref(), b"v");
+    }
+
+    #[test]
+    fn value_digest_separates_every_single_byte_change_and_every_length() {
+        let body = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 37 + 11) as u8).collect() };
+        for len in 0..=300 {
+            let original = body(len);
+            let digest = value_digest(&Bytes::from(body(len)));
+            for at in 0..len {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut changed = original.clone();
+                    changed[at] ^= flip;
+                    assert_ne!(
+                        value_digest(&Bytes::from(changed)),
+                        digest,
+                        "length {len}: byte {at} ^ {flip:#x} kept the digest"
+                    );
+                }
+            }
+            // Equal bodies in separate buffers digest equally.
+            assert_eq!(value_digest(&Bytes::from(body(len))), digest);
+        }
+        // Bodies that differ only by trailing zero bytes.
+        for prefix in [&b""[..], b"v", b"value-7"] {
+            let mut seen = HashSet::new();
+            for zeros in 0..=300 {
+                let mut padded = prefix.to_vec();
+                padded.resize(prefix.len() + zeros, 0);
+                assert!(
+                    seen.insert(value_digest(&Bytes::from(padded))),
+                    "{prefix:?} + {zeros} zero bytes collides with a shorter padding"
+                );
+            }
+        }
     }
 
     #[test]

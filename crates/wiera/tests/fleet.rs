@@ -162,6 +162,73 @@ fn batch_ops_split_per_group_and_preserve_item_order() {
     cluster.shutdown();
 }
 
+/// A two-group batch with every replica of group `down` crashed: that
+/// group's items fail, the other group's succeed, each item at its input
+/// position. The client runs the lowest-numbered group (0) on the calling
+/// thread and the other on a scoped thread, so `down = 0` and `down = 1`
+/// cover a failure on either side.
+fn batch_with_one_group_down(down: u32, seed: u64) {
+    let _serial = serial();
+    let cluster = fleet_cluster(seed);
+    let id = format!("down{down}");
+    let fleet = launch_fleet(&cluster, &id, 2);
+    let client = WieraClient::builder(cluster.data_mesh.clone(), Region::UsEast, "isolated")
+        .fleet(fleet.view())
+        .max_attempts(3)
+        .build();
+
+    let items: Vec<(String, Bytes)> = (0..40)
+        .map(|i| {
+            let key = format!("{id}/item{i:04}");
+            let value = payload(&key);
+            (key, value)
+        })
+        .collect();
+    let keys: Vec<String> = items.iter().map(|(k, _)| k.clone()).collect();
+    let map = fleet.view().map();
+    let owners: Vec<u32> = keys.iter().map(|k| map.group_of(k)).collect();
+    assert!(
+        owners.contains(&0) && owners.contains(&1),
+        "batch must span both groups"
+    );
+    let first = client.put_batch(&items).unwrap();
+    assert!(first.iter().all(Result::is_ok), "healthy fleet: {first:?}");
+
+    for rep in cluster.deployment_replicas(&format!("{id}-g{down}")) {
+        rep.crash();
+    }
+    let put = client.put_batch(&items).unwrap();
+    let got = client.get_batch(&keys).unwrap();
+    assert_eq!((put.len(), got.len()), (items.len(), items.len()));
+    for (i, (key, value)) in items.iter().enumerate() {
+        if owners[i] == down {
+            assert!(put[i].is_err(), "put of {key} in the down group succeeded");
+            assert!(got[i].is_err(), "get of {key} in the down group succeeded");
+        } else {
+            put[i]
+                .as_ref()
+                .unwrap_or_else(|e| panic!("put of {key} in the healthy group: {e}"));
+            let view = got[i]
+                .as_ref()
+                .unwrap_or_else(|e| panic!("get of {key} in the healthy group: {e}"));
+            assert_eq!(view.value.as_ref(), Some(value), "item {i} out of order");
+        }
+    }
+
+    fleet.stop_all();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_batch_whose_inline_group_is_down_still_serves_the_other_group() {
+    batch_with_one_group_down(0, 66);
+}
+
+#[test]
+fn a_batch_whose_spawned_group_is_down_still_serves_the_inline_group() {
+    batch_with_one_group_down(1, 67);
+}
+
 #[test]
 fn unsettled_map_surfaces_as_retryable_wrong_shard() {
     let _serial = serial();
