@@ -31,9 +31,8 @@ pub struct Finding {
 const WIRE_ENUMS: [&str; 2] = ["DataMsg", "CoordMsg"];
 
 /// DataMsg variants whose handler arms must fence on epoch.
-const FENCE_REQUIRED: [&str; 6] = [
+const FENCE_REQUIRED: [&str; 5] = [
     "Replicate",
-    "ReplicateBatch",
     "ForwardPut",
     "ChangeConsistency",
     "ChangePrimary",
@@ -41,13 +40,12 @@ const FENCE_REQUIRED: [&str; 6] = [
 ];
 
 /// DataMsg variants whose handler arms must record an op-history span.
-const HISTORY_REQUIRED: [&str; 7] = [
+const HISTORY_REQUIRED: [&str; 6] = [
     "Put",
     "Get",
     "MultiPut",
     "MultiGet",
     "Replicate",
-    "ReplicateBatch",
     "ForwardPut",
 ];
 

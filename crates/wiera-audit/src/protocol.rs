@@ -705,7 +705,7 @@ fn quoted(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// DataMsg variants that arrive with a reply slot and must answer it.
-const REPLY_EXPECTED: [&str; 16] = [
+const REPLY_EXPECTED: [&str; 14] = [
     "Put",
     "Get",
     "GetVersion",
@@ -716,22 +716,14 @@ const REPLY_EXPECTED: [&str; 16] = [
     "MultiGet",
     "ForwardPut",
     "Ping",
-    "SyncRequest",
     "DigestRequest",
     "FetchObjects",
     "Replicate",
-    "ReplicateBatch",
     "SetPeers",
 ];
 
 /// Variants whose arms write client-visible data (ordering-checked).
-const WRITE_VARIANTS: [&str; 5] = [
-    "Put",
-    "MultiPut",
-    "ForwardPut",
-    "Replicate",
-    "ReplicateBatch",
-];
+const WRITE_VARIANTS: [&str; 4] = ["Put", "MultiPut", "ForwardPut", "Replicate"];
 
 /// Run the WS110–WS114 local-property checks over the extracted model.
 pub fn protocol_checks(m: &Model, pm: &ProtocolModel) -> Vec<Finding> {

@@ -5,7 +5,7 @@
 //! deployment. A batch ships as ONE `MultiPut`/`MultiGet` message (one
 //! 64-byte wire header amortized over the batch), the replica applies it
 //! through `Instance::apply_batch` (locks and metadata overhead paid once),
-//! and the primary fans ONE `ReplicateBatch` per backup instead of one
+//! and the primary fans ONE `Replicate` per backup instead of one
 //! message per key.
 //!
 //! Two effects stack:

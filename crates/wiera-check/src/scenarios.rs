@@ -108,7 +108,7 @@ pub fn all_scenarios() -> &'static [Scenario] {
             name: "batched-eventual-coalesced",
             kind: ScenarioKind::Corpus,
             describe: "eventual consistency with batched writes: one \
-                       coalesced ReplicateBatch per peer per flush, \
+                       coalesced Replicate per peer per flush, \
                        convergence after quiescence",
             expect: &[],
             run: run_batched_eventual,
@@ -490,7 +490,7 @@ fn run_batched_eventual() -> Vec<Diagnostic> {
         .replicas(b.dep.replicas())
         .build();
     // Two batches of local writes to distinct keys: each flush interval must
-    // drain the whole queue as one coalesced ReplicateBatch per peer, and
+    // drain the whole queue as one coalesced Replicate per peer, and
     // the LWW applies at the peer must converge.
     for round in 0..2u8 {
         let items: Vec<(String, bytes::Bytes)> = (0..4)

@@ -75,7 +75,7 @@ impl Spec {
         Spec {
             protocol,
             cp_fenced: pm.fenced("ChangePrimary"),
-            repl_fenced: pm.fenced("Replicate") || pm.fenced("ReplicateBatch"),
+            repl_fenced: pm.fenced("Replicate"),
             ack_before_commit: pm.acks_before_mutation("Put").unwrap_or(false),
         }
     }

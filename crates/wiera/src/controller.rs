@@ -504,10 +504,13 @@ impl WieraController {
             };
 
             // Clone state from a live donor into the fresh replica.
-            if let Ok(sync) =
-                self.mesh
-                    .rpc(&self.node, &donor, DataMsg::SyncRequest, 64, CTRL_TIMEOUT)
-            {
+            if let Ok(sync) = self.mesh.rpc(
+                &self.node,
+                &donor,
+                DataMsg::FetchObjects { keys: None },
+                64,
+                CTRL_TIMEOUT,
+            ) {
                 if let DataMsg::SyncReply { objects } = sync.msg {
                     let msg = DataMsg::LoadState { objects };
                     let bytes = msg.wire_bytes();

@@ -402,10 +402,13 @@ impl WieraFleet {
     fn collect_shard(&self, map: &ShardMap, shard: u32, sources: &[NodeId]) -> Vec<SyncObject> {
         let mut merged: HashMap<String, SyncObject> = HashMap::new();
         for r in sources {
-            let Ok(reply) = self
-                .mesh
-                .rpc(&self.from, r, DataMsg::SyncRequest, 64, CTRL_TIMEOUT)
-            else {
+            let Ok(reply) = self.mesh.rpc(
+                &self.from,
+                r,
+                DataMsg::FetchObjects { keys: None },
+                64,
+                CTRL_TIMEOUT,
+            ) else {
                 continue;
             };
             let DataMsg::SyncReply { objects } = reply.msg else {
@@ -471,10 +474,11 @@ impl WieraFleet {
             return Ok(());
         }
         // Straggler repair: pull the exact keys and push them again.
-        let keys: Vec<String> = missing.clone();
         let mut objects: Vec<SyncObject> = Vec::new();
         for r in src_reps {
-            let msg = DataMsg::FetchObjects { keys: keys.clone() };
+            let msg = DataMsg::FetchObjects {
+                keys: Some(missing.clone()),
+            };
             let bytes = msg.wire_bytes();
             let Ok(reply) = self.mesh.rpc(&self.from, r, msg, bytes, CTRL_TIMEOUT) else {
                 continue;

@@ -97,26 +97,19 @@ pub enum DataMsg {
     },
 
     // ---- instance ↔ instance ----
-    /// Propagate one version (synchronous `copy` or queued update). `epoch`
-    /// fences a deposed primary: receivers at a higher epoch refuse it.
+    /// Propagate object versions to a peer — a synchronous copy of one put
+    /// or of a batch, a coalesced flush of the update queue, an
+    /// anti-entropy push: the only replication message. The receiver
+    /// applies last-write-wins per item. `epoch` fences a deposed primary:
+    /// receivers at a higher epoch refuse it. `items` is an `Arc` slice so
+    /// the fan-out to N peers shares one immutable batch instead of
+    /// deep-cloning it per send.
     Replicate {
-        key: String,
-        version: u64,
-        modified: SimInstant,
-        value: Bytes,
-        epoch: u64,
-    },
-    /// Coalesced replication: every pending update for one peer in a single
-    /// message (one wire header for the batch). The receiver applies
-    /// last-write-wins per item. Epoch-fenced like [`DataMsg::Replicate`].
-    /// `items` is an `Arc` slice so the fan-out to N backups shares one
-    /// immutable batch instead of deep-cloning the item vector per send.
-    ReplicateBatch {
         items: Arc<[SyncObject]>,
         epoch: u64,
     },
-    /// Last-write-wins outcome at the receiver (§4.2). For a batch,
-    /// `applied` is true when at least one item won its LWW race.
+    /// Last-write-wins outcome at the receiver (§4.2): `applied` is true
+    /// when at least one item won its LWW race.
     ReplicateAck {
         applied: bool,
     },
@@ -130,8 +123,12 @@ pub enum DataMsg {
         origin: NodeId,
         epoch: u64,
     },
-    /// Full-state transfer for replica repair (§4.4).
-    SyncRequest,
+    /// The latest version of each object in `keys`, or of every object when
+    /// `keys` is `None` (full-state transfer for replica repair, §4.4).
+    /// Answered with [`DataMsg::SyncReply`].
+    FetchObjects {
+        keys: Option<Vec<String>>,
+    },
     SyncReply {
         objects: Vec<SyncObject>,
     },
@@ -146,11 +143,6 @@ pub enum DataMsg {
         /// rejoins adopts the post-failover leadership along with the epoch
         /// (epoch and primary always travel together).
         primary: Option<NodeId>,
-    },
-    /// Fetch the full objects the digest diff flagged as missing or stale.
-    /// Answered with [`DataMsg::SyncReply`].
-    FetchObjects {
-        keys: Vec<String>,
     },
 
     // ---- controller ↔ instance ----
@@ -464,25 +456,23 @@ impl DataMsg {
             DataMsg::WithBudget { inner, .. } => 16 + inner.wire_bytes(),
             DataMsg::Put { key, value } => HDR + key.len() as u64 + value.len() as u64,
             DataMsg::Update { key, value, .. } => HDR + key.len() as u64 + value.len() as u64,
-            DataMsg::Replicate { key, value, .. } => HDR + key.len() as u64 + value.len() as u64,
             DataMsg::GetReply { value, .. } => HDR + value.len() as u64,
-            DataMsg::SyncReply { objects } => {
-                HDR + objects
-                    .iter()
-                    .map(|o| o.key.len() as u64 + o.value.len() as u64 + 32)
-                    .sum::<u64>()
+            // One replicated object frames like the put it copies; many pay
+            // the header once plus a version/timestamp frame per object.
+            DataMsg::Replicate { items, .. } if items.len() == 1 => {
+                HDR + items[0].key.len() as u64 + items[0].value.len() as u64
             }
-            DataMsg::ReplicateBatch { items, .. } => {
-                HDR + items
-                    .iter()
-                    .map(|o| o.key.len() as u64 + o.value.len() as u64 + 32)
-                    .sum::<u64>()
-            }
+            DataMsg::Replicate { items, .. } => HDR + objects_bytes(items),
+            DataMsg::SyncReply { objects } => HDR + objects_bytes(objects),
             DataMsg::DigestReply { entries, .. } => {
                 HDR + entries.iter().map(|e| e.key.len() as u64 + 24).sum::<u64>()
             }
             DataMsg::FetchObjects { keys } => {
-                HDR + keys.iter().map(|k| k.len() as u64 + ITEM).sum::<u64>()
+                HDR + keys
+                    .iter()
+                    .flatten()
+                    .map(|k| k.len() as u64 + ITEM)
+                    .sum::<u64>()
             }
             // A forwarded put costs what the op it relays would: one item
             // frames like a `Put`, many like a `MultiPut`.
@@ -532,6 +522,15 @@ impl DataMsg {
     }
 }
 
+/// Payload bytes of a list of object versions: key, value and a fixed
+/// version/timestamp frame per object.
+fn objects_bytes(objects: &[SyncObject]) -> u64 {
+    objects
+        .iter()
+        .map(|o| o.key.len() as u64 + o.value.len() as u64 + 32)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +547,11 @@ mod tests {
         };
         assert!(big.wire_bytes() > small.wire_bytes() + 4000);
         assert_eq!(DataMsg::Ping.wire_bytes(), 64);
+        // A full fetch is one header; a keyed one adds each key and its frame.
+        assert_eq!(DataMsg::FetchObjects { keys: None }.wire_bytes(), 64);
+        let keys = Some(vec!["user00000001".to_string(), "k".to_string()]);
+        let named = DataMsg::FetchObjects { keys }.wire_bytes();
+        assert_eq!(named, 64 + (12 + 8) + (1 + 8));
     }
 
     #[test]
@@ -670,24 +674,18 @@ mod tests {
                 value: Bytes::from(vec![0u8; 16]),
             })
             .collect();
-        let singles: u64 = items
-            .iter()
-            .map(|o| {
-                DataMsg::Replicate {
-                    key: o.key.clone(),
-                    version: o.version,
-                    modified: o.modified,
-                    value: o.value.clone(),
-                    epoch: 1,
-                }
-                .wire_bytes()
-            })
-            .sum();
-        let batch = DataMsg::ReplicateBatch {
+        let replicate = |items: &[SyncObject]| DataMsg::Replicate {
             items: items.into(),
             epoch: 1,
-        }
-        .wire_bytes();
+        };
+        let singles: u64 = items.chunks(1).map(|one| replicate(one).wire_bytes()).sum();
+        let batch = replicate(&items).wire_bytes();
         assert!(batch < singles, "batch {batch} vs singles {singles}");
+        // One object frames like the put it copies.
+        let put = DataMsg::Put {
+            key: items[0].key.clone(),
+            value: items[0].value.clone(),
+        };
+        assert_eq!(replicate(&items[..1]).wire_bytes(), put.wire_bytes());
     }
 }

@@ -9,15 +9,21 @@
 //! per-item rollback if fenced; primary-backup: the primary or whoever was
 //! forwarded to → local write → copy or queue, a backup → forward;
 //! eventual: local write → queue), counts the op, and records its history
-//! spans. Only three leaves act differently for one item than for many, and
+//! spans. Only two leaves act differently for one item than for many, and
 //! they read the count off the slice: `write_local` (`put` for one, one
-//! `apply_batch` pass for many), `replicate_sync` (`Replicate` /
-//! `ReplicateBatch`, both through `fan_out_sync`) and `forward` (one
-//! `ForwardPut` either way — the only forward message, so every forwarded
-//! write is fenced and attributed — answered `PutAck` or `MultiReply`).
-//! Beyond them the count only picks a label (`put`/`mput` spans,
-//! `deposed_put`/`deposed_mput` fences). `read_keys` is the same shape for
-//! gets over `read_local` and `read_forwarded`. Nothing configures arity.
+//! `apply_batch` pass for many) and `forward` (one `ForwardPut` either way —
+//! the only forward message, so every forwarded write is fenced and
+//! attributed — answered `PutAck` or `MultiReply`). Beyond them the count
+//! only picks a label (`put`/`mput` spans, `deposed_put`/`deposed_mput`
+//! fences). `read_keys` is the same shape for gets over `read_local` and
+//! `read_forwarded`. Nothing configures arity.
+//!
+//! **The peer-facing side is written once too.** One message replicates
+//! (`Replicate`: a synchronous copy of one put or a batch, a queue flush, an
+//! anti-entropy push), applied by one loop, `apply_updates`. One rule,
+//! `admit_epoch`, fences every epoch-bearing message. One reader,
+//! `latest_objects`, serves every peer that reads the store: a full or
+//! keyed `FetchObjects`, the digest table, the anti-entropy push.
 //!
 //! Threading model (mirrors §4's description of instances running servers):
 //!
@@ -64,6 +70,13 @@ struct ProtoState {
     peers: Vec<NodeId>,
     primary: Option<NodeId>,
     epoch: u64,
+}
+
+impl ProtoState {
+    /// Move to `epoch` if it is newer: a replica's epoch never goes back.
+    fn adopt(&mut self, epoch: u64) {
+        self.epoch = self.epoch.max(epoch);
+    }
 }
 
 /// Gate blocking application operations during a consistency switch.
@@ -119,6 +132,22 @@ impl OpFail {
 
     fn internal(why: impl Into<String>) -> OpFail {
         OpFail::new(FailCode::Internal, why)
+    }
+
+    /// The refusal a fenced sender sees.
+    fn stale_epoch(got: u64, current: u64) -> OpFail {
+        OpFail::new(
+            FailCode::StaleEpoch,
+            format!("stale epoch {got} < {current}"),
+        )
+    }
+
+    /// The wire reply carrying this failure.
+    fn into_msg(self) -> DataMsg {
+        DataMsg::Fail {
+            code: self.code,
+            why: self.why,
+        }
     }
 }
 
@@ -231,7 +260,7 @@ pub struct ReplicaNode {
     state: TrackedRwLock<ProtoState>,
     gate: Gate,
     /// Updates awaiting asynchronous distribution; the flusher coalesces
-    /// the whole queue into one [`DataMsg::ReplicateBatch`] per peer.
+    /// the whole queue into one [`DataMsg::Replicate`] per peer.
     queue: TrackedMutex<VecDeque<SyncObject>>,
     /// Coordination client; swapped for a fresh session on restart (the
     /// crashed session's ephemeral lease is gone for good).
@@ -374,7 +403,7 @@ impl ReplicaNode {
                         {
                             return;
                         }
-                        r.flush_queue_async();
+                        r.flush_coalesced();
                     }
                 })
                 .map_err(|e| format!("cannot spawn replica flusher thread: {e}"))?;
@@ -457,7 +486,7 @@ impl ReplicaNode {
 
     /// Planned shutdown: drain the eventual-mode queue first so already
     /// acknowledged writes reach their peers, then halt. (A planned stop
-    /// dropping queued `ReplicateBatch`es was a data-loss bug.)
+    /// dropping queued `Replicate`s was a data-loss bug.)
     pub fn stop(&self) {
         self.flush_coalesced();
         self.halt();
@@ -612,102 +641,48 @@ impl ReplicaNode {
                 }
             };
         match d.msg {
-            DataMsg::Replicate {
-                key,
-                version,
-                modified,
-                value,
-                epoch,
-            } => {
-                if epoch < self.epoch() {
-                    self.note_fenced("replicate");
-                    let fail = stale_epoch_fail(epoch, self.epoch());
-                    return reply(d.reply, fail, SimDuration::from_micros(100));
-                }
-                let update = SyncObject {
-                    key,
-                    version,
-                    modified,
-                    value,
-                };
-                let (won, took) = self.apply_updates(&[update]);
-                reply(d.reply, DataMsg::ReplicateAck { applied: won > 0 }, took);
-            }
-            DataMsg::ReplicateBatch { items, epoch } => {
-                if epoch < self.epoch() {
-                    self.note_fenced("replicate_batch");
-                    let fail = stale_epoch_fail(epoch, self.epoch());
-                    return reply(d.reply, fail, SimDuration::from_micros(100));
-                }
+            DataMsg::Replicate { items, epoch } => {
                 // `items` is the sender's shared batch, applied by reference.
-                let (won, took) = self.apply_updates(&items);
-                reply(d.reply, DataMsg::ReplicateAck { applied: won > 0 }, took);
+                let (msg, took) = match self.admit_epoch(epoch, "replicate", |_| ()) {
+                    Ok(()) => {
+                        let (won, took) = self.apply_updates(&items);
+                        (DataMsg::ReplicateAck { applied: won > 0 }, took)
+                    }
+                    Err(fail) => (fail.into_msg(), SimDuration::from_micros(100)),
+                };
+                reply(d.reply, msg, took);
             }
             DataMsg::SetPeers {
                 peers,
                 primary,
                 epoch,
             } => {
-                let stale = {
-                    let mut s = self.state.write();
-                    if epoch >= s.epoch {
-                        s.peers = peers.into_iter().filter(|p| *p != self.node).collect();
-                        s.primary = primary;
-                        s.epoch = epoch;
-                        false
-                    } else {
-                        true
-                    }
-                };
-                if stale {
-                    self.note_fenced("set_peers");
-                    reply(
-                        d.reply,
-                        stale_epoch_fail(epoch, self.epoch()),
-                        SimDuration::from_micros(200),
-                    );
-                } else {
-                    reply(d.reply, DataMsg::Ok, SimDuration::from_micros(200));
-                }
+                let msg = self
+                    .set_peers(peers, primary, epoch)
+                    .map_or_else(OpFail::into_msg, |()| DataMsg::Ok);
+                reply(d.reply, msg, SimDuration::from_micros(200));
             }
-            DataMsg::ChangeConsistency { to, epoch } => {
-                if epoch < self.epoch() {
-                    self.note_fenced("change_consistency");
-                    reply(
-                        d.reply,
-                        stale_epoch_fail(epoch, self.epoch()),
-                        SimDuration::ZERO,
-                    );
-                } else {
-                    let took = self.switch_consistency(to, epoch);
-                    reply(d.reply, DataMsg::Ok, took);
-                }
-            }
+            DataMsg::ChangeConsistency { to, epoch } => match self.switch_consistency(to, epoch) {
+                Ok(took) => reply(d.reply, DataMsg::Ok, took),
+                Err(fail) => reply(d.reply, fail.into_msg(), SimDuration::ZERO),
+            },
             DataMsg::ChangePrimary { new_primary, epoch } => {
-                let stale = {
-                    let mut s = self.state.write();
-                    if epoch >= s.epoch {
-                        s.primary = Some(new_primary);
-                        s.epoch = epoch;
-                        false
-                    } else {
-                        true
-                    }
-                };
-                if stale {
-                    self.note_fenced("change_primary");
-                    reply(
-                        d.reply,
-                        stale_epoch_fail(epoch, self.epoch()),
-                        SimDuration::from_micros(200),
-                    );
-                } else {
-                    reply(d.reply, DataMsg::Ok, SimDuration::from_micros(200));
-                }
+                let installed = self.admit_epoch(epoch, "change_primary", |s| {
+                    s.primary = Some(new_primary);
+                    s.adopt(epoch);
+                });
+                let msg = installed.map_or_else(OpFail::into_msg, |()| DataMsg::Ok);
+                reply(d.reply, msg, SimDuration::from_micros(200));
             }
             DataMsg::Ping => reply(d.reply, DataMsg::Pong, SimDuration::from_micros(100)),
-            DataMsg::SyncRequest => {
-                let objects = self.dump_state();
+            DataMsg::FetchObjects { keys } => {
+                let objects = match keys {
+                    None => self.latest_objects(|_| true),
+                    Some(keys) => {
+                        let want: HashSet<&str> = keys.iter().map(String::as_str).collect();
+                        self.latest_objects(|key| want.contains(key))
+                    }
+                };
                 reply(
                     d.reply,
                     DataMsg::SyncReply { objects },
@@ -728,19 +703,6 @@ impl ReplicaNode {
                         primary,
                     },
                     SimDuration::from_millis(2),
-                );
-            }
-            DataMsg::FetchObjects { keys } => {
-                let want: HashSet<&str> = keys.iter().map(|k| k.as_str()).collect();
-                let objects = self
-                    .dump_state()
-                    .into_iter()
-                    .filter(|o| want.contains(o.key.as_str()))
-                    .collect();
-                reply(
-                    d.reply,
-                    DataMsg::SyncReply { objects },
-                    SimDuration::from_millis(5),
                 );
             }
             DataMsg::FlushQueue => {
@@ -804,29 +766,24 @@ impl ReplicaNode {
 
     /// Two-phase consistency switch (§3.3.2): close the gate, drain the
     /// update queue so every queued write lands before the new regime, swap
-    /// the model, reopen. Returns the modeled switch time.
-    fn switch_consistency(&self, to: ConsistencyModel, epoch: u64) -> SimDuration {
-        {
-            // One write acquisition: taking `state.write()` while the same
-            // thread still held `state.read()` was a guaranteed self-deadlock
-            // on the no-op-switch path.
-            let mut s = self.state.write();
-            if epoch < s.epoch {
-                return SimDuration::ZERO; // stale control message
-            }
-            if s.consistency == to {
-                s.epoch = s.epoch.max(epoch);
-                return SimDuration::ZERO;
-            }
+    /// the model, reopen. Returns the modeled switch time, or the refusal
+    /// of a stale control message.
+    ///
+    /// The epoch is adopted on admission, before the drain: the queued
+    /// updates then leave stamped with it, so a peer that switched first
+    /// accepts them instead of fencing them as a deposed sender's.
+    fn switch_consistency(&self, to: ConsistencyModel, epoch: u64) -> Result<SimDuration, OpFail> {
+        let changes = self.admit_epoch(epoch, "change_consistency", |s| {
+            s.adopt(epoch);
+            s.consistency != to
+        })?;
+        if !changes {
+            return Ok(SimDuration::ZERO);
         }
         let started = self.mesh.clock.now();
         self.gate.close();
         let drain_cost = self.flush_queue_sync();
-        {
-            let mut s = self.state.write();
-            s.consistency = to;
-            s.epoch = epoch;
-        }
+        self.state.write().consistency = to;
         self.gate.open();
         self.stats.switches.fetch_add(1, Ordering::Relaxed);
         let took = drain_cost + SimDuration::from_millis(1);
@@ -839,7 +796,7 @@ impl ReplicaNode {
             .node(self.node.name.clone())
             .detail(to_label)
             .finish(started + took);
-        took
+        Ok(took)
     }
 
     /// Drain the queue before a switch. One coalesced one-way send per peer,
@@ -860,16 +817,12 @@ impl ReplicaNode {
         max_delay
     }
 
-    /// Periodic asynchronous distribution of queued updates (one-way sends
-    /// that arrive after the modeled latency — replicas genuinely lag).
-    fn flush_queue_async(&self) {
-        self.flush_coalesced();
-    }
-
-    /// Drain the whole queue into **one** [`DataMsg::ReplicateBatch`] per
+    /// Drain the whole queue into **one** [`DataMsg::Replicate`] per
     /// peer (the replication-coalescing half of the bulk-operation design:
-    /// n queued updates × p peers cost p messages, not n×p). Returns the
-    /// slowest modeled delivery delay.
+    /// n queued updates × p peers cost p messages, not n×p): one-way sends
+    /// that arrive after the modeled latency, so replicas genuinely lag.
+    /// The flusher thread calls it every period, a switch and a planned
+    /// stop to drain. Returns the slowest modeled delivery delay.
     fn flush_coalesced(&self) -> SimDuration {
         let (peers, epoch) = (self.peers(), self.epoch());
         // The queue stays locked until every send is posted, so an update is
@@ -885,7 +838,7 @@ impl ReplicaNode {
         for peer in &peers {
             // One immutable batch shared across every peer send: cloning the
             // Arc bumps a refcount instead of deep-copying n items per peer.
-            let msg = DataMsg::ReplicateBatch {
+            let msg = DataMsg::Replicate {
                 items: Arc::clone(&items),
                 epoch,
             };
@@ -923,26 +876,32 @@ impl ReplicaNode {
         max_delay
     }
 
-    fn dump_state(&self) -> Vec<SyncObject> {
+    /// The one reader of this replica's store on its peer-facing side: the
+    /// latest version of every key `want` accepts, with its bytes, in store
+    /// key order. A full-state sync, a fetch of named keys, the digest table
+    /// and the anti-entropy push all read through it; a key `want` refuses
+    /// costs no value read. A version whose bytes vanished (tier eviction
+    /// racing the read) is skipped; the next sync retries it.
+    fn latest_objects(&self, want: impl Fn(&str) -> bool) -> Vec<SyncObject> {
+        let meta = self.inst.meta();
         let mut out = Vec::new();
-        for key in self.inst.meta().keys() {
-            let latest = self
+        for key in meta.keys().into_iter().filter(|k| want(k)) {
+            let latest = meta.with(&key, |o| o.latest().map(|m| (m.version, m.modified)));
+            let Some(Some((version, modified))) = latest else {
+                continue;
+            };
+            if let Some(value) = self
                 .inst
-                .meta()
-                .with(&key, |o| o.latest().map(|m| (m.version, m.modified)));
-            if let Some(Some((version, modified))) = latest {
-                if let Ok(got) = self.inst.get_version(&key, version) {
-                    // A version whose bytes vanished (tier eviction racing
-                    // the dump) is simply skipped; the sync retries later.
-                    if let Some(value) = got.value {
-                        out.push(SyncObject {
-                            key: key.clone(),
-                            version,
-                            modified,
-                            value,
-                        });
-                    }
-                }
+                .get_version(&key, version)
+                .ok()
+                .and_then(|g| g.value)
+            {
+                out.push(SyncObject {
+                    key,
+                    version,
+                    modified,
+                    value,
+                });
             }
         }
         out
@@ -1004,26 +963,15 @@ impl ReplicaNode {
     /// unit (values stay home; only fingerprints travel). Public so tests
     /// and the chaos harness can assert digest-equal convergence.
     pub fn digest_table(&self) -> Vec<KeyDigest> {
-        let mut out = Vec::new();
-        for key in self.inst.meta().keys() {
-            let latest = self
-                .inst
-                .meta()
-                .with(&key, |o| o.latest().map(|m| (m.version, m.modified)));
-            if let Some(Some((version, modified))) = latest {
-                if let Ok(got) = self.inst.get_version(&key, version) {
-                    if let Some(value) = got.value {
-                        out.push(KeyDigest {
-                            key: key.clone(),
-                            version,
-                            modified,
-                            digest: value_digest(&value),
-                        });
-                    }
-                }
-            }
-        }
-        out
+        self.latest_objects(|_| true)
+            .into_iter()
+            .map(|o| KeyDigest {
+                digest: value_digest(&o.value),
+                key: o.key,
+                version: o.version,
+                modified: o.modified,
+            })
+            .collect()
     }
 
     /// Digest-based catch-up swept over every peer, primary first: per
@@ -1097,7 +1045,7 @@ impl ReplicaNode {
         {
             let mut s = self.state.write();
             if peer_epoch > s.epoch {
-                s.epoch = peer_epoch;
+                s.adopt(peer_epoch);
                 if let Some(p) = peer_primary {
                     s.primary = Some(p);
                 }
@@ -1119,16 +1067,17 @@ impl ReplicaNode {
             })
             .map(|r| r.key.clone())
             .collect();
-        let push: Vec<&KeyDigest> = mine
+        let push: HashSet<&str> = mine
             .iter()
             .filter(|l| match remote.get(l.key.as_str()) {
                 None => true,
                 Some(r) => newer(l, r),
             })
+            .map(|l| l.key.as_str())
             .collect();
         let mut pulled = 0usize;
         if !want.is_empty() {
-            let msg = DataMsg::FetchObjects { keys: want };
+            let msg = DataMsg::FetchObjects { keys: Some(want) };
             let bytes = msg.wire_bytes();
             if let Ok(r) = self.mesh.rpc(&self.node, peer, msg, bytes, DATA_TIMEOUT) {
                 if let DataMsg::SyncReply { objects } = r.msg {
@@ -1138,22 +1087,10 @@ impl ReplicaNode {
         }
         let mut pushed = 0usize;
         if !push.is_empty() {
-            let mut items = Vec::new();
-            for d in push {
-                if let Ok(got) = self.inst.get_version(&d.key, d.version) {
-                    if let Some(value) = got.value {
-                        items.push(SyncObject {
-                            key: d.key.clone(),
-                            version: d.version,
-                            modified: d.modified,
-                            value,
-                        });
-                    }
-                }
-            }
+            let items = self.latest_objects(|key| push.contains(key));
             if !items.is_empty() {
                 pushed = items.len();
-                let msg = DataMsg::ReplicateBatch {
+                let msg = DataMsg::Replicate {
                     items: items.into(),
                     epoch: self.epoch(),
                 };
@@ -1250,6 +1187,47 @@ impl ReplicaNode {
 
     fn note_fenced(&self, what: &str) {
         MetricsRegistry::global().inc("wiera_fenced_total", &[("msg", what)]);
+    }
+
+    /// The one epoch rule (§4.4), for every message that carries an epoch:
+    /// one stamped below this replica's epoch comes from a deposed primary
+    /// or a stale controller and is refused — counted under `what`, and
+    /// answered with the returned `StaleEpoch` failure. One at or above it
+    /// is admitted, and `install` runs on the protocol state under the same
+    /// write lock, so no other epoch change can land between the test and
+    /// what the message installs. A control message adopts its epoch there,
+    /// with the primary or model that goes with it. A data message
+    /// (`Replicate`, `ForwardPut`) only passes the fence: it carries no
+    /// primary, and a deposed primary that took a newer epoch from one would
+    /// then pass the fence it must fail.
+    fn admit_epoch<T>(
+        &self,
+        epoch: u64,
+        what: &'static str,
+        install: impl FnOnce(&mut ProtoState) -> T,
+    ) -> Result<T, OpFail> {
+        let mut s = self.state.write();
+        if epoch < s.epoch {
+            let current = s.epoch;
+            drop(s);
+            self.note_fenced(what);
+            return Err(OpFail::stale_epoch(epoch, current));
+        }
+        Ok(install(&mut s))
+    }
+
+    /// Adopt a peer list and primary at `epoch`, under the epoch rule.
+    fn set_peers(
+        &self,
+        peers: Vec<NodeId>,
+        primary: Option<NodeId>,
+        epoch: u64,
+    ) -> Result<(), OpFail> {
+        self.admit_epoch(epoch, "set_peers", |s| {
+            s.peers = peers.into_iter().filter(|p| *p != self.node).collect();
+            s.primary = primary;
+            s.adopt(epoch);
+        })
     }
 
     // ---- fleet sharding (shard map slice, ownership, retirement) -----------
@@ -1535,16 +1513,8 @@ impl ReplicaNode {
                 items,
                 origin,
                 epoch,
-            } => {
-                if epoch < self.epoch() {
-                    // A backup that has not heard about the failover yet
-                    // forwards at a stale epoch; refuse so it re-routes.
-                    self.note_fenced("forward_put");
-                    (
-                        stale_epoch_fail(epoch, self.epoch()),
-                        SimDuration::from_millis(1),
-                    )
-                } else {
+            } => match self.admit_epoch(epoch, "forward_put", |_| ()) {
+                Ok(()) => {
                     let (results, took) = self.write_items(&items, Some(origin));
                     let reply = match items.len() {
                         1 => sole(results).into_reply(),
@@ -1552,7 +1522,10 @@ impl ReplicaNode {
                     };
                     (reply, took)
                 }
-            }
+                // A backup that has not heard about the failover yet
+                // forwards at a stale epoch; refuse so it re-routes.
+                Err(fail) => (fail.into_msg(), SimDuration::from_millis(1)),
+            },
             DataMsg::Get { key } => {
                 let (results, took) = self.read_keys(&[key], None);
                 (sole(results).into_reply(), took)
@@ -1842,13 +1815,14 @@ impl ReplicaNode {
         };
         let (mut results, written, engine) = self.write_local(items);
         let copy = if sync {
-            let bcast = self.replicate_sync(&written);
+            let written: Arc<[SyncObject]> = written.into();
+            let bcast = self.replicate_sync(Arc::clone(&written));
             if bcast.fenced {
                 // Deposed (§4.4): a peer at a higher epoch refused the copy.
                 // Undo the never-acknowledged local writes so they cannot
                 // resurface through reads or anti-entropy, and fail each
                 // written item so the client retries at the elected primary.
-                for w in &written {
+                for w in written.iter() {
                     let _ = self.inst.remove_version(&w.key, w.version);
                 }
                 self.note_fenced(if items.len() == 1 {
@@ -1874,7 +1848,7 @@ impl ReplicaNode {
         Ok((results, lock_cost + engine + copy))
     }
 
-    /// Arity leaf 1 of 3: write `items` into the local instance — `put` for
+    /// Arity leaf 1 of 2: write `items` into the local instance — `put` for
     /// one, one `apply_batch` engine pass for many. Returns per-item
     /// results, the objects written (the replication payload) and the
     /// engine latency.
@@ -1918,27 +1892,7 @@ impl ReplicaNode {
         (results, written, engine)
     }
 
-    /// Arity leaf 2 of 3: copy `written` to every peer synchronously —
-    /// one `Replicate` for one object, one `ReplicateBatch` (materialized
-    /// once, shared by refcount across peers) for many.
-    fn replicate_sync(&self, written: &[SyncObject]) -> BroadcastOutcome {
-        match written {
-            [] => BroadcastOutcome::default(),
-            [w] => self.fan_out_sync(|epoch| DataMsg::Replicate {
-                key: w.key.clone(),
-                version: w.version,
-                modified: w.modified,
-                value: w.value.clone(),
-                epoch,
-            }),
-            _ => self.fan_out_sync(|epoch| DataMsg::ReplicateBatch {
-                items: written.to_vec().into(),
-                epoch,
-            }),
-        }
-    }
-
-    /// Arity leaf 3 of 3 (Fig. 3(b), non-primary side): forward the whole
+    /// Arity leaf 2 of 2 (Fig. 3(b), non-primary side): forward the whole
     /// op to the primary as one `ForwardPut` and relay its answer — a
     /// `PutAck` for one item, a `MultiReply` for many.
     fn forward(&self, items: &[PutItem]) -> Result<(Vec<ItemResult>, SimDuration), OpFail> {
@@ -1965,17 +1919,20 @@ impl ReplicaNode {
         }
     }
 
-    /// Send every peer its copy of the message `build` makes for the current
-    /// epoch in one gather on this thread, and wait for all replies; latency
-    /// is the slowest peer. `fenced` in the outcome means a peer at a higher
-    /// epoch refused us — we are a deposed primary and the write must not be
-    /// acknowledged.
-    fn fan_out_sync(&self, build: impl FnOnce(u64) -> DataMsg) -> BroadcastOutcome {
+    /// Copy `written` to every peer synchronously: one `Replicate` at the
+    /// current epoch, shared by refcount across the sends, in one gather on
+    /// this thread, waiting for all replies; latency is the slowest peer.
+    /// `fenced` in the outcome means a peer at a higher epoch refused us —
+    /// we are a deposed primary and the write must not be acknowledged.
+    fn replicate_sync(&self, written: Arc<[SyncObject]>) -> BroadcastOutcome {
         let peers = self.peers();
-        if peers.is_empty() {
+        if peers.is_empty() || written.is_empty() {
             return BroadcastOutcome::default();
         }
-        let msg = build(self.epoch());
+        let msg = DataMsg::Replicate {
+            items: written,
+            epoch: self.epoch(),
+        };
         let bytes = msg.wire_bytes();
         // Egress is counted where a request is posted, as for a forwarded
         // put: the bytes leave whether or not an ack ever comes back.
@@ -2189,14 +2146,9 @@ impl ReplicaNode {
     // ---- direct (in-process) API for deployments and tests -----------------
 
     /// Install peers/primary directly (used by the deployment layer when the
-    /// controller and replica share a process).
+    /// controller and replica share a process). A stale `epoch` is ignored.
     pub fn set_peers_direct(&self, peers: Vec<NodeId>, primary: Option<NodeId>, epoch: u64) {
-        let mut s = self.state.write();
-        if epoch >= s.epoch {
-            s.peers = peers.into_iter().filter(|p| *p != self.node).collect();
-            s.primary = primary;
-            s.epoch = epoch;
-        }
+        let _ = self.set_peers(peers, primary, epoch);
     }
 }
 
@@ -2276,14 +2228,6 @@ fn fail_code(e: &TieraError) -> FailCode {
         TieraError::VersionNotFound(..) => FailCode::VersionMissing,
         TieraError::DeadlineExceeded => FailCode::DeadlineExceeded,
         _ => FailCode::Internal,
-    }
-}
-
-/// The wire-level refusal a fenced sender sees.
-fn stale_epoch_fail(got: u64, current: u64) -> DataMsg {
-    DataMsg::Fail {
-        code: FailCode::StaleEpoch,
-        why: format!("stale epoch {got} < {current}"),
     }
 }
 
@@ -2644,15 +2588,8 @@ mod tests {
         for backup in [&s, &near, &far] {
             assert!(backup.instance().get("k3").is_ok());
         }
-        let copy = DataMsg::Replicate {
-            key: "k3".into(),
-            version: 1,
-            modified: SimInstant::EPOCH,
-            value: Bytes::from_static(b"v"),
-            epoch: 1,
-        };
         let sent = p.stats.egress_bytes.load(Ordering::Relaxed) - egress;
-        assert_eq!(sent, 3 * copy.wire_bytes());
+        assert_eq!(sent, 3 * replication_bytes(&[item("k3", b'v', 1)]));
         assert_eq!(p.stats.replication_failures.load(Ordering::Relaxed), 0);
     }
 
@@ -2722,7 +2659,7 @@ mod tests {
         let inbox = m.register(ahead.clone());
         let refuser = std::thread::spawn(move || {
             let d = inbox.recv().unwrap();
-            let fail = stale_epoch_fail(1, 2);
+            let fail = OpFail::stale_epoch(1, 2).into_msg();
             let bytes = fail.wire_bytes();
             let took = SimDuration::from_micros(100);
             d.reply.unwrap().reply(fail, took, bytes);
@@ -2995,6 +2932,166 @@ mod tests {
         assert_eq!(a.epoch(), 5);
     }
 
+    /// The epoch rule, one row per epoch-bearing message: stamped below the
+    /// replica's epoch it is refused with `StaleEpoch`, counted under its
+    /// own label, and changes nothing; stamped at the epoch it is admitted.
+    #[test]
+    fn every_epoch_bearing_message_is_fenced_by_one_rule() {
+        let m = mesh(3000.0);
+        let a = replica(&m, Region::UsEast, "fence", PB_SYNC);
+        a.set_peers_direct(vec![], Some(a.node.clone()), 5);
+        let (ctrl, other) = (
+            NodeId::new(Region::UsEast, "ctrl"),
+            NodeId::new(Region::UsWest, "other"),
+        );
+        let msg = |what: &str, epoch: u64| match what {
+            "replicate" => DataMsg::Replicate {
+                items: Arc::new([SyncObject {
+                    key: "r".into(),
+                    version: 1,
+                    modified: SimInstant::EPOCH,
+                    value: Bytes::from_static(b"v"),
+                }]),
+                epoch,
+            },
+            "forward_put" => DataMsg::ForwardPut {
+                items: vec![item("f", 1, 16)],
+                origin: other.clone(),
+                epoch,
+            },
+            "change_consistency" => DataMsg::ChangeConsistency {
+                to: ConsistencyModel::Eventual,
+                epoch,
+            },
+            "change_primary" => DataMsg::ChangePrimary {
+                new_primary: other.clone(),
+                epoch,
+            },
+            _ => DataMsg::SetPeers {
+                peers: vec![other.clone()],
+                primary: Some(other.clone()),
+                epoch,
+            },
+        };
+        let rows = [
+            "replicate",
+            "forward_put",
+            "change_consistency",
+            "change_primary",
+            "set_peers",
+        ];
+        let send = |what: &str, epoch: u64| {
+            let patience = SimDuration::from_hours(1);
+            m.rpc(&ctrl, &a.node, msg(what, epoch), 64, patience)
+                .expect("replica answers")
+                .msg
+        };
+        let state = || (a.epoch(), a.primary(), a.consistency(), a.peers());
+        let before = state();
+        for what in rows {
+            let fenced = MetricsRegistry::global().counter("wiera_fenced_total", &[("msg", what)]);
+            let fenced0 = fenced.get();
+            match send(what, 4) {
+                DataMsg::Fail {
+                    code: FailCode::StaleEpoch,
+                    why,
+                } => assert_eq!(why, "stale epoch 4 < 5", "{what}"),
+                other => panic!("{what} at a stale epoch answered {other:?}"),
+            }
+            // Other tests may fence under the same label concurrently.
+            assert!(fenced.get() > fenced0, "{what}: counted");
+            assert_eq!(state(), before, "{what}: state untouched");
+        }
+        assert_eq!(a.digest_table(), Vec::new(), "nothing written");
+        for what in rows {
+            let reply = send(what, 5);
+            assert!(!matches!(reply, DataMsg::Fail { .. }), "{what}: {reply:?}");
+        }
+        assert_eq!(a.epoch(), 5);
+        assert_eq!(a.primary(), Some(other.clone()));
+        assert_eq!(a.consistency(), ConsistencyModel::Eventual);
+        assert_eq!(sorted_digests(&a).len(), 2, "the copy and the forward");
+    }
+
+    /// A consistency switch adopts its epoch before it drains the queue: a
+    /// peer that took the same switch first accepts the drained updates
+    /// instead of fencing them as a deposed sender's.
+    #[test]
+    fn a_switch_drains_its_queue_at_the_epoch_it_adopts() {
+        let m = mesh(3000.0);
+        // No periodic flush: only the switch's drain sends the update.
+        let a = spawn(
+            &m,
+            ReplicaConfig {
+                flush_interval: SimDuration::from_hours(10_000),
+                ..config(Region::UsEast, "a", ConsistencyModel::Eventual, 1 << 30)
+            },
+        );
+        let b = replica(&m, Region::UsWest, "b", ConsistencyModel::Eventual);
+        wire(&[&a, &b], None);
+        assert_eq!(put_items(&m, &a.node, &[item("q", 1, 16)]), [Ok(1)]);
+        assert_eq!(a.queue_len(), 1);
+        let switch = |r: &ReplicaNode| {
+            let ctrl = NodeId::new(r.node.region, "ctrl");
+            let msg = DataMsg::ChangeConsistency { to: MP, epoch: 2 };
+            let reply = m.rpc(&ctrl, &r.node, msg, 64, SimDuration::from_hours(1));
+            assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Ok)));
+        };
+        switch(&b);
+        switch(&a);
+        assert_eq!(a.queue_len(), 0);
+        eventually("the peer applies the drained update", || {
+            b.instance().get("q").is_ok()
+        });
+    }
+
+    /// One reader answers a full fetch, a fetch of named keys (unknown ones
+    /// are skipped) and the digest table, all from each key's latest version.
+    #[test]
+    fn one_reader_serves_full_and_keyed_fetches_and_the_digest_table() {
+        let m = mesh(3000.0);
+        let a = replica(&m, Region::UsEast, "reader", ConsistencyModel::Eventual);
+        wire(&[&a], None);
+        let sent = [item("x", 1, 16), item("y", 2, 16), item("z", 3, 16)];
+        assert_eq!(put_items(&m, &a.node, &sent), [Ok(1); 3]);
+        assert_eq!(put_items(&m, &a.node, &[item("y", 4, 8)]), [Ok(2)]);
+        let fetch = |keys: Option<Vec<String>>| {
+            let ctrl = NodeId::new(Region::UsEast, "ctrl");
+            let msg = DataMsg::FetchObjects { keys };
+            let reply = m.rpc(&ctrl, &a.node, msg, 64, SimDuration::from_hours(1));
+            let Ok(DataMsg::SyncReply { mut objects }) = reply.map(|r| r.msg) else {
+                panic!("fetch answered with something else");
+            };
+            objects.sort_by(|p, q| p.key.cmp(&q.key));
+            objects
+                .into_iter()
+                .map(|o| (o.key, o.version, o.value))
+                .collect::<Vec<_>>()
+        };
+        let all = fetch(None);
+        let latest =
+            |key: &str, version, fill, len| (key.to_string(), version, item(key, fill, len).value);
+        assert_eq!(
+            all,
+            [
+                latest("x", 1, 1, 16),
+                latest("y", 2, 4, 8),
+                latest("z", 1, 3, 16)
+            ]
+        );
+        let named = fetch(Some(vec!["z".into(), "missing".into(), "y".into()]));
+        assert_eq!(named, all[1..]);
+        let digests: Vec<(String, u64, u64)> = sorted_digests(&a)
+            .into_iter()
+            .map(|d| (d.key, d.version, d.digest))
+            .collect();
+        let want: Vec<(String, u64, u64)> = all
+            .iter()
+            .map(|(key, version, value)| (key.clone(), *version, value_digest(value)))
+            .collect();
+        assert_eq!(digests, want);
+    }
+
     #[test]
     fn get_forwarding_routes_reads_remotely() {
         let m = mesh(3000.0);
@@ -3161,10 +3258,12 @@ mod tests {
                 &peer,
                 &a.node,
                 DataMsg::Replicate {
-                    key: "r".into(),
-                    version: 1,
-                    modified: m.clock.now(),
-                    value: Bytes::from_static(b"from-peer"),
+                    items: Arc::new([SyncObject {
+                        key: "r".into(),
+                        version: 1,
+                        modified: m.clock.now(),
+                        value: Bytes::from_static(b"from-peer"),
+                    }]),
                     epoch: 1,
                 },
                 128,
@@ -3325,7 +3424,7 @@ mod tests {
             .rpc(
                 &ctrl,
                 &a.node,
-                DataMsg::SyncRequest,
+                DataMsg::FetchObjects { keys: None },
                 64,
                 SimDuration::from_secs(60),
             )
@@ -3460,11 +3559,10 @@ mod tests {
         r.stats.egress_bytes.load(Ordering::Relaxed)
     }
 
-    /// Wire size of the one message that replicates `items`: a `Replicate`
-    /// for a single synchronous copy, else a `ReplicateBatch` (the flusher
-    /// coalesces even a queue of one).
-    fn replication_bytes(items: &[PutItem], sync: bool) -> u64 {
-        let objects: Vec<SyncObject> = items
+    /// Wire size of the one `Replicate` that copies `items`, whether a
+    /// synchronous copy or a flush of the update queue sends it.
+    fn replication_bytes(items: &[PutItem]) -> u64 {
+        let items = items
             .iter()
             .map(|i| SyncObject {
                 key: i.key.clone(),
@@ -3473,20 +3571,7 @@ mod tests {
                 value: i.value.clone(),
             })
             .collect();
-        let msg = match (objects.as_slice(), sync) {
-            ([o], true) => DataMsg::Replicate {
-                key: o.key.clone(),
-                version: o.version,
-                modified: o.modified,
-                value: o.value.clone(),
-                epoch: 1,
-            },
-            _ => DataMsg::ReplicateBatch {
-                items: objects.into(),
-                epoch: 1,
-            },
-        };
-        msg.wire_bytes()
+        DataMsg::Replicate { items, epoch: 1 }.wire_bytes()
     }
 
     /// The equivalence table: every consistency model × the node the client
@@ -3569,13 +3654,12 @@ mod tests {
                     assert_eq!(errors.get() - errors0, 0, "{what}");
 
                     // Exactly the messages the row should send left each node.
-                    let sync = matches!(model, MP | PB_SYNC);
                     let (writer, relay) = if forwarded {
                         (other, target)
                     } else {
                         (target, other)
                     };
-                    assert_eq!(egress(writer), replication_bytes(sent, sync), "{what}");
+                    assert_eq!(egress(writer), replication_bytes(sent), "{what}");
                     let forward = DataMsg::ForwardPut {
                         items: sent.to_vec(),
                         origin: b.node.clone(),
@@ -3716,7 +3800,7 @@ mod tests {
         x.set_peers_direct(vec![s.node.clone()], None, 1);
         assert_eq!(put_items(&m, &s.node, &batch_of_three()), [Ok(1); 3]);
         assert_eq!(sorted_digests(&x).len(), 3);
-        assert_eq!(egress(&x), replication_bytes(&batch_of_three(), true));
+        assert_eq!(egress(&x), replication_bytes(&batch_of_three()));
     }
 
     // ---- monitor windows and read timestamps --------------------------------

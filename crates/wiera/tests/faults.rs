@@ -4,8 +4,10 @@
 use bytes::Bytes;
 use std::sync::atomic::Ordering;
 use wiera::client::WieraClient;
+use wiera::controller::ControllerConfig;
 use wiera::deployment::DeploymentConfig;
 use wiera::testkit::{bodies, Cluster};
+use wiera_coord::CoordConfig;
 use wiera_net::Region;
 use wiera_sim::SimDuration;
 
@@ -239,8 +241,15 @@ fn concurrent_multi_primaries_writers_serialize_via_lock() {
     let _serial = serial();
     // Two writers in different regions hammer the same key under
     // MultiPrimaries: the global lock serializes them, so versions are
-    // strictly increasing with no lost updates.
-    let cluster = Cluster::launch(&[Region::UsWest, Region::UsEast], 3000.0, 35);
+    // strictly increasing with no lost updates. The coord session outlives
+    // any stall of its heartbeat thread: at the default 10 s, compressed
+    // 3000x, one 4 ms stall expired it and the next lock was refused.
+    let coord = CoordConfig {
+        session_timeout: SimDuration::from_secs(6000),
+        sweep_interval: SimDuration::from_secs(50),
+    };
+    let regions = [Region::UsWest, Region::UsEast];
+    let cluster = Cluster::launch_full(&regions, 3000.0, 35, ControllerConfig::default(), coord);
     cluster
         .register_policy_over(
             "mp3",

@@ -1,6 +1,6 @@
 //! Zero-copy replication test: a value written once by the client must cross
 //! the whole replicated data path — client → primary ingest → tier store →
-//! `ReplicateBatch` fan-out → backup apply → backup tier store — without a
+//! `Replicate` fan-out → backup apply → backup tier store — without a
 //! single deep copy. The bytes shim's process-global copy counter meters
 //! every physical byte copy; `Bytes` clones (including the shared
 //! `Arc<[SyncObject]>` batch) are refcount bumps and count nothing.
