@@ -16,7 +16,7 @@
 //! timelines stay aligned with modeled time.
 
 use crate::metastore::{MetaShardGuard, MetaStore};
-use crate::object::{storage_key, storage_key_in, ObjectMeta, VersionId, VersionMeta};
+use crate::object::{storage_key, ObjectMeta, VersionId, VersionMeta};
 use crate::transform;
 use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
@@ -26,6 +26,7 @@ use wiera_net::Region;
 use wiera_policy::compile::{
     Action, CondValue, Condition, Env, EnvValue, EventKind, Rule, Selector, Target, TierLayout,
 };
+use wiera_sim::hash::ShortKey;
 use wiera_sim::lockreg::TrackedMutex;
 use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{
@@ -40,9 +41,9 @@ const META_OVERHEAD: SimDuration = SimDuration::from_micros(150);
 /// [`META_OVERHEAD`] once, then this per item.
 const BATCH_ITEM_OVERHEAD: SimDuration = SimDuration::from_micros(10);
 
-/// Storage keys of the versions GCed out of the metadata during a shard
-/// session; their bytes are deleted from the tiers after the session ends.
-type PrunedVersions = Vec<String>;
+/// The storage keys a shard session's pruning GCed, each with the tiers
+/// that may hold it ([`TieraInstance::copies`]), deleted after the session.
+type PrunedVersions = Vec<(ShortKey, TierSet)>;
 
 /// The ingest of a put no insert rule stores.
 static DEFAULT_STORE: Action = Action::Store {
@@ -118,12 +119,30 @@ pub enum BatchOp {
     Get { key: String },
 }
 
+/// One update replicated from another instance, as
+/// [`TieraInstance::apply_replicated`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub struct Replicated<'a> {
+    pub key: &'a str,
+    pub version: VersionId,
+    pub modified: SimInstant,
+    pub value: &'a Bytes,
+}
+
+/// One item of an engine pass: an application op or a replicated update.
+#[derive(Clone, Copy)]
+enum PassItem<'a> {
+    Op(&'a BatchOp),
+    Replicated(Replicated<'a>),
+}
+
 /// A storage tier slot inside an instance: a simulated cloud service, or —
 /// for §3.2.2's modular instances — another whole Tiera instance mounted as
 /// a (typically read-only) tier. Tier ops run under the caller's metastore
 /// shard guard, so neither kind sleeps or touches a channel: a mounted
 /// instance is entered through its non-sleeping `*_unslept` entries and its
-/// modeled latency is slept once, by the outermost caller.
+/// modeled latency is slept once, by the outermost caller. Each op passes
+/// the time it read the clock at; a mounted instance reads its own.
 #[derive(Clone)]
 pub enum TierHandle {
     Local(Arc<SimTier>),
@@ -134,9 +153,9 @@ pub enum TierHandle {
 }
 
 impl TierHandle {
-    fn put(&self, key: &str, val: Bytes) -> Result<SimDuration, TieraError> {
+    fn put(&self, key: &str, val: Bytes, now: SimInstant) -> Result<SimDuration, TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.put(key, val)?),
+            TierHandle::Local(t) => Ok(t.put_at(key, val, now)?),
             TierHandle::Instance { inst, read_only } => {
                 if *read_only {
                     return Err(TieraError::ReadOnlyTier(inst.name().to_string()));
@@ -146,9 +165,9 @@ impl TierHandle {
         }
     }
 
-    fn get(&self, key: &str) -> Result<(Bytes, SimDuration), TieraError> {
+    fn get(&self, key: &str, now: SimInstant) -> Result<(Bytes, SimDuration), TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.get(key)?),
+            TierHandle::Local(t) => Ok(t.get_at(key, now)?),
             TierHandle::Instance { inst, .. } => {
                 let out = inst.get_unslept(key)?;
                 let value = out.value.ok_or_else(|| {
@@ -159,9 +178,9 @@ impl TierHandle {
         }
     }
 
-    fn delete(&self, key: &str) -> Result<SimDuration, TieraError> {
+    fn delete(&self, key: &str, now: SimInstant) -> Result<SimDuration, TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.delete(key)?),
+            TierHandle::Local(t) => Ok(t.delete_at(key, now)?),
             TierHandle::Instance { inst, read_only } => {
                 if *read_only {
                     return Err(TieraError::ReadOnlyTier(inst.name().to_string()));
@@ -297,6 +316,10 @@ pub struct TieraInstance {
     /// rejects) holders whose breaker is not closed — a browned-out tier
     /// may be the only holder of a version.
     tier_breakers: Vec<TierBreaker>,
+    /// Tiers that may hold bytes no metadata names, for good: one a read's
+    /// heal dropped while down (a durable tier keeps its copy) or a delete
+    /// found down. A version dropped from the metadata is deleted there too.
+    strays: AtomicU64,
     pub stats: InstanceStats,
     rng: TrackedMutex<SimRng>,
     /// Each op's registry series, resolved on its first record.
@@ -333,6 +356,7 @@ impl TieraInstance {
             meta: MetaStore::new(),
             filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
             tier_breakers,
+            strays: AtomicU64::new(0),
             stats: InstanceStats::default(),
             rng,
             series: Default::default(),
@@ -385,6 +409,7 @@ impl TieraInstance {
             meta,
             filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
             tier_breakers,
+            strays: AtomicU64::new(0),
             stats: InstanceStats::default(),
             rng: TrackedMutex::new("inst.rng", SimRng::new(self.config.seed).child("mounted")),
             series: Default::default(),
@@ -440,6 +465,19 @@ impl TieraInstance {
         (0..self.tiers.len()).filter(move |i| set >> i & 1 == 1)
     }
 
+    /// The tiers of this instance a version's metadata says hold it.
+    fn holders(&self, m: &VersionMeta) -> TierSet {
+        std::iter::once(&m.location)
+            .chain(&m.replicas)
+            .filter_map(|label| self.tier_index(label))
+            .fold(0, |set, i| set | 1 << i)
+    }
+
+    /// Every tier that may hold a version's bytes: holders and strays.
+    fn copies(&self, m: &VersionMeta) -> TierSet {
+        self.holders(m) | self.strays.load(Ordering::Relaxed)
+    }
+
     pub fn tier_labels(&self) -> Vec<&str> {
         self.tiers.iter().map(|(l, _)| l.as_str()).collect()
     }
@@ -463,9 +501,9 @@ impl TieraInstance {
             .any(|t| t.breaker.state() != BreakerState::Closed)
     }
 
-    /// Fail fast when the thread-scoped op budget is already spent.
-    fn check_deadline(&self) -> Result<(), TieraError> {
-        if crate::deadline::expired(self.clock.now()) {
+    /// Fail fast when the thread-scoped op budget is spent at `now`.
+    fn check_deadline(&self, now: SimInstant) -> Result<(), TieraError> {
+        if crate::deadline::expired(now) {
             wiera_sim::MetricsRegistry::global().inc(
                 "tiera_deadline_exceeded",
                 &[("instance", self.config.name.as_str())],
@@ -511,10 +549,11 @@ impl TieraInstance {
     /// PUT without the trailing sleep: the entry a mounting instance uses
     /// while it holds its own shard guard.
     fn put_unslept(&self, key: &str, value: Bytes, tags: &[&str]) -> Result<OpOutcome, TieraError> {
-        self.check_deadline()?;
+        let now = self.clock.now();
+        self.check_deadline(now)?;
         self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.shard_session(key, |map, gc| {
-            self.ingest_locked(map, key, value, tags, None, META_OVERHEAD, gc)
+        let outcome = self.shard_session(key, now, |map, gc| {
+            self.ingest_locked(map, key, value, tags, None, META_OVERHEAD, now, gc)
         })?;
         self.note_op(InstanceOp::Put, outcome.latency);
         Ok(outcome)
@@ -528,9 +567,7 @@ impl TieraInstance {
     /// per-item outcomes in request order plus the batch's total latency.
     ///
     /// Items are grouped by metastore shard and each shard's lock is taken
-    /// **once per batch** (see [`MetaStore::shard_write`]); items on the
-    /// same key keep their request order because a key always hashes to the
-    /// same shard.
+    /// **once per batch** (see [`MetaStore::shard_write`]).
     #[allow(clippy::type_complexity)]
     pub fn apply_batch(
         &self,
@@ -538,66 +575,14 @@ impl TieraInstance {
     ) -> (Vec<Result<OpOutcome, TieraError>>, SimDuration) {
         // The budget gates the whole batch: items admitted together run
         // together (checking per item would tear a half-expired batch).
-        if let Err(e) = self.check_deadline() {
+        if let Err(e) = self.check_deadline(self.clock.now()) {
             return (ops.iter().map(|_| Err(e.clone())).collect(), META_OVERHEAD);
         }
-        let mut total = META_OVERHEAD;
-        let mut results: Vec<Result<OpOutcome, TieraError>> = ops
-            .iter()
-            .map(|_| Err(TieraError::NotFound(String::new())))
-            .collect();
-        // Group item indices by shard, preserving request order per shard.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.meta.shard_count()];
-        for (i, op) in ops.iter().enumerate() {
-            let key = match op {
-                BatchOp::Put { key, .. } | BatchOp::Get { key } => key,
-            };
-            groups[self.meta.shard_of(key)].push(i);
-        }
-        let mut gc = PrunedVersions::new();
-        for (shard, idxs) in groups.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut map = self.meta.shard_write(shard);
-            for &i in idxs {
-                let r = match &ops[i] {
-                    BatchOp::Put { key, value } => {
-                        self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
-                        // Tier hops under the shard guard only model
-                        // latency: they never sleep or touch a channel,
-                        // mounted instance or not (see `TierHandle`); the
-                        // blocking candidates are widening artifacts of
-                        // `.put`.
-                        // ws-audit: allow(WS103): tier hops under the guard never sleep or touch a channel
-                        self.ingest_locked(
-                            &mut map,
-                            key,
-                            value.clone(),
-                            &[],
-                            None,
-                            BATCH_ITEM_OVERHEAD,
-                            &mut gc,
-                        )
-                    }
-                    BatchOp::Get { key } => {
-                        self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
-                        match map.get_mut(key) {
-                            Some(obj) => match obj.latest_version() {
-                                Some(v) => self.read_version_locked(key, v, obj),
-                                None => Err(TieraError::NotFound(key.clone())),
-                            },
-                            None => Err(TieraError::NotFound(key.clone())),
-                        }
-                    }
-                };
-                if let Ok(out) = &r {
-                    total += out.latency;
-                }
-                results[i] = r;
-            }
-        }
-        self.delete_pruned(gc);
+        // An op always has an outcome.
+        let pass = self.engine_pass(ops.len(), |i| PassItem::Op(&ops[i]));
+        let mut results = Vec::with_capacity(ops.len());
+        results.extend(pass.into_iter().flatten());
+        let total = META_OVERHEAD + results.iter().flatten().map(|o| o.latency).sum();
         self.note_op(InstanceOp::Batch, total);
         self.maybe_sleep(total);
         (results, total)
@@ -617,32 +602,90 @@ impl TieraInstance {
         series.record(1, latency);
     }
 
-    /// Apply an update replicated from another instance (§4.2): last-write-
-    /// wins on (version, modified-time). Returns `Ok(None)` when the update
-    /// loses and is discarded.
+    /// Apply updates replicated from another instance (§4.2) in one engine
+    /// pass, like [`TieraInstance::apply_batch`]: last-write-wins on
+    /// (version, modified-time), item by item. Returns each item's outcome
+    /// in order, `Ok(None)` for an update that loses and is discarded.
     pub fn apply_replicated(
         &self,
-        key: &str,
-        version: VersionId,
-        modified: SimInstant,
-        value: Bytes,
-    ) -> Result<Option<OpOutcome>, TieraError> {
-        self.shard_session(key, |map, gc| {
-            // The last-write-wins test and the write it guards share one
-            // lock hold, so two racing updates cannot both pass it.
-            if map
-                .get(key)
-                .is_some_and(|o| !o.accepts_update(version, modified))
-            {
-                return Ok(None);
+        updates: &[Replicated<'_>],
+    ) -> Vec<Result<Option<OpOutcome>, TieraError>> {
+        let pass = self.engine_pass(updates.len(), |i| PassItem::Replicated(updates[i]));
+        pass.into_iter().map(Option::transpose).collect()
+    }
+
+    /// Run the items `item(0..n)` in one engine pass: one sort groups them
+    /// by metastore shard (one key's items keep their order), each shard's
+    /// lock is taken once, each item reads the clock once, and the pruned
+    /// versions' bytes are deleted after the last session. Returns per-item
+    /// outcomes in order; `None` is a replicated update that lost.
+    fn engine_pass<'a>(
+        &self,
+        n: usize,
+        item: impl Fn(usize) -> PassItem<'a>,
+    ) -> Vec<Option<Result<OpOutcome, TieraError>>> {
+        let key = |i| match item(i) {
+            PassItem::Op(BatchOp::Put { key, .. } | BatchOp::Get { key }) => key.as_str(),
+            PassItem::Replicated(u) => u.key,
+        };
+        let mut order: Vec<_> = (0..n).map(|i| (self.meta.shard_of(key(i)), i)).collect();
+        order.sort_unstable();
+        let mut results: Vec<_> = (0..n).map(|_| None).collect();
+        let mut gc = PrunedVersions::new();
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let mut map = self.meta.shard_write(group[0].0);
+            for &(_, i) in group {
+                let now = self.clock.now();
+                let (key, value, forced, overhead) = match item(i) {
+                    PassItem::Op(BatchOp::Get { key }) => {
+                        self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
+                        let found = map.get_mut(key.as_str());
+                        let found = found.and_then(|o| Some((o.latest_version()?, o)));
+                        results[i] = Some(match found {
+                            Some((v, obj)) => self.read_version_locked(key, v, obj, now),
+                            None => Err(TieraError::NotFound(key.clone())),
+                        });
+                        continue;
+                    }
+                    PassItem::Op(BatchOp::Put { key, value }) => {
+                        self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
+                        (key.as_str(), value, None, BATCH_ITEM_OVERHEAD)
+                    }
+                    PassItem::Replicated(u) => {
+                        // The last-write-wins test and the write it guards
+                        // share one lock hold, so two racing updates cannot
+                        // both pass it.
+                        if map
+                            .get(u.key)
+                            .is_some_and(|o| !o.accepts_update(u.version, u.modified))
+                        {
+                            continue;
+                        }
+                        self.stats
+                            .replicated_updates
+                            .fetch_add(1, Ordering::Relaxed);
+                        (u.key, u.value, Some((u.version, u.modified)), META_OVERHEAD)
+                    }
+                };
+                // Tier hops under the shard guard only model latency: they
+                // never sleep or touch a channel, mounted instance or not
+                // (see `TierHandle`); the blocking candidates are widening
+                // artifacts of `.put`.
+                // ws-audit: allow(WS103): tier hops under the guard never sleep or touch a channel
+                results[i] = Some(self.ingest_locked(
+                    &mut map,
+                    key,
+                    value.clone(),
+                    &[],
+                    forced,
+                    overhead,
+                    now,
+                    &mut gc,
+                ));
             }
-            self.stats
-                .replicated_updates
-                .fetch_add(1, Ordering::Relaxed);
-            let forced = Some((version, modified));
-            self.ingest_locked(map, key, value, &[], forced, META_OVERHEAD, gc)
-                .map(Some)
-        })
+        }
+        self.delete_pruned(gc, self.clock.now());
+        results
     }
 
     /// Simulate a node crash (§4.4): volatile local tiers lose their
@@ -670,7 +713,7 @@ impl TieraInstance {
         let mut lost = 0usize;
         for key in self.meta.keys() {
             let emptied = self.meta.with_mut(&key, |o| {
-                o.versions.retain(|_, m| {
+                o.versions.retain_mut(|m| {
                     m.replicas.retain(|r| !wiped.contains(r));
                     if wiped.contains(&m.location) {
                         match m.replicas.iter().next().cloned() {
@@ -701,6 +744,7 @@ impl TieraInstance {
     fn shard_session<R>(
         &self,
         key: &str,
+        now: SimInstant,
         f: impl FnOnce(&mut MetaShardGuard<'_>, &mut PrunedVersions) -> R,
     ) -> R {
         let mut gc = PrunedVersions::new();
@@ -708,15 +752,24 @@ impl TieraInstance {
             let mut map = self.meta.shard_write(self.meta.shard_of(key));
             f(&mut map, &mut gc)
         };
-        self.delete_pruned(gc);
+        self.delete_pruned(gc, now);
         r
     }
 
-    /// Delete the bytes of GCed versions from every tier.
-    fn delete_pruned(&self, gc: PrunedVersions) {
-        for skey in gc {
-            for (_, h) in &self.tiers {
-                let _ = h.delete(&skey);
+    /// Delete the bytes of GCed versions from the tiers that may hold them.
+    fn delete_pruned(&self, gc: PrunedVersions, now: SimInstant) {
+        for (skey, set) in gc {
+            self.delete_from(set, &skey, now);
+        }
+    }
+
+    /// Delete `skey` from the tiers in `set`; one that is down becomes a
+    /// stray.
+    fn delete_from(&self, set: TierSet, skey: &str, now: SimInstant) {
+        for i in self.tiers_in(set) {
+            let (_, tier) = &self.tiers[i];
+            if let Err(TieraError::Tier(TierError::Down)) = tier.delete(skey, now) {
+                self.strays.fetch_or(1 << i, Ordering::Relaxed);
             }
         }
     }
@@ -727,8 +780,9 @@ impl TieraInstance {
     /// `forced` is a replicated update's `(version, modified-time)`;
     /// `overhead` the metadata bookkeeping charge (the full
     /// [`META_OVERHEAD`] for a standalone op, the marginal
-    /// [`BATCH_ITEM_OVERHEAD`] inside a batch); `gc` collects the pruned
-    /// versions whose bytes the caller deletes after the shard session ends.
+    /// [`BATCH_ITEM_OVERHEAD`] inside a batch); `now` the time the op read
+    /// the clock at; `gc` collects the pruned versions whose bytes the
+    /// caller deletes after the shard session ends.
     #[allow(clippy::too_many_arguments)]
     fn ingest_locked(
         &self,
@@ -738,9 +792,9 @@ impl TieraInstance {
         tags: &[&str],
         forced: Option<(VersionId, SimInstant)>,
         overhead: SimDuration,
+        now: SimInstant,
         gc: &mut PrunedVersions,
     ) -> Result<OpOutcome, TieraError> {
-        let now = self.clock.now();
         // One lookup: a new key's entry is built aside and inserted only
         // once its bytes are placed.
         let mut fresh = None;
@@ -755,16 +809,14 @@ impl TieraInstance {
         let skey = storage_key(key, version);
         let mut latency = overhead;
         let mut placed = Placement::default();
-        let location = match self.place(&skey, &value, &mut latency, &mut placed) {
+        let location = match self.place(&skey, &value, now, &mut latency, &mut placed) {
             Ok(location) => location,
             Err(e) => {
                 // A failed put leaves no bytes behind — unless the version
                 // is already recorded (a replicated rewrite of it): then
                 // the copies overwrote bytes its metadata points at.
-                if !obj.versions.contains_key(&version) {
-                    for (_, tier) in self.tiers_in(placed.written).map(|i| &self.tiers[i]) {
-                        let _ = tier.delete(&skey);
-                    }
+                if obj.version(version).is_none() {
+                    self.delete_from(placed.written, &skey, now);
                 }
                 return Err(e);
             }
@@ -781,20 +833,11 @@ impl TieraInstance {
             m.modified = modified;
         }
         let modified = m.modified;
-        obj.versions.insert(version, m);
-        if let Some(keep) = self.config.max_versions {
-            // The new version's key is spent; its buffer becomes the first
-            // pruned version's key.
-            let mut spare = Some(skey);
-            for v in obj.prune_old_versions(keep) {
-                gc.push(match spare.take() {
-                    Some(buf) => storage_key_in(buf, key, v),
-                    None => storage_key(key, v),
-                });
-            }
-        }
+        obj.add_version(m, self.config.max_versions, |old| {
+            gc.push((storage_key(key, old.version), self.copies(&old)));
+        });
         if let Some(obj) = fresh {
-            map.insert(key.to_string(), obj);
+            map.insert(ShortKey::new(key), obj);
         }
 
         Ok(OpOutcome {
@@ -813,6 +856,7 @@ impl TieraInstance {
         &'a self,
         skey: &str,
         value: &Bytes,
+        now: SimInstant,
         latency: &mut SimDuration,
         placed: &mut Placement<'a>,
     ) -> Result<&'a str, TieraError> {
@@ -821,7 +865,7 @@ impl TieraInstance {
         for rule in &self.config.rules {
             if matches!(rule.event, EventKind::Insert { into: None }) {
                 for action in &rule.actions {
-                    self.run_insert_action(action, skey, value, latency, placed)?;
+                    self.run_insert_action(action, skey, value, now, latency, placed)?;
                 }
             }
         }
@@ -831,7 +875,7 @@ impl TieraInstance {
         let location = match placed.location {
             Some(l) => l,
             None => {
-                self.run_insert_action(&DEFAULT_STORE, skey, value, latency, placed)?;
+                self.run_insert_action(&DEFAULT_STORE, skey, value, now, latency, placed)?;
                 self.default_tier_label()
             }
         };
@@ -841,7 +885,7 @@ impl TieraInstance {
         for rule in &self.config.rules {
             if matches!(&rule.event, EventKind::Insert { into: Some(t) } if t == location) {
                 for action in &rule.actions {
-                    self.run_insert_action(action, skey, value, latency, placed)?;
+                    self.run_insert_action(action, skey, value, now, latency, placed)?;
                 }
             }
         }
@@ -853,6 +897,7 @@ impl TieraInstance {
         action: &'a Action,
         skey: &str,
         value: &Bytes,
+        now: SimInstant,
         latency: &mut SimDuration,
         placed: &mut Placement<'a>,
     ) -> Result<(), TieraError> {
@@ -887,7 +932,7 @@ impl TieraInstance {
             .tier_index(label)
             .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))?;
         let (_, tier) = &self.tiers[i];
-        *latency += tier.put(skey, value.clone())?;
+        *latency += tier.put(skey, value.clone(), now)?;
         placed.written |= 1 << i;
         if stores {
             placed.location = Some(label);
@@ -907,14 +952,15 @@ impl TieraInstance {
     /// GET without the trailing sleep: the entry a mounting instance uses
     /// while it holds its own shard guard.
     fn get_unslept(&self, key: &str) -> Result<OpOutcome, TieraError> {
-        self.check_deadline()?;
+        let now = self.clock.now();
+        self.check_deadline(now)?;
         self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
         let missing = || TieraError::NotFound(key.to_string());
         let out = self
             .meta
             .with_existing_mut(key, |o| {
                 let version = o.latest_version().ok_or_else(missing)?;
-                self.read_version_locked(key, version, o)
+                self.read_version_locked(key, version, o, now)
             })
             .unwrap_or_else(|| Err(missing()))?;
         self.note_op(InstanceOp::Get, out.latency);
@@ -923,9 +969,10 @@ impl TieraInstance {
 
     /// Retrieve a specific version.
     pub fn get_version(&self, key: &str, version: VersionId) -> Result<OpOutcome, TieraError> {
-        self.check_deadline()?;
+        let now = self.clock.now();
+        self.check_deadline(now)?;
         self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
-        let out = self.read_version(key, version)?;
+        let out = self.read_version(key, version, now)?;
         self.note_op(InstanceOp::Get, out.latency);
         self.maybe_sleep(out.latency);
         Ok(out)
@@ -934,7 +981,7 @@ impl TieraInstance {
     /// List available versions of `key`.
     pub fn get_version_list(&self, key: &str) -> Result<Vec<VersionId>, TieraError> {
         self.meta
-            .with(key, |o| o.versions.keys().copied().collect())
+            .with(key, |o| o.versions.iter().map(|m| m.version).collect())
             .ok_or_else(|| TieraError::NotFound(key.to_string()))
     }
 
@@ -948,23 +995,26 @@ impl TieraInstance {
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
         let missing = || TieraError::VersionNotFound(key.to_string(), version);
+        let skey = storage_key(key, version);
         // Holder lookup, rewrite and metadata edit share one shard session.
-        let latency = self
+        let (latency, stale) = self
             .meta
             .with_existing_mut(key, |o| {
-                let m = o.versions.get_mut(&version).ok_or_else(missing)?;
+                let m = o.version_mut(version).ok_or_else(missing)?;
                 let size = value.len() as u64;
-                let stored = self
-                    .tier_required(&m.location)?
-                    .put(&storage_key(key, version), value)?;
+                let stored = self.tier_required(&m.location)?.put(&skey, value, now)?;
                 m.size = size;
                 m.modified = now;
                 m.touch(now);
-                // In-place update invalidates intra-instance replicas.
+                // In-place update invalidates intra-instance replicas; their
+                // copies are deleted after the session.
+                let location = self.tier_index(&m.location).map_or(0, |i| 1 << i);
+                let stale = self.holders(m) & !location;
                 m.replicas.clear();
-                Ok(META_OVERHEAD + stored)
+                Ok((META_OVERHEAD + stored, stale))
             })
             .unwrap_or_else(|| Err(missing()))?;
+        self.delete_from(stale, &skey, now);
         self.note_op(InstanceOp::Update, latency);
         self.maybe_sleep(latency);
         Ok(OpOutcome {
@@ -982,13 +1032,9 @@ impl TieraInstance {
             .remove(key)
             .ok_or_else(|| TieraError::NotFound(key.to_string()))?;
         self.note_op(InstanceOp::Remove, SimDuration::ZERO);
-        for (v, m) in obj.versions {
-            let sk = storage_key(key, v);
-            for holder in m.holders() {
-                if let Some(h) = self.tier(holder) {
-                    let _ = h.delete(&sk);
-                }
-            }
+        let now = self.clock.now();
+        for m in &obj.versions {
+            self.delete_from(self.copies(m), &storage_key(key, m.version), now);
         }
         Ok(())
     }
@@ -999,47 +1045,48 @@ impl TieraInstance {
             .meta
             .remove_version(key, version)
             .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-        let sk = storage_key(key, version);
-        for holder in m.holders() {
-            if let Some(h) = self.tier(holder) {
-                let _ = h.delete(&sk);
-            }
-        }
+        let skey = storage_key(key, version);
+        self.delete_from(self.copies(&m), &skey, self.clock.now());
         Ok(())
     }
 
     /// Read one version under one shard session covering holder lookup,
     /// heal and touch.
-    fn read_version(&self, key: &str, version: VersionId) -> Result<OpOutcome, TieraError> {
+    fn read_version(
+        &self,
+        key: &str,
+        version: VersionId,
+        now: SimInstant,
+    ) -> Result<OpOutcome, TieraError> {
         self.meta
-            .with_existing_mut(key, |o| self.read_version_locked(key, version, o))
+            .with_existing_mut(key, |o| self.read_version_locked(key, version, o, now))
             .unwrap_or_else(|| Err(TieraError::VersionNotFound(key.to_string(), version)))
     }
 
     /// Read one version with its object's metadata already locked: try
     /// holders in [`TieraInstance::holder_order`], heal metadata in place
-    /// when tiers have lost their copies, touch the access time.
+    /// when tiers have lost their copies, touch the access time. `now` is
+    /// when the op read the clock: the tier reads and the breakers get it.
     fn read_version_locked(
         &self,
         key: &str,
         version: VersionId,
         obj: &mut ObjectMeta,
+        now: SimInstant,
     ) -> Result<OpOutcome, TieraError> {
-        let now = self.clock.now();
         let m = obj
-            .versions
-            .get_mut(&version)
+            .version_mut(version)
             .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
         let skey = storage_key(key, version);
         let mut latency = SimDuration::from_micros(100);
-        // Holders tried and found empty.
-        let mut lost: TierSet = 0;
+        // Holders tried and found empty, and those of them that were down.
+        let (mut lost, mut down): (TierSet, TierSet) = (0, 0);
         for i in self.holder_order(m, now) {
             let (label, tier) = &self.tiers[i];
             let breaker = &self.tier_breakers[i].breaker;
-            match tier.get(&skey) {
+            match tier.get(&skey, now) {
                 Ok((mut data, l)) => {
-                    breaker.record_success(self.clock.now(), l);
+                    breaker.record_success(now, l);
                     latency += l;
                     if m.encrypted {
                         data = transform::decrypt(&data, self.config.encryption_key);
@@ -1053,6 +1100,7 @@ impl TieraInstance {
                             m.location = label.clone();
                         }
                         m.replicas.retain(|r| !gone(r));
+                        self.strays.fetch_or(down, Ordering::Relaxed);
                     }
                     m.touch(now);
                     return Ok(OpOutcome {
@@ -1062,9 +1110,12 @@ impl TieraInstance {
                         latency,
                     });
                 }
-                Err(_) => {
-                    breaker.record_failure(self.clock.now());
+                Err(e) => {
+                    breaker.record_failure(now);
                     lost |= 1 << i;
+                    if e == TieraError::Tier(TierError::Down) {
+                        down |= 1 << i;
+                    }
                 }
             }
         }
@@ -1083,10 +1134,7 @@ impl TieraInstance {
     /// breakers are asked fastest holder first, before any holder is read.
     fn holder_order(&self, m: &VersionMeta, now: SimInstant) -> impl Iterator<Item = usize> + '_ {
         let loc = self.tier_index(&m.location);
-        let held = std::iter::once(&m.location)
-            .chain(&m.replicas)
-            .filter_map(|label| self.tier_index(label))
-            .fold(0, |set: TierSet, i| set | 1 << i);
+        let held = self.holders(m);
         let (mut probe, mut healthy, mut suspect): (TierSet, TierSet, TierSet) = (0, 0, 0);
         for i in self.fastest_first(held, loc) {
             let t = &self.tier_breakers[i];
@@ -1246,8 +1294,7 @@ impl TieraInstance {
             .filter(|(k, v)| {
                 self.meta
                     .with(k, |o| {
-                        o.versions
-                            .get(v)
+                        o.version(*v)
                             .map(|m| {
                                 cond.eval(&ObjEnv {
                                     meta: m,
@@ -1338,8 +1385,7 @@ impl TieraInstance {
                     Some((k, v)) => self
                         .meta
                         .with(k, |o| {
-                            o.versions
-                                .get(&v)
+                            o.version(v)
                                 .map(|m| {
                                     cond.eval(&ObjEnv {
                                         meta: m,
@@ -1399,14 +1445,15 @@ impl TieraInstance {
         bandwidth_bps: Option<f64>,
         retire_sources: bool,
     ) -> Result<SimDuration, TieraError> {
-        let out = self.read_version(key, version)?;
+        let now = self.clock.now();
+        let out = self.read_version(key, version, now)?;
         let data = out
             .value
             .ok_or_else(|| TieraError::Corrupt(format!("read of '{key}' returned no bytes")))?;
         let skey = storage_key(key, version);
         let size = data.len();
         let mut latency = out.latency;
-        latency += self.tier_required(to)?.put(&skey, data)?;
+        latency += self.tier_required(to)?.put(&skey, data, now)?;
         if let Some(bw) = bandwidth_bps {
             let limited = SimDuration::from_secs_f64(size as f64 / bw.max(1.0));
             latency = latency.max(limited);
@@ -1414,33 +1461,24 @@ impl TieraInstance {
                 self.clock.sleep(limited);
             }
         }
-        let retired: Vec<String> = self
+        let retired: TierSet = self
             .meta
             .with_existing_mut(key, |o| {
-                let Some(m) = o.versions.get_mut(&version) else {
-                    return Vec::new();
+                let Some(m) = o.version_mut(version) else {
+                    return 0;
                 };
                 m.dirty = false;
                 if !retire_sources {
                     m.replicas.insert(to.to_string());
-                    return Vec::new();
+                    return 0;
                 }
-                let sources = m
-                    .holders()
-                    .iter()
-                    .filter(|h| **h != to)
-                    .map(|h| h.to_string())
-                    .collect();
+                let sources = self.holders(m) & !self.tier_index(to).map_or(0, |i| 1 << i);
                 m.location = to.to_string();
                 m.replicas.clear();
                 sources
             })
             .unwrap_or_default();
-        for holder in retired {
-            if let Some(h) = self.tier(&holder) {
-                let _ = h.delete(&skey);
-            }
-        }
+        self.delete_from(retired, &skey, self.clock.now());
         Ok(latency)
     }
 
@@ -1452,9 +1490,10 @@ impl TieraInstance {
         compress: bool,
     ) -> Result<(), TieraError> {
         let missing = || TieraError::VersionNotFound(key.to_string(), version);
+        let now = self.clock.now();
         self.meta
             .with_existing_mut(key, |o| {
-                let m = o.versions.get(&version).ok_or_else(missing)?;
+                let m = o.version(version).ok_or_else(missing)?;
                 let (was_compressed, was_encrypted) = (m.compressed, m.encrypted);
                 let already = if compress {
                     was_compressed
@@ -1469,7 +1508,7 @@ impl TieraInstance {
                 // decrypt-then-decompress), so layering stays correct
                 // whichever transform is applied first by the policy.
                 let mut stored = self
-                    .read_version_locked(key, version, o)?
+                    .read_version_locked(key, version, o, now)?
                     .value
                     .ok_or_else(|| {
                         TieraError::Corrupt(format!("read of '{key}' returned no bytes"))
@@ -1483,10 +1522,10 @@ impl TieraInstance {
                     stored = transform::encrypt(&stored, self.config.encryption_key);
                 }
                 // Rewrite in every holder.
-                let m = o.versions.get_mut(&version).ok_or_else(missing)?;
+                let m = o.version_mut(version).ok_or_else(missing)?;
                 let skey = storage_key(key, version);
                 for h in m.holders() {
-                    self.tier_required(h)?.put(&skey, stored.clone())?;
+                    self.tier_required(h)?.put(&skey, stored.clone(), now)?;
                 }
                 m.compressed = new_compressed;
                 m.encrypted = new_encrypted;
@@ -1545,6 +1584,23 @@ mod tests {
 
     fn bytes(n: usize) -> Bytes {
         Bytes::from(vec![0x5Au8; n])
+    }
+
+    /// One update through the replicated-batch entry.
+    fn replicate(
+        inst: &TieraInstance,
+        key: &str,
+        version: VersionId,
+        modified: SimInstant,
+        value: &Bytes,
+    ) -> Option<OpOutcome> {
+        let update = Replicated {
+            key,
+            version,
+            modified,
+            value,
+        };
+        inst.apply_replicated(&[update]).remove(0).unwrap()
     }
 
     fn basic_instance() -> Arc<TieraInstance> {
@@ -1680,7 +1736,7 @@ mod tests {
         let (outs, _) = inst.apply_batch(&[get]);
         assert_eq!(outs[0].as_ref().unwrap().modified, secs(4));
         // A replicated update keeps its writer's stamp.
-        let update = inst.apply_replicated("k", 3, secs(2), bytes(10)).unwrap();
+        let update = replicate(&inst, "k", 3, secs(2), &bytes(10));
         assert_eq!(update.unwrap().modified, secs(2));
         assert_eq!(inst.get_version("k", 3).unwrap().modified, secs(2));
         clock.set(secs(9));
@@ -1697,24 +1753,58 @@ mod tests {
         .unwrap();
         let t5 = SimInstant::EPOCH + SimDuration::from_secs(5);
         let t9 = SimInstant::EPOCH + SimDuration::from_secs(9);
-        assert!(inst
-            .apply_replicated("k", 3, t5, Bytes::from_static(b"r3"))
-            .unwrap()
-            .is_some());
+        let value = |s: &'static str| Bytes::from_static(s.as_bytes());
+        assert!(replicate(&inst, "k", 3, t5, &value("r3")).is_some());
         // Lower version loses.
-        assert!(inst
-            .apply_replicated("k", 2, t9, Bytes::from_static(b"r2"))
-            .unwrap()
-            .is_none());
+        assert!(replicate(&inst, "k", 2, t9, &value("r2")).is_none());
         // Same version, newer mtime wins.
-        assert!(inst
-            .apply_replicated("k", 3, t9, Bytes::from_static(b"r3b"))
-            .unwrap()
-            .is_some());
+        assert!(replicate(&inst, "k", 3, t9, &value("r3b")).is_some());
         assert_eq!(inst.get("k").unwrap().value.unwrap().as_ref(), b"r3b");
         // Local put after replication continues the version sequence.
         let out = inst.put("k", Bytes::from_static(b"local")).unwrap();
         assert_eq!(out.version, 4);
+    }
+
+    #[test]
+    fn a_replicated_batch_takes_one_session_per_shard_and_tests_each_item() {
+        let inst = basic_instance();
+        let t = |s| SimInstant::EPOCH + SimDuration::from_secs(s);
+        let keys: Vec<String> = (0..40).map(|i| format!("k{i}")).collect();
+        let value = bytes(8);
+        let mut updates: Vec<Replicated> = keys
+            .iter()
+            .map(|key| Replicated {
+                key,
+                version: 2,
+                modified: t(5),
+                value: &value,
+            })
+            .collect();
+        // Later in the same batch: an older write of k0 loses to the one
+        // above, a newer write of k1 replaces it.
+        let k0_older = Replicated {
+            version: 1,
+            ..updates[0]
+        };
+        let k1_newer = Replicated {
+            modified: t(6),
+            ..updates[1]
+        };
+        updates.extend([k0_older, k1_newer]);
+        let before = inst.meta().write_lock_counts();
+        let results = inst.apply_replicated(&updates);
+        let after = inst.meta().write_lock_counts();
+        let shards: BTreeSet<usize> = keys.iter().map(|k| inst.meta().shard_of(k)).collect();
+        let taken: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        for (shard, n) in taken.iter().enumerate() {
+            assert_eq!(*n, u64::from(shards.contains(&shard)), "shard {shard}");
+        }
+        assert!(results[..40].iter().all(|r| matches!(r, Ok(Some(_)))));
+        assert!(matches!(results[40], Ok(None)), "the older write loses");
+        assert!(matches!(results[41], Ok(Some(_))), "the newer write wins");
+        assert_eq!(inst.get("k1").unwrap().modified, t(6));
+        assert_eq!(inst.get_version_list("k0").unwrap(), vec![2]);
+        assert_eq!(inst.stats.replicated_updates.load(Ordering::Relaxed), 41);
     }
 
     #[test]
@@ -1788,6 +1878,70 @@ mod tests {
         inst.move_version("b", 1, "tier2", None).unwrap();
         let acted = inst.run_filled_rules();
         assert_eq!(acted, 0, "edge already consumed at >=50% earlier check");
+    }
+
+    #[test]
+    fn a_pruned_version_is_deleted_only_from_its_holders() {
+        let compiled = compile(&parse(wiera_policy::canned::PERSISTENT_INSTANCE).unwrap()).unwrap();
+        let cfg = InstanceConfig::new("prune", Region::UsEast)
+            .with_tier("tier1", "Memcached", 1 << 30)
+            .with_tier("tier2", "EBS", 1 << 30)
+            .with_tier("tier3", "S3", 0)
+            .with_rules(compiled.rules)
+            .with_max_versions(1);
+        let inst = TieraInstance::build(cfg, ManualClock::new()).unwrap();
+        let local = |label| inst.tier(label).unwrap().as_local().unwrap().clone();
+        let tiers = [local("tier1"), local("tier2"), local("tier3")];
+        const N: u64 = 8;
+        for _ in 0..N {
+            inst.put("k", bytes(64)).unwrap();
+        }
+        for v in 1..N {
+            let skey = storage_key("k", v);
+            assert!(tiers.iter().all(|t| !t.contains(&skey)), "v{v} pruned");
+        }
+        let latest = storage_key("k", N);
+        let deletes = tiers.each_ref().map(|t| t.stats.snapshot().deletes);
+        // tier1 stores and tier2 takes the write-through copy: each held
+        // every pruned version. tier3 never held one.
+        assert_eq!(deletes, [N - 1, N - 1, 0]);
+        assert!(tiers[..2]
+            .iter()
+            .all(|t| t.contains(&latest) && t.len() == 1));
+        assert!(tiers[2].is_empty());
+    }
+
+    #[test]
+    fn copies_the_metadata_stops_naming_are_deleted_too() {
+        // Two EBS tiers: tier2 stores, tier1 takes a copy.
+        let src = "Tiera T() {
+            event(insert.into) : response {
+                store(what:insert.object, to:tier2);
+                copy(what:insert.object, to:tier1);
+            }
+        }";
+        let compiled = compile(&parse(src).unwrap()).unwrap();
+        let cfg = InstanceConfig::new("strays", Region::UsEast)
+            .with_tier("tier1", "EBS", 1 << 30)
+            .with_tier("tier2", "EBS", 1 << 30)
+            .with_rules(compiled.rules)
+            .with_max_versions(1);
+        let inst = TieraInstance::build(cfg, ManualClock::new()).unwrap();
+        let local = |label| inst.tier(label).unwrap().as_local().unwrap().clone();
+        let (tier1, tier2) = (local("tier1"), local("tier2"));
+        let (v1, v2) = (storage_key("k", 1), storage_key("k", 2));
+        inst.put("k", bytes(16)).unwrap();
+        // A read while tier2 is down drops it from v1's holders; the outage
+        // does not lose a durable tier's copy.
+        tier2.set_down(true);
+        inst.get("k").unwrap();
+        tier2.set_down(false);
+        assert!(tier2.contains(&v1));
+        inst.put("k", bytes(16)).unwrap();
+        assert!(!tier2.contains(&v1), "the pruned version's stray copy");
+        // An in-place update drops v2's replica in tier1, and its bytes.
+        inst.update("k", 2, bytes(8)).unwrap();
+        assert!(!tier1.contains(&v2) && tier2.contains(&v2));
     }
 
     #[test]
@@ -2065,11 +2219,11 @@ mod tests {
         // Writes to the read-only mounted tier fail…
         let h = front.tier("tier2").unwrap();
         assert!(matches!(
-            h.put("x", Bytes::from_static(b"y")),
+            h.put("x", Bytes::from_static(b"y"), SimInstant::EPOCH),
             Err(TieraError::ReadOnlyTier(_))
         ));
         // …but reads pass through to the backing instance.
-        let (data, lat) = h.get("dataset@v1").unwrap();
+        let (data, lat) = h.get("dataset@v1", SimInstant::EPOCH).unwrap();
         assert_eq!(data.as_ref(), b"raw");
         assert!(lat > SimDuration::ZERO);
         // And the front instance still takes local writes.

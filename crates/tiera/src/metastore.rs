@@ -10,17 +10,23 @@
 //! `apply_batch` can group a bulk request by shard and take each shard's
 //! lock exactly once per batch ([`MetaStore::shard_write`]). A shard is a
 //! `HashMap` with the deterministic FNV hasher, so an op costs one hash
-//! lookup, not a walk down B-tree nodes comparing key strings. Nothing
-//! reads a shard in its own order: whole-store reads (`keys`, cold-data
-//! sweeps, snapshots) visit shards one at a time — never holding two shard
-//! locks of one store at once, which keeps wiera-check's
+//! lookup, not a walk down B-tree nodes comparing key strings.
+//!
+//! A shard keys on [`ShortKey`] (a key of up to 23 bytes sits in the
+//! bucket) and an [`ObjectMeta`] keeps its versions in one sorted vector;
+//! DESIGN.md §11 has the rest of what one op touches.
+//!
+//! Nothing reads a shard in its own order: whole-store reads (`keys`,
+//! cold-data sweeps, snapshots) visit shards one at a time — never holding
+//! two shard locks of one store at once, which keeps wiera-check's
 //! same-class-nesting rule clean — and sort or merge what they collect.
-//! The snapshot image is one key-sorted map, whatever the insertion order.
+//! The snapshot image is one key-sorted map, whatever the insertion order,
+//! in the format the B-tree layout wrote.
 
 use crate::object::{ObjectMeta, VersionId, VersionMeta};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use wiera_sim::hash::{fnv1a, FnvBuildHasher};
+use wiera_sim::hash::{fnv1a, FnvBuildHasher, ShortKey};
 use wiera_sim::lockreg::{TrackedRwLock, TrackedWriteGuard};
 use wiera_sim::SimInstant;
 
@@ -28,7 +34,7 @@ use wiera_sim::SimInstant;
 pub const META_SHARDS: usize = 16;
 
 /// One shard: the metadata of every key that hashes there.
-type Shard = HashMap<String, ObjectMeta, FnvBuildHasher>;
+type Shard = HashMap<ShortKey, ObjectMeta, FnvBuildHasher>;
 
 /// Thread-safe metadata store for one instance.
 pub struct MetaStore {
@@ -110,7 +116,7 @@ impl MetaStore {
         if let Some(obj) = map.get_mut(key) {
             return f(obj);
         }
-        f(map.entry(key.to_string()).or_default())
+        f(map.entry(ShortKey::new(key)).or_default())
     }
 
     /// Run `f` over existing metadata, mutably; `None` if the key is
@@ -142,18 +148,19 @@ impl MetaStore {
     pub fn remove_version(&self, key: &str, version: VersionId) -> Option<VersionMeta> {
         let mut map = self.shard_write(self.shard_of(key));
         let obj = map.get_mut(key)?;
-        let meta = obj.versions.remove(&version);
+        let i = obj.versions.iter().position(|m| m.version == version)?;
+        let meta = obj.versions.remove(i);
         if obj.versions.is_empty() {
             map.remove(key);
         }
-        meta
+        Some(meta)
     }
 
     /// All keys, sorted (shards are visited one at a time).
     pub fn keys(&self) -> Vec<String> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.read().keys().cloned());
+            out.extend(shard.read().keys().map(|k| k.to_string()));
         }
         out.sort();
         out
@@ -174,9 +181,9 @@ impl MetaStore {
         for shard in &self.shards {
             let map = shard.read();
             for (k, obj) in map.iter() {
-                for (v, meta) in &obj.versions {
+                for meta in &obj.versions {
                     if meta.last_access < cutoff {
-                        out.push((k.clone(), *v));
+                        out.push((k.to_string(), meta.version));
                     }
                 }
             }
@@ -192,7 +199,7 @@ impl MetaStore {
             let map = shard.read();
             out.extend(
                 map.iter()
-                    .flat_map(|(k, o)| o.versions.keys().map(move |v| (k.clone(), *v))),
+                    .flat_map(|(k, o)| o.versions.iter().map(move |m| (k.to_string(), m.version))),
             );
         }
         out.sort();
@@ -205,7 +212,7 @@ impl MetaStore {
         let mut merged: BTreeMap<String, ObjectMeta> = BTreeMap::new();
         for shard in &self.shards {
             for (k, o) in shard.read().iter() {
-                merged.insert(k.clone(), o.clone());
+                merged.insert(k.to_string(), o.clone());
             }
         }
         serde_json::to_vec(&merged).unwrap_or_else(|e| panic!("metadata serializes: {e}"))
@@ -218,7 +225,7 @@ impl MetaStore {
         let store = MetaStore::new();
         for (k, o) in objects {
             let shard = store.shard_of(&k);
-            store.shards[shard].write().insert(k, o);
+            store.shards[shard].write().insert(ShortKey::new(&k), o);
         }
         Ok(store)
     }
@@ -239,7 +246,7 @@ mod tests {
         assert!(!ms.contains("k"));
         let v = ms.with_mut("k", |o| {
             let v = o.next_version();
-            o.versions.insert(v, VersionMeta::new(v, 8, t(0), "tier1"));
+            o.add_version(VersionMeta::new(v, 8, t(0), "tier1"), None, drop);
             v
         });
         assert_eq!(v, 1);
@@ -251,8 +258,8 @@ mod tests {
     fn remove_version_drops_empty_entry() {
         let ms = MetaStore::new();
         ms.with_mut("k", |o| {
-            o.versions.insert(1, VersionMeta::new(1, 8, t(0), "tier1"));
-            o.versions.insert(2, VersionMeta::new(2, 8, t(1), "tier1"));
+            o.add_version(VersionMeta::new(1, 8, t(0), "tier1"), None, drop);
+            o.add_version(VersionMeta::new(2, 8, t(1), "tier1"), None, drop);
         });
         assert!(ms.remove_version("k", 1).is_some());
         assert!(ms.contains("k"));
@@ -265,11 +272,10 @@ mod tests {
     fn cold_scan_finds_stale_versions() {
         let ms = MetaStore::new();
         ms.with_mut("hot", |o| {
-            o.versions
-                .insert(1, VersionMeta::new(1, 8, t(100), "tier1"));
+            o.add_version(VersionMeta::new(1, 8, t(100), "tier1"), None, drop);
         });
         ms.with_mut("cold", |o| {
-            o.versions.insert(1, VersionMeta::new(1, 8, t(1), "tier1"));
+            o.add_version(VersionMeta::new(1, 8, t(1), "tier1"), None, drop);
         });
         let cold = ms.cold_versions(t(50));
         assert_eq!(cold, vec![("cold".to_string(), 1)]);
@@ -283,7 +289,7 @@ mod tests {
             let mut m = VersionMeta::new(1, 100, t(3), "tier2");
             m.dirty = true;
             m.replicas.insert("tier3".into());
-            o.versions.insert(1, m);
+            o.add_version(m, None, drop);
         });
         let image = ms.snapshot();
         let back = MetaStore::restore(&image).unwrap();
@@ -304,8 +310,8 @@ mod tests {
         let ms = MetaStore::new();
         for k in ["a", "b"] {
             ms.with_mut(k, |o| {
-                o.versions.insert(1, VersionMeta::new(1, 8, t(0), "tier1"));
-                o.versions.insert(2, VersionMeta::new(2, 8, t(1), "tier1"));
+                o.add_version(VersionMeta::new(1, 8, t(0), "tier1"), None, drop);
+                o.add_version(VersionMeta::new(2, 8, t(1), "tier1"), None, drop);
             });
         }
         let mut all = ms.all_versions();
@@ -323,8 +329,8 @@ mod tests {
             let ms = MetaStore::new();
             for k in order {
                 ms.with_mut(k, |o| {
-                    o.versions.insert(1, VersionMeta::new(1, 8, t(1), "tier1"));
-                    o.versions.insert(2, VersionMeta::new(2, 8, t(3), "tier1"));
+                    o.add_version(VersionMeta::new(1, 8, t(1), "tier1"), None, drop);
+                    o.add_version(VersionMeta::new(2, 8, t(3), "tier1"), None, drop);
                 });
             }
             ms

@@ -6,8 +6,9 @@
 //! access frequency, dirty bit, times, location, tags) plus the versioning
 //! metadata conflict handling needs (version number, last-modified time).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use wiera_sim::hash::ShortKey;
 use wiera_sim::SimInstant;
 
 /// Monotonically increasing per-key version number.
@@ -69,24 +70,64 @@ impl VersionMeta {
 }
 
 /// All versions of one key, plus object-level attributes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObjectMeta {
-    pub versions: BTreeMap<VersionId, VersionMeta>,
+    /// Oldest first, by version number: one or a few versions sit in one
+    /// allocation of exactly their size.
+    pub versions: Vec<VersionMeta>,
     /// Application-defined object classes ("tmp", "log", …) — §2.2.
     pub tags: BTreeSet<String>,
 }
 
 impl ObjectMeta {
     pub fn latest_version(&self) -> Option<VersionId> {
-        self.versions.keys().next_back().copied()
+        self.latest().map(|m| m.version)
     }
 
     pub fn latest(&self) -> Option<&VersionMeta> {
-        self.versions.values().next_back()
+        self.versions.last()
     }
 
     pub fn latest_mut(&mut self) -> Option<&mut VersionMeta> {
-        self.versions.values_mut().next_back()
+        self.versions.last_mut()
+    }
+
+    pub fn version(&self, version: VersionId) -> Option<&VersionMeta> {
+        self.versions.iter().find(|m| m.version == version)
+    }
+
+    pub fn version_mut(&mut self, version: VersionId) -> Option<&mut VersionMeta> {
+        self.versions.iter_mut().find(|m| m.version == version)
+    }
+
+    /// Record `m` (over a version of its number) and keep the newest `keep`
+    /// (`None`: all), handing each dropped version to `pruned`, oldest
+    /// first. A full list takes a new newest version in the oldest's slot.
+    pub fn add_version(
+        &mut self,
+        m: VersionMeta,
+        keep: Option<usize>,
+        mut pruned: impl FnMut(VersionMeta),
+    ) {
+        let keep = keep.unwrap_or(usize::MAX);
+        match self
+            .versions
+            .binary_search_by_key(&m.version, |m| m.version)
+        {
+            Ok(i) => self.versions[i] = m,
+            Err(i) if i == self.versions.len() && i >= keep && keep > 0 => {
+                pruned(std::mem::replace(&mut self.versions[0], m));
+                self.versions.rotate_left(1);
+            }
+            Err(i) => {
+                if self.versions.capacity() == 0 {
+                    self.versions.reserve_exact(1);
+                }
+                self.versions.insert(i, m);
+            }
+        }
+        let excess = self.versions.len().saturating_sub(keep);
+        self.versions.drain(..excess).for_each(&mut pruned);
     }
 
     /// Next version number to assign.
@@ -105,36 +146,49 @@ impl ObjectMeta {
             }
         }
     }
+}
 
-    /// Prune to the newest `keep` versions, oldest first, yielding each
-    /// pruned version id; a version is pruned as the iterator reaches it.
-    pub fn prune_old_versions(&mut self, keep: usize) -> impl Iterator<Item = VersionId> + '_ {
-        std::iter::from_fn(move || {
-            (self.versions.len() > keep)
-                .then(|| self.versions.pop_first())
-                .flatten()
-                .map(|(v, _)| v)
-        })
+/// An [`ObjectMeta`]'s image: `versions` keyed by number, as B-trees wrote.
+#[derive(Serialize, Deserialize)]
+struct Image {
+    versions: BTreeMap<VersionId, VersionMeta>,
+    tags: BTreeSet<String>,
+}
+
+impl Serialize for ObjectMeta {
+    fn to_value(&self) -> Value {
+        let tags = self.tags.clone();
+        let versions = self
+            .versions
+            .iter()
+            .map(|m| (m.version, m.clone()))
+            .collect();
+        Image { versions, tags }.to_value()
     }
 }
 
-/// Composite storage key used inside tier backends: one slot per version.
-pub fn storage_key(key: &str, version: VersionId) -> String {
-    storage_key_in(String::new(), key, version)
+impl Deserialize for ObjectMeta {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let Image { versions, tags } = Image::from_value(v)?;
+        let versions = versions.into_values().collect();
+        Ok(ObjectMeta { versions, tags })
+    }
 }
 
-/// [`storage_key`] written into `buf`, allocating only when `buf` lacks
-/// room (a spent storage key of the same key never does), and then once:
-/// the widest version number (20 digits) is reserved up front, where
-/// `format!` grows its buffer from a guess.
-pub(crate) fn storage_key_in(mut buf: String, key: &str, version: VersionId) -> String {
-    use std::fmt::Write;
-    buf.clear();
-    buf.reserve(key.len() + "@v".len() + 20);
-    buf.push_str(key);
-    buf.push_str("@v");
-    let _ = write!(buf, "{version}");
-    buf
+/// Composite storage key used inside tier backends, `key@v<version>`: one
+/// slot per version. Formatted without `core::fmt`, and on the stack when
+/// it fits a [`ShortKey`] (an 8-byte object key below version 10^13).
+pub fn storage_key(key: &str, version: VersionId) -> ShortKey {
+    let mut digits = [b'0'; 20];
+    let len = version.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut n = version;
+    for d in digits[..len].iter_mut().rev() {
+        *d += (n % 10) as u8;
+        n /= 10;
+    }
+    // Decimal digits: the check always passes.
+    let digits = std::str::from_utf8(&digits[..len]).unwrap_or_default();
+    ShortKey::concat(&[key, "@v", digits])
 }
 
 #[cfg(test)]
@@ -150,9 +204,9 @@ mod tests {
     fn version_numbers_increase() {
         let mut o = ObjectMeta::default();
         assert_eq!(o.next_version(), 1);
-        o.versions.insert(1, VersionMeta::new(1, 10, t(0), "tier1"));
+        o.add_version(VersionMeta::new(1, 10, t(0), "tier1"), None, drop);
         assert_eq!(o.next_version(), 2);
-        o.versions.insert(5, VersionMeta::new(5, 10, t(1), "tier1"));
+        o.add_version(VersionMeta::new(5, 10, t(1), "tier1"), None, drop);
         assert_eq!(o.latest_version(), Some(5));
         assert_eq!(o.next_version(), 6);
     }
@@ -161,7 +215,7 @@ mod tests {
     fn last_write_wins_rules() {
         let mut o = ObjectMeta::default();
         assert!(o.accepts_update(1, t(0)), "empty object accepts anything");
-        o.versions.insert(3, VersionMeta::new(3, 10, t(5), "tier1"));
+        o.add_version(VersionMeta::new(3, 10, t(5), "tier1"), None, drop);
         assert!(
             o.accepts_update(4, t(1)),
             "higher version wins regardless of time"
@@ -198,21 +252,47 @@ mod tests {
 
     #[test]
     fn prune_keeps_newest() {
+        let versions = |o: &ObjectMeta| o.versions.iter().map(|m| m.version).collect::<Vec<_>>();
         let mut o = ObjectMeta::default();
-        for v in 1..=5 {
-            o.versions.insert(v, VersionMeta::new(v, 10, t(v), "tier1"));
+        for v in [1, 2, 4, 5] {
+            o.add_version(VersionMeta::new(v, 10, t(v), "tier1"), None, drop);
         }
-        let doomed: Vec<VersionId> = o.prune_old_versions(2).collect();
-        assert_eq!(doomed, vec![1, 2, 3]);
-        assert_eq!(o.versions.keys().copied().collect::<Vec<_>>(), vec![4, 5]);
-        assert_eq!(o.prune_old_versions(2).next(), None, "already at limit");
+        o.add_version(VersionMeta::new(3, 10, t(3), "tier1"), None, drop);
+        assert_eq!(versions(&o), [1, 2, 3, 4, 5], "kept sorted");
+        let mut doomed = Vec::new();
+        let m = VersionMeta::new(6, 10, t(6), "tier1");
+        o.add_version(m, Some(2), |m| doomed.push(m.version));
+        assert_eq!(doomed, [1, 2, 3, 4]);
+        assert_eq!(versions(&o), [5, 6]);
+        // A full list takes a new newest version in the oldest's place...
+        let m = VersionMeta::new(7, 10, t(7), "tier1");
+        o.add_version(m, Some(2), |m| doomed.push(m.version));
+        assert_eq!((versions(&o), &doomed[4..]), (vec![6, 7], &[5][..]));
+        // ...and a rewrite of a kept version prunes nothing.
+        let m = VersionMeta::new(7, 99, t(8), "tier1");
+        o.add_version(m, Some(2), |_| panic!("nothing to prune"));
+        assert_eq!(o.version(7).map(|m| m.size), Some(99));
+        // One version per put never needs more than one slot.
+        let mut one = ObjectMeta::default();
+        for v in 1..=3 {
+            one.add_version(VersionMeta::new(v, 10, t(v), "tier1"), Some(1), drop);
+        }
+        assert_eq!((versions(&one), one.versions.capacity()), (vec![3], 1));
     }
 
     #[test]
     fn storage_keys_are_distinct_per_version() {
-        assert_eq!(storage_key("k", 1), "k@v1");
-        assert_eq!(storage_key("k", u64::MAX), format!("k@v{}", u64::MAX));
-        assert_ne!(storage_key("k", 1), storage_key("k", 2));
-        assert_ne!(storage_key("a@v1", 1), storage_key("a", 11)); // no accidental collision here
+        let key = |k: &str, v| storage_key(k, v).as_str().to_string();
+        assert_eq!(key("k", 1), "k@v1");
+        assert_eq!(key("k", 0), "k@v0");
+        assert_eq!(key("k", u64::MAX), format!("k@v{}", u64::MAX));
+        assert_ne!(key("k", 1), key("k", 2));
+        assert_ne!(key("a@v1", 1), key("a", 11)); // no accidental collision here
+        for len in [20, 21, 100] {
+            // Either side of the inline limit: `…@v7` of 23 and 24 bytes.
+            let long = "é".repeat(len / 2) + &"k".repeat(len % 2);
+            assert_eq!(key(&long, 7), format!("{long}@v7"));
+            assert_eq!(key(&long, u64::MAX), format!("{long}@v{}", u64::MAX));
+        }
     }
 }

@@ -1,8 +1,8 @@
-//! Heap-allocation budget of one engine op, measured on a warm one-tier
-//! instance with `max_versions 1` (every put prunes the version it
-//! replaces). A global allocator counts the allocations made by the calling
-//! thread only, so other tests of this binary running in parallel do not
-//! pollute the count.
+//! Heap-allocation budget of one engine op, and heap footprint of one
+//! stored object, measured on a warm one-tier instance with `max_versions
+//! 1` (every put prunes the version it replaces). A global allocator counts
+//! the allocations made, and the bytes held, by the calling thread only, so
+//! other tests of this binary running in parallel do not pollute the count.
 //!
 //! Print the measured counts with `cargo test -p tiera --test alloc_budget
 //! -- --nocapture`.
@@ -19,30 +19,39 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+/// Count one allocation that changes the bytes held by `delta`.
+fn note_alloc(delta: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    note_bytes(delta);
+}
+
+fn note_bytes(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -137,8 +146,27 @@ fn engine_ops_stay_within_their_allocation_budget() {
         "allocations per op: batched put {batched_put:.4}, batched get {batched_get:.4}, \
          single put {single_put:.4}, single get {single_get:.4}"
     );
-    assert!(batched_put <= 5.0, "batched put: {batched_put:.2}");
-    assert!(batched_get <= 3.5, "batched get: {batched_get:.2}");
-    assert!(single_put <= 5.0, "single put: {single_put:.2}");
-    assert!(single_get <= 3.5, "single get: {single_get:.2}");
+    assert!(batched_put <= 2.5, "batched put: {batched_put:.2}");
+    assert!(batched_get <= 0.25, "batched get: {batched_get:.2}");
+    assert!(single_put <= 3.5, "single put: {single_put:.2}");
+    assert!(single_get <= 0.5, "single get: {single_get:.2}");
+}
+
+/// Heap bytes the warm instance holds per stored object, the payload
+/// excluded (every put stores one shared buffer, allocated beforehand):
+/// metastore entry, version list, tier slot and the instance's fixed cost
+/// spread over the keys. A first instance, dropped before the count,
+/// grows the process-wide metric series and registries the second one
+/// then shares.
+#[test]
+fn a_stored_object_holds_at_most_512_heap_bytes() {
+    let keys: Vec<String> = (0..KEYS).map(|i| format!("k{i:07}")).collect();
+    let value = Bytes::from(vec![0x5Au8; 256]);
+    drop(warm_instance(&keys, &value));
+    let before = LIVE.with(Cell::get);
+    let inst = warm_instance(&keys, &value);
+    let per_object = (LIVE.with(Cell::get) - before) as f64 / KEYS as f64;
+    println!("heap bytes per stored object: {per_object:.1}");
+    assert_eq!(inst.meta().len(), KEYS);
+    assert!(per_object <= 512.0, "{per_object:.1} B per object");
 }

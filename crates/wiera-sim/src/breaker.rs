@@ -23,6 +23,7 @@
 use crate::registry::MetricsRegistry;
 use crate::time::{SimDuration, SimInstant};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Where the state machine currently is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,7 +85,6 @@ impl Default for BreakerConfig {
 }
 
 struct Inner {
-    state: BreakerState,
     err_ewma: f64,
     lat_ewma_ms: f64,
     samples: u32,
@@ -99,6 +99,9 @@ pub struct CircuitBreaker {
     name: String,
     cfg: BreakerConfig,
     inner: Mutex<Inner>,
+    /// The [`BreakerState`] as its discriminant: written under `inner`'s
+    /// lock, read without it (a read asks every holder's breaker).
+    state: AtomicU8,
 }
 
 impl CircuitBreaker {
@@ -107,7 +110,6 @@ impl CircuitBreaker {
             name: name.into(),
             cfg,
             inner: Mutex::new(Inner {
-                state: BreakerState::Closed,
                 err_ewma: 0.0,
                 lat_ewma_ms: 0.0,
                 samples: 0,
@@ -115,11 +117,13 @@ impl CircuitBreaker {
                 probe_inflight: false,
                 probe_successes: 0,
             }),
+            state: AtomicU8::new(BreakerState::Closed as u8),
         }
     }
 
     pub fn state(&self) -> BreakerState {
-        self.inner.lock().state
+        use BreakerState::*;
+        [Closed, Open, HalfOpen][usize::from(self.state.load(Ordering::Acquire))]
     }
 
     /// Current error-rate EWMA (diagnostics and tests).
@@ -130,7 +134,7 @@ impl CircuitBreaker {
     /// May a call go out right now?
     pub fn admit(&self, now: SimInstant) -> Admit {
         let mut g = self.inner.lock();
-        match g.state {
+        match self.state() {
             BreakerState::Closed => Admit::Yes,
             BreakerState::Open => {
                 if now.elapsed_since(g.opened_at) >= self.cfg.cooldown {
@@ -157,7 +161,7 @@ impl CircuitBreaker {
     pub fn record_success(&self, now: SimInstant, latency: SimDuration) {
         let mut g = self.inner.lock();
         self.observe(&mut g, false, latency.as_millis_f64());
-        match g.state {
+        match self.state() {
             BreakerState::Closed => self.maybe_open(&mut g, now),
             BreakerState::HalfOpen => {
                 g.probe_inflight = false;
@@ -183,7 +187,7 @@ impl CircuitBreaker {
         // A failure carries no latency sample; hold the latency EWMA flat.
         let lat = g.lat_ewma_ms;
         self.observe(&mut g, true, lat);
-        match g.state {
+        match self.state() {
             BreakerState::Closed => self.maybe_open(&mut g, now),
             BreakerState::HalfOpen => {
                 g.probe_inflight = false;
@@ -221,8 +225,8 @@ impl CircuitBreaker {
         }
     }
 
-    fn transition(&self, g: &mut Inner, to: BreakerState) {
-        g.state = to;
+    fn transition(&self, _held: &mut Inner, to: BreakerState) {
+        self.state.store(to as u8, Ordering::Release);
         let to_s = to.to_string();
         MetricsRegistry::global().inc(
             "breaker_transitions",

@@ -2,7 +2,9 @@
 //! processes and runs), and the deterministic hasher of the hash maps on
 //! the data path, where SipHash cost more than the lookups it served.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::borrow::Borrow;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::num::NonZeroU8;
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -49,9 +51,115 @@ impl Hasher for Fnv1aHasher {
 /// Deterministic `BuildHasher` for `HashMap` / `HashSet`.
 pub type FnvBuildHasher = BuildHasherDefault<Fnv1aHasher>;
 
+/// The key of the hash maps on the data path: up to 23 bytes sit inside it
+/// (in a map's bucket, or on the stack), so a probe compares bytes it has
+/// loaded; a longer string goes on the heap. Hashes, compares and borrows
+/// as its `str`, so a map keyed on it is queried with a `&str`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ShortKey(Repr);
+
+/// Equal strings are equal values: the length picks the variant, and the
+/// bytes past an inline string's end are zero. `end` is the length plus
+/// one, a `NonZeroU8` whose niche tells `Heap`: the key is 24 bytes wide.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline { bytes: [u8; 23], end: NonZeroU8 },
+    Heap(Box<str>),
+}
+
+impl ShortKey {
+    pub fn new(s: &str) -> Self {
+        Self::concat(&[s])
+    }
+
+    /// The concatenation of `parts`, built in place.
+    pub fn concat(parts: &[&str]) -> Self {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len > 23 {
+            return ShortKey(Repr::Heap(parts.concat().into()));
+        }
+        let mut bytes = [0; 23];
+        let mut at = 0;
+        for part in parts {
+            bytes[at..at + part.len()].copy_from_slice(part.as_bytes());
+            at += part.len();
+        }
+        let end = NonZeroU8::MIN.saturating_add(len as u8);
+        ShortKey(Repr::Inline { bytes, end })
+    }
+
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // Whole `str`s joined: the check always passes.
+            Repr::Inline { bytes, end } => {
+                std::str::from_utf8(&bytes[..usize::from(end.get()) - 1]).unwrap_or_default()
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl std::ops::Deref for ShortKey {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for ShortKey {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for ShortKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    #[test]
+    fn short_keys_stay_inline_and_long_ones_round_trip() {
+        assert_eq!(std::mem::size_of::<ShortKey>(), 24);
+        let at_limit = "k".repeat(23);
+        let over = "k".repeat(24);
+        for (key, inline) in [
+            ("", true),
+            ("k0000042@v7", true),
+            (&at_limit, true),
+            (&over, false),
+        ] {
+            let short = ShortKey::new(key);
+            assert_eq!(short.as_str(), key);
+            assert_eq!(matches!(short.0, Repr::Inline { .. }), inline, "{key:?}");
+        }
+        assert_eq!(ShortKey::new("é€").as_str(), "é€");
+        let joined = ShortKey::concat(&["ab", "", "cd"]);
+        assert_eq!(
+            (joined.as_str(), matches!(joined.0, Repr::Inline { .. })),
+            ("abcd", true)
+        );
+    }
+
+    #[test]
+    fn a_map_keyed_on_short_keys_is_queried_with_str() {
+        let long = "a-key-that-does-not-fit-inline";
+        let mut map: HashMap<ShortKey, u32, FnvBuildHasher> = HashMap::default();
+        map.insert(ShortKey::new("short"), 1);
+        map.insert(ShortKey::new(long), 2);
+        assert_eq!(map.get("short"), Some(&1));
+        assert_eq!(map.get(long), Some(&2));
+        assert_eq!(map.get("shorter"), None);
+        let mut keys: Vec<&str> = map.keys().map(ShortKey::as_str).collect();
+        keys.sort();
+        assert_eq!(keys, [long, "short"]);
+    }
 
     #[test]
     fn matches_the_published_fnv1a_vectors() {

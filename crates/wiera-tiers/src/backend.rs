@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use wiera_sim::hash::fnv1a;
+use wiera_sim::hash::{fnv1a, FnvBuildHasher, ShortKey};
 use wiera_sim::lockreg::TrackedRwLock;
 use wiera_sim::registry::OpSeries;
 use wiera_sim::{MetricsRegistry, SharedClock, SimDuration, SimInstant, SimRng};
@@ -106,17 +106,17 @@ struct Slot {
 /// eviction reads.
 #[derive(Default)]
 struct SlotShard {
-    slots: HashMap<Arc<str>, Slot>,
+    slots: HashMap<ShortKey, Slot, FnvBuildHasher>,
     /// `(last_access, key)` of every slot as of the last rebuild, oldest
     /// first; an entry is current while its slot still carries that stamp.
-    /// Stamps are taken under the shard guard, so a slot touched since the
-    /// rebuild is at least as new as every entry: the first current entry
-    /// is the shard's least recently used slot. A hit only stores a stamp.
-    by_age: VecDeque<(SimInstant, Arc<str>)>,
+    /// A slot touched since the rebuild was touched after every entry, so
+    /// the first current entry is the shard's least recently used slot. A
+    /// hit only stores a stamp: when its op read the clock, before the guard.
+    by_age: VecDeque<(SimInstant, ShortKey)>,
 }
 
 impl SlotShard {
-    fn is_current(&self, (at, key): &(SimInstant, Arc<str>)) -> bool {
+    fn is_current(&self, (at, key): &(SimInstant, ShortKey)) -> bool {
         self.slots.get(key).is_some_and(|s| s.last_access == *at)
     }
 
@@ -133,7 +133,7 @@ impl SlotShard {
     /// Pops the stale entries ahead of it; when nothing but `protect` is
     /// listed, the slots touched since the last rebuild are not listed yet,
     /// so the list is rebuilt once.
-    fn oldest_except(&mut self, protect: &str) -> Option<(SimInstant, Arc<str>)> {
+    fn oldest_except(&mut self, protect: &str) -> Option<(SimInstant, ShortKey)> {
         for rebuild in [false, true] {
             if rebuild {
                 self.rebuild();
@@ -143,7 +143,7 @@ impl SlotShard {
             }
             let mut entries = self.by_age.iter();
             let found = match entries.next() {
-                Some(e) if e.1.as_ref() == protect => entries.find(|e| self.is_current(e)),
+                Some(e) if e.1.as_str() == protect => entries.find(|e| self.is_current(e)),
                 head => head,
             };
             if found.is_some() {
@@ -275,13 +275,13 @@ impl SimTier {
         (base + xfer) * f64::from_bits(self.degraded.load(Ordering::Relaxed))
     }
 
-    /// Apply the IOPS token bucket; returns queueing delay.
-    fn throttle(&self) -> SimDuration {
+    /// Apply the IOPS token bucket to an op arriving at `now`; returns
+    /// queueing delay.
+    fn throttle(&self, now: SimInstant) -> SimDuration {
         let Some(iops) = self.spec.iops_cap else {
             return SimDuration::ZERO;
         };
         let gap = SimDuration::from_secs_f64(1.0 / iops.max(1e-9));
-        let now = self.clock.now();
         let mut nf = self.next_free.lock();
         let start = if *nf > now { *nf } else { now };
         *nf = start + gap;
@@ -331,6 +331,11 @@ impl SimTier {
     /// shard lock is released and globally-LRU victims are evicted one at a
     /// time — at most one shard lock is ever held.
     pub fn put(&self, key: &str, val: Bytes) -> TierResult<SimDuration> {
+        self.put_at(key, val, self.clock.now())
+    }
+
+    /// [`SimTier::put`] of an op that read the clock at `now`.
+    pub fn put_at(&self, key: &str, val: Bytes, now: SimInstant) -> TierResult<SimDuration> {
         self.check_up()?;
         let need = val.len() as u64;
         let capacity = self.capacity();
@@ -338,12 +343,11 @@ impl SimTier {
             self.note_capacity_rejection();
             return Err(TierError::TooLarge { capacity, need });
         }
-        let lat = self.throttle() + self.native_latency(false, need);
+        let lat = self.throttle(now) + self.native_latency(false, need);
         let home = shard_of(key);
         loop {
             let over = {
                 let mut shard = self.shards[home].write();
-                let now = self.clock.now();
                 let freed = shard
                     .slots
                     .get(key)
@@ -351,13 +355,11 @@ impl SimTier {
                     .unwrap_or(0);
                 match self.try_reserve(freed, need, capacity) {
                     Ok(new_used) => {
-                        shard.slots.insert(
-                            Arc::from(key),
-                            Slot {
-                                data: val,
-                                last_access: now,
-                            },
-                        );
+                        let slot = Slot {
+                            data: val,
+                            last_access: now,
+                        };
+                        shard.slots.insert(ShortKey::new(key), slot);
                         self.meter.note_put(new_used, now);
                         self.stats.puts.fetch_add(1, Ordering::Relaxed);
                         self.note_op(TierOp::Put, lat);
@@ -407,7 +409,7 @@ impl SimTier {
     /// lock; never holds two shard locks. Returns false when there is
     /// nothing to evict.
     fn evict_one_lru(&self, protect: &str) -> bool {
-        let mut victim: Option<(SimInstant, usize, Arc<str>)> = None;
+        let mut victim: Option<(SimInstant, usize, ShortKey)> = None;
         for (i, shard) in self.shards.iter().enumerate() {
             let Some((at, key)) = shard.write().oldest_except(protect) else {
                 continue;
@@ -435,10 +437,14 @@ impl SimTier {
 
     /// Fetch an object. Returns the bytes and modeled latency.
     pub fn get(&self, key: &str) -> TierResult<(Bytes, SimDuration)> {
+        self.get_at(key, self.clock.now())
+    }
+
+    /// [`SimTier::get`] of an op that read the clock at `now`.
+    pub fn get_at(&self, key: &str, now: SimInstant) -> TierResult<(Bytes, SimDuration)> {
         self.check_up()?;
         let data = {
             let mut shard = self.shards[shard_of(key)].write();
-            let now = self.clock.now();
             let slot = shard
                 .slots
                 .get_mut(key)
@@ -450,7 +456,7 @@ impl SimTier {
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.spec.cache_hit_latency.sample(&mut self.rng.lock())
         } else {
-            self.throttle() + self.native_latency(true, data.len() as u64)
+            self.throttle(now) + self.native_latency(true, data.len() as u64)
         };
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         self.meter.note_get();
@@ -461,8 +467,12 @@ impl SimTier {
     /// Remove an object. Removing a missing key is not an error (idempotent,
     /// like S3 DELETE).
     pub fn delete(&self, key: &str) -> TierResult<SimDuration> {
+        self.delete_at(key, self.clock.now())
+    }
+
+    /// [`SimTier::delete`] of an op that read the clock at `now`.
+    pub fn delete_at(&self, key: &str, now: SimInstant) -> TierResult<SimDuration> {
         self.check_up()?;
-        let now = self.clock.now();
         {
             let mut shard = self.shards[shard_of(key)].write();
             if let Some(slot) = shard.slots.remove(key) {
@@ -484,7 +494,7 @@ impl SimTier {
     }
 
     /// Keys currently stored (unordered).
-    pub fn keys(&self) -> Vec<Arc<str>> {
+    pub fn keys(&self) -> Vec<ShortKey> {
         let mut out = Vec::new();
         for shard in &self.shards {
             out.extend(shard.read().slots.keys().cloned());

@@ -6,6 +6,7 @@
 use crate::kind::TierKind;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use wiera_sim::SimInstant;
 
 /// Hours in a billing month (AWS convention ≈ 730).
@@ -111,6 +112,8 @@ pub struct Usage {
 /// request counts; the replication layer reports egress.
 pub struct CostMeter {
     state: Mutex<MeterState>,
+    /// Gets counted outside the lock: a read has nothing else to meter.
+    gets: AtomicU64,
 }
 
 struct MeterState {
@@ -127,6 +130,7 @@ impl CostMeter {
                 current_bytes: 0,
                 last_at: start,
             }),
+            gets: AtomicU64::new(0),
         }
     }
 
@@ -155,7 +159,7 @@ impl CostMeter {
     }
 
     pub fn note_get(&self) {
-        self.state.lock().usage.gets += 1;
+        self.gets.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_egress(&self, bytes: u64, to_internet: bool) {
@@ -171,7 +175,10 @@ impl CostMeter {
     pub fn usage(&self, now: SimInstant) -> Usage {
         let mut s = self.state.lock();
         Self::integrate(&mut s, now);
-        s.usage.clone()
+        Usage {
+            gets: self.gets.load(Ordering::Relaxed),
+            ..s.usage.clone()
+        }
     }
 
     /// Bill the accumulated usage against a price book entry.

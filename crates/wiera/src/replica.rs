@@ -51,6 +51,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use tiera::instance::Replicated;
 use tiera::{BatchOp, InstanceConfig, TieraError, TieraInstance};
 use wiera_coord::{CoordClient, ShardMap};
 use wiera_net::{Delivery, Mesh, NodeId};
@@ -908,19 +909,17 @@ impl ReplicaNode {
     }
 
     /// Apply updates replicated from a peer — one or a batch, a copy or an
-    /// anti-entropy pull — last-write-wins per item (§4.2): a losing item
-    /// does not block the rest. Returns how many won and the modeled time.
-    /// Value clones are refcount bumps.
+    /// anti-entropy pull — in one engine pass, last-write-wins per item
+    /// (§4.2): a losing item does not block the rest. Returns how many won
+    /// and the modeled time. Value clones are refcount bumps.
     fn apply_updates(&self, updates: &[SyncObject]) -> (usize, SimDuration) {
+        let outcomes = self.inst.apply_replicated(&replicated(updates));
+        let now = self.mesh.clock.now();
         let (mut applied, mut took) = (0, SimDuration::ZERO);
-        for o in updates {
-            let out = self
-                .inst
-                .apply_replicated(&o.key, o.version, o.modified, o.value.clone());
+        for (o, out) in updates.iter().zip(outcomes) {
             if let Ok(Some(out)) = out {
                 applied += 1;
                 took += out.latency;
-                let now = self.mesh.clock.now();
                 self.record_history(
                     "replicate_apply",
                     &o.key,
@@ -939,11 +938,7 @@ impl ReplicaNode {
 
     /// Load a full state dump (replica repair, §4.4).
     pub fn load_state(&self, objects: Vec<SyncObject>) {
-        for o in objects {
-            let _ = self
-                .inst
-                .apply_replicated(&o.key, o.version, o.modified, o.value);
-        }
+        self.inst.apply_replicated(&replicated(&objects));
     }
 
     /// Drive the admission model into an artificial backlog, as if
@@ -2264,6 +2259,19 @@ fn batch_failure(len: usize, code: FailCode, why: &str) -> Vec<ItemResult> {
         .collect()
 }
 
+/// Replicated objects as the engine's batch entry takes them.
+fn replicated(objects: &[SyncObject]) -> Vec<Replicated<'_>> {
+    objects
+        .iter()
+        .map(|o| Replicated {
+            key: &o.key,
+            version: o.version,
+            modified: o.modified,
+            value: &o.value,
+        })
+        .collect()
+}
+
 /// Digest of a value body, so history events and anti-entropy tables carry
 /// a compact, comparable fingerprint of what was written or read. The body
 /// is read eight bytes at a time, the last word zero-padded, into a state
@@ -3492,12 +3500,18 @@ mod tests {
             .collect()
     }
 
-    /// Drain `r`'s update queue and wait for what it sent to land.
+    /// Drain `r`'s update queue and wait until its peers have applied it.
+    /// The flush waits for the batch to arrive, not for its apply; a peer's
+    /// handler thread applies the batch before it answers a later ping.
     fn flush(m: &Arc<Mesh<DataMsg>>, r: &ReplicaNode) {
         let ctrl = NodeId::new(r.node.region, "ctrl");
         let patience = SimDuration::from_hours(1);
         let reply = m.rpc(&ctrl, &r.node, DataMsg::FlushQueue, 64, patience);
         assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Ok)));
+        for peer in r.peers() {
+            let reply = m.rpc(&ctrl, &peer, DataMsg::Ping, 64, patience);
+            assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Pong)));
+        }
     }
 
     /// A coordination service on the data mesh's clock, and sessions on it.
@@ -3839,7 +3853,7 @@ mod tests {
         assert_eq!(put_items(&m, &p.node, &[item("k", 1, 16)]), [Ok(1)]);
         let stamped = |r: &ReplicaNode| {
             let meta = r.instance().meta();
-            meta.with("k", |o| o.versions[&1].modified)
+            meta.with("k", |o| o.version(1).unwrap().modified)
                 .expect("k exists")
         };
         let at = stamped(&p);

@@ -99,14 +99,21 @@ proptest! {
             let j = rng.gen_range_usize(0, i + 1);
             shuffled.swap(i, j);
         }
-        for (v, m, payload) in &updates {
-            let t = SimInstant::EPOCH + SimDuration::from_millis(*m);
-            a.apply_replicated("k", *v, t, Bytes::from(vec![*payload; 4])).unwrap();
+        let values: Vec<Bytes> = updates.iter().map(|u| Bytes::from(vec![u.2; 4])).collect();
+        let values_shuffled: Vec<Bytes> =
+            shuffled.iter().map(|u| Bytes::from(vec![u.2; 4])).collect();
+        let item = |(v, m, _): &(u64, u64, u8), value| tiera::instance::Replicated {
+            key: "k",
+            version: *v,
+            modified: SimInstant::EPOCH + SimDuration::from_millis(*m),
+            value,
+        };
+        // a takes them one at a time, b as one batch.
+        for (u, value) in updates.iter().zip(&values) {
+            a.apply_replicated(&[item(u, value)]).remove(0).unwrap();
         }
-        for (v, m, payload) in &shuffled {
-            let t = SimInstant::EPOCH + SimDuration::from_millis(*m);
-            b.apply_replicated("k", *v, t, Bytes::from(vec![*payload; 4])).unwrap();
-        }
+        let batch: Vec<_> = shuffled.iter().zip(&values_shuffled).map(|(u, v)| item(u, v)).collect();
+        prop_assert!(b.apply_replicated(&batch).iter().all(Result::is_ok));
         let va = a.get("k").unwrap().value.unwrap();
         let vb = b.get("k").unwrap().value.unwrap();
         prop_assert_eq!(va, vb, "replicas must converge regardless of delivery order");
