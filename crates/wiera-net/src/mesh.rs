@@ -9,7 +9,8 @@
 //!   shared clock) and gets the modeled cost back for latency accounting.
 //!   [`Mesh::rpc_gather`] runs several at once from one thread: every
 //!   request is posted before any reply is awaited, and the thread pays the
-//!   slowest peer's network time once.
+//!   slowest peer's network time once. Between posting and awaiting it runs
+//!   the thread's `wiera_sim::block` hook.
 //! * [`Mesh::send`] — one-way delivery after the modeled one-way latency,
 //!   used for asynchronous replication (the `queue` response) and heartbeats.
 //!   A background dispatcher thread releases messages when their modeled
@@ -376,6 +377,10 @@ impl<M: Send + 'static> Mesh<M> {
             .into_iter()
             .map(|(to, msg)| self.post_rpc(from, &to, msg, bytes))
             .collect();
+        // Every request is posted (to this node too) before the thread waits.
+        if posted.iter().any(Result::is_ok) {
+            wiera_sim::block::before_block();
+        }
         // Wall-clock bound on the wait: the modeled timeout compressed by the
         // clock scale, floored generously so slow CI machines don't produce
         // spurious timeouts.
@@ -834,6 +839,38 @@ mod tests {
         let stop = m.rpc(&client, &live, "stop".into(), 0, SimDuration::from_secs(10));
         assert_eq!(stop.unwrap().msg, "stopped");
         echo.join().unwrap();
+    }
+
+    #[test]
+    fn gather_runs_the_block_hook_after_posting_and_before_waiting() {
+        let m = mesh();
+        let client = NodeId::new(UsEast, "cli");
+        let srv = NodeId::new(UsWest, "hooked");
+        let inbox = m.register(srv.clone());
+        // The hook finds both requests posted; answering them from inside it
+        // shows the wait comes after it.
+        wiera_sim::block::set(move || {
+            let mut answered = 0;
+            while let Ok(d) = inbox.try_recv() {
+                let reply = d.reply.expect("an rpc");
+                reply.reply(format!("re:{}", d.msg), SimDuration::ZERO, 0);
+                answered += 1;
+            }
+            assert_eq!(answered, 2);
+        });
+        let calls = ["a", "b"].map(|msg| (srv.clone(), msg.to_string()));
+        let replies = m.rpc_gather(&client, calls.to_vec(), 0, SimDuration::from_secs(10));
+        let got: Vec<_> = replies.into_iter().map(|r| r.unwrap().msg).collect();
+        assert_eq!(got, ["re:a", "re:b"]);
+        // Nothing posted, nothing to wait for: the hook stays armed.
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = ran.clone();
+        wiera_sim::block::set(move || flag.store(true, Ordering::Relaxed));
+        let nowhere = NodeId::new(UsWest2, "nowhere");
+        let refused = m.rpc(&client, &nowhere, "x".into(), 0, SimDuration::from_secs(1));
+        assert!(matches!(refused, Err(NetError::UnknownNode(_))));
+        wiera_sim::block::clear();
+        assert!(!ran.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`ManualClock`]: time only moves when a test calls
 //!   [`ManualClock::advance`]; `sleep` blocks until the clock reaches the
 //!   deadline. Fully deterministic for unit tests.
+//!
+//! Every sleep that parks the thread first runs its [`crate::block`] hook; a
+//! [`ScaledClock`] debt carried to the next call parks nothing and runs none.
 
 use crate::time::{SimDuration, SimInstant};
 use parking_lot::{Condvar, Mutex};
@@ -47,6 +50,7 @@ pub fn sleep_until(clock: &dyn Clock, deadline: SimInstant) {
         }
         clock.sleep(deadline.elapsed_since(now));
     }
+    crate::block::before_block();
     std::thread::sleep(std::time::Duration::from_nanos(DEBT_THRESHOLD_NS as u64));
 }
 
@@ -100,6 +104,7 @@ impl Clock for ScaledClock {
             WALL_DEBT_NS.set(owed);
             return;
         }
+        crate::block::before_block();
         let started = std::time::Instant::now();
         std::thread::sleep(std::time::Duration::from_nanos(owed.unsigned_abs()));
         let slept = i64::try_from(started.elapsed().as_nanos()).unwrap_or(i64::MAX);
@@ -167,6 +172,7 @@ impl Clock for FrozenClock {
 
     fn sleep(&self, d: SimDuration) {
         if !d.is_zero() {
+            crate::block::before_block();
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
     }
@@ -212,6 +218,9 @@ impl Clock for ManualClock {
             let t = self.state.lock();
             *t + d.as_micros()
         };
+        if !d.is_zero() {
+            crate::block::before_block();
+        }
         let mut t = self.state.lock();
         while *t < deadline {
             self.cond.wait(&mut t);
@@ -334,6 +343,43 @@ mod tests {
             assert!(WALL_DEBT_NS.get() < DEBT_THRESHOLD_NS);
         });
         assert!(took >= std::time::Duration::from_micros(4900), "{took:?}");
+    }
+
+    #[test]
+    fn a_sleep_that_parks_runs_the_block_hook_first_and_a_carried_debt_does_not() {
+        on_fresh_thread(|| {
+            let runs = std::rc::Rc::new(std::cell::Cell::new(0));
+            let arm = |also: Box<dyn FnOnce()>| {
+                let runs = runs.clone();
+                crate::block::set(move || {
+                    runs.set(runs.get() + 1);
+                    also();
+                });
+            };
+            let scaled = ScaledClock::new(2000.0);
+            arm(Box::new(|| ()));
+            scaled.sleep(SimDuration::from_millis(10)); // 5 µs of wall: carried
+            assert_eq!(runs.get(), 0);
+            scaled.sleep(SimDuration::from_secs(1));
+            assert_eq!(runs.get(), 1);
+            arm(Box::new(|| ()));
+            FrozenClock::shared().sleep(SimDuration::from_secs(1));
+            assert_eq!(runs.get(), 2);
+            arm(Box::new(|| ()));
+            sleep_until(&scaled, scaled.now());
+            assert_eq!(runs.get(), 3);
+            // The hook runs before the wait: a hook that advances the clock
+            // past the deadline lets the sleep return at once.
+            let manual = ManualClock::new();
+            let advancer = manual.clone();
+            arm(Box::new(move || {
+                advancer.advance(SimDuration::from_secs(10))
+            }));
+            manual.sleep(SimDuration::ZERO);
+            assert_eq!(runs.get(), 3);
+            manual.sleep(SimDuration::from_secs(10));
+            assert_eq!(runs.get(), 4);
+        });
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`clock`] — the [`Clock`] trait with a wall-time-backed [`ScaledClock`]
 //!   (real threads, compressed time) and a fully deterministic
 //!   [`ManualClock`] for unit tests.
+//! * [`block`] — the thread-scoped before-block hook every primitive that
+//!   can park a data-path thread runs first.
 //! * [`hash`] — FNV-1a: the stable key hash that picks engine shards, and
 //!   the deterministic hasher of the hash maps on the data path.
 //! * [`rng`] — seed derivation and a small deterministic RNG façade so every
@@ -33,6 +35,7 @@
 //!   latency EWMAs, used by the client failover loop and the tier engine to
 //!   probe browned-out dependencies instead of hammering them.
 
+pub mod block;
 pub mod breaker;
 pub mod clock;
 pub mod dist;

@@ -27,16 +27,15 @@
 //!
 //! Threading model (mirrors §4's description of instances running servers):
 //!
-//! * a **handler thread** drains the inbox; replication and control messages
-//!   are handled inline (they are local and fast), while application
-//!   operations are handed to worker threads — so a put blocked on a
-//!   cross-region broadcast never prevents this replica from applying a
-//!   peer's incoming update (which would deadlock two multi-primaries
-//!   writers);
-//! * **worker threads** are reused: one parks after its op and is handed the
-//!   next; a new one starts only when none is parked (the set grows to the
-//!   number of ops in flight, steady state creates no thread) and an idle
-//!   one retires. A synchronous fan-out is one gather on the worker's thread;
+//! * a **pool** of reused threads serves the inbox. The one holding it (the
+//!   *leader*) handles replication and control inline and runs each
+//!   application op itself with the [`wiera_sim::block`] hook armed: an op
+//!   that never blocks costs no hand-off, and one about to block (a WAN
+//!   round trip, its admission slot, the gate) first hands the inbox to the
+//!   most recently parked thread or a new one, so a blocked put never stops
+//!   this replica applying a peer's update (two multi-primaries writers
+//!   would deadlock). It then finishes the op, parks, replies, and leads
+//!   again or retires after an idle second. Steady state creates no thread;
 //! * a **flusher thread** distributes queued updates every
 //!   `flush_interval` (the paper: "applications can specify how frequently
 //!   queued updates need to be distributed");
@@ -47,8 +46,10 @@
 use crate::msg::{DataMsg, FailCode, ItemResult, KeyDigest, PutItem, SyncObject};
 use bytes::Bytes;
 use parking_lot::Condvar;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tiera::instance::Replicated;
@@ -103,7 +104,12 @@ impl Gate {
         self.cond.notify_all();
     }
 
+    /// Wait for the gate to open; a closed one runs the block hook unlocked.
     fn wait_open(&self) {
+        if !*self.closed.lock() {
+            return;
+        }
+        wiera_sim::block::before_block();
         let mut closed = self.closed.lock();
         while *closed {
             self.cond.wait(closed.inner_mut());
@@ -229,8 +235,12 @@ pub struct ReplicaStats {
     pub replication_failures: AtomicU64,
     /// Consistency switches executed.
     pub switches: AtomicU64,
-    /// Worker threads started (none in steady state: workers are reused).
+    /// Pool threads started for a blocked op to hand the inbox to (none in
+    /// steady state: pool threads are reused).
     pub worker_spawns: AtomicU64,
+    /// Times the inbox changed hands because an op was about to block (or
+    /// unwound before it did).
+    pub handoffs: AtomicU64,
 }
 
 /// The application-op series, each resolved on its first record: puts per
@@ -269,15 +279,15 @@ pub struct ReplicaNode {
     flush_interval: SimDuration,
     forward_gets_to: TrackedRwLock<Option<NodeId>>,
     stop: Arc<AtomicBool>,
-    /// Bumped on every restart; handler/flusher threads exit when their
+    /// Bumped on every restart; pool and flusher threads exit when their
     /// spawn-time generation no longer matches (so a restarted node never
-    /// has two handler threads racing on one inbox).
+    /// has two leaders racing on one inbox).
     generation: AtomicU64,
     /// True while anti-entropy catch-up runs after a restart; reads are
     /// refused (clients fail over) until the node has converged.
     catching_up: AtomicBool,
-    /// Parked application-op workers; see [`ReplicaNode::run_on_worker`].
-    workers: TrackedMutex<WorkerSet>,
+    /// Parked pool threads; see [`ReplicaNode::hand_on`].
+    pool: TrackedMutex<Pool>,
     pub stats: ReplicaStats,
     /// Fleet shard ownership; `None` until a [`DataMsg::SetShards`] arrives
     /// (single-group deployments never install one and serve every key).
@@ -304,10 +314,10 @@ pub struct ReplicaNode {
 }
 
 impl ReplicaNode {
-    /// Build the instance, register on the mesh, and start the handler and
-    /// flusher threads. Errors (a policy-driven instance config the engine
-    /// rejects, or thread-spawn failure) are returned instead of panicking
-    /// so the deployment layer can report them over RPC.
+    /// Build the instance, register on the mesh, and start the first pool
+    /// thread and the flusher. Errors (a policy-driven instance config the
+    /// engine rejects, or thread-spawn failure) are returned instead of
+    /// panicking so the deployment layer can report them over RPC.
     pub fn spawn(mesh: Arc<Mesh<DataMsg>>, config: ReplicaConfig) -> Result<Arc<Self>, String> {
         let inst = TieraInstance::build(config.instance, mesh.clock.clone())
             .map_err(|e| format!("replica instance config rejected: {e}"))?;
@@ -336,7 +346,7 @@ impl ReplicaNode {
             stop: stop.clone(),
             generation: AtomicU64::new(0),
             catching_up: AtomicBool::new(false),
-            workers: TrackedMutex::new("replica.workers", WorkerSet::default()),
+            pool: TrackedMutex::new("replica.pool", Pool::default()),
             stats: ReplicaStats::default(),
             shard_view: TrackedRwLock::new("replica.shards", None),
             shard_group: config.shard_group,
@@ -363,45 +373,22 @@ impl ReplicaNode {
         }
     }
 
-    /// Start the handler and flusher threads for the current generation.
+    /// Start the first leader and the flusher for the current generation.
     /// Threads from an earlier generation (pre-crash) exit on their own when
     /// they observe the mismatch.
-    fn start_threads(
-        self: &Arc<Self>,
-        inbox: crossbeam::channel::Receiver<Delivery<DataMsg>>,
-    ) -> Result<(), String> {
+    fn start_threads(self: &Arc<Self>, inbox: Inbox) -> Result<(), String> {
         let gen = self.generation.load(Ordering::Acquire);
-        // Handler thread.
-        {
-            let r = self.clone();
-            std::thread::Builder::new()
-                .name(format!("replica-{}", r.node))
-                .spawn(move || {
-                    while !r.stop.load(Ordering::Acquire)
-                        && r.generation.load(Ordering::Acquire) == gen
-                    {
-                        match inbox.recv_timeout(std::time::Duration::from_millis(50)) {
-                            Ok(d) => r.dispatch(d),
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                        }
-                    }
-                })
-                .map_err(|e| format!("cannot spawn replica handler thread: {e}"))?;
-        }
+        self.hand_on(gen, inbox)
+            .map_err(|_| "cannot spawn replica pool thread".to_string())?;
         // Flusher thread.
         {
             let r = self.clone();
             std::thread::Builder::new()
                 .name(format!("flusher-{}", r.node))
                 .spawn(move || {
-                    while !r.stop.load(Ordering::Acquire)
-                        && r.generation.load(Ordering::Acquire) == gen
-                    {
+                    while r.live(gen) {
                         r.mesh.clock.sleep(r.flush_interval);
-                        if r.stop.load(Ordering::Acquire)
-                            || r.generation.load(Ordering::Acquire) != gen
-                        {
+                        if !r.live(gen) {
                             return;
                         }
                         r.flush_coalesced();
@@ -496,7 +483,7 @@ impl ReplicaNode {
     /// Take the node off the mesh and stop its threads without flushing.
     fn halt(&self) {
         self.stop.store(true, Ordering::Release);
-        self.workers.lock().parked.clear(); // a dropped mailbox wakes its worker
+        self.pool.lock().parked.clear(); // a dropped mailbox wakes its thread
         self.mesh.unregister(&self.node);
     }
 
@@ -586,7 +573,10 @@ impl ReplicaNode {
 
     // ---- message dispatch ---------------------------------------------------
 
-    fn dispatch(self: &Arc<Self>, d: Delivery<DataMsg>) {
+    /// Route one delivery on the leading pool thread. An application op runs
+    /// here too, after `arm_hook` has armed the block hook; its answer is
+    /// returned for `pool_thread` to send.
+    fn dispatch(self: &Arc<Self>, d: Delivery<DataMsg>, arm_hook: impl FnOnce()) -> Option<Reply> {
         let mut d = d;
         // Peel the budget envelope first so routing sees the inner op.
         let mut budget = OpBudget::default();
@@ -603,7 +593,8 @@ impl ReplicaNode {
             d.msg = *inner;
         }
         match &d.msg {
-            // Application operations may block on WAN round trips: off-thread.
+            // Application operations run here; one about to block on a WAN
+            // round trip, its admission slot or the gate hands the inbox on.
             DataMsg::Put { .. }
             | DataMsg::Get { .. }
             | DataMsg::GetVersion { .. }
@@ -614,33 +605,19 @@ impl ReplicaNode {
             | DataMsg::MultiPut { .. }
             | DataMsg::MultiGet { .. }
             | DataMsg::ForwardPut { .. } => {
-                // Hand the op to a parked worker; a thread is started only
-                // when none is free, so steady state spawns nothing.
-                let r = self.clone();
-                let op: AppJob = Box::new(move || r.handle_app_op(d, budget));
-                if let Err(e) = self.run_on_worker(op) {
-                    // The delivery (and its reply slot) died with the
-                    // closure; the caller observes an RPC failure rather
-                    // than a replica crash.
-                    let region = self.node.region.to_string();
-                    MetricsRegistry::global()
-                        .inc("wiera_worker_spawn_errors", &[("region", region.as_str())]);
-                    eprintln!("replica {}: cannot spawn worker thread: {e}", self.node);
-                }
+                arm_hook();
+                Some(self.handle_app_op(d, budget))
             }
             // Replication and control are local and quick: handle inline.
-            _ => self.handle_inline(d),
+            _ => {
+                self.handle_inline(d);
+                None
+            }
         }
     }
 
     fn handle_inline(self: &Arc<Self>, d: Delivery<DataMsg>) {
-        let reply =
-            |slot: Option<wiera_net::ReplySlot<DataMsg>>, msg: DataMsg, took: SimDuration| {
-                if let Some(s) = slot {
-                    let bytes = msg.wire_bytes();
-                    s.reply(msg, took, bytes);
-                }
-            };
+        let reply = |slot, msg, took| answer(Some((slot, msg, took)));
         match d.msg {
             DataMsg::Replicate { items, epoch } => {
                 // `items` is the sender's shared batch, applied by reference.
@@ -1391,49 +1368,37 @@ impl ReplicaNode {
 
     // ---- application operations ---------------------------------------------
 
-    fn handle_app_op(self: &Arc<Self>, d: Delivery<DataMsg>, budget: OpBudget) -> Option<Reply> {
+    fn handle_app_op(self: &Arc<Self>, d: Delivery<DataMsg>, budget: OpBudget) -> Reply {
         self.gate.wait_open();
+        let Delivery { msg: op, reply, .. } = d;
+        let refusal = |code, why: &str, took_us| {
+            let why = why.into();
+            (
+                DataMsg::Fail { code, why },
+                SimDuration::from_micros(took_us),
+            )
+        };
         // A rejoining node refuses reads until anti-entropy has converged:
         // serving a pre-crash view would be a stale read the model forbids.
         if self.catching_up.load(Ordering::Acquire)
             && matches!(
-                d.msg,
+                op,
                 DataMsg::Get { .. }
                     | DataMsg::GetVersion { .. }
                     | DataMsg::GetVersionList { .. }
                     | DataMsg::MultiGet { .. }
             )
         {
-            if let Some(slot) = d.reply {
-                let msg = DataMsg::Fail {
-                    code: FailCode::Blocked,
-                    why: "rejoining: anti-entropy catch-up in progress".into(),
-                };
-                let bytes = msg.wire_bytes();
-                slot.reply(msg, SimDuration::from_micros(200), bytes);
-            }
-            return None;
+            let why = "rejoining: anti-entropy catch-up in progress";
+            let (msg, took) = refusal(FailCode::Blocked, why, 200);
+            return (reply, msg, took);
         }
         // Fleet routing enforcement: a key outside this group's owned
         // shards means the client routed on a stale map (or the shard is
         // mid-move) — refuse so it refreshes and re-routes.
-        if let Some(fail) = self.wrong_shard_refusal(&d.msg) {
-            if let Some(slot) = d.reply {
-                let bytes = fail.wire_bytes();
-                slot.reply(fail, SimDuration::from_micros(200), bytes);
-            }
-            return None;
+        if let Some(fail) = self.wrong_shard_refusal(&op) {
+            return (reply, fail, SimDuration::from_micros(200));
         }
-        let refuse = |slot: Option<wiera_net::ReplySlot<DataMsg>>, code: FailCode, why: &str| {
-            if let Some(slot) = slot {
-                let msg = DataMsg::Fail {
-                    code,
-                    why: why.into(),
-                };
-                let bytes = msg.wire_bytes();
-                slot.reply(msg, SimDuration::from_micros(100), bytes);
-            }
-        };
         let region = self.node.region.name();
         // A spent budget fails fast, before any queueing or engine work.
         if budget
@@ -1441,40 +1406,30 @@ impl ReplicaNode {
             .is_some_and(|dl| self.mesh.clock.now() >= dl)
         {
             MetricsRegistry::global().inc("wiera_deadline_exceeded_total", &[("region", region)]);
-            refuse(
-                d.reply,
-                FailCode::DeadlineExceeded,
-                "op budget spent before admission",
-            );
-            return None;
+            let why = "op budget spent before admission";
+            let (msg, took) = refusal(FailCode::DeadlineExceeded, why, 100);
+            return (reply, msg, took);
         }
         // Admission control: replication and control traffic is handled
         // inline (never here); ForwardPut is protocol traffic that already
         // paid admission at the origin replica, so only direct client ops
         // are sheddable.
-        let sheddable = !matches!(d.msg, DataMsg::ForwardPut { .. });
+        let sheddable = !matches!(op, DataMsg::ForwardPut { .. });
         if sheddable && self.should_shed(self.mesh.clock.now()) {
             // A client that tolerates staleness gets a local answer instead
             // of a refusal (eventual policy only — under a strong model a
             // stale local read would violate the consistency contract).
             if budget.allow_degraded && matches!(self.consistency(), ConsistencyModel::Eventual) {
-                if let DataMsg::Get { key } = &d.msg {
+                if let DataMsg::Get { key } = &op {
                     if let Some((msg, took)) = self.degraded_get(key) {
-                        if let Some(slot) = d.reply {
-                            let bytes = msg.wire_bytes();
-                            slot.reply(msg, took, bytes);
-                        }
-                        return None;
+                        return (reply, msg, took);
                     }
                 }
             }
             MetricsRegistry::global().inc("wiera_shed_total", &[("region", region)]);
-            refuse(
-                d.reply,
-                FailCode::Overloaded,
-                "admission backlog above target; retry elsewhere",
-            );
-            return None;
+            let why = "admission backlog above target; retry elsewhere";
+            let (msg, took) = refusal(FailCode::Overloaded, why, 100);
+            return (reply, msg, took);
         }
         if let Some(service_time) = self.service_time {
             self.claim_service_slot(service_time);
@@ -1486,15 +1441,11 @@ impl ReplicaNode {
             {
                 MetricsRegistry::global()
                     .inc("wiera_deadline_exceeded_total", &[("region", region)]);
-                refuse(
-                    d.reply,
-                    FailCode::DeadlineExceeded,
-                    "op budget spent waiting for admission",
-                );
-                return None;
+                let why = "op budget spent waiting for admission";
+                let (msg, took) = refusal(FailCode::DeadlineExceeded, why, 100);
+                return (reply, msg, took);
             }
         }
-        let Delivery { msg: op, reply, .. } = d;
         let (msg, took) = tiera::deadline::with_deadline(budget.deadline, || match op {
             DataMsg::Put { key, value } => {
                 let (results, took) = self.write_items(&[PutItem { key, value }], None);
@@ -1595,86 +1546,119 @@ impl ReplicaNode {
                 SimDuration::ZERO,
             ),
         });
-        // Sent by the worker once it can be claimed again: see `worker_loop`.
-        reply.map(|slot| (slot, msg, took))
+        // Sent by `pool_thread`: at once, or after parking if the op blocked.
+        (reply, msg, took)
     }
 
-    // ---- application-op workers ---------------------------------------------
+    // ---- the pool -------------------------------------------------------------
 
-    /// Run `op` on a worker thread: a parked one if any is free, else a new
-    /// one. Taking a mailbox out of the set under its lock is the claim — no
-    /// second op can be handed to that worker, and it can no longer retire —
-    /// so no op ever queues behind another: each may block on WAN round
-    /// trips, its admission slot or the gate for as long as it needs, and
-    /// the set grows to the number of ops in flight. Nothing caps it; a cap
-    /// would have to queue ops, which changes admission and forwarding.
-    fn run_on_worker(self: &Arc<Self>, op: AppJob) -> std::io::Result<()> {
-        let claimed = self.workers.lock().parked.pop();
-        if let Some((_, mailbox)) = claimed {
-            // A parked worker is blocked on its mailbox and cannot be gone.
-            let _ = mailbox.send(Handoff {
-                op,
-                mailbox: mailbox.clone(),
-            });
-            return Ok(());
-        }
-        let (r, gen) = (self.clone(), self.generation.load(Ordering::Acquire));
-        std::thread::Builder::new()
-            .name("replica-worker".into())
-            .spawn(move || r.worker_loop(gen, op))
-            .map(drop)
+    /// Give generation `gen`'s inbox to the last thread to park, or to a new
+    /// one (`Ok(true)`). Popping a mailbox under the set's lock is the claim:
+    /// that thread can neither be given a second inbox nor retire. A halted
+    /// node's inbox is dropped; one no thread can start for comes back.
+    fn hand_on(self: &Arc<Self>, gen: u64, inbox: Inbox) -> Result<bool, Inbox> {
+        let (claimed, refuse) = {
+            let mut pool = self.pool.lock();
+            if !self.live(gen) {
+                return Ok(false);
+            }
+            (pool.parked.pop(), pool.refuse_spawns)
+        };
+        let started = claimed.is_none();
+        let mailbox = match claimed {
+            // A parked thread is blocked on its mailbox and cannot be gone.
+            Some((_, mailbox)) => mailbox,
+            None => {
+                let (mailbox, handed) = crossbeam::channel::unbounded();
+                let r = self.clone();
+                let spawned = if refuse {
+                    Err(std::io::Error::other("injected: no thread"))
+                } else {
+                    std::thread::Builder::new()
+                        .name("replica-pool".into())
+                        .spawn(move || r.pool_thread(gen, handed))
+                };
+                if let Err(e) = spawned {
+                    let labels = [("region", self.node.region.name())];
+                    MetricsRegistry::global().inc("wiera_worker_spawn_errors", &labels);
+                    eprintln!("replica {}: cannot spawn pool thread: {e}", self.node);
+                    return Err(inbox);
+                }
+                mailbox
+            }
+        };
+        let _ = mailbox.send(Handoff {
+            inbox,
+            mailbox: mailbox.clone(),
+        });
+        Ok(started)
     }
 
-    /// Body of a worker thread of generation `gen`: run `first`, then park
-    /// for hand-overs until the idle period passes without one or the node
-    /// halts.
-    fn worker_loop(self: Arc<Self>, gen: u64, first: AppJob) {
-        self.stats.worker_spawns.fetch_add(1, Ordering::Relaxed);
-        let region = self.node.region.to_string();
-        MetricsRegistry::global().inc("wiera_worker_spawns_total", &[("region", region.as_str())]);
+    /// True while generation `gen` is the running one.
+    fn live(&self, gen: u64) -> bool {
+        !self.stop.load(Ordering::Acquire) && self.generation.load(Ordering::Acquire) == gen
+    }
+
+    /// Body of a pool thread of generation `gen`: lead each inbox it is handed
+    /// until an op blocks (then park, reply, and wait to lead again until the
+    /// idle period passes) or the node halts.
+    fn pool_thread(self: Arc<Self>, gen: u64, handed: crossbeam::channel::Receiver<Handoff>) {
         let me = std::thread::current().id();
-        let (mailbox, inbox) = crossbeam::channel::unbounded();
-        let mut next = Some(Handoff { op: first, mailbox });
-        while let Some(Handoff { op, mailbox }) = next.take() {
-            let reply = op();
+        let mut next = handed.recv().ok();
+        while let Some(Handoff { mut inbox, mailbox }) = next.take() {
+            let reply = loop {
+                if !self.live(gen) {
+                    return;
+                }
+                let d = match inbox.recv_timeout(std::time::Duration::from_millis(50)) {
+                    Ok(d) => d,
+                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
+                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                };
+                let lead = Lead {
+                    held: Rc::new(Cell::new(Some(inbox))),
+                    node: self.clone(),
+                    gen,
+                };
+                let reply = self.dispatch(d, || lead.arm());
+                // Still held: the op never blocked. Answer it and lead on.
+                let Some(kept) = lead.held.take() else {
+                    break reply;
+                };
+                answer(reply);
+                inbox = kept;
+            };
             let idle = {
                 // `halt` sets `stop` and then empties the set under this
-                // lock, so a worker either parks before that and is released
+                // lock, so a thread either parks before that and is released
                 // by it, or sees the flag here: a stopped or restarted node
-                // keeps no worker of an older generation.
-                let mut set = self.workers.lock();
-                if self.stop.load(Ordering::Acquire)
-                    || self.generation.load(Ordering::Acquire) != gen
-                {
-                    None
-                } else {
-                    set.parked.push((me, mailbox));
-                    Some(set.idle.unwrap_or(WORKER_IDLE))
-                }
+                // keeps no thread of an older generation.
+                let mut pool = self.pool.lock();
+                self.live(gen).then(|| {
+                    pool.parked.push((me, mailbox));
+                    pool.idle.unwrap_or(WORKER_IDLE)
+                })
             };
-            // The reply goes out only now, when this worker can already be
-            // claimed: a caller that sends its next op the moment it hears
-            // back finds it parked instead of forcing a second thread.
-            if let Some((slot, msg, took)) = reply {
-                let bytes = msg.wire_bytes();
-                slot.reply(msg, took, bytes);
-            }
+            // The reply goes out only now, when this thread can already be
+            // claimed: the next op blocking at the instant its caller hears
+            // back finds it parked instead of forcing a new thread.
+            answer(reply);
             let Some(idle) = idle else { return };
-            next = match inbox.recv_timeout(idle) {
+            next = match handed.recv_timeout(idle) {
                 Ok(handoff) => Some(handoff),
                 Err(_) => {
                     // Retiring and being claimed exclude each other under the
-                    // lock: if this worker's entry is gone, whoever took it
-                    // is sending an op or has dropped the mailbox.
+                    // lock: if this thread's entry is gone, whoever took it
+                    // is sending an inbox or has dropped the mailbox.
                     let retired = {
-                        let mut set = self.workers.lock();
-                        let at = set.parked.iter().position(|(id, _)| *id == me);
-                        at.map(|i| set.parked.remove(i)).is_some()
+                        let mut pool = self.pool.lock();
+                        let at = pool.parked.iter().position(|(id, _)| *id == me);
+                        at.map(|i| pool.parked.remove(i)).is_some()
                     };
                     if retired {
                         None
                     } else {
-                        inbox.recv().ok()
+                        handed.recv().ok()
                     }
                 }
             };
@@ -2147,33 +2131,79 @@ impl ReplicaNode {
     }
 }
 
-/// An application op's answer, on its way back to the caller.
-type Reply = (wiera_net::ReplySlot<DataMsg>, DataMsg, SimDuration);
+/// An answer on its way back to the caller, if one waits for it.
+type Reply = (Option<wiera_net::ReplySlot<DataMsg>>, DataMsg, SimDuration);
 
-/// An application op bound to its delivery, ready to run on a worker, which
-/// sends the reply the op leaves (refusals are answered from inside the op).
-type AppJob = Box<dyn FnOnce() -> Option<Reply> + Send>;
+/// Send an answer, if there is one and a caller waits for it.
+fn answer(reply: Option<Reply>) {
+    if let Some((Some(slot), msg, took)) = reply {
+        let bytes = msg.wire_bytes();
+        slot.reply(msg, took, bytes);
+    }
+}
 
-/// What a parked worker receives: the op, and its own mailbox back so it can
-/// park again afterwards. The sender in the set is the only one while a
-/// worker is parked, which is how emptying the set releases every worker.
+/// The inbox of one node generation; the pool thread holding it leads.
+type Inbox = crossbeam::channel::Receiver<Delivery<DataMsg>>;
+
+/// What a parked pool thread receives: the inbox, and its own mailbox back
+/// to park on again. The sender in the set is the only one while a thread is
+/// parked, so emptying the set releases every parked thread.
 struct Handoff {
-    op: AppJob,
+    inbox: Inbox,
     mailbox: crossbeam::channel::Sender<Handoff>,
 }
 
-/// How long a parked worker waits for an op before it retires. Only bounds
-/// how long a burst's extra threads linger: a halting node releases its
-/// workers at once, and a parked thread costs nothing but its stack.
+/// The inbox while its leader runs an application op, with the block hook
+/// armed to hand it on. Dropping the guard runs a hook still armed, which
+/// hands on the inbox of an op that unwound before it blocked.
+struct Lead {
+    held: Rc<Cell<Option<Inbox>>>,
+    node: Arc<ReplicaNode>,
+    gen: u64,
+}
+
+impl Lead {
+    fn arm(&self) {
+        let (held, node, gen) = (self.held.clone(), self.node.clone(), self.gen);
+        wiera_sim::block::set(move || {
+            let Some(inbox) = held.take() else { return };
+            match node.hand_on(gen, inbox) {
+                // No thread to take it: lead on, blocked.
+                Err(inbox) => held.set(Some(inbox)),
+                Ok(started) => {
+                    node.stats.handoffs.fetch_add(1, Ordering::Relaxed);
+                    if started {
+                        node.stats.worker_spawns.fetch_add(1, Ordering::Relaxed);
+                        let labels = [("region", node.node.region.name())];
+                        MetricsRegistry::global().inc("wiera_worker_spawns_total", &labels);
+                    }
+                }
+            }
+        });
+    }
+}
+
+impl Drop for Lead {
+    fn drop(&mut self) {
+        wiera_sim::block::before_block();
+    }
+}
+
+/// How long a parked pool thread waits to lead before it retires. Only
+/// bounds how long a burst's extra threads linger: a halting node releases
+/// its parked threads at once, and a parked thread costs nothing but its
+/// stack.
 const WORKER_IDLE: std::time::Duration = std::time::Duration::from_secs(1);
 
-/// The replica's parked application-op workers.
+/// The replica's parked pool threads.
 #[derive(Default)]
-struct WorkerSet {
-    /// Mailboxes of the workers waiting for an op, most recently parked last.
+struct Pool {
+    /// Mailboxes of the threads waiting to lead, most recently parked last.
     parked: Vec<(std::thread::ThreadId, crossbeam::channel::Sender<Handoff>)>,
-    /// Replaces [`WORKER_IDLE`] for workers parking from now on (tests only).
+    /// Replaces [`WORKER_IDLE`] for threads parking from now on (tests only).
     idle: Option<std::time::Duration>,
+    /// Fail every thread start, as an OS out of threads would (tests only).
+    refuse_spawns: bool,
 }
 
 /// Slowest-peer latency of a synchronous replication fan-out, plus whether
@@ -2421,7 +2451,7 @@ pub fn app_rpc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wiera_net::{Fabric, Region};
+    use wiera_net::{Fabric, NetError, Region, RpcReply};
     use wiera_sim::ScaledClock;
 
     fn mesh(scale: f64) -> Arc<Mesh<DataMsg>> {
@@ -2618,7 +2648,7 @@ mod tests {
     }
 
     fn parked_workers(r: &ReplicaNode) -> usize {
-        r.workers.lock().parked.len()
+        r.pool.lock().parked.len()
     }
 
     fn spawns(r: &ReplicaNode) -> u64 {
@@ -2686,7 +2716,11 @@ mod tests {
         refuser.join().unwrap();
     }
 
-    // ---- worker set: one test per row of DESIGN.md §3's failure table ------
+    // ---- the pool: one test per row of DESIGN.md §3's failure table ---------
+
+    fn handoffs(r: &ReplicaNode) -> u64 {
+        r.stats.handoffs.load(Ordering::Relaxed)
+    }
 
     #[test]
     fn ops_behind_a_closed_gate_get_a_worker_each_and_finish_when_it_opens() {
@@ -2704,121 +2738,320 @@ mod tests {
                 })
             })
             .collect();
-        // All N are inside `wait_open`, each on a thread of its own: none
-        // is parked and none waits for another to finish.
-        eventually("a worker per blocked op", || spawns(&a) == N);
+        // All N are inside `wait_open`, each on a thread of its own, and one
+        // more leads: none is parked and none waits for another to finish.
+        eventually("a thread per blocked op", || handoffs(&a) == N);
+        assert_eq!(spawns(&a), N);
         assert_eq!(parked_workers(&a), 0);
         a.gate.open();
         for c in clients {
             assert_eq!(c.join().unwrap().unwrap(), 1);
         }
-        // The burst's workers are reused, not replaced.
-        eventually("all workers parked", || parked_workers(&a) == N as usize);
+        // The burst's threads are reused, not replaced.
+        eventually("all but the leader parked", || {
+            parked_workers(&a) == N as usize
+        });
         let cli = NodeId::new(Region::UsEast, "cli");
         app_rpc(&m, &cli, &a.node, put_msg("k0")).unwrap();
         assert_eq!(spawns(&a), N);
     }
 
-    /// Test constructor: an eventual replica whose workers' idle period is
-    /// `idle` instead of [`WORKER_IDLE`].
-    fn replica_with_worker_idle(
+    /// Test constructor: a PB-sync primary and its backup, the primary's
+    /// pool threads idling `idle` instead of [`WORKER_IDLE`]. Every put at
+    /// the primary blocks on its copy, so each one hands the inbox on.
+    fn sync_pair(
         m: &Arc<Mesh<DataMsg>>,
-        name: &str,
         idle: std::time::Duration,
-    ) -> Arc<ReplicaNode> {
-        let r = replica(m, Region::UsEast, name, ConsistencyModel::Eventual);
-        wire(&[&r], None);
-        r.workers.lock().idle = Some(idle);
-        r
+    ) -> (Arc<ReplicaNode>, Arc<ReplicaNode>) {
+        let pb = ConsistencyModel::PrimaryBackup { sync: true };
+        let p = replica(m, Region::UsEast, "p", pb);
+        let b = replica(m, Region::UsWest, "b", pb);
+        wire(&[&p, &b], Some(&p));
+        p.pool.lock().idle = Some(idle);
+        (p, b)
     }
 
     #[test]
     fn op_handed_over_as_a_worker_retires_runs_exactly_once() {
         let m = mesh(3000.0);
-        // Idle period zero: a worker starts to retire the moment it parks, so
-        // every hand-over below races one. Either the worker was claimed
-        // first and runs the op, or it retired first and a new one does.
-        let a = replica_with_worker_idle(&m, "a", std::time::Duration::ZERO);
+        // Idle period zero: a thread starts to retire the moment it parks, so
+        // every hand-over below races one. Either the thread was claimed
+        // first and leads, or it retired first and a new one does.
+        let (p, _b) = sync_pair(&m, std::time::Duration::ZERO);
         let cli = NodeId::new(Region::UsEast, "cli");
         for i in 1..=300 {
             // Same key: a put that ran twice would skip a version, one that
             // never ran would fail the call.
-            let put = app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap();
+            let put = app_rpc(&m, &cli, &p.node, put_msg("k")).unwrap();
             assert_eq!(put.version, i);
         }
-        assert_eq!(a.instance().get_version_list("k").unwrap().len(), 300);
-        assert!((1..=300).contains(&spawns(&a)));
-        eventually("last worker retired", || parked_workers(&a) == 0);
+        assert_eq!(p.instance().get_version_list("k").unwrap().len(), 300);
+        assert_eq!(handoffs(&p), 300);
+        assert!((1..=300).contains(&spawns(&p)));
+        eventually("parked threads retired", || parked_workers(&p) == 0);
+    }
+
+    /// Put `key` to `r` from a thread of its own, leaving it blocked at
+    /// `r`'s closed gate; returns once the op has handed the inbox on.
+    fn put_held_at_the_gate(
+        m: &Arc<Mesh<DataMsg>>,
+        r: &Arc<ReplicaNode>,
+        key: &str,
+    ) -> std::thread::JoinHandle<Result<OpView, AppError>> {
+        let before = handoffs(r);
+        r.gate.close();
+        let (m, to, msg) = (m.clone(), r.node.clone(), put_msg(key));
+        let cli = NodeId::new(Region::UsEast, "held-cli");
+        let caller = std::thread::spawn(move || app_rpc(&m, &cli, &to, msg));
+        eventually("the op handed the inbox on", || handoffs(r) == before + 1);
+        caller
     }
 
     #[test]
     fn stop_and_crash_restart_leave_no_worker_of_the_old_generation() {
         let m = mesh(3000.0);
         let cli = NodeId::new(Region::UsEast, "cli");
-        // The handler, the flusher and each live worker hold the node.
+        // The flusher and each pool thread hold the node.
         let threads = |r: &Arc<ReplicaNode>| Arc::strong_count(r) - 1;
 
-        let a = replica_with_worker_idle(&m, "a", WORKER_IDLE);
-        app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap();
-        eventually("worker parked", || parked_workers(&a) == 1);
+        let a = replica(&m, Region::UsEast, "a", ConsistencyModel::Eventual);
+        wire(&[&a], None);
+        let held = put_held_at_the_gate(&m, &a, "k");
+        a.gate.open();
+        held.join().unwrap().unwrap();
+        eventually("its thread parked", || parked_workers(&a) == 1);
         a.stop();
         assert_eq!(parked_workers(&a), 0);
         eventually("every thread of the stopped node gone", || threads(&a) == 0);
 
-        let b = replica_with_worker_idle(&m, "b", WORKER_IDLE);
-        app_rpc(&m, &cli, &b.node, put_msg("k")).unwrap();
-        eventually("worker parked", || parked_workers(&b) == 1);
-        // A second op is still running (held at the gate) across the crash.
-        b.gate.close();
-        let blocked = {
-            let (m, cli, to) = (m.clone(), cli.clone(), b.node.clone());
-            std::thread::spawn(move || app_rpc(&m, &cli, &to, put_msg("k2")))
-        };
-        eventually("op claimed the parked worker", || parked_workers(&b) == 0);
-        assert_eq!(spawns(&b), 1);
+        let b = replica(&m, Region::UsEast, "b", ConsistencyModel::Eventual);
+        wire(&[&b], None);
+        let held = put_held_at_the_gate(&m, &b, "k");
+        b.gate.open();
+        held.join().unwrap().unwrap();
+        eventually("its thread parked", || parked_workers(&b) == 1);
+        // A second op is still running (held at the gate) across the crash;
+        // it handed the inbox to the parked thread.
+        let blocked = put_held_at_the_gate(&m, &b, "k2");
+        assert_eq!((parked_workers(&b), spawns(&b)), (0, 1));
         b.crash();
         b.restart().unwrap();
         b.gate.open();
         let _ = blocked.join().unwrap();
-        // The old generation's worker finished its op and left instead of
-        // parking: what remains is the new handler and flusher.
-        eventually("old worker gone", || threads(&b) == 2);
+        // The old leader lost its inbox and the old op's thread finished and
+        // left instead of parking: what remains is the new leader and the
+        // new flusher.
+        eventually("old threads gone", || threads(&b) == 2);
         assert_eq!(parked_workers(&b), 0);
-        // The restarted node serves ops, on a worker of the new generation.
+        // The restarted node serves ops, on a leader of the new generation.
         let put = app_rpc(&m, &cli, &b.node, put_msg("k3")).unwrap();
-        assert_eq!((put.version, spawns(&b)), (1, 2));
+        assert_eq!((put.version, spawns(&b)), (1, 1));
         b.stop();
+    }
+
+    /// A [`ScaledClock`] whose next `now()` on a pool thread panics once
+    /// armed: the first thing an eventual put does after the gate is to read
+    /// the clock for admission, so the op panics before it could block.
+    struct PanicOnNextRead {
+        inner: ScaledClock,
+        armed: AtomicBool,
+    }
+
+    impl wiera_sim::Clock for PanicOnNextRead {
+        fn now(&self) -> SimInstant {
+            let pool = std::thread::current().name() == Some("replica-pool");
+            if pool && self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected: op failure (expected in this test's output)");
+            }
+            self.inner.now()
+        }
+        fn sleep(&self, d: SimDuration) {
+            self.inner.sleep(d);
+        }
+        fn scale(&self) -> f64 {
+            self.inner.scale()
+        }
     }
 
     #[test]
     fn panicking_op_loses_only_its_own_worker() {
-        let m = mesh(3000.0);
-        let a = replica_with_worker_idle(&m, "a", WORKER_IDLE);
+        let clock = Arc::new(PanicOnNextRead {
+            inner: ScaledClock::new(3000.0),
+            armed: AtomicBool::new(false),
+        });
+        let m = Mesh::new(
+            Arc::new(Fabric::multicloud(5).without_jitter()),
+            clock.clone(),
+        );
+        let a = replica(&m, Region::UsEast, "a", ConsistencyModel::Eventual);
+        wire(&[&a], None);
         let cli = NodeId::new(Region::UsEast, "cli");
-        // Get hold of a real delivery (a caller blocked on its reply slot)
-        // and make it the payload of an op that panics.
-        let relay = NodeId::new(Region::UsEast, "relay");
-        let inbox = m.register(relay.clone());
-        let caller = {
-            let (m, cli) = (m.clone(), cli.clone());
-            let patience = SimDuration::from_hours(1);
-            std::thread::spawn(move || m.rpc(&cli, &relay, DataMsg::Ping, 0, patience))
-        };
-        let delivery = inbox.recv().unwrap();
-        a.run_on_worker(Box::new(move || {
-            let _dies_with_the_op = delivery;
-            panic!("injected: op failure (expected in this test's output)");
-        }))
-        .unwrap();
-        match caller.join().unwrap() {
-            Err(wiera_net::NetError::NoReply(_)) => {}
+        assert_eq!(app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap().version, 1);
+        clock.armed.store(true, Ordering::SeqCst);
+        let patience = SimDuration::from_hours(1);
+        match m.rpc(&cli, &a.node, put_msg("k"), 0, patience) {
+            Err(NetError::NoReply(_)) => {}
             other => panic!("expected NoReply, got {other:?}"),
         }
-        // The worker died with its op and never parked; the next op is
-        // served by a fresh one.
-        assert_eq!((spawns(&a), parked_workers(&a)), (1, 0));
-        assert_eq!(app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap().version, 1);
-        assert_eq!(spawns(&a), 2);
+        // Before it blocked: the leader died with its op, but not the inbox.
+        // The next op and a Ping are served, by the thread the unwinding op
+        // handed it to.
+        let served = |version| {
+            assert_eq!(
+                app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap().version,
+                version
+            );
+            let pong = m.rpc(&cli, &a.node, DataMsg::Ping, 0, patience).unwrap();
+            assert!(matches!(pong.msg, DataMsg::Pong));
+        };
+        served(2);
+        assert_eq!((spawns(&a), handoffs(&a)), (1, 1));
+        // After it blocked: the op had handed the inbox on already, and only
+        // its own thread dies.
+        let held = put_held_at_the_gate(&m, &a, "k");
+        clock.armed.store(true, Ordering::SeqCst);
+        a.gate.open();
+        match held.join().unwrap() {
+            Err(AppError::Net(NetError::NoReply(_))) => {}
+            other => panic!("expected NoReply, got {other:?}"),
+        }
+        served(3);
+        assert_eq!((spawns(&a), handoffs(&a)), (2, 2));
+    }
+
+    #[test]
+    fn a_failed_thread_start_leaves_the_inbox_with_its_leader() {
+        let m = mesh(3000.0);
+        let (p, _b) = sync_pair(&m, WORKER_IDLE);
+        p.pool.lock().refuse_spawns = true;
+        let cli = NodeId::new(Region::UsEast, "cli");
+        let region = p.node.region.to_string();
+        let errors = MetricsRegistry::global()
+            .counter("wiera_worker_spawn_errors", &[("region", region.as_str())]);
+        let before = errors.get();
+        // The put blocks on its copy with no thread to take the inbox: its
+        // leader keeps the inbox, blocked, as a lone handler thread would.
+        assert_eq!(app_rpc(&m, &cli, &p.node, put_msg("k")).unwrap().version, 1);
+        assert!(errors.get() > before);
+        assert_eq!((spawns(&p), handoffs(&p)), (0, 0));
+        // Once threads start again, the next blocked op hands it on.
+        p.pool.lock().refuse_spawns = false;
+        assert_eq!(app_rpc(&m, &cli, &p.node, put_msg("k")).unwrap().version, 2);
+        assert_eq!((spawns(&p), handoffs(&p)), (1, 1));
+    }
+
+    #[test]
+    fn local_eventual_ops_never_hand_the_inbox_on() {
+        let m = mesh(3000.0);
+        // Instance sleeps off: a sleeping instance pays its modeled engine
+        // time in a real sleep whenever the thread's debt reaches a timer
+        // quantum, and that sleep parks the thread.
+        let mut cfg = config(Region::UsEast, "a", ConsistencyModel::Eventual, 1 << 30);
+        cfg.instance = cfg.instance.with_sleep(false, false);
+        let a = spawn(&m, cfg);
+        wire(&[&a], None);
+        let cli = NodeId::new(Region::UsEast, "cli");
+        app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap();
+        for _ in 0..500 {
+            let got = app_rpc(&m, &cli, &a.node, DataMsg::Get { key: "k".into() });
+            assert_eq!(got.unwrap().version, 1);
+        }
+        assert_eq!((handoffs(&a), spawns(&a)), (0, 0));
+    }
+
+    /// Send `op` to `r`, wait until it has handed the inbox on, and check
+    /// that a Ping sent then is answered while the op is still blocked.
+    /// `tick` runs while waiting for the Pong (a manual clock must move for
+    /// the ping's own network time). Returns the op's caller.
+    fn ping_while_blocked(
+        m: &Arc<Mesh<DataMsg>>,
+        r: &Arc<ReplicaNode>,
+        op: DataMsg,
+        tick: impl Fn(),
+    ) -> std::thread::JoinHandle<Result<RpcReply<DataMsg>, NetError>> {
+        let rpc = |msg: DataMsg, from: &str| {
+            let (m, to) = (m.clone(), r.node.clone());
+            let cli = NodeId::new(Region::UsEast, from);
+            std::thread::spawn(move || m.rpc(&cli, &to, msg, 0, SimDuration::from_hours(1)))
+        };
+        let before = handoffs(r);
+        let caller = rpc(op, "blocked-cli");
+        eventually("the op handed the inbox on", || handoffs(r) == before + 1);
+        let pinger = rpc(DataMsg::Ping, "pinger");
+        eventually("the ping answered", || {
+            tick();
+            pinger.is_finished()
+        });
+        assert!(matches!(pinger.join().unwrap().unwrap().msg, DataMsg::Pong));
+        assert!(!caller.is_finished(), "the op ended before the Pong");
+        caller
+    }
+
+    fn acked(caller: std::thread::JoinHandle<Result<RpcReply<DataMsg>, NetError>>) -> u64 {
+        match caller.join().unwrap().unwrap().msg {
+            DataMsg::PutAck { version } => version,
+            other => panic!("expected PutAck, got {other:?}"),
+        }
+    }
+
+    /// An eventual replica behind a modeled single server of `service_time`
+    /// per op: a put sleeps that long for its admission slot.
+    fn slow_server(m: &Arc<Mesh<DataMsg>>, service_time: SimDuration) -> Arc<ReplicaNode> {
+        let cfg = config(Region::UsEast, "slow", ConsistencyModel::Eventual, 1 << 30);
+        let r = spawn(
+            m,
+            ReplicaConfig {
+                service_time: Some(service_time),
+                ..cfg
+            },
+        );
+        wire(&[&r], None);
+        r
+    }
+
+    #[test]
+    fn a_leader_blocked_on_a_peer_a_real_sleep_or_the_gate_has_handed_the_inbox_on() {
+        let m = mesh(3000.0);
+        // A mesh RPC wait: a backup forwards to a primary that holds it.
+        let pb = ConsistencyModel::PrimaryBackup { sync: true };
+        let a = replica(&m, Region::UsEast, "a", pb);
+        let mute = NodeId::new(Region::UsWest, "mute");
+        let held = m.register(mute.clone());
+        a.set_peers_direct(vec![mute.clone(), a.node.clone()], Some(mute), 1);
+        let caller = ping_while_blocked(&m, &a, put_msg("k"), || ());
+        let forwarded = held.recv().unwrap();
+        assert!(matches!(forwarded.msg, DataMsg::ForwardPut { .. }));
+        let ack = DataMsg::PutAck { version: 7 };
+        forwarded.reply.unwrap().reply(ack, SimDuration::ZERO, 0);
+        assert_eq!(acked(caller), 7);
+
+        // A real `ScaledClock` sleep: 900 s modeled is 0.3 s of wall.
+        let s = slow_server(&m, SimDuration::from_secs(900));
+        assert_eq!(acked(ping_while_blocked(&m, &s, put_msg("k"), || ())), 1);
+
+        // A closed gate.
+        let g = replica(&m, Region::UsEast, "g", ConsistencyModel::Eventual);
+        wire(&[&g], None);
+        g.gate.close();
+        let caller = ping_while_blocked(&m, &g, put_msg("k"), || ());
+        g.gate.open();
+        assert_eq!(acked(caller), 1);
+    }
+
+    #[test]
+    fn a_leader_in_a_manual_clock_sleep_has_handed_the_inbox_on() {
+        let clock = wiera_sim::ManualClock::new();
+        let fabric = Arc::new(Fabric::multicloud(5).without_jitter());
+        let m = Mesh::new(fabric, clock.clone());
+        let s = slow_server(&m, SimDuration::from_hours(1));
+        let tick = || clock.advance(SimDuration::from_millis(1));
+        let caller = ping_while_blocked(&m, &s, put_msg("k"), tick);
+        clock.advance(SimDuration::from_hours(2));
+        eventually("the op ended", || {
+            tick();
+            caller.is_finished()
+        });
+        assert_eq!(acked(caller), 1);
     }
 
     #[test]

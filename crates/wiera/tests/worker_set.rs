@@ -1,5 +1,5 @@
-//! Steady state creates no thread: row (a) of the worker-set failure table
-//! (DESIGN.md §3). The other rows need the replica's internals and live in
+//! Steady state creates no thread: row (a) of the replica pool's failure
+//! table (DESIGN.md §3). The other rows need the replica's internals and live in
 //! `replica.rs`; this one reads the process's thread list, so it is the only
 //! test of its binary — nothing else may be starting threads beside it.
 
@@ -10,14 +10,14 @@ use wiera::testkit::{bodies, Cluster};
 use wiera::{DeploymentConfig, WieraClient};
 use wiera_net::Region;
 
-/// Ids of this process's threads named `replica-worker`.
-fn worker_threads() -> BTreeSet<String> {
+/// Ids of this process's threads named `replica-pool`.
+fn pool_threads() -> BTreeSet<String> {
     std::fs::read_dir("/proc/self/task")
         .expect("thread list")
         .filter_map(Result::ok)
         .filter(|task| {
             std::fs::read_to_string(task.path().join("comm"))
-                .is_ok_and(|name| name.trim_end() == "replica-worker")
+                .is_ok_and(|name| name.trim_end() == "replica-pool")
         })
         .map(|task| task.file_name().to_string_lossy().into_owned())
         .collect()
@@ -51,13 +51,16 @@ fn five_hundred_sync_puts_after_warm_up_start_no_thread() {
     };
 
     (0..8).for_each(put);
-    let (warm_spawns, warm_threads) = (spawns(), worker_threads());
+    let (warm_spawns, warm_threads) = (spawns(), pool_threads());
     let started: u64 = warm_spawns.iter().sum();
-    assert_eq!((started, warm_threads.len()), (1, 1), "one worker in all");
+    // One thread started, on the primary, for the first put's copy to hand
+    // the inbox to; it and the primary's first leader alternate put after
+    // put. The backup's leader applies each copy inline.
+    assert_eq!((started, warm_threads.len()), (1, 3), "pool threads");
 
     (8..508).for_each(put);
-    assert_eq!(spawns(), warm_spawns, "a put started a worker");
-    assert_eq!(worker_threads(), warm_threads, "a new worker thread");
+    assert_eq!(spawns(), warm_spawns, "a put started a pool thread");
+    assert_eq!(pool_threads(), warm_threads, "a new pool thread");
 
     deployment.stop_all();
     cluster.shutdown();
