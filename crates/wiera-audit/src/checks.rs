@@ -40,14 +40,7 @@ const FENCE_REQUIRED: [&str; 5] = [
 ];
 
 /// DataMsg variants whose handler arms must record an op-history span.
-const HISTORY_REQUIRED: [&str; 6] = [
-    "Put",
-    "Get",
-    "MultiPut",
-    "MultiGet",
-    "Replicate",
-    "ForwardPut",
-];
+const HISTORY_REQUIRED: [&str; 4] = ["Put", "Get", "Replicate", "ForwardPut"];
 
 pub(crate) fn is_handler(name: &str) -> bool {
     name == "dispatch" || name.starts_with("handle_")

@@ -9,7 +9,7 @@
 //!   `StaleEpoch` replies), a primary check, a lease check;
 //! * **effects** — state the arm mutates: metastore writes, epoch bumps,
 //!   primary changes, queue operations, history records;
-//! * **emits** — wire messages the arm constructs: replies (`PutAck`,
+//! * **emits** — wire messages the arm constructs: replies (`MultiReply`,
 //!   `ReplicateAck`, `Ok`, …), forwards (`Replicate`, `ForwardPut`), and
 //!   control broadcasts (`ChangePrimary`, `SetPeers`).
 //!
@@ -705,15 +705,13 @@ fn quoted(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// DataMsg variants that arrive with a reply slot and must answer it.
-const REPLY_EXPECTED: [&str; 14] = [
+const REPLY_EXPECTED: [&str; 12] = [
     "Put",
     "Get",
     "GetVersion",
     "GetVersionList",
     "Remove",
     "RemoveVersion",
-    "MultiPut",
-    "MultiGet",
     "ForwardPut",
     "Ping",
     "DigestRequest",
@@ -723,7 +721,7 @@ const REPLY_EXPECTED: [&str; 14] = [
 ];
 
 /// Variants whose arms write client-visible data (ordering-checked).
-const WRITE_VARIANTS: [&str; 4] = ["Put", "MultiPut", "ForwardPut", "Replicate"];
+const WRITE_VARIANTS: [&str; 3] = ["Put", "ForwardPut", "Replicate"];
 
 /// Run the WS110–WS114 local-property checks over the extracted model.
 pub fn protocol_checks(m: &Model, pm: &ProtocolModel) -> Vec<Finding> {

@@ -2,7 +2,7 @@
 //!
 //! Drives the same YCSB-A mix through `WieraClient` at batch sizes
 //! {1, 8, 64, 256} against a two-region synchronous primary-backup
-//! deployment. A batch ships as ONE `MultiPut`/`MultiGet` message (one
+//! deployment. A batch ships as ONE `Put`/`Get` message (one
 //! 64-byte wire header amortized over the batch), the replica applies it
 //! through `Instance::apply_batch` (locks and metadata overhead paid once),
 //! and the primary fans ONE `Replicate` per backup instead of one

@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use serde::Serialize;
 use std::sync::Arc;
-use wiera::msg::DataMsg;
+use wiera::msg::{DataMsg, PutItem};
 use wiera::replica::{app_rpc, ReplicaConfig, ReplicaNode};
 use wiera_net::{Fabric, Mesh, NodeId, Region};
 use wiera_policy::ConsistencyModel;
@@ -75,8 +75,10 @@ fn main() {
             &loader,
             &central.node,
             DataMsg::Put {
-                key: format!("cold-{i}"),
-                value: Bytes::from(vec![7u8; OBJ]),
+                items: vec![PutItem {
+                    key: format!("cold-{i}"),
+                    value: Bytes::from(vec![7u8; OBJ]),
+                }],
             },
         )
         .unwrap();
@@ -98,7 +100,7 @@ fn main() {
                 &client,
                 &central.node,
                 DataMsg::Get {
-                    key: format!("cold-{i}"),
+                    keys: vec![format!("cold-{i}")],
                 },
             )
             .unwrap();
@@ -108,8 +110,10 @@ fn main() {
                 &client,
                 &central.node,
                 DataMsg::Put {
-                    key: format!("w-{region}-{i}"),
-                    value: Bytes::from(vec![1u8; OBJ]),
+                    items: vec![PutItem {
+                        key: format!("w-{region}-{i}"),
+                        value: Bytes::from(vec![1u8; OBJ]),
+                    }],
                 },
             )
             .unwrap();

@@ -99,7 +99,7 @@ pub fn all_scenarios() -> &'static [Scenario] {
             kind: ScenarioKind::Corpus,
             describe: "sync primary-backup driven through the client batch \
                        API: a batch forwarded from the backup region, \
-                       partial-failure MultiGet, linearizability of the \
+                       partial-failure batched get, linearizability of the \
                        per-item mput/mget spans",
             expect: &[],
             run: run_batched_bulk_ops,

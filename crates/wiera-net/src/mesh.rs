@@ -680,7 +680,12 @@ mod tests {
 
     #[test]
     fn one_way_sends_preserve_modeled_order() {
-        let m = mesh();
+        // Both sends are stamped at one modeled instant, so the order they
+        // arrive in is the links' modeled delays alone, however much wall
+        // time passes between them.
+        let clock = wiera_sim::ManualClock::new();
+        let fabric = Arc::new(Fabric::multicloud(1).without_jitter());
+        let m: TestMesh = Mesh::new(fabric, clock.clone());
         let server = NodeId::new(UsEast, "srv");
         let near = NodeId::new(AzureUsEast, "near"); // 1ms one-way
         let far = NodeId::new(AsiaEast, "far"); // 85ms one-way
@@ -690,6 +695,7 @@ mod tests {
         // The far message is sent first but must arrive second.
         m.send(&far, &server, "far".into(), 0).unwrap();
         m.send(&near, &server, "near".into(), 0).unwrap();
+        clock.advance(SimDuration::from_millis(86));
         let first = rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap();
         let second = rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap();
         assert_eq!(first.msg, "near");

@@ -10,12 +10,12 @@
 //! through a [`FleetView`] — a versioned shard map plus the replica list
 //! of every group. A single-deployment client is just the degenerate
 //! one-shard, one-group view, so legacy and fleet routing share one code
-//! path. Single-key operations hash the key, pick the owning group, and
-//! sweep that group's replicas closest-first; the batch calls
-//! (`put_batch`/`get_batch`) split the batch per owning group, fan the
-//! sub-batches out concurrently, and report per-item results. A
-//! `WrongShard` refusal means the map went stale under us (a shard move):
-//! the client re-reads the view and re-routes rather than failing.
+//! path. A single-key operation is a batch of one: every call hashes its
+//! keys, splits them per owning group, sweeps each group's replicas
+//! closest-first (the groups of a batch concurrently), and reports
+//! per-item results. A `WrongShard` refusal means the map went stale under
+//! us (a shard move): the client re-reads the view and re-routes rather
+//! than failing.
 
 use crate::fleet::FleetView;
 use crate::msg::{DataMsg, FailCode, PutItem};
@@ -123,13 +123,6 @@ impl WieraClientBuilder {
     /// Cap total RPC attempts per operation.
     pub fn max_attempts(mut self, attempts: u32) -> Self {
         self.policy.max_attempts = attempts;
-        self
-    }
-
-    /// Sweep backoff: initial and cap, ms (sim time).
-    pub fn backoff(mut self, base_ms: f64, max_ms: f64) -> Self {
-        self.policy.base_backoff_ms = base_ms;
-        self.policy.max_backoff_ms = max_ms;
         self
     }
 
@@ -267,16 +260,7 @@ impl WieraClient {
         });
     }
 
-    /// The replicas of the group that owns `key` under the current map,
-    /// closest first.
-    fn candidates_for(&self, key: &str) -> Vec<NodeId> {
-        let group = self.fleet.map().group_of(key);
-        let mut reps = self.fleet.group_replicas(group);
-        self.sort_by_rtt(&mut reps);
-        reps
-    }
-
-    /// Sorted replicas of an explicit group (batch fan-out path).
+    /// The replicas of `group`, closest first.
     fn candidates_of_group(&self, group: u32) -> Vec<NodeId> {
         let mut reps = self.fleet.group_replicas(group);
         self.sort_by_rtt(&mut reps);
@@ -384,20 +368,7 @@ impl WieraClient {
                 let bytes = msg.wire_bytes();
                 let outcome = self.mesh.rpc(&self.me, target, msg, bytes, DATA_TIMEOUT);
                 if let Some(b) = &breaker {
-                    match &outcome {
-                        // A shed reply is the overload signal the breaker
-                        // exists for; any other reply proves liveness.
-                        Ok(RpcReply {
-                            msg:
-                                DataMsg::Fail {
-                                    code: FailCode::Overloaded,
-                                    ..
-                                },
-                            ..
-                        })
-                        | Err(_) => b.record_failure(self.mesh.clock.now()),
-                        Ok(reply) => b.record_success(self.mesh.clock.now(), reply.total()),
-                    }
+                    settle(b, self.mesh.clock.now(), &outcome);
                 }
                 match outcome {
                     // A fenced (deposed-epoch) refusal means the deployment
@@ -487,42 +458,23 @@ impl WieraClient {
         MetricsRegistry::global().inc("client_retries", &[("reason", reason)]);
     }
 
-    /// Route a single-key operation: hash the key to its owning group,
-    /// sweep that group with failover, and on a `WrongShard` refusal pause
-    /// briefly and re-resolve from the (live) view — the redirect loop of
-    /// the fleet API. Redirects share the operation's attempt budget.
-    fn routed<T>(
+    /// A single-key operation is a batch of one: it takes [`Self::fan_out`]'s
+    /// routing, failover and `WrongShard` redirect loop.
+    fn routed<T: Send>(
         &self,
         key: &str,
-        make: impl Fn() -> DataMsg,
-        parse: impl Fn(RpcReply<DataMsg>, &NodeId) -> Result<T, AppError>,
+        make: impl Fn() -> DataMsg + Sync,
+        parse: impl Fn(RpcReply<DataMsg>, &NodeId) -> Result<T, AppError> + Sync,
     ) -> Result<T, AppError> {
-        let deadline = self.op_deadline();
-        let mut redirects: u32 = 0;
-        loop {
-            let result = self.with_failover(deadline, || self.candidates_for(key), &make, &parse);
-            match result {
-                Err(e) if e.code() == Some(FailCode::WrongShard) => {
-                    redirects += 1;
-                    if redirects >= self.policy.max_attempts {
-                        return Err(e);
-                    }
-                    if deadline.is_some_and(|dl| self.mesh.clock.now() >= dl) {
-                        return Err(Self::budget_spent("op budget spent during re-routing"));
-                    }
-                    self.note_retry("wrong-shard");
-                    sleep_until(
-                        self.mesh.clock.as_ref(),
-                        self.mesh.clock.now() + self.refresh_backoff,
-                    );
-                }
-                other => return other,
-            }
-        }
+        let one = |reply, target: &NodeId| parse(reply, target).map(|t| vec![Ok(t)]);
+        let mut results = self.fan_out(&[key], |_| make(), one);
+        results
+            .pop()
+            .unwrap_or_else(|| Err(AppError::internal("op unreached")))
     }
 
     /// The common case: one request, one `OpView`-shaped answer.
-    fn op(&self, key: &str, make: impl Fn() -> DataMsg) -> Result<OpView, AppError> {
+    fn op(&self, key: &str, make: impl Fn() -> DataMsg + Sync) -> Result<OpView, AppError> {
         self.routed(key, make, |reply, target| {
             let latency = reply.total();
             view_of_reply(reply.msg, latency, target)
@@ -531,8 +483,10 @@ impl WieraClient {
 
     pub fn put(&self, key: &str, value: Bytes) -> Result<OpView, AppError> {
         self.op(key, || DataMsg::Put {
-            key: key.to_string(),
-            value: value.clone(),
+            items: vec![PutItem {
+                key: key.to_string(),
+                value: value.clone(),
+            }],
         })
     }
 
@@ -546,7 +500,7 @@ impl WieraClient {
             }
         }
         let out = self.op(key, || DataMsg::Get {
-            key: key.to_string(),
+            keys: vec![key.to_string()],
         });
         if let Ok(view) = &out {
             self.record_get_latency(view.latency);
@@ -588,7 +542,7 @@ impl WieraClient {
     /// latency hedge) but each leg settles its outcome into them even when
     /// it loses, so a browned-out primary still accumulates evidence.
     fn hedged_get(&self, key: &str) -> Option<Result<OpView, AppError>> {
-        let candidates = self.candidates_for(key);
+        let candidates = self.candidates_of_group(self.fleet.map().group_of(key));
         if candidates.len() < 2 {
             return None;
         }
@@ -606,7 +560,7 @@ impl WieraClient {
             let msg = self.wrap_budget(
                 deadline,
                 DataMsg::Get {
-                    key: key.to_string(),
+                    keys: vec![key.to_string()],
                 },
             );
             let tx = tx.clone();
@@ -624,18 +578,7 @@ impl WieraClient {
                 let bytes = msg.wire_bytes();
                 let out = mesh.rpc(&me, &target, msg, bytes, DATA_TIMEOUT);
                 if let Some(b) = breaker {
-                    match &out {
-                        Ok(RpcReply {
-                            msg:
-                                DataMsg::Fail {
-                                    code: FailCode::Overloaded,
-                                    ..
-                                },
-                            ..
-                        })
-                        | Err(_) => b.record_failure(mesh.clock.now()),
-                        Ok(reply) => b.record_success(mesh.clock.now(), reply.total()),
-                    }
+                    settle(&b, mesh.clock.now(), &out);
                 }
                 let leg: Leg = Some((out, target));
                 let _ = tx.send(leg);
@@ -732,50 +675,46 @@ impl WieraClient {
         &self,
         items: &[(String, Bytes)],
     ) -> Result<Vec<Result<OpView, AppError>>, AppError> {
-        self.fan_out(
-            &items.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            |idxs| DataMsg::MultiPut {
-                items: idxs
-                    .iter()
-                    .map(|&i| PutItem {
-                        key: items[i].0.clone(),
-                        value: items[i].1.clone(),
-                    })
-                    .collect(),
-            },
-        )
+        let keys: Vec<&str> = items.iter().map(|(k, _)| k.as_str()).collect();
+        let put = |idxs: &[usize]| DataMsg::Put {
+            items: idxs
+                .iter()
+                .map(|&i| PutItem {
+                    key: items[i].0.clone(),
+                    value: items[i].1.clone(),
+                })
+                .collect(),
+        };
+        Ok(self.fan_out(&keys, put, batch_views))
     }
 
     /// Read a batch of keys; same splitting, fan-out, and per-item
     /// semantics as [`Self::put_batch`].
     pub fn get_batch(&self, keys: &[String]) -> Result<Vec<Result<OpView, AppError>>, AppError> {
-        self.fan_out(
-            &keys.iter().map(String::as_str).collect::<Vec<_>>(),
-            |idxs| DataMsg::MultiGet {
-                keys: idxs.iter().map(|&i| keys[i].clone()).collect(),
-            },
-        )
+        let get = |idxs: &[usize]| DataMsg::Get {
+            keys: idxs.iter().map(|&i| keys[i].clone()).collect(),
+        };
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        Ok(self.fan_out(&keys, get, batch_views))
     }
 
     /// Split item indices by owning group under the current map, issue one
     /// group message per group concurrently, and stitch per-item results
-    /// back in input order. The lowest-numbered group runs on the calling
+    /// back in input order; `parse` reads one group's reply into its
+    /// per-item results. The lowest-numbered group runs on the calling
     /// thread and every other group on a scoped thread of its own, so a
     /// batch that one group owns starts no thread. Indices whose group
     /// answers `WrongShard` are re-split on the next round (the map moved
-    /// under us); the redirect round count is capped by the retry policy's
-    /// attempt budget.
-    fn fan_out(
+    /// under us) after a map-refresh pause; the redirect round count is
+    /// capped by the retry policy's attempt budget and by the op's deadline.
+    fn fan_out<T: Send>(
         &self,
         keys: &[&str],
         make_group_msg: impl Fn(&[usize]) -> DataMsg + Sync,
-    ) -> Result<Vec<Result<OpView, AppError>>, AppError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
+        parse: impl Fn(RpcReply<DataMsg>, &NodeId) -> Result<Vec<Result<T, AppError>>, AppError> + Sync,
+    ) -> Vec<Result<T, AppError>> {
         let deadline = self.op_deadline();
-        let mut results: Vec<Option<Result<OpView, AppError>>> =
-            (0..keys.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Result<T, AppError>>> = (0..keys.len()).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..keys.len()).collect();
         let mut rounds: u32 = 0;
         let mut last_refusal: Option<AppError> = None;
@@ -785,18 +724,18 @@ impl WieraClient {
             for &i in &pending {
                 by_group.entry(map.group_of(keys[i])).or_default().push(i);
             }
-            let make_ref = &make_group_msg;
-            type GroupOutcome = (Vec<usize>, Result<Vec<Result<OpView, AppError>>, AppError>);
-            let call_group = |(group, idxs): (u32, Vec<usize>)| -> GroupOutcome {
+            let (make_ref, parse_ref) = (&make_group_msg, &parse);
+            type GroupOutcome<T> = (Vec<usize>, Result<Vec<Result<T, AppError>>, AppError>);
+            let call_group = |(group, idxs): (u32, Vec<usize>)| -> GroupOutcome<T> {
                 let result = self.with_failover(
                     deadline,
                     || self.candidates_of_group(group),
                     || make_ref(&idxs),
-                    batch_views,
+                    parse_ref,
                 );
                 (idxs, result)
             };
-            let settled = |outcome: std::thread::Result<GroupOutcome>| {
+            let settled = |outcome: std::thread::Result<GroupOutcome<T>>| {
                 outcome.unwrap_or_else(|_| {
                     (
                         Vec::new(),
@@ -806,7 +745,7 @@ impl WieraClient {
             };
             let mut groups = by_group.into_iter();
             let inline = groups.next();
-            let outcomes: Vec<GroupOutcome> = std::thread::scope(|s| {
+            let outcomes: Vec<GroupOutcome<T>> = std::thread::scope(|s| {
                 let handles: Vec<_> = groups.map(|g| s.spawn(move || call_group(g))).collect();
                 let here = inline.map(|g| catch_unwind(AssertUnwindSafe(|| call_group(g))));
                 here.into_iter()
@@ -838,10 +777,15 @@ impl WieraClient {
                 break;
             }
             rounds += 1;
-            if rounds >= self.policy.max_attempts {
-                let e = last_refusal
-                    .take()
-                    .unwrap_or_else(|| AppError::blocked("shard map never settled"));
+            let give_up = if rounds >= self.policy.max_attempts {
+                let never = || AppError::blocked("shard map never settled");
+                Some(last_refusal.take().unwrap_or_else(never))
+            } else if deadline.is_some_and(|dl| self.mesh.clock.now() >= dl) {
+                Some(Self::budget_spent("op budget spent during re-routing"))
+            } else {
+                None
+            };
+            if let Some(e) = give_up {
                 for i in pending.drain(..) {
                     results[i] = Some(Err(e.clone()));
                 }
@@ -853,10 +797,32 @@ impl WieraClient {
                 self.mesh.clock.now() + self.refresh_backoff,
             );
         }
-        Ok(results
+        results
             .into_iter()
             .map(|r| r.unwrap_or_else(|| Err(AppError::internal("batch item unreached"))))
-            .collect())
+            .collect()
+    }
+}
+
+/// Settle `breaker` with one call's outcome: a shed reply is the overload
+/// signal the breaker exists for and a transport error its other failure;
+/// any other reply proves liveness.
+fn settle(
+    breaker: &CircuitBreaker,
+    now: SimInstant,
+    outcome: &Result<RpcReply<DataMsg>, NetError>,
+) {
+    match outcome {
+        Ok(RpcReply {
+            msg:
+                DataMsg::Fail {
+                    code: FailCode::Overloaded,
+                    ..
+                },
+            ..
+        })
+        | Err(_) => breaker.record_failure(now),
+        Ok(reply) => breaker.record_success(now, reply.total()),
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::client::WieraClient;
 use crate::msg::{DataMsg, DetectorSpec, LatencySpec, MonitorSpec, ReplicaSpec, RequestsSpec};
-use crate::replica::{app_rpc, AppError, OpView};
+use crate::replica::{AppError, OpView};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -229,12 +229,6 @@ impl WieraDeployment {
             }
         }
         self.push_membership();
-    }
-
-    /// Application operations through the deployment, addressed to a chosen
-    /// replica (the client layer adds closest-first routing + failover).
-    pub fn op(&self, from: &NodeId, to: &NodeId, msg: DataMsg) -> Result<OpView, AppError> {
-        app_rpc(&self.mesh, from, to, msg)
     }
 
     /// The cached client acting on behalf of `from`: closest-first routing

@@ -29,12 +29,17 @@ pub enum DataMsg {
         allow_degraded: bool,
         inner: Box<DataMsg>,
     },
+    /// Write `items`: a single put is a put of one, a bulk write a put of
+    /// many (a backup relays it as [`DataMsg::ForwardPut`]). A batch pays a
+    /// single wire header; one item frames exactly like a lone put.
+    /// Answered with [`DataMsg::MultiReply`] in request order.
     Put {
-        key: String,
-        value: Bytes,
+        items: Vec<PutItem>,
     },
+    /// Read the latest version of each of `keys`; a single get is a get of
+    /// one. Answered with [`DataMsg::MultiReply`] in request order.
     Get {
-        key: String,
+        keys: Vec<String>,
     },
     GetVersion {
         key: String,
@@ -55,35 +60,12 @@ pub enum DataMsg {
         key: String,
         version: u64,
     },
-    /// Bulk write: many puts in one request, client → replica only (a
-    /// backup relays it as [`DataMsg::ForwardPut`]). The whole batch pays a
-    /// single wire header; per-item outcomes come back in
-    /// [`DataMsg::MultiReply`] in request order.
-    MultiPut {
-        items: Vec<PutItem>,
-    },
-    /// Bulk read; per-item outcomes come back in [`DataMsg::MultiReply`].
-    MultiGet {
-        keys: Vec<String>,
-    },
-    /// Per-item results for a `MultiPut`/`MultiGet`, in request order.
+    /// Per-item results of a `Put`, `Get`, `GetVersion`, `Update` or
+    /// `ForwardPut`, in request order. A client op of one item whose item
+    /// failed is answered [`DataMsg::Fail`] instead, so the client's
+    /// failover loop sees the failure.
     MultiReply {
         results: Vec<ItemResult>,
-    },
-
-    /// Successful write: the version written and where it landed.
-    PutAck {
-        version: u64,
-    },
-    /// Successful read. `degraded` is the explicit staleness marker: the
-    /// value was served from local state under overload (eventual policy
-    /// only, and only when the request allowed it) and may lag the newest
-    /// acknowledged write.
-    GetReply {
-        value: Bytes,
-        version: u64,
-        modified: SimInstant,
-        degraded: bool,
     },
     VersionList {
         versions: Vec<u64>,
@@ -116,8 +98,8 @@ pub enum DataMsg {
     /// A non-primary forwarding an application put — single or batched —
     /// to the primary: the only forward message, so every forwarded write
     /// is epoch-fenced (a primary at a higher epoch refuses stale forwards)
-    /// and attributed to `origin`. Answered like the op it carries:
-    /// [`DataMsg::PutAck`] for one item, [`DataMsg::MultiReply`] for many.
+    /// and attributed to `origin`. Answered with [`DataMsg::MultiReply`]
+    /// whatever the item count.
     ForwardPut {
         items: Vec<PutItem>,
         origin: NodeId,
@@ -387,50 +369,35 @@ impl std::fmt::Display for FailCode {
     }
 }
 
-/// One write in a [`DataMsg::MultiPut`].
+/// One write in a [`DataMsg::Put`].
 #[derive(Debug, Clone)]
 pub struct PutItem {
     pub key: String,
     pub value: Bytes,
 }
 
-/// One outcome in a [`DataMsg::MultiReply`], mirroring the single-op
-/// replies item by item.
+/// One outcome in a [`DataMsg::MultiReply`].
 #[derive(Debug, Clone)]
 pub enum ItemResult {
-    /// The item's write succeeded (cf. [`DataMsg::PutAck`]).
+    /// The item's write succeeded.
     Put { version: u64 },
-    /// The item's read succeeded (cf. [`DataMsg::GetReply`]).
+    /// The item's read succeeded. `degraded` is the explicit staleness
+    /// marker: the value was served from local state under overload
+    /// (eventual policy only, and only when the request allowed it) and may
+    /// lag the newest acknowledged write.
     Value {
         value: Bytes,
         version: u64,
         modified: SimInstant,
+        degraded: bool,
     },
     /// The item failed; the rest of the batch is unaffected.
     Err { code: FailCode, why: String },
 }
 
 impl ItemResult {
-    /// The single-op reply this item mirrors: how a batch of one answers.
-    pub(crate) fn into_reply(self) -> DataMsg {
-        match self {
-            ItemResult::Put { version } => DataMsg::PutAck { version },
-            ItemResult::Value {
-                value,
-                version,
-                modified,
-            } => DataMsg::GetReply {
-                value,
-                version,
-                modified,
-                degraded: false,
-            },
-            ItemResult::Err { code, why } => DataMsg::Fail { code, why },
-        }
-    }
-
-    /// Payload bytes this item contributes to its batch reply (no
-    /// per-item header beyond a small fixed tag).
+    /// Payload bytes this item contributes to a batch reply (no per-item
+    /// header beyond a small fixed tag).
     fn wire_bytes(&self) -> u64 {
         match self {
             ItemResult::Put { .. } => 8,
@@ -448,15 +415,11 @@ impl DataMsg {
     /// of the bulk-operation win (the other half is fewer round trips).
     pub fn wire_bytes(&self) -> u64 {
         const HDR: u64 = 64;
-        /// Per-item framing inside a batch (length prefixes + tag).
-        const ITEM: u64 = 8;
         match self {
             // The envelope adds a deadline + flags word on top of the
             // inner request's cost.
             DataMsg::WithBudget { inner, .. } => 16 + inner.wire_bytes(),
-            DataMsg::Put { key, value } => HDR + key.len() as u64 + value.len() as u64,
             DataMsg::Update { key, value, .. } => HDR + key.len() as u64 + value.len() as u64,
-            DataMsg::GetReply { value, .. } => HDR + value.len() as u64,
             // One replicated object frames like the put it copies; many pay
             // the header once plus a version/timestamp frame per object.
             DataMsg::Replicate { items, .. } if items.len() == 1 => {
@@ -474,30 +437,27 @@ impl DataMsg {
                     .map(|k| k.len() as u64 + ITEM)
                     .sum::<u64>()
             }
-            // A forwarded put costs what the op it relays would: one item
-            // frames like a `Put`, many like a `MultiPut`.
-            DataMsg::ForwardPut { items, .. } if items.len() == 1 => {
-                HDR + items[0].key.len() as u64 + items[0].value.len() as u64
+            // One item frames like the lone op it is, with no per-item
+            // frame; a batch adds one per item.
+            DataMsg::Put { items } | DataMsg::ForwardPut { items, .. } => {
+                let payload = items.iter().map(|i| i.key.len() + i.value.len());
+                HDR + payload.sum::<usize>() as u64 + frames(items.len())
             }
-            DataMsg::MultiPut { items } | DataMsg::ForwardPut { items, .. } => {
-                HDR + items
-                    .iter()
-                    .map(|i| i.key.len() as u64 + i.value.len() as u64 + ITEM)
-                    .sum::<u64>()
-            }
-            DataMsg::MultiGet { keys } => {
-                HDR + keys.iter().map(|k| k.len() as u64 + ITEM).sum::<u64>()
+            DataMsg::Get { keys } => {
+                HDR + keys.iter().map(String::len).sum::<usize>() as u64 + frames(keys.len())
             }
             DataMsg::SetShards { shards, .. } => HDR + shards.len() as u64 * 4 + 16,
-            DataMsg::MultiReply { results } => {
-                HDR + results.iter().map(|r| r.wire_bytes()).sum::<u64>()
-            }
-            DataMsg::Get { key } | DataMsg::Remove { key } | DataMsg::GetVersionList { key } => {
-                HDR + key.len() as u64
-            }
-            DataMsg::GetVersion { key, .. } | DataMsg::RemoveVersion { key, .. } => {
-                HDR + key.len() as u64
-            }
+            // One result frames like the single-op reply it stands for: an
+            // ack or a failure is a bare header, a read adds its value.
+            DataMsg::MultiReply { results } => match results.as_slice() {
+                [ItemResult::Value { value, .. }] => HDR + value.len() as u64,
+                [_] => HDR,
+                _ => HDR + results.iter().map(|r| r.wire_bytes()).sum::<u64>(),
+            },
+            DataMsg::GetVersion { key, .. }
+            | DataMsg::GetVersionList { key }
+            | DataMsg::Remove { key }
+            | DataMsg::RemoveVersion { key, .. } => HDR + key.len() as u64,
             _ => HDR,
         }
     }
@@ -506,19 +466,29 @@ impl DataMsg {
     /// every other message): what shard ownership is checked against.
     pub(crate) fn op_keys(&self) -> Vec<&str> {
         match self {
-            DataMsg::Put { key, .. }
-            | DataMsg::Get { key }
-            | DataMsg::GetVersion { key, .. }
+            DataMsg::GetVersion { key, .. }
             | DataMsg::GetVersionList { key }
             | DataMsg::Update { key, .. }
             | DataMsg::Remove { key }
             | DataMsg::RemoveVersion { key, .. } => vec![key.as_str()],
-            DataMsg::MultiPut { items } | DataMsg::ForwardPut { items, .. } => {
+            DataMsg::Put { items } | DataMsg::ForwardPut { items, .. } => {
                 items.iter().map(|i| i.key.as_str()).collect()
             }
-            DataMsg::MultiGet { keys } => keys.iter().map(String::as_str).collect(),
+            DataMsg::Get { keys } => keys.iter().map(String::as_str).collect(),
             _ => Vec::new(),
         }
+    }
+}
+
+/// Per-item framing inside a batch (length prefixes + tag).
+const ITEM: u64 = 8;
+
+/// Per-item framing of an op of `n` items: none for one, which frames like
+/// the lone op it is, and [`ITEM`] each for a batch.
+fn frames(n: usize) -> u64 {
+    match n {
+        1 => 0,
+        n => n as u64 * ITEM,
     }
 }
 
@@ -535,16 +505,36 @@ fn objects_bytes(objects: &[SyncObject]) -> u64 {
 mod tests {
     use super::*;
 
+    fn put_of(items: &[PutItem]) -> DataMsg {
+        DataMsg::Put {
+            items: items.to_vec(),
+        }
+    }
+
+    fn sized_item(key: &str, len: usize) -> PutItem {
+        PutItem {
+            key: key.into(),
+            value: Bytes::from(vec![0u8; len]),
+        }
+    }
+
+    fn read_of(len: usize, degraded: bool) -> ItemResult {
+        ItemResult::Value {
+            value: Bytes::from(vec![0u8; len]),
+            version: 1,
+            modified: SimInstant::EPOCH,
+            degraded,
+        }
+    }
+
+    fn answer_of(results: Vec<ItemResult>) -> DataMsg {
+        DataMsg::MultiReply { results }
+    }
+
     #[test]
     fn wire_size_tracks_payload() {
-        let small = DataMsg::Put {
-            key: "k".into(),
-            value: Bytes::from_static(b"x"),
-        };
-        let big = DataMsg::Put {
-            key: "k".into(),
-            value: Bytes::from(vec![0u8; 4096]),
-        };
+        let small = put_of(&[sized_item("k", 1)]);
+        let big = put_of(&[sized_item("k", 4096)]);
         assert!(big.wire_bytes() > small.wire_bytes() + 4000);
         assert_eq!(DataMsg::Ping.wire_bytes(), 64);
         // A full fetch is one header; a keyed one adds each key and its frame.
@@ -552,6 +542,34 @@ mod tests {
         let keys = Some(vec!["user00000001".to_string(), "k".to_string()]);
         let named = DataMsg::FetchObjects { keys }.wire_bytes();
         assert_eq!(named, 64 + (12 + 8) + (1 + 8));
+        // A one-item op and its answer pay no per-item frame: a put is
+        // 64+k+v, a get or get_version 64+k, an ack or a failure 64, a read
+        // 64+v (degraded or not).
+        let key = "user00000001".to_string();
+        assert_eq!(small.wire_bytes(), 66);
+        assert_eq!(put_of(&[sized_item(&key, 1024)]).wire_bytes(), 1100);
+        let get = DataMsg::Get {
+            keys: vec![key.clone()],
+        };
+        assert_eq!(get.wire_bytes(), 76);
+        let pinned = DataMsg::GetVersion { key, version: 3 };
+        assert_eq!(pinned.wire_bytes(), 76);
+        assert_eq!(
+            answer_of(vec![ItemResult::Put { version: 1 }]).wire_bytes(),
+            64
+        );
+        assert_eq!(answer_of(vec![read_of(1024, false)]).wire_bytes(), 1088);
+        assert_eq!(answer_of(vec![read_of(1024, true)]).wire_bytes(), 1088);
+        let fail = DataMsg::Fail {
+            code: FailCode::StaleEpoch,
+            why: "fenced: this node's epoch is stale".into(),
+        };
+        assert_eq!(fail.wire_bytes(), 64);
+        let failed = ItemResult::Err {
+            code: FailCode::NotFound,
+            why: "no such key".into(),
+        };
+        assert_eq!(answer_of(vec![failed]).wire_bytes(), 64);
     }
 
     #[test]
@@ -577,27 +595,15 @@ mod tests {
     #[test]
     fn batched_puts_amortize_the_header() {
         let items: Vec<PutItem> = (0..64)
-            .map(|i| PutItem {
-                key: format!("user{i:08}"),
-                value: Bytes::from(vec![0u8; 32]),
-            })
+            .map(|i| sized_item(&format!("user{i:08}"), 32))
             .collect();
+        let ack = || answer_of(vec![ItemResult::Put { version: 1 }]);
         let singles: u64 = items
-            .iter()
-            .map(|i| {
-                DataMsg::Put {
-                    key: i.key.clone(),
-                    value: i.value.clone(),
-                }
-                .wire_bytes()
-                    + DataMsg::PutAck { version: 1 }.wire_bytes()
-            })
+            .chunks(1)
+            .map(|one| put_of(one).wire_bytes() + ack().wire_bytes())
             .sum();
-        let batch = DataMsg::MultiPut { items }.wire_bytes()
-            + DataMsg::MultiReply {
-                results: (0..64).map(|_| ItemResult::Put { version: 1 }).collect(),
-            }
-            .wire_bytes();
+        let batch = put_of(&items).wire_bytes()
+            + answer_of((0..64).map(|_| ItemResult::Put { version: 1 }).collect()).wire_bytes();
         assert!(
             batch * 2 <= singles,
             "batch {batch} should cost at most half of per-op {singles}"
@@ -607,25 +613,23 @@ mod tests {
     #[test]
     fn forwarded_put_costs_what_the_op_it_relays_costs() {
         let items: Vec<PutItem> = (0..3)
-            .map(|i| PutItem {
-                key: format!("user{i:08}"),
-                value: Bytes::from(vec![0u8; 100 + i]),
-            })
+            .map(|i| sized_item(&format!("user{i:08}"), 100 + i))
             .collect();
         let forward = |items: &[PutItem]| DataMsg::ForwardPut {
             items: items.to_vec(),
             origin: NodeId::new(wiera_net::Region::UsEast, "backup"),
             epoch: 7,
         };
-        let single = DataMsg::Put {
-            key: items[0].key.clone(),
-            value: items[0].value.clone(),
-        };
+        let single = put_of(&items[..1]);
         assert_eq!(forward(&items[..1]).wire_bytes(), single.wire_bytes());
-        let batch = DataMsg::MultiPut {
-            items: items.clone(),
-        };
+        // Forward of one: 64 + 12-byte key + 100-byte value, no item frame.
+        assert_eq!(forward(&items[..1]).wire_bytes(), 176);
+        let batch = put_of(&items);
         assert_eq!(forward(&items).wire_bytes(), batch.wire_bytes());
+        assert_eq!(
+            batch.wire_bytes(),
+            64 + (12 + 100 + 8) + (12 + 101 + 8) + (12 + 102 + 8)
+        );
         assert_eq!(forward(&items).op_keys(), batch.op_keys());
         assert_eq!(single.op_keys(), ["user00000000"]);
         assert!(DataMsg::Ping.op_keys().is_empty());
@@ -634,30 +638,15 @@ mod tests {
     #[test]
     fn batched_gets_amortize_the_header() {
         let keys: Vec<String> = (0..64).map(|i| format!("user{i:08}")).collect();
+        let get = |keys: &[String]| DataMsg::Get {
+            keys: keys.to_vec(),
+        };
         let singles: u64 = keys
-            .iter()
-            .map(|k| {
-                DataMsg::Get { key: k.clone() }.wire_bytes()
-                    + DataMsg::GetReply {
-                        value: Bytes::from(vec![0u8; 32]),
-                        version: 1,
-                        modified: SimInstant::EPOCH,
-                        degraded: false,
-                    }
-                    .wire_bytes()
-            })
+            .chunks(1)
+            .map(|one| get(one).wire_bytes() + answer_of(vec![read_of(32, false)]).wire_bytes())
             .sum();
-        let batch = DataMsg::MultiGet { keys }.wire_bytes()
-            + DataMsg::MultiReply {
-                results: (0..64)
-                    .map(|_| ItemResult::Value {
-                        value: Bytes::from(vec![0u8; 32]),
-                        version: 1,
-                        modified: SimInstant::EPOCH,
-                    })
-                    .collect(),
-            }
-            .wire_bytes();
+        let batch = get(&keys).wire_bytes()
+            + answer_of((0..64).map(|_| read_of(32, false)).collect()).wire_bytes();
         assert!(
             batch * 2 <= singles,
             "batch {batch} should cost at most half of per-op {singles}"
@@ -681,11 +670,9 @@ mod tests {
         let singles: u64 = items.chunks(1).map(|one| replicate(one).wire_bytes()).sum();
         let batch = replicate(&items).wire_bytes();
         assert!(batch < singles, "batch {batch} vs singles {singles}");
-        // One object frames like the put it copies.
-        let put = DataMsg::Put {
-            key: items[0].key.clone(),
-            value: items[0].value.clone(),
-        };
+        // One object frames like the put of one it copies: 64 + 2 + 16.
+        let put = put_of(&[sized_item(&items[0].key, 16)]);
         assert_eq!(replicate(&items[..1]).wire_bytes(), put.wire_bytes());
+        assert_eq!(put.wire_bytes(), 82);
     }
 }

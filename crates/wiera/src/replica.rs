@@ -3,8 +3,8 @@
 //!
 //! **One write path and one read path: a single op is a batch of one.** The
 //! paper's put is one event → response chain (Figs. 3–4); here it is one
-//! function, `write_items`, over a slice of items — `Put` hands it a slice
-//! of one, `MultiPut` and `ForwardPut` their batch. It picks the model once
+//! function, `write_items`, over a slice of items — `Put` and `ForwardPut`
+//! hand it theirs, one item or many. It picks the model once
 //! (multi-primaries: sorted key locks → local write → synchronous copy →
 //! per-item rollback if fenced; primary-backup: the primary or whoever was
 //! forwarded to → local write → copy or queue, a backup → forward;
@@ -13,10 +13,13 @@
 //! they read the count off the slice: `write_local` (`put` for one, one
 //! `apply_batch` pass for many) and `forward` (one `ForwardPut` either way —
 //! the only forward message, so every forwarded write is fenced and
-//! attributed — answered `PutAck` or `MultiReply`). Beyond them the count
+//! attributed — answered `MultiReply`). Beyond them the count
 //! only picks a label (`put`/`mput` spans, `deposed_put`/`deposed_mput`
 //! fences). `read_keys` is the same shape for gets over `read_local` and
-//! `read_forwarded`. Nothing configures arity.
+//! `read_forwarded`. Nothing configures arity, and every data op is
+//! answered in one shape, `MultiReply` — except that a client op of one
+//! item whose item failed answers `Fail`, which the client's failover loop
+//! acts on.
 //!
 //! **The peer-facing side is written once too.** One message replicates
 //! (`Replicate`: a synchronous copy of one put or a batch, a queue flush, an
@@ -602,8 +605,6 @@ impl ReplicaNode {
             | DataMsg::Update { .. }
             | DataMsg::Remove { .. }
             | DataMsg::RemoveVersion { .. }
-            | DataMsg::MultiPut { .. }
-            | DataMsg::MultiGet { .. }
             | DataMsg::ForwardPut { .. } => {
                 arm_hook();
                 Some(self.handle_app_op(d, budget))
@@ -1355,15 +1356,13 @@ impl ReplicaNode {
             true,
             started..started + out.latency,
         );
-        Some((
-            DataMsg::GetReply {
-                value,
-                version: out.version,
-                modified: out.modified,
-                degraded: true,
-            },
-            out.latency,
-        ))
+        let results = vec![ItemResult::Value {
+            value,
+            version: out.version,
+            modified: out.modified,
+            degraded: true,
+        }];
+        Some((DataMsg::MultiReply { results }, out.latency))
     }
 
     // ---- application operations ---------------------------------------------
@@ -1383,10 +1382,7 @@ impl ReplicaNode {
         if self.catching_up.load(Ordering::Acquire)
             && matches!(
                 op,
-                DataMsg::Get { .. }
-                    | DataMsg::GetVersion { .. }
-                    | DataMsg::GetVersionList { .. }
-                    | DataMsg::MultiGet { .. }
+                DataMsg::Get { .. } | DataMsg::GetVersion { .. } | DataMsg::GetVersionList { .. }
             )
         {
             let why = "rejoining: anti-entropy catch-up in progress";
@@ -1420,8 +1416,12 @@ impl ReplicaNode {
             // of a refusal (eventual policy only — under a strong model a
             // stale local read would violate the consistency contract).
             if budget.allow_degraded && matches!(self.consistency(), ConsistencyModel::Eventual) {
-                if let DataMsg::Get { key } = &op {
-                    if let Some((msg, took)) = self.degraded_get(key) {
+                if let DataMsg::Get { keys } = &op {
+                    let degraded = match keys.as_slice() {
+                        [key] => self.degraded_get(key),
+                        _ => None,
+                    };
+                    if let Some((msg, took)) = degraded {
                         return (reply, msg, took);
                     }
                 }
@@ -1447,13 +1447,9 @@ impl ReplicaNode {
             }
         }
         let (msg, took) = tiera::deadline::with_deadline(budget.deadline, || match op {
-            DataMsg::Put { key, value } => {
-                let (results, took) = self.write_items(&[PutItem { key, value }], None);
-                (sole(results).into_reply(), took)
-            }
-            DataMsg::MultiPut { items } => {
+            DataMsg::Put { items } => {
                 let (results, took) = self.write_items(&items, None);
-                (DataMsg::MultiReply { results }, took)
+                (item_reply(results), took)
             }
             DataMsg::ForwardPut {
                 items,
@@ -1462,27 +1458,19 @@ impl ReplicaNode {
             } => match self.admit_epoch(epoch, "forward_put", |_| ()) {
                 Ok(()) => {
                     let (results, took) = self.write_items(&items, Some(origin));
-                    let reply = match items.len() {
-                        1 => sole(results).into_reply(),
-                        _ => DataMsg::MultiReply { results },
-                    };
-                    (reply, took)
+                    (DataMsg::MultiReply { results }, took)
                 }
                 // A backup that has not heard about the failover yet
                 // forwards at a stale epoch; refuse so it re-routes.
                 Err(fail) => (fail.into_msg(), SimDuration::from_millis(1)),
             },
-            DataMsg::Get { key } => {
-                let (results, took) = self.read_keys(&[key], None);
-                (sole(results).into_reply(), took)
+            DataMsg::Get { keys } => {
+                let (results, took) = self.read_keys(&keys, None);
+                (item_reply(results), took)
             }
             DataMsg::GetVersion { key, version } => {
                 let (results, took) = self.read_keys(&[key], Some(version));
-                (sole(results).into_reply(), took)
-            }
-            DataMsg::MultiGet { keys } => {
-                let (results, took) = self.read_keys(&keys, None);
-                (DataMsg::MultiReply { results }, took)
+                (item_reply(results), took)
             }
             DataMsg::GetVersionList { key } => match self.inst.get_version_list(&key) {
                 Ok(versions) => (
@@ -1502,12 +1490,12 @@ impl ReplicaNode {
                 version,
                 value,
             } => match self.inst.update(&key, version, value) {
-                Ok(out) => (
-                    DataMsg::PutAck {
+                Ok(out) => {
+                    let results = vec![ItemResult::Put {
                         version: out.version,
-                    },
-                    out.latency,
-                ),
+                    }];
+                    (item_reply(results), out.latency)
+                }
                 Err(e) => (
                     DataMsg::Fail {
                         code: fail_code(&e),
@@ -1872,8 +1860,7 @@ impl ReplicaNode {
     }
 
     /// Arity leaf 2 of 2 (Fig. 3(b), non-primary side): forward the whole
-    /// op to the primary as one `ForwardPut` and relay its answer — a
-    /// `PutAck` for one item, a `MultiReply` for many.
+    /// op to the primary as one `ForwardPut` and relay its per-item answer.
     fn forward(&self, items: &[PutItem]) -> Result<(Vec<ItemResult>, SimDuration), OpFail> {
         let primary = self
             .primary()
@@ -1891,7 +1878,6 @@ impl ReplicaNode {
             .map_err(|e| OpFail::blocked(format!("forward failed: {e}")))?;
         let total = reply.total();
         match reply.msg {
-            DataMsg::PutAck { version } => Ok((vec![ItemResult::Put { version }], total)),
             DataMsg::MultiReply { results } => Ok((results, total)),
             DataMsg::Fail { code, why } => Err(OpFail::new(code, why)),
             other => Err(OpFail::internal(format!("bad forward reply {other:?}"))),
@@ -2038,6 +2024,7 @@ impl ReplicaNode {
                         value,
                         version: o.version,
                         modified: o.modified,
+                        degraded: false,
                     },
                     None => ItemResult::Err {
                         code: FailCode::Internal,
@@ -2053,8 +2040,8 @@ impl ReplicaNode {
         (results, took)
     }
 
-    /// Forwarded half of the read path and its arity leaf: `Get` or
-    /// `GetVersion` for one key, one `MultiGet` for many.
+    /// Forwarded half of the read path: the op forwarded whole, one `Get`
+    /// (or a `GetVersion` for a pinned version).
     fn read_forwarded(
         &self,
         target: &NodeId,
@@ -2066,8 +2053,7 @@ impl ReplicaNode {
                 key: key.clone(),
                 version,
             },
-            ([key], None) => DataMsg::Get { key: key.clone() },
-            _ => DataMsg::MultiGet {
+            _ => DataMsg::Get {
                 keys: keys.to_vec(),
             },
         };
@@ -2077,16 +2063,6 @@ impl ReplicaNode {
             Ok(r) => {
                 let total = r.total();
                 let results = match r.msg {
-                    DataMsg::GetReply {
-                        value,
-                        version,
-                        modified,
-                        ..
-                    } => vec![ItemResult::Value {
-                        value,
-                        version,
-                        modified,
-                    }],
                     DataMsg::MultiReply { results } => results,
                     DataMsg::Fail { code, why } => fail(code, why),
                     other => fail(FailCode::Internal, format!("bad get reply {other:?}")),
@@ -2256,12 +2232,17 @@ fn fail_code(e: &TieraError) -> FailCode {
     }
 }
 
-/// The one result of a batch of one.
-fn sole(results: Vec<ItemResult>) -> ItemResult {
-    results.into_iter().next().unwrap_or(ItemResult::Err {
-        code: FailCode::Internal,
-        why: "op produced no result".into(),
-    })
+/// A client op's answer: its per-item results, except that an op of one
+/// item whose item failed answers `Fail`, so the client's failover loop
+/// acts on the refusal (it retries a `StaleEpoch`, for one).
+fn item_reply(mut results: Vec<ItemResult>) -> DataMsg {
+    match results.as_mut_slice() {
+        [ItemResult::Err { code, why }] => DataMsg::Fail {
+            code: *code,
+            why: std::mem::take(why),
+        },
+        _ => DataMsg::MultiReply { results },
+    }
 }
 
 /// Stamp `n` puts at `at` into a requests-monitor window.
@@ -2349,87 +2330,53 @@ pub struct OpView {
 /// replica-layer signatures keep reading as application errors.
 pub use crate::errors::WieraError as AppError;
 
-/// Translate a replica's reply into the client-visible [`OpView`], the one
-/// place where wire messages become typed results (shared by [`app_rpc`]
-/// and `WieraClient`'s failover loop).
+/// Translate a replica's reply to a single-key op into the client-visible
+/// [`OpView`], the one place where wire messages become typed results
+/// (shared by [`app_rpc`] and `WieraClient`). A put or get of one is
+/// answered with one item, which [`view_of_item`] reads.
 pub(crate) fn view_of_reply(
     msg: DataMsg,
     latency: SimDuration,
     served_by: &NodeId,
 ) -> Result<OpView, AppError> {
-    match msg {
-        DataMsg::PutAck { version } => Ok(OpView {
-            version,
-            value: None,
-            modified: SimInstant::EPOCH,
-            latency,
-            served_by: served_by.clone(),
-            degraded: false,
-        }),
-        DataMsg::GetReply {
-            value,
-            version,
-            modified,
-            degraded,
-        } => Ok(OpView {
-            version,
-            value: Some(value),
-            modified,
-            latency,
-            served_by: served_by.clone(),
-            degraded,
-        }),
-        DataMsg::VersionList { versions } => Ok(OpView {
-            version: versions.last().copied().unwrap_or(0),
-            value: None,
-            modified: SimInstant::EPOCH,
-            latency,
-            served_by: served_by.clone(),
-            degraded: false,
-        }),
-        DataMsg::Removed | DataMsg::Ok => Ok(OpView {
-            version: 0,
-            value: None,
-            modified: SimInstant::EPOCH,
-            latency,
-            served_by: served_by.clone(),
-            degraded: false,
-        }),
-        DataMsg::Fail { code, why } => Err(AppError::Remote { code, why }),
-        other => Err(AppError::internal(format!("unexpected reply {other:?}"))),
-    }
+    let version = match msg {
+        DataMsg::MultiReply { mut results } if results.len() == 1 => {
+            return view_of_item(results.remove(0), latency, served_by);
+        }
+        DataMsg::VersionList { versions } => versions.last().copied().unwrap_or(0),
+        DataMsg::Removed | DataMsg::Ok => 0,
+        DataMsg::Fail { code, why } => return Err(AppError::Remote { code, why }),
+        other => return Err(AppError::internal(format!("unexpected reply {other:?}"))),
+    };
+    // The rest carry no value: they read like an ack of `version`.
+    view_of_item(ItemResult::Put { version }, latency, served_by)
 }
 
-/// Translate one item of a batched reply into an [`OpView`]. The latency is
-/// the whole batch's round trip: every item completed when the batch did.
+/// Translate one item of a reply into an [`OpView`]. The latency is the
+/// whole op's round trip: every item completed when the op did.
 pub(crate) fn view_of_item(
     item: ItemResult,
     latency: SimDuration,
     served_by: &NodeId,
 ) -> Result<OpView, AppError> {
-    match item {
-        ItemResult::Put { version } => Ok(OpView {
-            version,
-            value: None,
-            modified: SimInstant::EPOCH,
-            latency,
-            served_by: served_by.clone(),
-            degraded: false,
-        }),
+    let (version, value, modified, degraded) = match item {
+        ItemResult::Put { version } => (version, None, SimInstant::EPOCH, false),
         ItemResult::Value {
             value,
             version,
             modified,
-        } => Ok(OpView {
-            version,
-            value: Some(value),
-            modified,
-            latency,
-            served_by: served_by.clone(),
-            degraded: false,
-        }),
-        ItemResult::Err { code, why } => Err(AppError::Remote { code, why }),
-    }
+            degraded,
+        } => (version, Some(value), modified, degraded),
+        ItemResult::Err { code, why } => return Err(AppError::Remote { code, why }),
+    };
+    Ok(OpView {
+        version,
+        value,
+        modified,
+        latency,
+        served_by: served_by.clone(),
+        degraded,
+    })
 }
 
 /// Send an RPC to a replica as an application would, translating the reply.
@@ -2517,8 +2464,10 @@ mod tests {
             &client,
             &a.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"v"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"v"),
+                }],
             },
         )
         .unwrap();
@@ -2567,8 +2516,10 @@ mod tests {
             &client,
             &s.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"v"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"v"),
+                }],
             },
         )
         .unwrap();
@@ -2606,8 +2557,10 @@ mod tests {
         let client = NodeId::new(Region::UsWest, "cli");
         let put = |key: &str| {
             let msg = DataMsg::Put {
-                key: key.into(),
-                value: Bytes::from_static(b"v"),
+                items: vec![PutItem {
+                    key: key.into(),
+                    value: Bytes::from_static(b"v"),
+                }],
             };
             app_rpc(&m, &client, &p.node, msg).unwrap()
         };
@@ -2642,8 +2595,10 @@ mod tests {
 
     fn put_msg(key: &str) -> DataMsg {
         DataMsg::Put {
-            key: key.into(),
-            value: Bytes::from_static(b"v"),
+            items: vec![PutItem {
+                key: key.into(),
+                value: Bytes::from_static(b"v"),
+            }],
         }
     }
 
@@ -2953,7 +2908,14 @@ mod tests {
         let cli = NodeId::new(Region::UsEast, "cli");
         app_rpc(&m, &cli, &a.node, put_msg("k")).unwrap();
         for _ in 0..500 {
-            let got = app_rpc(&m, &cli, &a.node, DataMsg::Get { key: "k".into() });
+            let got = app_rpc(
+                &m,
+                &cli,
+                &a.node,
+                DataMsg::Get {
+                    keys: vec!["k".into()],
+                },
+            );
             assert_eq!(got.unwrap().version, 1);
         }
         assert_eq!((handoffs(&a), spawns(&a)), (0, 0));
@@ -2988,10 +2950,11 @@ mod tests {
     }
 
     fn acked(caller: std::thread::JoinHandle<Result<RpcReply<DataMsg>, NetError>>) -> u64 {
-        match caller.join().unwrap().unwrap().msg {
-            DataMsg::PutAck { version } => version,
-            other => panic!("expected PutAck, got {other:?}"),
-        }
+        let reply = caller.join().unwrap().unwrap();
+        let node = NodeId::new(Region::UsEast, "any");
+        view_of_reply(reply.msg, reply.remote_time, &node)
+            .unwrap()
+            .version
     }
 
     /// An eventual replica behind a modeled single server of `service_time`
@@ -3021,7 +2984,9 @@ mod tests {
         let caller = ping_while_blocked(&m, &a, put_msg("k"), || ());
         let forwarded = held.recv().unwrap();
         assert!(matches!(forwarded.msg, DataMsg::ForwardPut { .. }));
-        let ack = DataMsg::PutAck { version: 7 };
+        let ack = DataMsg::MultiReply {
+            results: vec![ItemResult::Put { version: 7 }],
+        };
         forwarded.reply.unwrap().reply(ack, SimDuration::ZERO, 0);
         assert_eq!(acked(caller), 7);
 
@@ -3069,8 +3034,10 @@ mod tests {
             &ca,
             &a.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"from-a"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"from-a"),
+                }],
             },
         )
         .unwrap();
@@ -3080,8 +3047,10 @@ mod tests {
             &cb,
             &b.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"from-b"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"from-b"),
+                }],
             },
         )
         .unwrap();
@@ -3117,8 +3086,10 @@ mod tests {
             &client,
             &a.node,
             DataMsg::Put {
-                key: "q".into(),
-                value: Bytes::from_static(b"queued"),
+                items: vec![PutItem {
+                    key: "q".into(),
+                    value: Bytes::from_static(b"queued"),
+                }],
             },
         )
         .unwrap();
@@ -3356,12 +3327,22 @@ mod tests {
             &client,
             &azure.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"v"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"v"),
+                }],
             },
         )
         .unwrap();
-        let got = app_rpc(&m, &client, &azure.node, DataMsg::Get { key: "k".into() }).unwrap();
+        let got = app_rpc(
+            &m,
+            &client,
+            &azure.node,
+            DataMsg::Get {
+                keys: vec!["k".into()],
+            },
+        )
+        .unwrap();
         assert_eq!(got.value.unwrap().as_ref(), b"v");
         // Read crossed to AWS and back: ≥ 2 ms RTT but well under local-disk
         // alternatives is the point of §5.4; just assert it paid the hop.
@@ -3383,8 +3364,10 @@ mod tests {
             &cli,
             &a.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"1"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"1"),
+                }],
             },
         )
         .unwrap();
@@ -3393,8 +3376,10 @@ mod tests {
             &cli,
             &a.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"2"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"2"),
+                }],
             },
         )
         .unwrap();
@@ -3438,7 +3423,15 @@ mod tests {
         )
         .is_err());
         app_rpc(&m, &cli, &a.node, DataMsg::Remove { key: "k".into() }).unwrap();
-        assert!(app_rpc(&m, &cli, &a.node, DataMsg::Get { key: "k".into() }).is_err());
+        assert!(app_rpc(
+            &m,
+            &cli,
+            &a.node,
+            DataMsg::Get {
+                keys: vec!["k".into()]
+            }
+        )
+        .is_err());
     }
 
     /// Spawn a replica with the admission model and CoDel shedding enabled
@@ -3481,8 +3474,10 @@ mod tests {
             &cli,
             &a.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"v"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"v"),
+                }],
             },
         )
         .unwrap_err();
@@ -3529,14 +3524,24 @@ mod tests {
             &cli,
             &a.node,
             DataMsg::Put {
-                key: "k".into(),
-                value: Bytes::from_static(b"v"),
+                items: vec![PutItem {
+                    key: "k".into(),
+                    value: Bytes::from_static(b"v"),
+                }],
             },
         )
         .unwrap();
         force_overload(&a);
         // Without consent the read is shed…
-        let err = app_rpc(&m, &cli, &a.node, DataMsg::Get { key: "k".into() }).unwrap_err();
+        let err = app_rpc(
+            &m,
+            &cli,
+            &a.node,
+            DataMsg::Get {
+                keys: vec!["k".into()],
+            },
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             AppError::Remote {
@@ -3552,7 +3557,9 @@ mod tests {
             DataMsg::WithBudget {
                 deadline_us: None,
                 allow_degraded: true,
-                inner: Box::new(DataMsg::Get { key: "k".into() }),
+                inner: Box::new(DataMsg::Get {
+                    keys: vec!["k".into()],
+                }),
             },
         )
         .unwrap();
@@ -3609,8 +3616,10 @@ mod tests {
                 deadline_us: Some(0),
                 allow_degraded: false,
                 inner: Box::new(DataMsg::Put {
-                    key: "k".into(),
-                    value: Bytes::from_static(b"v"),
+                    items: vec![PutItem {
+                        key: "k".into(),
+                        value: Bytes::from_static(b"v"),
+                    }],
                 }),
             },
         )
@@ -3630,8 +3639,10 @@ mod tests {
                 deadline_us: Some(3_600_000_000),
                 allow_degraded: false,
                 inner: Box::new(DataMsg::Put {
-                    key: "k".into(),
-                    value: Bytes::from_static(b"v"),
+                    items: vec![PutItem {
+                        key: "k".into(),
+                        value: Bytes::from_static(b"v"),
+                    }],
                 }),
             },
         )
@@ -3653,8 +3664,10 @@ mod tests {
                 &cli,
                 &a.node,
                 DataMsg::Put {
-                    key: format!("k{i}"),
-                    value: Bytes::from_static(b"x"),
+                    items: vec![PutItem {
+                        key: format!("k{i}"),
+                        value: Bytes::from_static(b"x"),
+                    }],
                 },
             )
             .unwrap();
@@ -3695,31 +3708,33 @@ mod tests {
         }
     }
 
-    /// Send `items` the way a client does — `Put` for one, `MultiPut` for
-    /// many — and return each item's version or failure code.
+    /// Send `items` the way a client does, one `Put` of one item or many,
+    /// and return the reply as it came off the wire.
+    fn put_reply(m: &Arc<Mesh<DataMsg>>, to: &NodeId, items: &[PutItem]) -> DataMsg {
+        let msg = DataMsg::Put {
+            items: items.to_vec(),
+        };
+        let cli = NodeId::new(to.region, "cli");
+        let bytes = msg.wire_bytes();
+        let patience = SimDuration::from_hours(1);
+        m.rpc(&cli, to, msg, bytes, patience)
+            .expect("replica answers")
+            .msg
+    }
+
+    /// Send `items` as [`put_reply`] does and return each item's version or
+    /// failure code.
     fn put_items(
         m: &Arc<Mesh<DataMsg>>,
         to: &NodeId,
         items: &[PutItem],
     ) -> Vec<Result<u64, FailCode>> {
-        let msg = match items {
-            [one] => DataMsg::Put {
-                key: one.key.clone(),
-                value: one.value.clone(),
-            },
-            _ => DataMsg::MultiPut {
-                items: items.to_vec(),
-            },
-        };
-        let cli = NodeId::new(to.region, "cli");
-        let bytes = msg.wire_bytes();
-        let patience = SimDuration::from_hours(1);
-        let reply = m
-            .rpc(&cli, to, msg, bytes, patience)
-            .expect("replica answers");
-        let results = match reply.msg {
+        put_results(put_reply(m, to, items))
+    }
+
+    fn put_results(reply: DataMsg) -> Vec<Result<u64, FailCode>> {
+        let results = match reply {
             DataMsg::MultiReply { results } => results,
-            DataMsg::PutAck { version } => vec![ItemResult::Put { version }],
             DataMsg::Fail { code, why } => vec![ItemResult::Err { code, why }],
             other => panic!("put answered with {other:?}"),
         };
@@ -3870,8 +3885,19 @@ mod tests {
                     let errors = MetricsRegistry::global().counter("wiera_put_errors", &labels);
                     let (puts0, errors0) = (puts.get(), errors.get());
 
+                    // One reply shape, a `MultiReply` of a result per item;
+                    // the ack of one item is a bare 64-byte header.
+                    let reply = put_reply(&m, &target.node, sent);
+                    let shape = match &reply {
+                        DataMsg::MultiReply { results } => results.len(),
+                        other => panic!("{what}: answered {other:?}"),
+                    };
+                    assert_eq!(shape, n, "{what}");
+                    let acks = if n == 1 { 64 } else { 64 + 8 * n as u64 };
+                    assert_eq!(reply.wire_bytes(), acks, "{what}");
+
                     // Versions: the second write of "k" follows the first.
-                    let versions = put_items(&m, &target.node, sent);
+                    let versions = put_results(reply);
                     let want: &[Result<u64, FailCode>] = &[Ok(1), Ok(1), Ok(2)];
                     assert_eq!(versions, want[..n], "{what}");
 
@@ -3973,6 +3999,13 @@ mod tests {
                 "{model}: the stale copy was refused"
             );
             assert_eq!(fenced.get() - fenced0, 1, "{model}: fenced once per op");
+            // A put of one is refused with `Fail` itself, so a client's
+            // failover loop retries it at the elected primary.
+            match put_reply(&m, &p.node, &sent[..1]) {
+                DataMsg::Fail { code, .. } => assert_eq!(code, FailCode::StaleEpoch, "{model}"),
+                other => panic!("{model}: a deposed put of one answered {other:?}"),
+            }
+            assert_eq!(p.digest_table(), Vec::new(), "{model}");
             p.stop();
             b.stop();
         }
@@ -4095,7 +4128,16 @@ mod tests {
         assert_eq!(stamped(&s), at);
         let cli = NodeId::new(Region::UsWest, "cli");
         let get = |to: &ReplicaNode, msg: DataMsg| app_rpc(&m, &cli, &to.node, msg).unwrap();
-        assert_eq!(get(&p, DataMsg::Get { key: "k".into() }).modified, at);
+        assert_eq!(
+            get(
+                &p,
+                DataMsg::Get {
+                    keys: vec!["k".into()]
+                }
+            )
+            .modified,
+            at
+        );
         let pinned = DataMsg::GetVersion {
             key: "k".into(),
             version: 1,

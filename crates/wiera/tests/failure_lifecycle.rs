@@ -12,7 +12,7 @@ use bytes::Bytes;
 use std::sync::Arc;
 use wiera::client::WieraClient;
 use wiera::deployment::DeploymentConfig;
-use wiera::msg::{FailCode, KeyDigest};
+use wiera::msg::{FailCode, KeyDigest, PutItem};
 use wiera::replica::ReplicaNode;
 use wiera::testkit::{bodies, Cluster};
 use wiera_net::Region;
@@ -269,8 +269,10 @@ fn deposed_primary_is_fenced_and_rolled_back_after_partition_heals() {
         &app,
         &west.node,
         wiera::msg::DataMsg::Put {
-            key: "split".into(),
-            value: payload(32),
+            items: vec![PutItem {
+                key: "split".into(),
+                value: payload(32),
+            }],
         },
     )
     .unwrap_err();
