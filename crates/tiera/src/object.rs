@@ -88,10 +88,6 @@ impl ObjectMeta {
         self.versions.last()
     }
 
-    pub fn latest_mut(&mut self) -> Option<&mut VersionMeta> {
-        self.versions.last_mut()
-    }
-
     pub fn version(&self, version: VersionId) -> Option<&VersionMeta> {
         self.versions.iter().find(|m| m.version == version)
     }

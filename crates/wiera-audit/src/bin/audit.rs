@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use wiera_audit::callgraph::Config;
 use wiera_audit::lexer::Tok;
 use wiera_audit::{audit, workspace};
-use wiera_policy::diag::{Diagnostic, Severity};
+use wiera_policy::diag::{diag_json, Severity};
 
 const USAGE: &str = "\
 usage: wiera-audit [--json] [--deny-warnings] [--stats] [--root DIR]
@@ -238,27 +238,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// The diagnostic's own JSON with the origin file spliced in.
-fn diag_json(origin: &str, d: &Diagnostic) -> String {
-    let body = d.to_json();
-    let rest = body.strip_prefix('{').unwrap_or(&body);
-    format!("{{\"origin\":{},{rest}", json_escape(origin))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -262,10 +262,6 @@ impl Model {
                     widened_calls += 1;
                 }
                 per_widen.push(widened);
-                // Non-test callers never resolve into test helpers.
-                if !caller.is_test {
-                    targets.retain(|t| !fns[*t].is_test);
-                }
                 targets.sort_unstable();
                 targets.dedup();
                 per_call.push(targets);
@@ -512,11 +508,20 @@ fn resolve_call(
     files: &[SourceFile],
     cfg: &Config,
 ) -> (Vec<usize>, bool) {
+    // Non-test callers never resolve into test helpers: those leave every
+    // candidate set before a tier is picked, so a same-named helper cannot
+    // shadow the production callee.
+    let visible = |ids: Option<&Vec<usize>>| -> Vec<usize> {
+        let ids = ids.into_iter().flatten().copied();
+        ids.filter(|&t| caller.is_test || !fns[t].is_test).collect()
+    };
+    let method =
+        |ty: &str| Some(visible(by_type_method.get(&(ty, name)))).filter(|v| !v.is_empty());
     let widen = |blocked_ok: bool| -> (Vec<usize>, bool) {
         if !blocked_ok && WIDEN_BLOCKLIST.contains(&name) {
             return (Vec::new(), false);
         }
-        let mut v = by_name.get(name).cloned().unwrap_or_default();
+        let mut v = visible(by_name.get(name));
         if v.len() > cfg.max_widen {
             v.truncate(cfg.max_widen);
         }
@@ -525,16 +530,14 @@ fn resolve_call(
     };
     match recv {
         Receiver::Qualified(ty) => {
-            if let Some(v) = by_type_method.get(&(ty.as_str(), name)) {
-                return (v.clone(), false);
+            if let Some(v) = method(ty) {
+                return (v, false);
             }
             widen(false)
         }
         Receiver::SelfDot => {
-            if let Some(ty) = &caller.impl_type {
-                if let Some(v) = by_type_method.get(&(ty.as_str(), name)) {
-                    return (v.clone(), false);
-                }
+            if let Some(v) = caller.impl_type.as_deref().and_then(method) {
+                return (v, false);
             }
             widen(false)
         }
@@ -551,10 +554,8 @@ fn resolve_call(
                         None
                     }
                 });
-            if let Some(ty) = ty {
-                if let Some(v) = by_type_method.get(&(ty, name)) {
-                    return (v.clone(), false);
-                }
+            if let Some(v) = ty.and_then(method) {
+                return (v, false);
             }
             widen(false)
         }
@@ -566,7 +567,7 @@ fn resolve_call(
             if name == "drop" {
                 return (Vec::new(), false);
             }
-            let all = by_name.get(name).cloned().unwrap_or_default();
+            let all = visible(by_name.get(name));
             let caller_crate = files
                 .get(caller.file)
                 .map(|f| f.crate_name.as_str())
@@ -847,6 +848,26 @@ mod tests {
         )]);
         let f = fn_id(&m, "go");
         assert!(m.resolved[f][0].is_empty(), "test helper filtered out");
+    }
+
+    /// A test helper in the caller's own file must not hide the production
+    /// fn of the same name in another file: the helper leaves the candidate
+    /// set before the same-file tier is tried.
+    #[test]
+    fn a_same_file_test_helper_does_not_shadow_the_production_callee() {
+        let m = model(&[
+            (
+                "replica.rs",
+                "c",
+                "fn handle() { reply(); }\n#[cfg(test)]\nmod tests { fn reply() {} }",
+            ),
+            ("msg.rs", "c", "pub fn reply() {}"),
+        ]);
+        let f = fn_id(&m, "handle");
+        let targets = &m.resolved[f][0];
+        assert_eq!(targets.len(), 1, "resolves to the production reply");
+        assert!(!m.fns[targets[0]].is_test);
+        assert_eq!(m.files[m.fns[targets[0]].file].origin, "msg.rs");
     }
 
     #[test]

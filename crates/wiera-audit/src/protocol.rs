@@ -533,14 +533,6 @@ impl ProtocolModel {
             .collect()
     }
 
-    /// Variants some transition emits.
-    pub fn emitted_variants(&self) -> BTreeSet<String> {
-        self.transitions
-            .iter()
-            .flat_map(|t| t.emits.iter().map(|e| e.variant.clone()))
-            .collect()
-    }
-
     /// `(in-variant, out-variant)` message edges of the model: receiving
     /// the first may cause the node to emit the second.
     pub fn message_edges(&self) -> BTreeSet<(String, String)> {

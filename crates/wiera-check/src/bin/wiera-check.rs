@@ -34,7 +34,7 @@ use wiera_check::chaos::run_campaign;
 use wiera_check::history::extract_history;
 use wiera_check::modelbridge::{soundness, workspace_model};
 use wiera_check::scenarios::{all_scenarios, run_scenario, ScenarioKind};
-use wiera_policy::diag::{worst_is_deny, Diagnostic, Severity};
+use wiera_policy::diag::{diag_json, json_escape, worst_is_deny, Severity};
 use wiera_sim::lockreg::LockRegistry;
 use wiera_sim::Tracer;
 
@@ -355,27 +355,4 @@ fn run_chaos(seed: u64, opts: &Options) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// The diagnostic's own JSON with the scenario origin spliced in.
-fn diag_json(origin: &str, d: &Diagnostic) -> String {
-    let body = d.to_json();
-    let rest = body.strip_prefix('{').unwrap_or(&body);
-    format!("{{\"origin\":{},{rest}", json_escape(origin))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

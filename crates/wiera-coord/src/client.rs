@@ -18,7 +18,11 @@ use wiera_sim::SimDuration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoordError {
     Net(NetError),
-    /// The service refused the request (bad session, double release, …).
+    /// The service no longer holds this client's session (it expired):
+    /// its locks and lease are gone, and only a fresh session
+    /// ([`CoordClient::reconnect`]) is served again.
+    SessionExpired(u64),
+    /// The service refused the request (double release, …).
     Rejected(String),
     /// The service answered with something protocol-incoherent.
     Protocol(String),
@@ -28,6 +32,7 @@ impl std::fmt::Display for CoordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoordError::Net(e) => write!(f, "network: {e}"),
+            CoordError::SessionExpired(id) => write!(f, "session {id} expired"),
             CoordError::Rejected(w) => write!(f, "rejected: {w}"),
             CoordError::Protocol(w) => write!(f, "protocol: {w}"),
         }
@@ -97,7 +102,7 @@ impl CoordClient {
                             return;
                         }
                         // A live session gets `HeartbeatAck`; an expired one
-                        // gets a definitive `Error`, after which beating on
+                        // gets a definitive `SessionExpired`, after which beating on
                         // is pointless — the owner comes back via
                         // `reconnect`. RPC errors are transient partitions
                         // and worth retrying.
@@ -139,10 +144,6 @@ impl CoordClient {
         )
     }
 
-    pub fn session_id(&self) -> u64 {
-        self.session
-    }
-
     /// Pause the heartbeat thread — test hook to simulate a hung client and
     /// exercise session expiry.
     pub fn pause_heartbeats(&self) {
@@ -160,6 +161,7 @@ impl CoordClient {
             .rpc(&self.me, &self.service, msg, bytes, timeout)?;
         let cost = reply.total();
         match reply.msg {
+            CoordMsg::SessionExpired { session } => Err(CoordError::SessionExpired(session)),
             CoordMsg::Error { what } => Err(CoordError::Rejected(what)),
             m => Ok((m, cost)),
         }

@@ -59,7 +59,12 @@ pub enum CoordMsg {
         paths: Vec<String>,
     },
 
-    /// Any request-level failure (bad session, double release, …).
+    /// The request named a session the service does not hold: it expired
+    /// (or was closed), so its locks and ephemeral znodes are gone.
+    SessionExpired {
+        session: u64,
+    },
+    /// Any other request-level failure (double release, …).
     Error {
         what: String,
     },

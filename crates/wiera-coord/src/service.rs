@@ -198,12 +198,7 @@ impl CoordService {
                     reply(d.reply, CoordMsg::HeartbeatAck);
                 } else {
                     drop(s);
-                    reply(
-                        d.reply,
-                        CoordMsg::Error {
-                            what: format!("no session {session}"),
-                        },
-                    );
+                    reply(d.reply, CoordMsg::SessionExpired { session });
                 }
             }
             CoordMsg::CloseSession { session } => {
@@ -215,12 +210,7 @@ impl CoordService {
                 let mut s = state.lock();
                 if !s.sessions.contains_key(&session) {
                     drop(s);
-                    reply(
-                        Some(slot),
-                        CoordMsg::Error {
-                            what: format!("no session {session}"),
-                        },
-                    );
+                    reply(Some(slot), CoordMsg::SessionExpired { session });
                     return;
                 }
                 let lock = s.locks.entry(path.clone()).or_insert_with(|| LockState {
@@ -269,12 +259,7 @@ impl CoordService {
                 let mut s = state.lock();
                 if ephemeral && !s.sessions.contains_key(&session) {
                     drop(s);
-                    reply(
-                        d.reply,
-                        CoordMsg::Error {
-                            what: format!("no session {session}"),
-                        },
-                    );
+                    reply(d.reply, CoordMsg::SessionExpired { session });
                     return;
                 }
                 s.znodes

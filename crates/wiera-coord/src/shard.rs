@@ -17,19 +17,15 @@
 
 use std::sync::Arc;
 
-/// FNV-1a with a splitmix64 avalanche finalizer. Plain FNV-1a clusters
-/// badly on short structured strings (ring-point names, sequential user
-/// keys): at 64 shards a raw-FNV ring leaves ~1/6 of the shards empty
-/// no matter how many vnodes are added. The finalizer spreads the points
-/// uniformly over the circle. Stable across processes and runs — the
-/// ring must hash identically at the coordinator, every replica, and
-/// every client.
+/// FNV-1a (`wiera_sim::hash::fnv1a`) with a splitmix64 avalanche
+/// finalizer. Plain FNV-1a clusters badly on short structured strings
+/// (ring-point names, sequential user keys): at 64 shards a raw-FNV ring
+/// leaves ~1/6 of the shards empty no matter how many vnodes are added.
+/// The finalizer spreads the points uniformly over the circle. Stable
+/// across processes and runs — the ring must hash identically at the
+/// coordinator, every replica, and every client.
 pub fn key_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = wiera_sim::hash::fnv1a(key.as_bytes());
     // splitmix64 finalizer (Steele et al.): full avalanche in 3 rounds.
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);

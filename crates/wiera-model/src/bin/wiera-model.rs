@@ -25,6 +25,7 @@ use wiera_audit::protocol::{self, ProtocolModel};
 use wiera_audit::workspace;
 use wiera_model::trace::render_msc;
 use wiera_model::{explore, Bounds, Protocol, Spec};
+use wiera_policy::diag::json_escape;
 
 const USAGE: &str = "\
 usage: wiera-model [--protocol all|pb-sync|multi-primary|eventual]
@@ -113,22 +114,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         i += 1;
     }
     Ok(opts)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn extract_model(opts: &Options) -> Result<(Model, ProtocolModel), String> {

@@ -249,10 +249,6 @@ impl Fabric {
             .insert(link_key(a, b), extra);
     }
 
-    pub fn clear_link_delay(&self, a: Region, b: Region) {
-        self.dyn_state.write().link_delay.remove(&link_key(a, b));
-    }
-
     /// Cut a site off (crash / partition). §4.4 failure handling.
     pub fn set_partitioned(&self, site: Region, cut: bool) {
         self.dyn_state.write().partitioned.insert(site, cut);

@@ -458,6 +458,31 @@ impl Diagnostic {
     }
 }
 
+/// The diagnostic's own JSON with the origin (a file, a scenario) spliced
+/// in as its first field: one `--json` record of the analysis CLIs.
+pub fn diag_json(origin: &str, d: &Diagnostic) -> String {
+    let body = d.to_json();
+    let rest = body.strip_prefix('{').unwrap_or(&body);
+    format!("{{\"origin\":{},{rest}", json_escape(origin))
+}
+
+/// `s` as a quoted JSON string, for the analysis CLIs' hand-built JSON.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Sort in source order (unspanned findings last), then by code.
 pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by_key(|d| {

@@ -72,11 +72,6 @@ impl ScaledClock {
         }
     }
 
-    /// Real-time clock (scale 1.0).
-    pub fn realtime() -> Self {
-        Self::new(1.0)
-    }
-
     pub fn shared(scale: f64) -> SharedClock {
         Arc::new(Self::new(scale))
     }

@@ -157,9 +157,6 @@ impl SimInstant {
     pub fn elapsed_since(self, earlier: SimInstant) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-    pub fn checked_sub_instant(self, earlier: SimInstant) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl Add<SimDuration> for SimInstant {

@@ -522,10 +522,6 @@ impl SimTier {
         }
     }
 
-    pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::Acquire)
-    }
-
     /// Multiply all native latencies by `factor` (≥ 1.0): a "poorly
     /// performing data tier" for dynamic policies to react to.
     pub fn set_degraded(&self, factor: f64) {

@@ -3,7 +3,7 @@
 use crate::ledger::Ledger;
 use crate::spec::{OpKind, WorkloadSpec};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wiera_sim::{LatencyRecorder, SharedClock, SimDuration, SimRng};
 
@@ -144,22 +144,6 @@ impl ClientDriver {
     /// Issue exactly `n` operations against `store`.
     pub fn run_ops(&self, store: &dyn KvStore, clock: &SharedClock, rng: &mut SimRng, n: u64) {
         for _ in 0..n {
-            self.step(store, rng);
-            if !self.think.is_zero() {
-                clock.sleep(self.think);
-            }
-        }
-    }
-
-    /// Keep issuing operations until `stop` is set.
-    pub fn run_until(
-        &self,
-        store: &dyn KvStore,
-        clock: &SharedClock,
-        rng: &mut SimRng,
-        stop: &AtomicBool,
-    ) {
-        while !stop.load(Ordering::Acquire) {
             self.step(store, rng);
             if !self.think.is_zero() {
                 clock.sleep(self.think);

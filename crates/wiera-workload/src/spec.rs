@@ -56,18 +56,6 @@ impl WorkloadSpec {
         )
     }
 
-    /// YCSB B: read mostly, 95 % read / 5 % update, zipfian.
-    pub fn ycsb_b(records: usize, value_bytes: usize) -> Self {
-        Self::mix(
-            "ycsb-b",
-            0.95,
-            0.05,
-            0.0,
-            KeyChooser::zipfian(records),
-            value_bytes,
-        )
-    }
-
     /// YCSB C: read only.
     pub fn ycsb_c(records: usize, value_bytes: usize) -> Self {
         Self::mix(
@@ -76,18 +64,6 @@ impl WorkloadSpec {
             0.0,
             0.0,
             KeyChooser::zipfian(records),
-            value_bytes,
-        )
-    }
-
-    /// YCSB D: read latest, 95 % read / 5 % insert.
-    pub fn ycsb_d(records: usize, value_bytes: usize) -> Self {
-        Self::mix(
-            "ycsb-d",
-            0.95,
-            0.05,
-            0.0,
-            KeyChooser::latest(records),
             value_bytes,
         )
     }

@@ -3,6 +3,7 @@
 //! US-East exactly as the evaluation deploys it.
 
 use crate::deployment::{DeploymentConfig, WieraDeployment};
+use crate::fleet::copy_lacking;
 use crate::msg::{ChangeRequest, DataMsg, FailCode, ReplicaSpec};
 use crate::resolve_region;
 use parking_lot::Mutex;
@@ -164,14 +165,6 @@ impl WieraController {
     }
 
     // ---- TSM ---------------------------------------------------------------
-
-    pub fn known_servers(&self) -> Vec<(Region, bool)> {
-        self.servers
-            .lock()
-            .values()
-            .map(|s| (s.node.region, s.alive))
-            .collect()
-    }
 
     fn server_for(&self, region: Region) -> Option<NodeId> {
         self.servers
@@ -503,20 +496,10 @@ impl WieraController {
                 continue;
             };
 
-            // Clone state from a live donor into the fresh replica.
-            if let Ok(sync) = self.mesh.rpc(
-                &self.node,
-                &donor,
-                DataMsg::FetchObjects { keys: None },
-                64,
-                CTRL_TIMEOUT,
-            ) {
-                if let DataMsg::SyncReply { objects } = sync.msg {
-                    let msg = DataMsg::LoadState { objects };
-                    let bytes = msg.wire_bytes();
-                    let _ = self.mesh.rpc(&self.node, &fresh, msg, bytes, CTRL_TIMEOUT);
-                }
-            }
+            // Clone a live donor into the fresh replica with the fleet's
+            // copy step: all the donor holds is what an empty replica lacks.
+            let target = (&fresh, std::slice::from_ref(&fresh));
+            let _ = copy_lacking(&self.mesh, &self.node, &[donor], target, |_| true, &dep.id);
             for d in dead {
                 dep.replace_replica(&d, fresh.clone());
             }

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wiera_net::{Mesh, NodeId, Region};
+use wiera_net::{Mesh, NodeId};
 use wiera_policy::{CompiledPolicy, ConsistencyModel};
 use wiera_sim::lockreg::{TrackedMutex, TrackedRwLock};
 use wiera_sim::SimDuration;
@@ -146,18 +146,6 @@ impl WieraDeployment {
 
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// The replica in (or closest to) `region`, by base RTT.
-    pub fn replica_in(&self, region: Region) -> Option<NodeId> {
-        let reps = self.replicas.read();
-        reps.iter()
-            .min_by(|a, b| {
-                let ra = self.mesh.fabric.base_rtt_ms(region, a.region);
-                let rb = self.mesh.fabric.base_rtt_ms(region, b.region);
-                ra.total_cmp(&rb)
-            })
-            .cloned()
     }
 
     fn broadcast_control(&self, make: impl Fn(u64) -> DataMsg + Send + Sync) -> u64 {

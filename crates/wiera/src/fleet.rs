@@ -23,12 +23,15 @@
 //! delta copy; the target refuses too until its own install, and clients
 //! simply retry through the window. Only after the target passes a
 //! digest verification does the source retire (delete) the shard.
+//!
+//! Every copy in the handoff — bulk, delta, verify — and the controller's
+//! repair clone is one [`copy_lacking`] step: anti-entropy's digest rule
+//! picks what the target lacks and a `Replicate` applies it.
 
 use crate::controller::WieraController;
 use crate::deployment::{DeploymentConfig, WieraDeployment};
-use crate::msg::{DataMsg, KeyDigest, SyncObject};
+use crate::msg::{lacking, DataMsg, KeyDigest};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 use wiera_coord::ShardMap;
 use wiera_net::{Mesh, NodeId};
@@ -281,17 +284,23 @@ impl WieraFleet {
             .or_else(|| dst_reps.first().cloned())
             .ok_or_else(|| format!("target group {to_group} has no replicas"))?;
 
-        // 1. Drain the source's async replication queues so the dump below
+        // 1. Drain the source's async replication queues so the copy below
         //    sees every acked write. Best-effort per replica (a crashed
         //    backup has nothing queued that was acked anywhere).
         for r in &src_reps {
-            let _ = self.rpc_ok(r, DataMsg::FlushQueue);
+            let _ = rpc_ok(&self.mesh, &self.from, r, DataMsg::FlushQueue);
         }
 
         // 2. Bulk copy while the source still serves (long tail of data
         //    moves without blocking anyone).
-        let objects = self.collect_shard(&old, shard, &src_reps);
-        self.load_into(&dst_reps, &dst_primary, &objects)?;
+        let copy = || {
+            let target = (&dst_primary, dst_reps.as_slice());
+            let in_shard = |key: &str| old.shard_of(key) == shard;
+            copy_lacking(
+                &self.mesh, &self.from, &src_reps, target, in_shard, &self.id,
+            )
+        };
+        copy()?;
 
         // 3. Flip the source to the bumped map: from here on the source
         //    group refuses the shard, so the delta below is final. Strict —
@@ -301,18 +310,25 @@ impl WieraFleet {
         self.install_group_slice(&new, src, &src_reps, true)?;
 
         // 4. Delta copy: writes acked between the bulk copy and the flip.
-        let objects = self.collect_shard(&new, shard, &src_reps);
-        self.load_into(&dst_reps, &dst_primary, &objects)?;
+        copy()?;
 
         // 5. The target takes ownership and starts serving. The target
         //    primary must ack; a crashed backup catches up via restart
         //    anti-entropy and a later `refresh_shard_views`.
         self.install_group_slice(&new, to_group, &dst_reps, false)?;
 
-        // 6. Verify the handoff before anything is deleted: every key the
-        //    source holds for the shard exists at the target at an
-        //    equal-or-newer version (one straggler repair pull allowed).
-        self.verify_handoff(&new, shard, &src_reps, &dst_primary, &dst_reps)?;
+        // 6. Verify the handoff before anything is deleted: the target
+        //    primary lacks no key the source holds for the shard. The copy
+        //    is the one repair round; a key still lacking after it aborts
+        //    the move before the retire, leaving the data on the source.
+        let still = copy()?;
+        if let Some(first) = still.first() {
+            return Err(format!(
+                "handoff verification failed for shard {shard}: {} keys missing at target \
+                 (first: {first:?})",
+                still.len()
+            ));
+        }
 
         // 7. Re-route clients.
         self.view.install(new.clone());
@@ -321,14 +337,11 @@ impl WieraFleet {
         //    replica double-checks (map version current, shard no longer
         //    owned) before deleting anything.
         for r in &src_reps {
-            self.rpc_ok(
-                r,
-                DataMsg::DropShard {
-                    shard,
-                    map_version: new.version(),
-                },
-            )
-            .map_err(|e| format!("retire on {r}: {e}"))?;
+            let msg = DataMsg::DropShard {
+                shard,
+                map_version: new.version(),
+            };
+            rpc_ok(&self.mesh, &self.from, r, msg).map_err(|e| format!("retire on {r}: {e}"))?;
         }
         Ok(())
     }
@@ -348,7 +361,7 @@ impl WieraFleet {
                     vnodes: map.vnodes(),
                     map_version: map.version(),
                 };
-                if self.rpc_ok(r, msg).is_ok() {
+                if rpc_ok(&self.mesh, &self.from, r, msg).is_ok() {
                     acked += 1;
                 }
             }
@@ -384,7 +397,7 @@ impl WieraFleet {
                 vnodes: map.vnodes(),
                 map_version: map.version(),
             };
-            if let Err(e) = self.rpc_ok(r, msg) {
+            if let Err(e) = rpc_ok(&self.mesh, &self.from, r, msg) {
                 let required = strict || primary.as_ref() == Some(r) || primary.is_none();
                 if required {
                     return Err(format!("set_shards v{} on {r}: {e}", map.version()));
@@ -395,179 +408,115 @@ impl WieraFleet {
         }
         Ok(())
     }
+}
 
-    /// Merge every reachable source replica's state dump, keeping the
-    /// newest copy per key (LWW by version, then modified), filtered to
-    /// the shard being moved.
-    fn collect_shard(&self, map: &ShardMap, shard: u32, sources: &[NodeId]) -> Vec<SyncObject> {
-        let mut merged: HashMap<String, SyncObject> = HashMap::new();
-        for r in sources {
-            let Ok(reply) = self.mesh.rpc(
-                &self.from,
-                r,
-                DataMsg::FetchObjects { keys: None },
-                64,
-                CTRL_TIMEOUT,
-            ) else {
-                continue;
-            };
-            let DataMsg::SyncReply { objects } = reply.msg else {
-                continue;
-            };
-            for o in objects {
-                if map.shard_of(&o.key) != shard {
-                    continue;
-                }
-                match merged.get(&o.key) {
-                    Some(have) if (have.version, have.modified) >= (o.version, o.modified) => {}
-                    _ => {
-                        merged.insert(o.key.clone(), o);
-                    }
-                }
-            }
-        }
-        merged.into_values().collect()
-    }
-
-    /// Install objects on the target replicas. The target primary must
-    /// succeed (it is the group's source of truth and the donor restarted
-    /// backups sync from); others are best-effort.
-    fn load_into(
-        &self,
-        replicas: &[NodeId],
-        primary: &NodeId,
-        objects: &[SyncObject],
-    ) -> Result<(), String> {
-        if objects.is_empty() {
-            return Ok(());
-        }
-        for r in replicas {
-            let msg = DataMsg::LoadState {
-                objects: objects.to_vec(),
-            };
-            if let Err(e) = self.rpc_ok(r, msg) {
-                if r == primary {
-                    return Err(format!("load_state on target primary {r}: {e}"));
-                }
-                MetricsRegistry::global()
-                    .inc("wiera_shard_copy_skipped", &[("fleet", self.id.as_str())]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Digest comparison of the moved shard: the target must hold every
-    /// key the source holds, at an equal-or-newer version. One repair pull
-    /// is attempted for stragglers; a second miss aborts the move before
-    /// the retire, leaving the data intact on the source.
-    fn verify_handoff(
-        &self,
-        map: &ShardMap,
-        shard: u32,
-        src_reps: &[NodeId],
-        dst_primary: &NodeId,
-        dst_reps: &[NodeId],
-    ) -> Result<(), String> {
-        let wanted = self.merged_digests(map, shard, src_reps);
-        let missing = self.missing_at(dst_primary, &wanted)?;
-        if missing.is_empty() {
-            return Ok(());
-        }
-        // Straggler repair: pull the exact keys and push them again.
-        let mut objects: Vec<SyncObject> = Vec::new();
-        for r in src_reps {
-            let msg = DataMsg::FetchObjects {
-                keys: Some(missing.clone()),
-            };
-            let bytes = msg.wire_bytes();
-            let Ok(reply) = self.mesh.rpc(&self.from, r, msg, bytes, CTRL_TIMEOUT) else {
-                continue;
-            };
-            if let DataMsg::SyncReply { objects: got } = reply.msg {
-                for o in got {
-                    match objects.iter_mut().find(|have| have.key == o.key) {
-                        Some(have) if (have.version, have.modified) >= (o.version, o.modified) => {}
-                        Some(have) => *have = o,
-                        None => objects.push(o),
-                    }
-                }
-            }
-        }
-        self.load_into(dst_reps, dst_primary, &objects)?;
-        let still = self.missing_at(dst_primary, &wanted)?;
-        if still.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "handoff verification failed for shard {shard}: {} keys missing at target \
-                 (first: {:?})",
-                still.len(),
-                still.first()
-            ))
-        }
-    }
-
-    /// Per-key newest (version, modified) over the source replicas,
-    /// filtered to the shard.
-    fn merged_digests(
-        &self,
-        map: &ShardMap,
-        shard: u32,
-        sources: &[NodeId],
-    ) -> HashMap<String, u64> {
-        let mut wanted: HashMap<String, u64> = HashMap::new();
-        for r in sources {
-            let Ok(reply) = self
-                .mesh
-                .rpc(&self.from, r, DataMsg::DigestRequest, 64, CTRL_TIMEOUT)
-            else {
-                continue;
-            };
-            let DataMsg::DigestReply { entries, .. } = reply.msg else {
-                continue;
-            };
-            for e in entries {
-                if map.shard_of(&e.key) != shard {
-                    continue;
-                }
-                let slot = wanted.entry(e.key).or_insert(e.version);
-                *slot = (*slot).max(e.version);
-            }
-        }
-        wanted
-    }
-
-    /// Keys of `wanted` the target does not hold at `version >= wanted`.
-    fn missing_at(
-        &self,
-        target: &NodeId,
-        wanted: &HashMap<String, u64>,
-    ) -> Result<Vec<String>, String> {
-        let reply = self
-            .mesh
-            .rpc(&self.from, target, DataMsg::DigestRequest, 64, CTRL_TIMEOUT)
-            .map_err(|e| format!("digest from target {target}: {e}"))?;
-        let DataMsg::DigestReply { entries, .. } = reply.msg else {
-            return Err(format!("bad digest reply from target {target}"));
+/// One copy step, the only way objects move between replicas outside the
+/// write path: read the digest tables of the target primary and of each
+/// source, fetch from each source only the `keep` keys the target lacks by
+/// the anti-entropy rule ([`lacking`]), and send them to the target
+/// replicas as one `Replicate` at the epoch the target's digest carries.
+/// Where several sources hold a key, a later source is asked for it only if
+/// it holds it newer than every copy already fetched, and the receiver's
+/// last-write-wins keeps the newest copy. The target primary must ack; the
+/// other target replicas are best-effort (`wiera_shard_copy_skipped`).
+/// Returns the keys the target primary still lacks afterwards, a key whose
+/// fetch failed included.
+pub(crate) fn copy_lacking(
+    mesh: &Mesh<DataMsg>,
+    from: &NodeId,
+    sources: &[NodeId],
+    (primary, replicas): (&NodeId, &[NodeId]),
+    keep: impl Fn(&str) -> bool,
+    fleet: &str,
+) -> Result<Vec<String>, String> {
+    // `newest` is the target's table followed by every entry fetched since;
+    // `lacking` reads a key's last entry, the newest one. `wanted` is every
+    // entry the target lacked, fetched or not.
+    let (mut newest, epoch) = digest_of(mesh, from, primary)?;
+    let (mut wanted, mut items) = (Vec::new(), Vec::new());
+    for source in sources {
+        let Ok((entries, _)) = digest_of(mesh, from, source) else {
+            continue;
         };
-        let have: HashMap<&str, &KeyDigest> = entries.iter().map(|e| (e.key.as_str(), e)).collect();
-        Ok(wanted
-            .iter()
-            .filter(|(key, version)| have.get(key.as_str()).map(|e| e.version) < Some(**version))
-            .map(|(key, _)| key.clone())
-            .collect())
-    }
-
-    fn rpc_ok(&self, target: &NodeId, msg: DataMsg) -> Result<(), String> {
-        let bytes = msg.wire_bytes();
-        let reply = self
-            .mesh
-            .rpc(&self.from, target, msg, bytes, CTRL_TIMEOUT)
-            .map_err(|e| e.to_string())?;
-        match reply.msg {
-            DataMsg::Ok => Ok(()),
-            DataMsg::Fail { code, why } => Err(format!("{code}: {why}")),
-            other => Err(format!("unexpected reply {other:?}")),
+        let fetch: Vec<KeyDigest> = lacking(&entries, &newest, &keep)
+            .into_iter()
+            .cloned()
+            .collect();
+        if fetch.is_empty() {
+            continue;
         }
+        wanted.extend_from_slice(&fetch);
+        let msg = DataMsg::FetchObjects {
+            keys: fetch.iter().map(|d| d.key.clone()).collect(),
+        };
+        let bytes = msg.wire_bytes();
+        if let Ok(DataMsg::SyncReply { objects }) = mesh
+            .rpc(from, source, msg, bytes, CTRL_TIMEOUT)
+            .map(|r| r.msg)
+        {
+            items.extend(objects);
+            newest.extend(fetch);
+        }
+    }
+    if wanted.is_empty() {
+        return Ok(Vec::new());
+    }
+    let items: Arc<[_]> = items.into();
+    for r in replicas.iter().filter(|_| !items.is_empty()) {
+        let msg = DataMsg::Replicate {
+            items: items.clone(),
+            epoch,
+        };
+        if let Err(e) = rpc_ok(mesh, from, r, msg) {
+            if r == primary {
+                return Err(format!("copy to target primary {r}: {e}"));
+            }
+            MetricsRegistry::global().inc("wiera_shard_copy_skipped", &[("fleet", fleet)]);
+        }
+    }
+    let (now, _) = digest_of(mesh, from, primary)?;
+    let mut still: Vec<String> = lacking(&wanted, &now, keep)
+        .into_iter()
+        .map(|d| d.key.clone())
+        .collect();
+    still.sort_unstable();
+    still.dedup();
+    Ok(still)
+}
+
+/// `node`'s digest table and epoch.
+fn digest_of(
+    mesh: &Mesh<DataMsg>,
+    from: &NodeId,
+    node: &NodeId,
+) -> Result<(Vec<KeyDigest>, u64), String> {
+    let msg = DataMsg::DigestRequest;
+    let bytes = msg.wire_bytes();
+    match mesh
+        .rpc(from, node, msg, bytes, CTRL_TIMEOUT)
+        .map(|r| r.msg)
+    {
+        Ok(DataMsg::DigestReply { entries, epoch, .. }) => Ok((entries, epoch)),
+        Ok(other) => Err(format!("bad digest reply from {node}: {other:?}")),
+        Err(e) => Err(format!("digest from {node}: {e}")),
+    }
+}
+
+/// Send one control message and wait for its ack: `Ok`, or the
+/// `ReplicateAck` of a copy (whether or not any item won).
+fn rpc_ok(
+    mesh: &Mesh<DataMsg>,
+    from: &NodeId,
+    target: &NodeId,
+    msg: DataMsg,
+) -> Result<(), String> {
+    let bytes = msg.wire_bytes();
+    let reply = mesh
+        .rpc(from, target, msg, bytes, CTRL_TIMEOUT)
+        .map_err(|e| e.to_string())?;
+    match reply.msg {
+        DataMsg::Ok | DataMsg::ReplicateAck { .. } => Ok(()),
+        DataMsg::Fail { code, why } => Err(format!("{code}: {why}")),
+        other => Err(format!("unexpected reply {other:?}")),
     }
 }

@@ -37,10 +37,6 @@ impl MonitorHandle {
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
     }
-
-    pub fn trigger_count(&self) -> u64 {
-        self.triggers.load(Ordering::Relaxed)
-    }
 }
 
 impl Drop for MonitorHandle {

@@ -6,6 +6,7 @@
 //! controller ↔ instance (consistency switches, primary changes, health).
 
 use bytes::Bytes;
+use std::collections::HashMap;
 use std::sync::Arc;
 use wiera_net::NodeId;
 use wiera_policy::ConsistencyModel;
@@ -105,11 +106,11 @@ pub enum DataMsg {
         origin: NodeId,
         epoch: u64,
     },
-    /// The latest version of each object in `keys`, or of every object when
-    /// `keys` is `None` (full-state transfer for replica repair, §4.4).
-    /// Answered with [`DataMsg::SyncReply`].
+    /// The latest version of each object in `keys` (unknown keys are
+    /// skipped): what a digest diff found lacking, anti-entropy's pull and
+    /// the fleet's copy step. Answered with [`DataMsg::SyncReply`].
     FetchObjects {
-        keys: Option<Vec<String>>,
+        keys: Vec<String>,
     },
     SyncReply {
         objects: Vec<SyncObject>,
@@ -192,10 +193,6 @@ pub enum DataMsg {
     },
     StopReplica {
         node: NodeId,
-    },
-    /// Bulk state install on a freshly repaired replica (§4.4).
-    LoadState {
-        objects: Vec<SyncObject>,
     },
 
     // ---- instance → controller (monitor escalation, §4.3) ----
@@ -321,6 +318,29 @@ pub struct KeyDigest {
     pub digest: u64,
 }
 
+/// The one rule that decides what is copied between replicas: the entries
+/// of `from` passing `keep` that `to` lacks — absent there, older there, or
+/// at the same version with other content written earlier (the receiver's
+/// last-write-wins test then accepts every one of them). Where `to` lists a
+/// key twice, its last entry counts.
+pub(crate) fn lacking<'a>(
+    from: &'a [KeyDigest],
+    to: &[KeyDigest],
+    keep: impl Fn(&str) -> bool,
+) -> Vec<&'a KeyDigest> {
+    let have: HashMap<&str, &KeyDigest> = to.iter().map(|d| (d.key.as_str(), d)).collect();
+    from.iter()
+        .filter(|f| keep(&f.key))
+        .filter(|f| match have.get(f.key.as_str()) {
+            None => true,
+            Some(h) => {
+                f.version > h.version
+                    || (f.version == h.version && f.digest != h.digest && f.modified > h.modified)
+            }
+        })
+        .collect()
+}
+
 /// Failure kinds a replica can report. Coarse on purpose: clients branch
 /// on these, humans read `why`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -431,11 +451,7 @@ impl DataMsg {
                 HDR + entries.iter().map(|e| e.key.len() as u64 + 24).sum::<u64>()
             }
             DataMsg::FetchObjects { keys } => {
-                HDR + keys
-                    .iter()
-                    .flatten()
-                    .map(|k| k.len() as u64 + ITEM)
-                    .sum::<u64>()
+                HDR + keys.iter().map(|k| k.len() as u64 + ITEM).sum::<u64>()
             }
             // One item frames like the lone op it is, with no per-item
             // frame; a batch adds one per item.
@@ -537,9 +553,9 @@ mod tests {
         let big = put_of(&[sized_item("k", 4096)]);
         assert!(big.wire_bytes() > small.wire_bytes() + 4000);
         assert_eq!(DataMsg::Ping.wire_bytes(), 64);
-        // A full fetch is one header; a keyed one adds each key and its frame.
-        assert_eq!(DataMsg::FetchObjects { keys: None }.wire_bytes(), 64);
-        let keys = Some(vec!["user00000001".to_string(), "k".to_string()]);
+        // A fetch is one header plus each key and its frame.
+        assert_eq!(DataMsg::FetchObjects { keys: Vec::new() }.wire_bytes(), 64);
+        let keys = vec!["user00000001".to_string(), "k".to_string()];
         let named = DataMsg::FetchObjects { keys }.wire_bytes();
         assert_eq!(named, 64 + (12 + 8) + (1 + 8));
         // A one-item op and its answer pay no per-item frame: a put is

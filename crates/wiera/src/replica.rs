@@ -25,8 +25,10 @@
 //! (`Replicate`: a synchronous copy of one put or a batch, a queue flush, an
 //! anti-entropy push), applied by one loop, `apply_updates`. One rule,
 //! `admit_epoch`, fences every epoch-bearing message. One reader,
-//! `latest_objects`, serves every peer that reads the store: a full or
-//! keyed `FetchObjects`, the digest table, the anti-entropy push.
+//! `latest_objects`, serves every peer that reads the store: a keyed
+//! `FetchObjects`, the digest table, the anti-entropy push. One rule,
+//! `msg::lacking`, decides what is copied: anti-entropy's pull and push
+//! here, and the fleet's copy step (shard handoff, replica repair).
 //!
 //! Threading model (mirrors §4's description of instances running servers):
 //!
@@ -46,7 +48,7 @@
 //!   in progress (§3.3.2: new requests "blocked and queued until the change
 //!   takes effect").
 
-use crate::msg::{DataMsg, FailCode, ItemResult, KeyDigest, PutItem, SyncObject};
+use crate::msg::{lacking, DataMsg, FailCode, ItemResult, KeyDigest, PutItem, SyncObject};
 use bytes::Bytes;
 use parking_lot::Condvar;
 use std::cell::Cell;
@@ -57,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tiera::instance::Replicated;
 use tiera::{BatchOp, InstanceConfig, TieraError, TieraInstance};
-use wiera_coord::{CoordClient, ShardMap};
+use wiera_coord::{CoordClient, CoordError, LockGuard, ShardMap};
 use wiera_net::{Delivery, Mesh, NodeId};
 use wiera_policy::ConsistencyModel;
 use wiera_sim::lockreg::{TrackedMutex, TrackedRwLock};
@@ -376,6 +378,37 @@ impl ReplicaNode {
         }
     }
 
+    /// Replace the `expired` coord session with a fresh one and re-create
+    /// the lease on it: the old session's lease and locks are gone, and a
+    /// new lease announces this replica as live again. Callers that raced
+    /// on the same expiry share the first one's session.
+    fn renew_session(&self, expired: &Arc<CoordClient>) -> Result<Arc<CoordClient>, CoordError> {
+        let fresh = expired.reconnect()?;
+        {
+            let mut slot = self.coord.write();
+            match slot.as_ref() {
+                Some(current) if !Arc::ptr_eq(current, expired) => return Ok(current.clone()),
+                _ => *slot = Some(fresh.clone()),
+            }
+        }
+        self.create_lease();
+        Ok(fresh)
+    }
+
+    /// Take the coord lock at `path`. A refusal because this replica's
+    /// session expired (at high time scales a briefly starved heartbeat
+    /// thread is enough) renews the session and retries once.
+    fn coord_lock(
+        &self,
+        coord: &Arc<CoordClient>,
+        path: &str,
+    ) -> Result<(LockGuard, SimDuration), CoordError> {
+        match coord.lock(path) {
+            Err(CoordError::SessionExpired(_)) => self.renew_session(coord)?.lock(path),
+            taken => taken,
+        }
+    }
+
     /// Start the first leader and the flusher for the current generation.
     /// Threads from an earlier generation (pre-crash) exit on their own when
     /// they observe the mismatch.
@@ -431,25 +464,6 @@ impl ReplicaNode {
         self.shard_group
     }
 
-    /// The shard-map version this replica last adopted (None before the
-    /// first [`DataMsg::SetShards`]).
-    pub fn shard_map_version(&self) -> Option<u64> {
-        self.shard_view.read().as_ref().map(|v| v.version)
-    }
-
-    /// The shard ids this replica currently serves, sorted. Empty when no
-    /// shard view is installed (then every key is served).
-    pub fn owned_shards(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .shard_view
-            .read()
-            .as_ref()
-            .map(|v| v.owned.iter().copied().collect())
-            .unwrap_or_default();
-        out.sort_unstable();
-        out
-    }
-
     pub fn queue_len(&self) -> usize {
         self.queue.lock().len()
     }
@@ -460,11 +474,6 @@ impl ReplicaNode {
 
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-    }
-
-    /// True while anti-entropy catch-up is still running after a restart.
-    pub fn is_catching_up(&self) -> bool {
-        self.catching_up.load(Ordering::Acquire)
     }
 
     pub(crate) fn coord_client(&self) -> Option<Arc<CoordClient>> {
@@ -525,17 +534,10 @@ impl ReplicaNode {
         self.stop.store(false, Ordering::Release);
         self.start_threads(inbox)?;
         // Fresh coord session: the crashed session's ephemeral lease is gone
-        // (or about to expire); a new one announces us as live again.
-        let reconnected = match self.coord_client() {
-            Some(old) => match old.reconnect() {
-                Ok(fresh) => Some(fresh),
-                Err(e) => return Err(format!("restart: coord reconnect failed: {e}")),
-            },
-            None => None,
-        };
-        if let Some(fresh) = reconnected {
-            *self.coord.write() = Some(fresh);
-            self.create_lease();
+        // (or about to expire).
+        if let Some(old) = self.coord_client() {
+            self.renew_session(&old)
+                .map_err(|e| format!("restart: coord reconnect failed: {e}"))?;
         }
         let report = self.anti_entropy();
         self.catching_up.store(false, Ordering::Release);
@@ -655,13 +657,8 @@ impl ReplicaNode {
             }
             DataMsg::Ping => reply(d.reply, DataMsg::Pong, SimDuration::from_micros(100)),
             DataMsg::FetchObjects { keys } => {
-                let objects = match keys {
-                    None => self.latest_objects(|_| true),
-                    Some(keys) => {
-                        let want: HashSet<&str> = keys.iter().map(String::as_str).collect();
-                        self.latest_objects(|key| want.contains(key))
-                    }
-                };
+                let want: HashSet<&str> = keys.iter().map(String::as_str).collect();
+                let objects = self.latest_objects(|key| want.contains(key));
                 reply(
                     d.reply,
                     DataMsg::SyncReply { objects },
@@ -687,11 +684,6 @@ impl ReplicaNode {
             DataMsg::FlushQueue => {
                 let took = self.flush_queue_sync();
                 reply(d.reply, DataMsg::Ok, took);
-            }
-            DataMsg::LoadState { objects } => {
-                let n = objects.len();
-                self.load_state(objects);
-                reply(d.reply, DataMsg::Ok, SimDuration::from_millis(n as u64));
             }
             DataMsg::SetShards {
                 shards,
@@ -914,11 +906,6 @@ impl ReplicaNode {
         (applied, took)
     }
 
-    /// Load a full state dump (replica repair, §4.4).
-    pub fn load_state(&self, objects: Vec<SyncObject>) {
-        self.inst.apply_replicated(&replicated(&objects));
-    }
-
     /// Drive the admission model into an artificial backlog, as if
     /// `backlog` of service time were already queued, with the overload
     /// patience window already elapsed (white-box; lets tests and check
@@ -1025,32 +1012,17 @@ impl ReplicaNode {
             }
         }
         let mine = self.digest_table();
-        let local: HashMap<&str, &KeyDigest> = mine.iter().map(|d| (d.key.as_str(), d)).collect();
-        let remote: HashMap<&str, &KeyDigest> =
-            entries.iter().map(|d| (d.key.as_str(), d)).collect();
-        let newer = |a: &KeyDigest, b: &KeyDigest| {
-            a.version > b.version
-                || (a.version == b.version && a.digest != b.digest && a.modified > b.modified)
-        };
-        let want: Vec<String> = entries
-            .iter()
-            .filter(|r| match local.get(r.key.as_str()) {
-                None => true,
-                Some(l) => newer(r, l),
-            })
+        let want: Vec<String> = lacking(&entries, &mine, |_| true)
+            .into_iter()
             .map(|r| r.key.clone())
             .collect();
-        let push: HashSet<&str> = mine
-            .iter()
-            .filter(|l| match remote.get(l.key.as_str()) {
-                None => true,
-                Some(r) => newer(l, r),
-            })
+        let push: HashSet<&str> = lacking(&mine, &entries, |_| true)
+            .into_iter()
             .map(|l| l.key.as_str())
             .collect();
         let mut pulled = 0usize;
         if !want.is_empty() {
-            let msg = DataMsg::FetchObjects { keys: Some(want) };
+            let msg = DataMsg::FetchObjects { keys: want };
             let bytes = msg.wire_bytes();
             if let Ok(r) = self.mesh.rpc(&self.node, peer, msg, bytes, DATA_TIMEOUT) {
                 if let DataMsg::SyncReply { objects } = r.msg {
@@ -1094,7 +1066,7 @@ impl ReplicaNode {
         let Some(coord) = self.coord_client() else {
             return false;
         };
-        let Ok((guard, _)) = coord.lock(&election_path(&self.node)) else {
+        let Ok((guard, _)) = self.coord_lock(&coord, &election_path(&self.node)) else {
             return false;
         };
         // Re-check under the lock: a concurrent winner already re-pointed
@@ -1770,8 +1742,8 @@ impl ReplicaNode {
                 keys.sort_unstable();
                 keys.dedup();
                 for key in keys {
-                    let (guard, cost) = coord
-                        .lock(&format!("/keys/{key}"))
+                    let (guard, cost) = self
+                        .coord_lock(&coord, &format!("/keys/{key}"))
                         .map_err(|e| OpFail::blocked(format!("lock: {e}")))?;
                     guards.push(guard);
                     lock_cost += cost;
@@ -3257,17 +3229,17 @@ mod tests {
         });
     }
 
-    /// One reader answers a full fetch, a fetch of named keys (unknown ones
-    /// are skipped) and the digest table, all from each key's latest version.
+    /// One reader answers a fetch of named keys (unknown ones are skipped)
+    /// and the digest table, both from each key's latest version.
     #[test]
-    fn one_reader_serves_full_and_keyed_fetches_and_the_digest_table() {
+    fn one_reader_serves_keyed_fetches_and_the_digest_table() {
         let m = mesh(3000.0);
         let a = replica(&m, Region::UsEast, "reader", ConsistencyModel::Eventual);
         wire(&[&a], None);
         let sent = [item("x", 1, 16), item("y", 2, 16), item("z", 3, 16)];
         assert_eq!(put_items(&m, &a.node, &sent), [Ok(1); 3]);
         assert_eq!(put_items(&m, &a.node, &[item("y", 4, 8)]), [Ok(2)]);
-        let fetch = |keys: Option<Vec<String>>| {
+        let fetch = |keys: Vec<String>| {
             let ctrl = NodeId::new(Region::UsEast, "ctrl");
             let msg = DataMsg::FetchObjects { keys };
             let reply = m.rpc(&ctrl, &a.node, msg, 64, SimDuration::from_hours(1));
@@ -3280,7 +3252,7 @@ mod tests {
                 .map(|o| (o.key, o.version, o.value))
                 .collect::<Vec<_>>()
         };
-        let all = fetch(None);
+        let all = fetch(vec!["x".into(), "y".into(), "z".into()]);
         let latest =
             |key: &str, version, fill, len| (key.to_string(), version, item(key, fill, len).value);
         assert_eq!(
@@ -3291,7 +3263,7 @@ mod tests {
                 latest("z", 1, 3, 16)
             ]
         );
-        let named = fetch(Some(vec!["z".into(), "missing".into(), "y".into()]));
+        let named = fetch(vec!["z".into(), "missing".into(), "y".into()]);
         assert_eq!(named, all[1..]);
         let digests: Vec<(String, u64, u64)> = sorted_digests(&a)
             .into_iter()
@@ -3651,48 +3623,31 @@ mod tests {
         assert!(!ok.degraded);
     }
 
+    /// The fleet's copy step clones what an empty replica lacks from every
+    /// source, over the wire, as one `Replicate`: a key two sources hold
+    /// lands at its newer version, and nothing is left lacking.
     #[test]
-    fn state_sync_dump_and_load() {
+    fn copy_step_clones_what_the_target_lacks_from_every_source() {
         let m = mesh(3000.0);
         let a = replica(&m, Region::UsEast, "a", ConsistencyModel::Eventual);
         let b = replica(&m, Region::UsWest, "b", ConsistencyModel::Eventual);
+        let c = replica(&m, Region::EuWest, "c", ConsistencyModel::Eventual);
         wire(&[&a], None);
-        let cli = NodeId::new(Region::UsEast, "cli");
-        for i in 0..5 {
-            app_rpc(
-                &m,
-                &cli,
-                &a.node,
-                DataMsg::Put {
-                    items: vec![PutItem {
-                        key: format!("k{i}"),
-                        value: Bytes::from_static(b"x"),
-                    }],
-                },
-            )
-            .unwrap();
+        wire(&[&c], None);
+        let keys: Vec<PutItem> = (0..5).map(|i| item(&format!("k{i}"), 1, 8)).collect();
+        assert_eq!(put_items(&m, &a.node, &keys), [Ok(1); 5]);
+        for fill in [2, 3] {
+            put_items(&m, &c.node, &[item("k0", fill, 8)]);
         }
-        // Repair b from a's dump via the wire.
         let ctrl = NodeId::new(Region::UsEast, "ctrl");
-        let reply = m
-            .rpc(
-                &ctrl,
-                &a.node,
-                DataMsg::FetchObjects { keys: None },
-                64,
-                SimDuration::from_secs(60),
-            )
-            .unwrap();
-        match reply.msg {
-            DataMsg::SyncReply { objects } => {
-                assert_eq!(objects.len(), 5);
-                b.load_state(objects);
-            }
-            other => panic!("{other:?}"),
-        }
-        for i in 0..5 {
-            assert!(b.instance().get(&format!("k{i}")).is_ok());
-        }
+        let sources = [a.node.clone(), c.node.clone()];
+        let target = (&b.node, std::slice::from_ref(&b.node));
+        let still = crate::fleet::copy_lacking(&m, &ctrl, &sources, target, |_| true, "t");
+        assert_eq!(still, Ok(Vec::new()));
+        let copied = sorted_digests(&b);
+        assert_eq!(copied[1..], sorted_digests(&a)[1..]);
+        assert_eq!(copied[0], sorted_digests(&c)[0]);
+        assert_eq!(copied[0].version, 2);
     }
 
     // ---- one write path and one read path: a single op is a batch of one ----
@@ -3771,12 +3726,20 @@ mod tests {
 
     impl Coord {
         fn on_clock_of(m: &Arc<Mesh<DataMsg>>) -> Coord {
+            // Generous: compressed 3000x, the default would be a few wall ms.
+            Coord::with_sessions(m, SimDuration::from_secs(6000), SimDuration::from_secs(50))
+        }
+
+        fn with_sessions(
+            m: &Arc<Mesh<DataMsg>>,
+            timeout: SimDuration,
+            sweep: SimDuration,
+        ) -> Coord {
             let fabric = Arc::new(Fabric::multicloud(5).without_jitter());
             let mesh = Mesh::new(fabric, m.clock.clone());
-            // Generous: compressed 3000x, the default would be a few wall ms.
             let config = wiera_coord::CoordConfig {
-                session_timeout: SimDuration::from_secs(6000),
-                sweep_interval: SimDuration::from_secs(50),
+                session_timeout: timeout,
+                sweep_interval: sweep,
             };
             let zk = NodeId::new(Region::UsEast, "zk");
             let service = wiera_coord::CoordService::spawn(mesh.clone(), zk, config.clone())
@@ -3950,6 +3913,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A backup whose coord session expired (its heartbeats stalled) still
+    /// wins the election against a crashed primary: the refused lock renews
+    /// the session and its lease, and the election retries once.
+    #[test]
+    fn an_expired_session_is_renewed_and_the_election_retried() {
+        let m = mesh(3000.0);
+        let coord = Coord::with_sessions(&m, SimDuration::from_secs(30), SimDuration::from_secs(2));
+        let p = replica(&m, Region::UsWest, "exp-p", PB_SYNC);
+        let b = spawn(
+            &m,
+            ReplicaConfig {
+                coord: Some(coord.session(Region::UsEast, "exp-b")),
+                ..config(Region::UsEast, "exp-b", PB_SYNC, 1 << 30)
+            },
+        );
+        wire(&[&p, &b], Some(&p));
+        let expired = b.coord_client().expect("the backup has a session");
+        expired.pause_heartbeats();
+        eventually("the backup's session expires", || {
+            coord.service.session_count() == 0
+        });
+        p.crash();
+        assert!(b.run_election(&p.node), "the backup must win the election");
+        assert_eq!(b.primary(), Some(b.node.clone()));
+        assert_eq!(b.epoch(), 2);
+        let renewed = b.coord_client().expect("the backup keeps a session");
+        assert!(!Arc::ptr_eq(&renewed, &expired));
+        assert_eq!(coord.service.session_count(), 1);
+        assert_eq!(renewed.exists(&lease_path(&b.node)), Ok(true));
+        b.stop();
+        let _ = renewed.close();
     }
 
     /// The fenced rows of the table: a deposed writer's synchronous batch is
