@@ -30,7 +30,22 @@ impl InstanceEngine {
     pub fn start(inst: Arc<TieraInstance>) -> Result<Self, String> {
         let stop = Arc::new(AtomicBool::new(false));
         let actions_taken = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::new();
+        // One thread running `run` every `period` until stopped.
+        let spawn = |what: &str, period: SimDuration, run: fn(&TieraInstance) -> usize| {
+            let (inst, stop, acted) = (inst.clone(), stop.clone(), actions_taken.clone());
+            std::thread::Builder::new()
+                .name(format!("tiera-{what}-{}", inst.name()))
+                .spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        inst.clock().sleep(period);
+                        if stop.load(Ordering::Acquire) {
+                            return;
+                        }
+                        acted.fetch_add(run(&inst) as u64, Ordering::Relaxed);
+                    }
+                })
+                .map_err(|e| format!("cannot spawn {what} thread: {e}"))
+        };
 
         // Collect distinct timer periods from the rules.
         let mut periods: Vec<SimDuration> = inst
@@ -47,28 +62,10 @@ impl InstanceEngine {
             .collect();
         periods.sort();
         periods.dedup();
-
+        let mut threads = Vec::new();
         for period in periods {
-            let inst = inst.clone();
-            let stop = stop.clone();
-            let acted = actions_taken.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tiera-timer-{}", inst.name()))
-                    .spawn(move || {
-                        while !stop.load(Ordering::Acquire) {
-                            inst.clock().sleep(period);
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            let n = inst.run_timer_rules();
-                            acted.fetch_add(n as u64, Ordering::Relaxed);
-                        }
-                    })
-                    .map_err(|e| format!("cannot spawn timer thread: {e}"))?,
-            );
+            threads.push(spawn("timer", period, TieraInstance::run_timer_rules)?);
         }
-
         let has_maintenance = inst.rules().iter().any(|r| {
             matches!(
                 r.event,
@@ -76,24 +73,8 @@ impl InstanceEngine {
             )
         });
         if has_maintenance {
-            let inst = inst.clone();
-            let stop = stop.clone();
-            let acted = actions_taken.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tiera-maint-{}", inst.name()))
-                    .spawn(move || {
-                        while !stop.load(Ordering::Acquire) {
-                            inst.clock().sleep(Self::MAINTENANCE_PERIOD);
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            let n = inst.run_maintenance();
-                            acted.fetch_add(n as u64, Ordering::Relaxed);
-                        }
-                    })
-                    .map_err(|e| format!("cannot spawn maintenance thread: {e}"))?,
-            );
+            let maintenance = TieraInstance::run_maintenance;
+            threads.push(spawn("maint", Self::MAINTENANCE_PERIOD, maintenance)?);
         }
 
         Ok(InstanceEngine {
@@ -171,7 +152,7 @@ mod tests {
 
     fn engine_took_actions(inst: &crate::instance::TieraInstance) -> bool {
         inst.meta()
-            .with("k", |o| o.latest().unwrap().replicas.contains("tier2"))
+            .with("k", |o| o.latest().unwrap().replicas & 1 << 1 != 0)
             .unwrap()
     }
 
@@ -199,11 +180,7 @@ mod tests {
         let engine = InstanceEngine::start(inst.clone()).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3);
         let migrated = loop {
-            let loc = inst
-                .meta()
-                .with("c", |o| o.latest().unwrap().location.clone())
-                .unwrap();
-            if loc == "tier2" {
+            if inst.location_of("c") == Some("tier2") {
                 break true;
             }
             if std::time::Instant::now() > deadline {

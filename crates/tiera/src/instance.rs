@@ -16,7 +16,7 @@
 //! timelines stay aligned with modeled time.
 
 use crate::metastore::{MetaShardGuard, MetaStore};
-use crate::object::{storage_key, ObjectMeta, VersionId, VersionMeta};
+use crate::object::{storage_key, tiers_in, ObjectMeta, TierIdx, TierSet, VersionId, VersionMeta};
 use crate::transform;
 use bytes::Bytes;
 use std::collections::{BTreeSet, HashMap};
@@ -31,7 +31,6 @@ use wiera_sim::lockreg::TrackedMutex;
 use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{
     Admit, BreakerConfig, BreakerState, CircuitBreaker, SharedClock, SimDuration, SimInstant,
-    SimRng,
 };
 use wiera_tiers::{SimTier, TierError, TierKind, TierSpec};
 
@@ -41,25 +40,18 @@ const META_OVERHEAD: SimDuration = SimDuration::from_micros(150);
 /// [`META_OVERHEAD`] once, then this per item.
 const BATCH_ITEM_OVERHEAD: SimDuration = SimDuration::from_micros(10);
 
-/// The storage keys a shard session's pruning GCed, each with the tiers
-/// that may hold it ([`TieraInstance::copies`]), deleted after the session.
-type PrunedVersions = Vec<(ShortKey, TierSet)>;
-
 /// The ingest of a put no insert rule stores.
 static DEFAULT_STORE: Action = Action::Store {
     what: Selector::InsertObject,
     to: Target::LocalInstance,
 };
 
-/// A set of an instance's tiers, one bit per index into its tier list.
-type TierSet = u64;
-
 /// Where one put's bytes went: the tier a `store` action chose, the tiers
 /// `copy` actions wrote to, the dirty bit, and every tier written so far.
 #[derive(Default)]
-struct Placement<'a> {
-    location: Option<&'a str>,
-    replicas: BTreeSet<String>,
+struct Placement {
+    location: Option<TierIdx>,
+    replicas: TierSet,
     dirty: bool,
     written: TierSet,
 }
@@ -142,7 +134,9 @@ enum PassItem<'a> {
 /// shard guard, so neither kind sleeps or touches a channel: a mounted
 /// instance is entered through its non-sleeping `*_unslept` entries and its
 /// modeled latency is slept once, by the outermost caller. Each op passes
-/// the time it read the clock at; a mounted instance reads its own.
+/// the time it read the clock at; a mounted instance reads its own. An op
+/// names one version of one key; a mounted instance stores it under the
+/// key [`storage_key`] formats.
 #[derive(Clone)]
 pub enum TierHandle {
     Local(Arc<SimTier>),
@@ -153,40 +147,49 @@ pub enum TierHandle {
 }
 
 impl TierHandle {
-    fn put(&self, key: &str, val: Bytes, now: SimInstant) -> Result<SimDuration, TieraError> {
+    fn put(
+        &self,
+        key: &str,
+        version: VersionId,
+        val: Bytes,
+        now: SimInstant,
+    ) -> Result<SimDuration, TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.put_at(key, val, now)?),
+            TierHandle::Local(t) => Ok(t.put_at(key, version, val, now)?),
             TierHandle::Instance { inst, read_only } => {
                 if *read_only {
                     return Err(TieraError::ReadOnlyTier(inst.name().to_string()));
                 }
-                Ok(inst.put_unslept(key, val, &[])?.latency)
+                Ok(inst
+                    .put_unslept(&storage_key(key, version), val, &[])?
+                    .latency)
             }
         }
     }
 
-    fn get(&self, key: &str, now: SimInstant) -> Result<(Bytes, SimDuration), TieraError> {
+    fn get(
+        &self,
+        key: &str,
+        version: VersionId,
+        now: SimInstant,
+    ) -> Result<(Bytes, SimDuration), TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.get_at(key, now)?),
+            TierHandle::Local(t) => Ok(t.get_at(key, version, now)?),
             TierHandle::Instance { inst, .. } => {
-                let out = inst.get_unslept(key)?;
-                let value = out.value.ok_or_else(|| {
-                    TieraError::Corrupt(format!("instance get of '{key}' returned no bytes"))
-                })?;
-                Ok((value, out.latency))
+                let out = inst.get_unslept(&storage_key(key, version))?;
+                Ok((out.value.ok_or_else(|| no_bytes(key))?, out.latency))
             }
         }
     }
 
-    fn delete(&self, key: &str, now: SimInstant) -> Result<SimDuration, TieraError> {
+    fn delete(&self, key: &str, version: VersionId, now: SimInstant) -> Result<(), TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.delete_at(key, now)?),
+            TierHandle::Local(t) => Ok(t.delete_at(key, version, now)?),
             TierHandle::Instance { inst, read_only } => {
                 if *read_only {
                     return Err(TieraError::ReadOnlyTier(inst.name().to_string()));
                 }
-                inst.remove(key)?;
-                Ok(SimDuration::from_micros(500))
+                inst.remove(&storage_key(key, version))
             }
         }
     }
@@ -308,6 +311,10 @@ pub struct TieraInstance {
     config: InstanceConfig,
     clock: SharedClock,
     tiers: Vec<(String, TierHandle)>,
+    /// Each tier's place in a read's fastest-first holder order: the rank
+    /// of its typical get latency (equal latencies share one), then of its
+    /// label among the tiers ordered by both.
+    read_rank: Vec<(usize, usize)>,
     meta: MetaStore,
     /// Edge-trigger memory for tier-filled rules (rule index → armed).
     filled_armed: TrackedMutex<HashMap<usize, bool>>,
@@ -321,7 +328,6 @@ pub struct TieraInstance {
     /// found down. A version dropped from the metadata is deleted there too.
     strays: AtomicU64,
     pub stats: InstanceStats,
-    rng: TrackedMutex<SimRng>,
     /// Each op's registry series, resolved on its first record.
     series: [OnceLock<OpSeries>; 5],
 }
@@ -347,43 +353,63 @@ impl TieraInstance {
             let tier = SimTier::new(TierSpec::of(kind), capacity, clock.clone(), seed);
             tiers.push((layout.label.clone(), TierHandle::Local(tier)));
         }
-        let rng = TrackedMutex::new("inst.rng", SimRng::new(config.seed).child(&config.name));
-        let tier_breakers = Self::build_breakers(&config.name, &tiers);
-        Ok(Arc::new(TieraInstance {
-            config,
-            clock,
-            tiers,
-            meta: MetaStore::new(),
-            filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
-            tier_breakers,
-            strays: AtomicU64::new(0),
-            stats: InstanceStats::default(),
-            rng,
-            series: Default::default(),
-        }))
+        Ok(Self::assemble(config, clock, tiers))
     }
 
-    /// One breaker per tier. The latency threshold is relative to the tier's
-    /// own typical get latency (with a small floor), so a memory tier and an
-    /// archival tier each trip only on *their* kind of brownout; healthy
-    /// jitter never reaches 20x the median EWMA-smoothed.
-    fn build_breakers(name: &str, tiers: &[(String, TierHandle)]) -> Vec<TierBreaker> {
+    /// An instance over `tiers`. Each tier gets a breaker whose latency
+    /// threshold is relative to the tier's own typical get latency (with a
+    /// small floor), so a memory tier and an archival tier each trip only
+    /// on *their* kind of brownout; healthy jitter never reaches 20x the
+    /// median EWMA-smoothed. The metastore names tiers by label in its
+    /// image, by index everywhere else.
+    fn assemble(
+        config: InstanceConfig,
+        clock: SharedClock,
+        tiers: Vec<(String, TierHandle)>,
+    ) -> Arc<Self> {
         // The data path passes sets of tiers as `TierSet` bits.
         assert!(tiers.len() <= TierSet::BITS as usize, "over 64 tiers");
-        tiers
-            .iter()
-            .map(|(label, h)| {
-                let threshold = SimDuration::from_millis_f64((h.typical_get_ms() * 20.0).max(2.0));
+        let typical = |i: usize| tiers[i].1.typical_get_ms();
+        let tier_breakers = (0..tiers.len())
+            .map(|i| {
+                let threshold = SimDuration::from_millis_f64((typical(i) * 20.0).max(2.0));
                 let cfg = BreakerConfig {
                     latency_threshold: Some(threshold),
                     ..BreakerConfig::default()
                 };
                 TierBreaker {
-                    breaker: CircuitBreaker::new(format!("{name}:{label}"), cfg),
+                    breaker: CircuitBreaker::new(format!("{}:{}", config.name, tiers[i].0), cfg),
                     deferrals: OnceLock::new(),
                 }
             })
-            .collect()
+            .collect();
+        let mut order: Vec<usize> = (0..tiers.len()).collect();
+        order.sort_by(|&a, &b| {
+            typical(a)
+                .total_cmp(&typical(b))
+                .then_with(|| tiers[a].0.cmp(&tiers[b].0))
+        });
+        let read_rank = (0..tiers.len())
+            .map(|i| {
+                let first_as_fast = order.iter().position(|&j| typical(j) == typical(i));
+                let pos = order.iter().position(|&j| j == i);
+                (first_as_fast.unwrap_or(0), pos.unwrap_or(0))
+            })
+            .collect();
+        let labels = tiers.iter().map(|(l, _)| l.clone()).collect();
+        let meta = MetaStore::for_tiers(labels, Self::mount_depth(&tiers));
+        Arc::new(TieraInstance {
+            config,
+            clock,
+            tiers,
+            read_rank,
+            meta,
+            filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
+            tier_breakers,
+            strays: AtomicU64::new(0),
+            stats: InstanceStats::default(),
+            series: Default::default(),
+        })
     }
 
     /// Mount another instance as an additional tier (§3.2.2 modular
@@ -400,20 +426,7 @@ impl TieraInstance {
         // which the metastore's depth-carrying lock class records.
         let mut tiers = self.tiers.clone();
         tiers.push((label.to_string(), TierHandle::Instance { inst, read_only }));
-        let tier_breakers = Self::build_breakers(&self.config.name, &tiers);
-        let meta = MetaStore::at_mount_depth(Self::mount_depth(&tiers));
-        Arc::new(TieraInstance {
-            config: self.config.clone(),
-            clock: self.clock.clone(),
-            tiers,
-            meta,
-            filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
-            tier_breakers,
-            strays: AtomicU64::new(0),
-            stats: InstanceStats::default(),
-            rng: TrackedMutex::new("inst.rng", SimRng::new(self.config.seed).child("mounted")),
-            series: Default::default(),
-        })
+        Self::assemble(self.config.clone(), self.clock.clone(), tiers)
     }
 
     /// Mount levels between a tier stack's owner and its deepest leaf
@@ -451,46 +464,50 @@ impl TieraInstance {
     }
 
     pub fn tier(&self, label: &str) -> Option<&TierHandle> {
-        self.tier_index(label).map(|i| &self.tiers[i].1)
+        self.tier_index(label).map(|i| self.tier_at(i))
     }
 
     /// Position of the tier labeled `label` in the tier list; its breaker
     /// sits at the same position of `tier_breakers`.
-    fn tier_index(&self, label: &str) -> Option<usize> {
-        self.tiers.iter().position(|(l, _)| l == label)
+    fn tier_index(&self, label: &str) -> Option<TierIdx> {
+        let i = self.tiers.iter().position(|(l, _)| l == label)?;
+        Some(i as TierIdx)
     }
 
-    /// The tier indices in `set`, ascending.
-    fn tiers_in(&self, set: TierSet) -> impl Iterator<Item = usize> {
-        (0..self.tiers.len()).filter(move |i| set >> i & 1 == 1)
+    /// The index of the tier labeled `label`, or `NoSuchTier`.
+    fn tier_required(&self, label: &str) -> Result<TierIdx, TieraError> {
+        self.tier_index(label)
+            .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))
     }
 
-    /// The tiers of this instance a version's metadata says hold it.
-    fn holders(&self, m: &VersionMeta) -> TierSet {
-        std::iter::once(&m.location)
-            .chain(&m.replicas)
-            .filter_map(|label| self.tier_index(label))
-            .fold(0, |set, i| set | 1 << i)
+    /// The tier at index `i` (a version's metadata names only this
+    /// instance's tiers: only a write to a tier records it, and the tier
+    /// list never changes).
+    fn tier_at(&self, i: TierIdx) -> &TierHandle {
+        &self.tiers[usize::from(i)].1
+    }
+
+    /// The label of the tier at index `i`.
+    fn tier_label(&self, i: TierIdx) -> &str {
+        &self.tiers[usize::from(i)].0
+    }
+
+    /// The label of the tier holding the authoritative copy of `key`'s
+    /// latest version.
+    pub fn location_of(&self, key: &str) -> Option<&str> {
+        let location = self.meta.with(key, |o| Some(o.latest()?.location))??;
+        Some(self.tier_label(location))
     }
 
     /// Every tier that may hold a version's bytes: holders and strays.
     fn copies(&self, m: &VersionMeta) -> TierSet {
-        self.holders(m) | self.strays.load(Ordering::Relaxed)
-    }
-
-    pub fn tier_labels(&self) -> Vec<&str> {
-        self.tiers.iter().map(|(l, _)| l.as_str()).collect()
-    }
-
-    fn tier_required(&self, label: &str) -> Result<&TierHandle, TieraError> {
-        self.tier(label)
-            .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))
+        m.holders() | self.strays.load(Ordering::Relaxed)
     }
 
     /// The circuit breaker guarding one tier.
     pub fn tier_breaker(&self, label: &str) -> Option<&CircuitBreaker> {
         self.tier_index(label)
-            .map(|i| &self.tier_breakers[i].breaker)
+            .map(|i| &self.tier_breakers[usize::from(i)].breaker)
     }
 
     /// True while any tier's breaker is not closed — the instance-level
@@ -511,13 +528,6 @@ impl TieraInstance {
             return Err(TieraError::DeadlineExceeded);
         }
         Ok(())
-    }
-
-    fn default_tier_label(&self) -> &str {
-        self.tiers
-            .first()
-            .map(|(l, _)| l.as_str())
-            .unwrap_or("tier1")
     }
 
     fn maybe_sleep(&self, d: SimDuration) {
@@ -552,9 +562,11 @@ impl TieraInstance {
         let now = self.clock.now();
         self.check_deadline(now)?;
         self.stats.app_puts.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.shard_session(key, now, |map, gc| {
-            self.ingest_locked(map, key, value, tags, None, META_OVERHEAD, now, gc)
-        })?;
+        let mut map = self.meta.shard_write(self.meta.shard_of(key));
+        // ws-audit: allow(WS103): tier hops under the guard never sleep or touch a channel
+        let outcome = self.ingest_locked(&mut map, key, value, tags, None, META_OVERHEAD, now);
+        drop(map);
+        let outcome = outcome?;
         self.note_op(InstanceOp::Put, outcome.latency);
         Ok(outcome)
     }
@@ -616,9 +628,8 @@ impl TieraInstance {
 
     /// Run the items `item(0..n)` in one engine pass: one sort groups them
     /// by metastore shard (one key's items keep their order), each shard's
-    /// lock is taken once, each item reads the clock once, and the pruned
-    /// versions' bytes are deleted after the last session. Returns per-item
-    /// outcomes in order; `None` is a replicated update that lost.
+    /// lock is taken once, and each item reads the clock once. Returns
+    /// per-item outcomes in order; `None` is a replicated update that lost.
     fn engine_pass<'a>(
         &self,
         n: usize,
@@ -631,7 +642,6 @@ impl TieraInstance {
         let mut order: Vec<_> = (0..n).map(|i| (self.meta.shard_of(key(i)), i)).collect();
         order.sort_unstable();
         let mut results: Vec<_> = (0..n).map(|_| None).collect();
-        let mut gc = PrunedVersions::new();
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let mut map = self.meta.shard_write(group[0].0);
             for &(_, i) in group {
@@ -680,11 +690,9 @@ impl TieraInstance {
                     forced,
                     overhead,
                     now,
-                    &mut gc,
                 ));
             }
         }
-        self.delete_pruned(gc, self.clock.now());
         results
     }
 
@@ -694,38 +702,29 @@ impl TieraInstance {
     /// versions with a surviving durable copy are re-pointed at it. Returns
     /// how many versions were lost outright.
     pub fn crash_volatile(&self) -> usize {
-        let wiped: Vec<String> = self
-            .tiers
-            .iter()
-            .filter_map(|(label, handle)| {
-                let t = handle.as_local()?;
-                if t.spec().kind.volatile() {
-                    t.wipe();
-                    Some(label.clone())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        if wiped.is_empty() {
+        let mut wiped: TierSet = 0;
+        for (i, (_, handle)) in self.tiers.iter().enumerate() {
+            if let Some(t) = handle.as_local().filter(|t| t.spec().kind.volatile()) {
+                t.wipe();
+                wiped |= 1 << i;
+            }
+        }
+        if wiped == 0 {
             return 0;
         }
         let mut lost = 0usize;
         for key in self.meta.keys() {
             let emptied = self.meta.with_mut(&key, |o| {
                 o.versions.retain_mut(|m| {
-                    m.replicas.retain(|r| !wiped.contains(r));
-                    if wiped.contains(&m.location) {
-                        match m.replicas.iter().next().cloned() {
-                            Some(surviving) => {
-                                m.replicas.remove(&surviving);
-                                m.location = surviving;
-                            }
-                            None => {
-                                lost += 1;
-                                return false;
-                            }
-                        }
+                    m.replicas &= !wiped;
+                    if wiped >> m.location & 1 == 1 {
+                        // The first surviving copy, in tier order, takes over.
+                        let Some(surviving) = tiers_in(m.replicas).next() else {
+                            lost += 1;
+                            return false;
+                        };
+                        m.replicas &= !(1 << surviving);
+                        m.location = surviving;
                     }
                     true
                 });
@@ -738,37 +737,13 @@ impl TieraInstance {
         lost
     }
 
-    /// Run `f` under one write session on `key`'s metastore shard — the only
-    /// way a single-key write executes — then delete the bytes of the
-    /// versions it pruned, outside the session.
-    fn shard_session<R>(
-        &self,
-        key: &str,
-        now: SimInstant,
-        f: impl FnOnce(&mut MetaShardGuard<'_>, &mut PrunedVersions) -> R,
-    ) -> R {
-        let mut gc = PrunedVersions::new();
-        let r = {
-            let mut map = self.meta.shard_write(self.meta.shard_of(key));
-            f(&mut map, &mut gc)
-        };
-        self.delete_pruned(gc, now);
-        r
-    }
-
-    /// Delete the bytes of GCed versions from the tiers that may hold them.
-    fn delete_pruned(&self, gc: PrunedVersions, now: SimInstant) {
-        for (skey, set) in gc {
-            self.delete_from(set, &skey, now);
-        }
-    }
-
-    /// Delete `skey` from the tiers in `set`; one that is down becomes a
-    /// stray.
-    fn delete_from(&self, set: TierSet, skey: &str, now: SimInstant) {
-        for i in self.tiers_in(set) {
-            let (_, tier) = &self.tiers[i];
-            if let Err(TieraError::Tier(TierError::Down)) = tier.delete(skey, now) {
+    /// Delete version `version` of `key` from the tiers in `set`; one that
+    /// is down becomes a stray.
+    fn delete_from(&self, set: TierSet, key: &str, version: VersionId, now: SimInstant) {
+        for i in tiers_in(set) {
+            if let Err(TieraError::Tier(TierError::Down)) =
+                self.tier_at(i).delete(key, version, now)
+            {
                 self.strays.fetch_or(1 << i, Ordering::Relaxed);
             }
         }
@@ -781,8 +756,8 @@ impl TieraInstance {
     /// `overhead` the metadata bookkeeping charge (the full
     /// [`META_OVERHEAD`] for a standalone op, the marginal
     /// [`BATCH_ITEM_OVERHEAD`] inside a batch); `now` the time the op read
-    /// the clock at; `gc` collects the pruned versions whose bytes the
-    /// caller deletes after the shard session ends.
+    /// the clock at. The versions it prunes are deleted from their tiers
+    /// in the same lock hold.
     #[allow(clippy::too_many_arguments)]
     fn ingest_locked(
         &self,
@@ -793,7 +768,6 @@ impl TieraInstance {
         forced: Option<(VersionId, SimInstant)>,
         overhead: SimDuration,
         now: SimInstant,
-        gc: &mut PrunedVersions,
     ) -> Result<OpOutcome, TieraError> {
         // One lookup: a new key's entry is built aside and inserted only
         // once its bytes are placed.
@@ -806,17 +780,17 @@ impl TieraInstance {
             Some((v, _)) => v,
             None => obj.next_version(),
         };
-        let skey = storage_key(key, version);
         let mut latency = overhead;
         let mut placed = Placement::default();
-        let location = match self.place(&skey, &value, now, &mut latency, &mut placed) {
+        let slot = (key, version);
+        let location = match self.place(slot, &value, now, &mut latency, &mut placed) {
             Ok(location) => location,
             Err(e) => {
                 // A failed put leaves no bytes behind — unless the version
                 // is already recorded (a replicated rewrite of it): then
                 // the copies overwrote bytes its metadata points at.
                 if obj.version(version).is_none() {
-                    self.delete_from(placed.written, &skey, now);
+                    self.delete_from(placed.written, key, version, now);
                 }
                 return Err(e);
             }
@@ -834,7 +808,7 @@ impl TieraInstance {
         }
         let modified = m.modified;
         obj.add_version(m, self.config.max_versions, |old| {
-            gc.push((storage_key(key, old.version), self.copies(&old)));
+            self.delete_from(self.copies(&old), key, old.version, now);
         });
         if let Some(obj) = fresh {
             map.insert(ShortKey::new(key), obj);
@@ -848,60 +822,60 @@ impl TieraInstance {
         })
     }
 
-    /// Place one put's bytes: run the insert rules, store into the first
-    /// tier when none of them stored, then run the write-through rules
-    /// scoped to the tier stored into. Returns that tier's label; `placed`
-    /// records every tier written, also when a step fails.
-    fn place<'a>(
-        &'a self,
-        skey: &str,
+    /// Place one put's bytes, version `slot.1` of key `slot.0`: run the
+    /// insert rules, store into the first tier when none of them stored,
+    /// then run the write-through rules scoped to the tier stored into.
+    /// Returns that tier; `placed` records every tier written, also when a
+    /// step fails.
+    fn place(
+        &self,
+        slot: (&str, VersionId),
         value: &Bytes,
         now: SimInstant,
         latency: &mut SimDuration,
-        placed: &mut Placement<'a>,
-    ) -> Result<&'a str, TieraError> {
+        placed: &mut Placement,
+    ) -> Result<TierIdx, TieraError> {
         // Insert rules (event `insert.into`) run synchronously. They only
         // touch tiers, never this metastore.
         for rule in &self.config.rules {
             if matches!(rule.event, EventKind::Insert { into: None }) {
                 for action in &rule.actions {
-                    self.run_insert_action(action, skey, value, now, latency, placed)?;
+                    self.run_insert_action(action, slot, value, now, latency, placed)?;
                 }
             }
         }
         // No rule placed the bytes locally (no insert rules at all, or a
         // global policy whose local leg is just `store(to:local_instance)`,
         // handled as the default ingest): store into the first tier.
-        let location = match placed.location {
-            Some(l) => l,
-            None => {
-                self.run_insert_action(&DEFAULT_STORE, skey, value, now, latency, placed)?;
-                self.default_tier_label()
-            }
-        };
+        if placed.location.is_none() {
+            self.run_insert_action(&DEFAULT_STORE, slot, value, now, latency, placed)?;
+        }
+        // A store, the default one included, always records its tier.
+        let location = placed.location.unwrap_or_default();
         // Write-through rules scoped to the tier we stored into
         // (`event(insert.into == tier1)`); a `store` among them does not
         // move the recorded location.
+        let label = self.tier_label(location);
         for rule in &self.config.rules {
-            if matches!(&rule.event, EventKind::Insert { into: Some(t) } if t == location) {
+            if matches!(&rule.event, EventKind::Insert { into: Some(t) } if t == label) {
                 for action in &rule.actions {
-                    self.run_insert_action(action, skey, value, now, latency, placed)?;
+                    self.run_insert_action(action, slot, value, now, latency, placed)?;
                 }
             }
         }
         Ok(location)
     }
 
-    fn run_insert_action<'a>(
-        &'a self,
-        action: &'a Action,
-        skey: &str,
+    fn run_insert_action(
+        &self,
+        action: &Action,
+        (key, version): (&str, VersionId),
         value: &Bytes,
         now: SimInstant,
         latency: &mut SimDuration,
-        placed: &mut Placement<'a>,
+        placed: &mut Placement,
     ) -> Result<(), TieraError> {
-        let (label, stores) = match action {
+        let (tier, stores) = match action {
             Action::SetAttr {
                 path,
                 value: CondValue::Bool(b),
@@ -912,32 +886,31 @@ impl TieraInstance {
             Action::Store {
                 what: Selector::InsertObject,
                 to: Target::Tier(label),
-            } => (label.as_str(), true),
+            } => (self.tier_required(label)?, true),
             // `store(to:local_instance)` — the local leg of a global policy:
             // ingest through the default (first) tier.
             Action::Store {
                 what: Selector::InsertObject,
                 to: Target::LocalInstance,
-            } => (self.default_tier_label(), true),
+            } => match self.tiers.is_empty() {
+                true => return Err(TieraError::NoSuchTier("tier1".to_string())),
+                false => (0, true),
+            },
             Action::Copy {
                 what: Selector::InsertObject,
                 to: Target::Tier(label),
                 ..
-            } => (label.as_str(), false),
+            } => (self.tier_required(label)?, false),
             // Global actions (lock/copy-to-regions/forward/queue/...) are the
             // Wiera layer's responsibility; the local engine ignores them.
             _ => return Ok(()),
         };
-        let i = self
-            .tier_index(label)
-            .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))?;
-        let (_, tier) = &self.tiers[i];
-        *latency += tier.put(skey, value.clone(), now)?;
-        placed.written |= 1 << i;
+        *latency += self.tier_at(tier).put(key, version, value.clone(), now)?;
+        placed.written |= 1 << tier;
         if stores {
-            placed.location = Some(label);
+            placed.location = Some(tier);
         } else {
-            placed.replicas.insert(label.to_string());
+            placed.replicas |= 1 << tier;
         }
         Ok(())
     }
@@ -995,26 +968,24 @@ impl TieraInstance {
     ) -> Result<OpOutcome, TieraError> {
         let now = self.clock.now();
         let missing = || TieraError::VersionNotFound(key.to_string(), version);
-        let skey = storage_key(key, version);
         // Holder lookup, rewrite and metadata edit share one shard session.
         let (latency, stale) = self
             .meta
             .with_existing_mut(key, |o| {
                 let m = o.version_mut(version).ok_or_else(missing)?;
                 let size = value.len() as u64;
-                let stored = self.tier_required(&m.location)?.put(&skey, value, now)?;
+                let stored = self.tier_at(m.location).put(key, version, value, now)?;
                 m.size = size;
                 m.modified = now;
                 m.touch(now);
                 // In-place update invalidates intra-instance replicas; their
                 // copies are deleted after the session.
-                let location = self.tier_index(&m.location).map_or(0, |i| 1 << i);
-                let stale = self.holders(m) & !location;
-                m.replicas.clear();
+                let stale = m.holders() & !(1 << m.location);
+                m.replicas = 0;
                 Ok((META_OVERHEAD + stored, stale))
             })
             .unwrap_or_else(|| Err(missing()))?;
-        self.delete_from(stale, &skey, now);
+        self.delete_from(stale, key, version, now);
         self.note_op(InstanceOp::Update, latency);
         self.maybe_sleep(latency);
         Ok(OpOutcome {
@@ -1034,7 +1005,7 @@ impl TieraInstance {
         self.note_op(InstanceOp::Remove, SimDuration::ZERO);
         let now = self.clock.now();
         for m in &obj.versions {
-            self.delete_from(self.copies(m), &storage_key(key, m.version), now);
+            self.delete_from(self.copies(m), key, m.version, now);
         }
         Ok(())
     }
@@ -1045,8 +1016,7 @@ impl TieraInstance {
             .meta
             .remove_version(key, version)
             .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-        let skey = storage_key(key, version);
-        self.delete_from(self.copies(&m), &skey, self.clock.now());
+        self.delete_from(self.copies(&m), key, version, self.clock.now());
         Ok(())
     }
 
@@ -1067,6 +1037,9 @@ impl TieraInstance {
     /// holders in [`TieraInstance::holder_order`], heal metadata in place
     /// when tiers have lost their copies, touch the access time. `now` is
     /// when the op read the clock: the tier reads and the breakers get it.
+    /// A holder that no longer has the bytes (an evicted cache copy) is
+    /// healed away but is no tier failure: only errors of the tier itself
+    /// count against its breaker.
     fn read_version_locked(
         &self,
         key: &str,
@@ -1077,14 +1050,12 @@ impl TieraInstance {
         let m = obj
             .version_mut(version)
             .ok_or_else(|| TieraError::VersionNotFound(key.to_string(), version))?;
-        let skey = storage_key(key, version);
         let mut latency = SimDuration::from_micros(100);
         // Holders tried and found empty, and those of them that were down.
         let (mut lost, mut down): (TierSet, TierSet) = (0, 0);
         for i in self.holder_order(m, now) {
-            let (label, tier) = &self.tiers[i];
-            let breaker = &self.tier_breakers[i].breaker;
-            match tier.get(&skey, now) {
+            let breaker = &self.tier_breakers[usize::from(i)].breaker;
+            match self.tier_at(i).get(key, version, now) {
                 Ok((mut data, l)) => {
                     breaker.record_success(now, l);
                     latency += l;
@@ -1095,11 +1066,10 @@ impl TieraInstance {
                         data = transform::decompress(&data).map_err(TieraError::Corrupt)?;
                     }
                     if lost != 0 {
-                        let gone = |r: &str| self.tier_index(r).is_some_and(|j| lost >> j & 1 == 1);
-                        if gone(&m.location) {
-                            m.location = label.clone();
+                        if lost >> m.location & 1 == 1 {
+                            m.location = i;
                         }
-                        m.replicas.retain(|r| !gone(r));
+                        m.replicas &= !lost;
                         self.strays.fetch_or(down, Ordering::Relaxed);
                     }
                     m.touch(now);
@@ -1109,6 +1079,9 @@ impl TieraInstance {
                         modified: m.modified,
                         latency,
                     });
+                }
+                Err(TieraError::Tier(TierError::NotFound) | TieraError::NotFound(_)) => {
+                    lost |= 1 << i;
                 }
                 Err(e) => {
                     breaker.record_failure(now);
@@ -1122,22 +1095,19 @@ impl TieraInstance {
         Err(TieraError::NotFound(key.to_string()))
     }
 
-    /// Order a version's holders for a read, as tier indices (a holder
-    /// label names one of this instance's tiers: only a write to that tier
-    /// records it, and the tier list never changes). Fastest typical
-    /// latency first, with two breaker-driven exceptions. A holder whose
+    /// Order a version's holders for a read. Fastest typical latency first
+    /// ([`TieraInstance::read_rank`]), with two breaker-driven exceptions. A holder whose
     /// breaker is not closed is *deprioritized*, never rejected — it may
     /// hold the only copy. And when an open breaker's cooldown has expired,
     /// that holder is promoted to the very front so this read doubles as
     /// the probe; without real probe traffic a healed tier could never
     /// close again while a healthy replica keeps absorbing all reads. The
     /// breakers are asked fastest holder first, before any holder is read.
-    fn holder_order(&self, m: &VersionMeta, now: SimInstant) -> impl Iterator<Item = usize> + '_ {
-        let loc = self.tier_index(&m.location);
-        let held = self.holders(m);
+    fn holder_order(&self, m: &VersionMeta, now: SimInstant) -> impl Iterator<Item = TierIdx> + '_ {
+        let loc = m.location;
         let (mut probe, mut healthy, mut suspect): (TierSet, TierSet, TierSet) = (0, 0, 0);
-        for i in self.fastest_first(held, loc) {
-            let t = &self.tier_breakers[i];
+        for i in self.fastest_first(m.holders(), loc) {
+            let t = &self.tier_breakers[usize::from(i)];
             if t.breaker.state() == BreakerState::Closed {
                 healthy |= 1 << i;
                 continue;
@@ -1147,7 +1117,7 @@ impl TieraInstance {
                     "tiera_tier_deferrals",
                     &[
                         ("instance", self.config.name.as_str()),
-                        ("tier", self.tiers[i].0.as_str()),
+                        ("tier", self.tier_label(i)),
                     ],
                 )
             });
@@ -1166,19 +1136,11 @@ impl TieraInstance {
     /// The tiers of `set`, fastest typical get first; among equally fast
     /// tiers `loc` first, then label order — the order a stable sort by
     /// speed gives a version's holder list (location, then replica set).
-    fn fastest_first(
-        &self,
-        mut set: TierSet,
-        loc: Option<usize>,
-    ) -> impl Iterator<Item = usize> + '_ {
-        let rank = move |i: usize| {
-            let (label, tier) = &self.tiers[i];
-            (tier.typical_get_ms(), Some(i) != loc, label)
-        };
+    fn fastest_first(&self, mut set: TierSet, loc: TierIdx) -> impl Iterator<Item = TierIdx> + '_ {
         std::iter::from_fn(move || {
-            let next = self.tiers_in(set).min_by(|&a, &b| {
-                let (a, b) = (rank(a), rank(b));
-                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(b.2))
+            let next = tiers_in(set).min_by_key(|&i| {
+                let (speed, pos) = self.read_rank[usize::from(i)];
+                (speed, i != loc, pos)
             })?;
             set &= !(1 << next);
             Some(next)
@@ -1190,50 +1152,31 @@ impl TieraInstance {
     /// Execute all timer rules once (the engine calls this on each period).
     /// Returns the number of objects acted on.
     pub fn run_timer_rules(&self) -> usize {
-        let rules: Vec<Rule> = self
-            .config
-            .rules
-            .iter()
-            .filter(|r| matches!(r.event, EventKind::Timer { .. }))
-            .cloned()
-            .collect();
-        let mut acted = 0;
-        for rule in &rules {
-            acted += self.run_sweep_actions(&rule.actions, None);
-        }
-        acted
+        let timed = self.config.rules.iter();
+        let timed = timed.filter(|r| matches!(r.event, EventKind::Timer { .. }));
+        timed
+            .map(|r| self.run_sweep_actions(&r.actions, None))
+            .sum()
     }
 
     /// Evaluate tier-filled rules (edge-triggered) and run any that fire.
     pub fn run_filled_rules(&self) -> usize {
         let mut acted = 0;
-        let rules: Vec<(usize, String, f64, Vec<Action>)> = self
-            .config
-            .rules
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match &r.event {
-                EventKind::TierFilled { tier, fraction } => {
-                    Some((i, tier.clone(), *fraction, r.actions.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        for (idx, tier_label, frac, actions) in rules {
-            let Some(handle) = self.tier(&tier_label) else {
+        for (idx, rule) in self.config.rules.iter().enumerate() {
+            let EventKind::TierFilled { tier, fraction } = &rule.event else {
                 continue;
             };
-            let Some(tier) = handle.as_local() else {
+            let Some(tier) = self.tier(tier).and_then(TierHandle::as_local) else {
                 continue;
             };
             let filled = tier.filled_fraction();
             let mut armed = self.filled_armed.lock();
             let was_armed = *armed.entry(idx).or_insert(true);
-            if filled >= frac && was_armed {
+            if filled >= *fraction && was_armed {
                 armed.insert(idx, false);
                 drop(armed);
-                acted += self.run_sweep_actions(&actions, None);
-            } else if filled < frac && !was_armed {
+                acted += self.run_sweep_actions(&rule.actions, None);
+            } else if filled < *fraction && !was_armed {
                 armed.insert(idx, true); // re-arm once back under threshold
             }
         }
@@ -1245,19 +1188,13 @@ impl TieraInstance {
     pub fn run_cold_rules(&self) -> usize {
         let now = self.clock.now();
         let mut acted = 0;
-        let rules: Vec<(f64, Vec<Action>)> = self
-            .config
-            .rules
-            .iter()
-            .filter_map(|r| match &r.event {
-                EventKind::ColdData { older_than_ms } => Some((*older_than_ms, r.actions.clone())),
-                _ => None,
-            })
-            .collect();
-        for (older_ms, actions) in rules {
-            let cutoff = now - SimDuration::from_millis_f64(older_ms);
+        for rule in &self.config.rules {
+            let EventKind::ColdData { older_than_ms } = rule.event else {
+                continue;
+            };
+            let cutoff = now - SimDuration::from_millis_f64(older_than_ms);
             for (key, version) in self.meta.cold_versions(cutoff) {
-                acted += self.run_sweep_actions(&actions, Some((&key, version)));
+                acted += self.run_sweep_actions(&rule.actions, Some((&key, version)));
             }
         }
         acted
@@ -1272,41 +1209,52 @@ impl TieraInstance {
     /// `(key, version)` (cold-data events name the object; sweep rules
     /// enumerate everything that matches their `what:` predicate).
     fn run_sweep_actions(&self, actions: &[Action], scope: Option<(&str, VersionId)>) -> usize {
-        let mut acted = 0;
-        for action in actions {
-            acted += self.run_sweep_action(action, scope);
-        }
-        acted
+        actions
+            .iter()
+            .map(|a| self.run_sweep_action(a, scope))
+            .sum()
     }
 
-    fn matching_versions(
+    /// Whether `cond` holds at `now` for version `version` of `key`.
+    fn version_matches(
+        &self,
+        cond: &Condition,
+        (key, version): (&str, VersionId),
+        now: SimInstant,
+    ) -> bool {
+        let env = |o: &ObjectMeta| {
+            let m = o.version(version)?;
+            let location = self.tier_label(m.location);
+            let tags = &o.tags;
+            Some(cond.eval(&ObjEnv {
+                meta: m,
+                tags,
+                location,
+                now,
+            }))
+        };
+        self.meta.with(key, env).flatten().unwrap_or(false)
+    }
+
+    /// Run `f` on every version `cond` selects (within `scope` when given),
+    /// all selected before the first runs; returns how many it ran on.
+    fn sweep(
         &self,
         cond: &Condition,
         scope: Option<(&str, VersionId)>,
-    ) -> Vec<(String, VersionId)> {
-        let now = self.clock.now();
+        f: impl Fn(&str, VersionId),
+    ) -> usize {
         let candidates: Vec<(String, VersionId)> = match scope {
             Some((k, v)) => vec![(k.to_string(), v)],
             None => self.meta.all_versions(),
         };
-        candidates
-            .into_iter()
-            .filter(|(k, v)| {
-                self.meta
-                    .with(k, |o| {
-                        o.version(*v)
-                            .map(|m| {
-                                cond.eval(&ObjEnv {
-                                    meta: m,
-                                    tags: &o.tags,
-                                    now,
-                                })
-                            })
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or(false)
-            })
-            .collect()
+        let now = self.clock.now();
+        let targets: Vec<_> = candidates
+            .iter()
+            .filter(|(k, v)| self.version_matches(cond, (k, *v), now))
+            .collect();
+        targets.iter().for_each(|(k, v)| f(k, *v));
+        targets.len()
     }
 
     fn run_sweep_action(&self, action: &Action, scope: Option<(&str, VersionId)>) -> usize {
@@ -1315,56 +1263,31 @@ impl TieraInstance {
                 what: Selector::Where(cond),
                 to: Target::Tier(to),
                 bandwidth_bps,
-            } => {
-                let targets = self.matching_versions(cond, scope);
-                let n = targets.len();
-                for (k, v) in targets {
-                    let _ = self.copy_version(&k, v, to, *bandwidth_bps);
-                }
-                n
-            }
+            } => self.sweep(cond, scope, |k, v| {
+                let _ = self.copy_version(k, v, to, *bandwidth_bps);
+            }),
             Action::Move {
                 what: Selector::Where(cond),
                 to: Target::Tier(to),
                 bandwidth_bps,
-            } => {
-                let targets = self.matching_versions(cond, scope);
-                let n = targets.len();
-                for (k, v) in targets {
-                    let _ = self.move_version(&k, v, to, *bandwidth_bps);
-                }
-                n
-            }
+            } => self.sweep(cond, scope, |k, v| {
+                let _ = self.move_version(k, v, to, *bandwidth_bps);
+            }),
             Action::Delete {
                 what: Selector::Where(cond),
-            } => {
-                let targets = self.matching_versions(cond, scope);
-                let n = targets.len();
-                for (k, v) in targets {
-                    let _ = self.remove_version(&k, v);
-                }
-                n
-            }
+            } => self.sweep(cond, scope, |k, v| {
+                let _ = self.remove_version(k, v);
+            }),
             Action::Compress {
                 what: Selector::Where(cond),
-            } => {
-                let targets = self.matching_versions(cond, scope);
-                let n = targets.len();
-                for (k, v) in targets {
-                    let _ = self.transform_version(&k, v, true);
-                }
-                n
-            }
+            } => self.sweep(cond, scope, |k, v| {
+                let _ = self.transform_version(k, v, true);
+            }),
             Action::Encrypt {
                 what: Selector::Where(cond),
-            } => {
-                let targets = self.matching_versions(cond, scope);
-                let n = targets.len();
-                for (k, v) in targets {
-                    let _ = self.transform_version(&k, v, false);
-                }
-                n
-            }
+            } => self.sweep(cond, scope, |k, v| {
+                let _ = self.transform_version(k, v, false);
+            }),
             Action::Grow { tier, by_bytes } => {
                 if let Some(t) = self.tier(tier).and_then(TierHandle::as_local) {
                     t.grow(*by_bytes);
@@ -1381,23 +1304,7 @@ impl TieraInstance {
                 // Instance-level conditions: evaluate against the sweep scope
                 // if any, else against an empty environment.
                 let now = self.clock.now();
-                let hit = match scope {
-                    Some((k, v)) => self
-                        .meta
-                        .with(k, |o| {
-                            o.version(v)
-                                .map(|m| {
-                                    cond.eval(&ObjEnv {
-                                        meta: m,
-                                        tags: &o.tags,
-                                        now,
-                                    })
-                                })
-                                .unwrap_or(false)
-                        })
-                        .unwrap_or(false),
-                    None => false,
-                };
+                let hit = scope.is_some_and(|scope| self.version_matches(cond, scope, now));
                 if hit {
                     self.run_sweep_actions(then, scope)
                 } else {
@@ -1447,13 +1354,11 @@ impl TieraInstance {
     ) -> Result<SimDuration, TieraError> {
         let now = self.clock.now();
         let out = self.read_version(key, version, now)?;
-        let data = out
-            .value
-            .ok_or_else(|| TieraError::Corrupt(format!("read of '{key}' returned no bytes")))?;
-        let skey = storage_key(key, version);
+        let data = out.value.ok_or_else(|| no_bytes(key))?;
+        let to = self.tier_required(to)?;
         let size = data.len();
         let mut latency = out.latency;
-        latency += self.tier_required(to)?.put(&skey, data, now)?;
+        latency += self.tier_at(to).put(key, version, data, now)?;
         if let Some(bw) = bandwidth_bps {
             let limited = SimDuration::from_secs_f64(size as f64 / bw.max(1.0));
             latency = latency.max(limited);
@@ -1469,16 +1374,16 @@ impl TieraInstance {
                 };
                 m.dirty = false;
                 if !retire_sources {
-                    m.replicas.insert(to.to_string());
+                    m.replicas |= 1 << to;
                     return 0;
                 }
-                let sources = self.holders(m) & !self.tier_index(to).map_or(0, |i| 1 << i);
-                m.location = to.to_string();
-                m.replicas.clear();
+                let sources = m.holders() & !(1 << to);
+                m.location = to;
+                m.replicas = 0;
                 sources
             })
             .unwrap_or_default();
-        self.delete_from(retired, &skey, self.clock.now());
+        self.delete_from(retired, key, version, self.clock.now());
         Ok(latency)
     }
 
@@ -1494,51 +1399,38 @@ impl TieraInstance {
         self.meta
             .with_existing_mut(key, |o| {
                 let m = o.version(version).ok_or_else(missing)?;
-                let (was_compressed, was_encrypted) = (m.compressed, m.encrypted);
-                let already = if compress {
-                    was_compressed
-                } else {
-                    was_encrypted
-                };
-                if already {
+                let flags = (m.compressed || compress, m.encrypted || !compress);
+                if flags == (m.compressed, m.encrypted) {
                     return Ok(());
                 }
                 // Re-encode from plaintext with the new flag set. Encoding
                 // order is compress-then-encrypt (the read path decodes
                 // decrypt-then-decompress), so layering stays correct
                 // whichever transform is applied first by the policy.
-                let mut stored = self
-                    .read_version_locked(key, version, o, now)?
-                    .value
-                    .ok_or_else(|| {
-                        TieraError::Corrupt(format!("read of '{key}' returned no bytes"))
-                    })?;
-                let new_compressed = was_compressed || compress;
-                let new_encrypted = was_encrypted || !compress;
-                if new_compressed {
+                let read = self.read_version_locked(key, version, o, now)?;
+                let mut stored = read.value.ok_or_else(|| no_bytes(key))?;
+                if flags.0 {
                     stored = transform::compress(&stored);
                 }
-                if new_encrypted {
+                if flags.1 {
                     stored = transform::encrypt(&stored, self.config.encryption_key);
                 }
                 // Rewrite in every holder.
                 let m = o.version_mut(version).ok_or_else(missing)?;
-                let skey = storage_key(key, version);
-                for h in m.holders() {
-                    self.tier_required(h)?.put(&skey, stored.clone(), now)?;
+                for h in tiers_in(m.holders()) {
+                    self.tier_at(h).put(key, version, stored.clone(), now)?;
                 }
-                m.compressed = new_compressed;
-                m.encrypted = new_encrypted;
+                (m.compressed, m.encrypted) = flags;
                 m.size = stored.len() as u64;
                 Ok(())
             })
             .unwrap_or_else(|| Err(missing()))
     }
+}
 
-    /// Deterministic per-instance RNG handle (used by the engine for jitter).
-    pub fn rng(&self) -> &TrackedMutex<SimRng> {
-        &self.rng
-    }
+/// The error of a read of `key` that returned no bytes.
+fn no_bytes(key: &str) -> TieraError {
+    TieraError::Corrupt(format!("read of '{key}' returned no bytes"))
 }
 
 /// Evaluation environment exposing one version's metadata to policy
@@ -1546,6 +1438,8 @@ impl TieraInstance {
 struct ObjEnv<'a> {
     meta: &'a VersionMeta,
     tags: &'a BTreeSet<String>,
+    /// The label of `meta.location`, rendered when a rule reads it.
+    location: &'a str,
     now: SimInstant,
 }
 
@@ -1559,7 +1453,7 @@ impl Env for ObjEnv<'_> {
             return None;
         }
         Some(match path[1].as_str() {
-            "location" => EnvValue::Str(self.meta.location.clone()),
+            "location" => EnvValue::Str(self.location.to_string()),
             "dirty" => EnvValue::Bool(self.meta.dirty),
             "size" => EnvValue::Num(self.meta.size as f64),
             "version" => EnvValue::Num(self.meta.version as f64),
@@ -1601,6 +1495,11 @@ mod tests {
             value,
         };
         inst.apply_replicated(&[update]).remove(0).unwrap()
+    }
+
+    /// The labels of the tiers in `set`.
+    fn labels(inst: &TieraInstance, set: TierSet) -> Vec<&str> {
+        tiers_in(set).map(|i| inst.tier_label(i)).collect()
     }
 
     fn basic_instance() -> Arc<TieraInstance> {
@@ -1826,9 +1725,9 @@ mod tests {
         inst.meta()
             .with("k", |o| {
                 let m = o.latest().unwrap();
-                assert_eq!(m.location, "tier1");
+                assert_eq!(inst.tier_label(m.location), "tier1");
                 assert!(m.dirty);
-                assert!(m.replicas.is_empty());
+                assert_eq!(m.replicas, 0);
             })
             .unwrap();
         // Timer flush copies dirty objects to tier2 and clears dirty.
@@ -1838,7 +1737,7 @@ mod tests {
             .with("k", |o| {
                 let m = o.latest().unwrap();
                 assert!(!m.dirty);
-                assert!(m.replicas.contains("tier2"));
+                assert_eq!(labels(&inst, m.replicas), ["tier2"]);
             })
             .unwrap();
         // Second run: nothing dirty.
@@ -1860,8 +1759,12 @@ mod tests {
         inst.meta()
             .with("a", |o| {
                 let m = o.latest().unwrap();
-                assert_eq!(m.location, "tier1");
-                assert!(m.replicas.contains("tier2"), "write-through replica");
+                assert_eq!(inst.tier_label(m.location), "tier1");
+                assert_eq!(
+                    labels(&inst, m.replicas),
+                    ["tier2"],
+                    "write-through replica"
+                );
             })
             .unwrap();
         assert!(out.latency.as_millis_f64() > 1.0, "includes the EBS write");
@@ -1897,17 +1800,13 @@ mod tests {
             inst.put("k", bytes(64)).unwrap();
         }
         for v in 1..N {
-            let skey = storage_key("k", v);
-            assert!(tiers.iter().all(|t| !t.contains(&skey)), "v{v} pruned");
+            assert!(tiers.iter().all(|t| !t.holds("k", v)), "v{v} pruned");
         }
-        let latest = storage_key("k", N);
         let deletes = tiers.each_ref().map(|t| t.stats.snapshot().deletes);
         // tier1 stores and tier2 takes the write-through copy: each held
         // every pruned version. tier3 never held one.
         assert_eq!(deletes, [N - 1, N - 1, 0]);
-        assert!(tiers[..2]
-            .iter()
-            .all(|t| t.contains(&latest) && t.len() == 1));
+        assert!(tiers[..2].iter().all(|t| t.holds("k", N) && t.len() == 1));
         assert!(tiers[2].is_empty());
     }
 
@@ -1929,19 +1828,18 @@ mod tests {
         let inst = TieraInstance::build(cfg, ManualClock::new()).unwrap();
         let local = |label| inst.tier(label).unwrap().as_local().unwrap().clone();
         let (tier1, tier2) = (local("tier1"), local("tier2"));
-        let (v1, v2) = (storage_key("k", 1), storage_key("k", 2));
         inst.put("k", bytes(16)).unwrap();
         // A read while tier2 is down drops it from v1's holders; the outage
         // does not lose a durable tier's copy.
         tier2.set_down(true);
         inst.get("k").unwrap();
         tier2.set_down(false);
-        assert!(tier2.contains(&v1));
+        assert!(tier2.holds("k", 1));
         inst.put("k", bytes(16)).unwrap();
-        assert!(!tier2.contains(&v1), "the pruned version's stray copy");
+        assert!(!tier2.holds("k", 1), "the pruned version's stray copy");
         // An in-place update drops v2's replica in tier1, and its bytes.
         inst.update("k", 2, bytes(8)).unwrap();
-        assert!(!tier1.contains(&v2) && tier2.contains(&v2));
+        assert!(!tier1.holds("k", 2) && tier2.holds("k", 2));
     }
 
     #[test]
@@ -2015,16 +1913,8 @@ mod tests {
         inst.put("hot", bytes(1000)).unwrap();
         let moved = inst.run_cold_rules();
         assert_eq!(moved, 1);
-        inst.meta()
-            .with("cold", |o| {
-                assert_eq!(o.latest().unwrap().location, "tier2");
-            })
-            .unwrap();
-        inst.meta()
-            .with("hot", |o| {
-                assert_eq!(o.latest().unwrap().location, "tier1");
-            })
-            .unwrap();
+        assert_eq!(inst.location_of("cold"), Some("tier2"));
+        assert_eq!(inst.location_of("hot"), Some("tier1"));
         // Cold object no longer occupies the disk tier.
         let disk = inst.tier("tier1").unwrap().as_local().unwrap();
         assert_eq!(disk.len(), 1);
@@ -2052,12 +1942,11 @@ mod tests {
         inst.put("b", bytes(1000)).unwrap(); // evicts "a" from memory
         let got = inst.get("a").unwrap();
         assert_eq!(got.value.unwrap().len(), 1000);
-        inst.meta()
-            .with("a", |o| {
-                let m = o.latest().unwrap();
-                assert_eq!(m.location, "tier2", "healed to the surviving holder");
-            })
-            .unwrap();
+        assert_eq!(
+            inst.location_of("a"),
+            Some("tier2"),
+            "healed to the surviving holder"
+        );
     }
 
     #[test]
@@ -2088,9 +1977,9 @@ mod tests {
         inst.meta()
             .with("k", |o| {
                 let m = o.latest().unwrap();
-                assert_eq!(m.location, "tier1");
+                assert_eq!(inst.tier_label(m.location), "tier1");
                 assert!(
-                    !m.replicas.contains("tier2"),
+                    !labels(&inst, m.replicas).contains(&"tier2"),
                     "the failed holder is dropped"
                 );
             })
@@ -2219,11 +2108,11 @@ mod tests {
         // Writes to the read-only mounted tier fail…
         let h = front.tier("tier2").unwrap();
         assert!(matches!(
-            h.put("x", Bytes::from_static(b"y"), SimInstant::EPOCH),
+            h.put("x", 1, Bytes::from_static(b"y"), SimInstant::EPOCH),
             Err(TieraError::ReadOnlyTier(_))
         ));
         // …but reads pass through to the backing instance.
-        let (data, lat) = h.get("dataset@v1", SimInstant::EPOCH).unwrap();
+        let (data, lat) = h.get("dataset", 1, SimInstant::EPOCH).unwrap();
         assert_eq!(data.as_ref(), b"raw");
         assert!(lat > SimDuration::ZERO);
         // And the front instance still takes local writes.
@@ -2260,10 +2149,7 @@ mod tests {
 
         let put = front.put("a", Bytes::from_static(b"through")).unwrap();
         assert!(put.latency >= META_OVERHEAD + child_put, "{}", put.latency);
-        front
-            .meta()
-            .with("a", |o| assert_eq!(o.latest().unwrap().location, "tier2"))
-            .unwrap();
+        assert_eq!(front.location_of("a"), Some("tier2"));
         assert_eq!(
             backing
                 .get(&storage_key("a", 1))
@@ -2475,6 +2361,46 @@ mod tests {
             "healed tier must close again via probes"
         );
         assert!(!inst.browned_out());
+    }
+
+    #[test]
+    fn reads_of_evicted_cache_copies_leave_the_tier_breaker_closed() {
+        // A small write-through cache: the first keys written are evicted
+        // from tier1 and served by tier2. A miss is no tier failure.
+        let src = "Tiera T() {
+            event(insert.into) : response {
+                store(what:insert.object, to:tier1);
+                copy(what:insert.object, to:tier2);
+            }
+        }";
+        let compiled = compile(&parse(src).unwrap()).unwrap();
+        let cfg = InstanceConfig::new("evicted-reads", Region::UsEast)
+            .with_tier("tier1", "Memcached", 16 * 1000)
+            .with_tier("tier2", "EBS", 1 << 30)
+            .with_rules(compiled.rules);
+        let clock = ManualClock::new();
+        let inst = TieraInstance::build(cfg, clock.clone()).unwrap();
+        let mem = inst.tier("tier1").unwrap().as_local().unwrap().clone();
+        let key = |i: usize| format!("k{i:02}");
+        for i in 0..32 {
+            clock.advance(SimDuration::from_millis(1));
+            inst.put(&key(i), bytes(1000)).unwrap();
+        }
+        assert_eq!(mem.len(), 16);
+        for i in 0..12 {
+            clock.advance(SimDuration::from_millis(1));
+            assert_eq!(inst.get(&key(i)).unwrap().value.unwrap().len(), 1000);
+            assert_eq!(inst.location_of(&key(i)), Some("tier2"), "healed");
+        }
+        let breaker = inst.tier_breaker("tier1").unwrap();
+        assert_eq!(breaker.state(), BreakerState::Closed);
+        // A resident key is still read from the cache, not deferred.
+        let hits = mem.stats.snapshot().gets;
+        inst.get(&key(31)).unwrap();
+        assert_eq!(mem.stats.snapshot().gets, hits + 1);
+        let snap = wiera_sim::MetricsRegistry::global().snapshot();
+        let deferrals = "tiera_tier_deferrals{instance=evicted-reads,tier=tier1}";
+        assert_eq!(snap.counters.get(deferrals).copied().unwrap_or(0), 0);
     }
 
     #[test]

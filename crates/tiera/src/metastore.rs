@@ -21,9 +21,10 @@
 //! two shard locks of one store at once, which keeps wiera-check's
 //! same-class-nesting rule clean — and sort or merge what they collect.
 //! The snapshot image is one key-sorted map, whatever the insertion order,
-//! in the format the B-tree layout wrote.
+//! in the format the B-tree layout wrote: tiers by label, not by index.
 
-use crate::object::{ObjectMeta, VersionId, VersionMeta};
+use crate::object::{ObjectMeta, TierSet, VersionId, VersionMeta};
+use serde::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wiera_sim::hash::{fnv1a, FnvBuildHasher, ShortKey};
@@ -41,6 +42,8 @@ pub struct MetaStore {
     shards: Vec<TrackedRwLock<Shard>>,
     /// Write-lock acquisitions per shard, for the batch-locking tests.
     write_acquisitions: Vec<AtomicU64>,
+    /// The label of each tier index, as the snapshot image names tiers.
+    labels: Vec<String>,
 }
 
 impl Default for MetaStore {
@@ -65,12 +68,15 @@ fn depth_class(base: &str, depth: usize) -> String {
 }
 
 impl MetaStore {
+    /// A store whose image names tier `i` `tier<i+1>`, the policy
+    /// language's default labels.
     pub fn new() -> Self {
-        Self::at_mount_depth(0)
+        Self::for_tiers((1..=TierSet::BITS).map(|i| format!("tier{i}")).collect(), 0)
     }
 
-    /// The store of an instance `depth` mount levels above its leaves.
-    pub(crate) fn at_mount_depth(depth: usize) -> Self {
+    /// The store of an instance with tiers `labels`, `depth` mount levels
+    /// above its leaves.
+    pub(crate) fn for_tiers(labels: Vec<String>, depth: usize) -> Self {
         MetaStore {
             // The class literal stays inside the constructor call: that is
             // where wiera-audit reads lock classes from.
@@ -80,6 +86,7 @@ impl MetaStore {
                 })
                 .collect(),
             write_acquisitions: (0..META_SHARDS).map(|_| AtomicU64::new(0)).collect(),
+            labels,
         }
     }
 
@@ -177,30 +184,22 @@ impl MetaStore {
     /// Snapshot of `(key, version)` pairs whose last access is older than
     /// `cutoff` — the ColdDataMonitoring scan (§4.3). Sorted by key.
     pub fn cold_versions(&self, cutoff: SimInstant) -> Vec<(String, VersionId)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read();
-            for (k, obj) in map.iter() {
-                for meta in &obj.versions {
-                    if meta.last_access < cutoff {
-                        out.push((k.to_string(), meta.version));
-                    }
-                }
-            }
-        }
-        out.sort();
-        out
+        self.versions_where(|m| m.last_access < cutoff)
     }
 
     /// All `(key, version)` pairs (for policy sweeps). Sorted by key.
     pub fn all_versions(&self) -> Vec<(String, VersionId)> {
+        self.versions_where(|_| true)
+    }
+
+    /// The `(key, version)` pairs whose metadata `keep` accepts, sorted.
+    fn versions_where(&self, keep: impl Fn(&VersionMeta) -> bool) -> Vec<(String, VersionId)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let map = shard.read();
-            out.extend(
-                map.iter()
-                    .flat_map(|(k, o)| o.versions.iter().map(move |m| (k.to_string(), m.version))),
-            );
+            for (k, obj) in shard.read().iter() {
+                let kept = obj.versions.iter().filter(|m| keep(m));
+                out.extend(kept.map(|m| (k.to_string(), m.version)));
+            }
         }
         out.sort();
         out
@@ -209,21 +208,28 @@ impl MetaStore {
     /// Serialize to a persistent image (the "BerkeleyDB file"). Shards are
     /// merged, so the image format is identical to the pre-sharding store.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut merged: BTreeMap<String, ObjectMeta> = BTreeMap::new();
+        let mut merged: BTreeMap<String, Value> = BTreeMap::new();
         for shard in &self.shards {
             for (k, o) in shard.read().iter() {
-                merged.insert(k.to_string(), o.clone());
+                merged.insert(k.to_string(), o.image(&self.labels));
             }
         }
         serde_json::to_vec(&merged).unwrap_or_else(|e| panic!("metadata serializes: {e}"))
     }
 
-    /// Restore from an image produced by [`MetaStore::snapshot`].
+    /// Restore from an image produced by [`MetaStore::snapshot`]. The
+    /// restored store's tiers are the image's labels, in the order they
+    /// first appear.
     pub fn restore(image: &[u8]) -> Result<Self, String> {
-        let objects: BTreeMap<String, ObjectMeta> =
+        let objects: BTreeMap<String, Value> =
             serde_json::from_slice(image).map_err(|e| e.to_string())?;
-        let store = MetaStore::new();
+        let mut labels = Vec::new();
+        let mut restored = Vec::with_capacity(objects.len());
         for (k, o) in objects {
+            restored.push((k, ObjectMeta::from_image(&o, &mut labels)?));
+        }
+        let store = MetaStore::for_tiers(labels, 0);
+        for (k, o) in restored {
             let shard = store.shard_of(&k);
             store.shards[shard].write().insert(ShortKey::new(&k), o);
         }
@@ -246,7 +252,7 @@ mod tests {
         assert!(!ms.contains("k"));
         let v = ms.with_mut("k", |o| {
             let v = o.next_version();
-            o.add_version(VersionMeta::new(v, 8, t(0), "tier1"), None, drop);
+            o.add_version(VersionMeta::new(v, 8, t(0), 0), None, drop);
             v
         });
         assert_eq!(v, 1);
@@ -258,8 +264,8 @@ mod tests {
     fn remove_version_drops_empty_entry() {
         let ms = MetaStore::new();
         ms.with_mut("k", |o| {
-            o.add_version(VersionMeta::new(1, 8, t(0), "tier1"), None, drop);
-            o.add_version(VersionMeta::new(2, 8, t(1), "tier1"), None, drop);
+            o.add_version(VersionMeta::new(1, 8, t(0), 0), None, drop);
+            o.add_version(VersionMeta::new(2, 8, t(1), 0), None, drop);
         });
         assert!(ms.remove_version("k", 1).is_some());
         assert!(ms.contains("k"));
@@ -272,10 +278,10 @@ mod tests {
     fn cold_scan_finds_stale_versions() {
         let ms = MetaStore::new();
         ms.with_mut("hot", |o| {
-            o.add_version(VersionMeta::new(1, 8, t(100), "tier1"), None, drop);
+            o.add_version(VersionMeta::new(1, 8, t(100), 0), None, drop);
         });
         ms.with_mut("cold", |o| {
-            o.add_version(VersionMeta::new(1, 8, t(1), "tier1"), None, drop);
+            o.add_version(VersionMeta::new(1, 8, t(1), 0), None, drop);
         });
         let cold = ms.cold_versions(t(50));
         assert_eq!(cold, vec![("cold".to_string(), 1)]);
@@ -286,22 +292,25 @@ mod tests {
         let ms = MetaStore::new();
         ms.with_mut("a", |o| {
             o.tags.insert("tmp".into());
-            let mut m = VersionMeta::new(1, 100, t(3), "tier2");
+            let mut m = VersionMeta::new(1, 100, t(3), 1);
             m.dirty = true;
-            m.replicas.insert("tier3".into());
+            m.replicas = 1 << 2;
             o.add_version(m, None, drop);
         });
         let image = ms.snapshot();
+        let text = String::from_utf8(image.clone()).unwrap();
+        assert!(text.contains(r#""location":"tier2","modified":3000000,"replicas":["tier3"]"#));
         let back = MetaStore::restore(&image).unwrap();
         assert_eq!(back.len(), 1);
         back.with("a", |o| {
             assert!(o.tags.contains("tmp"));
             let m = o.latest().unwrap();
             assert!(m.dirty);
-            assert_eq!(m.location, "tier2");
-            assert!(m.replicas.contains("tier3"));
+            // The restored store's tiers are the image's labels, in order.
+            assert_eq!((m.location, m.replicas), (0, 0b10));
         })
         .unwrap();
+        assert_eq!(back.snapshot(), image);
         assert!(MetaStore::restore(b"not json").is_err());
     }
 
@@ -310,8 +319,8 @@ mod tests {
         let ms = MetaStore::new();
         for k in ["a", "b"] {
             ms.with_mut(k, |o| {
-                o.add_version(VersionMeta::new(1, 8, t(0), "tier1"), None, drop);
-                o.add_version(VersionMeta::new(2, 8, t(1), "tier1"), None, drop);
+                o.add_version(VersionMeta::new(1, 8, t(0), 0), None, drop);
+                o.add_version(VersionMeta::new(2, 8, t(1), 0), None, drop);
             });
         }
         let mut all = ms.all_versions();
@@ -329,8 +338,8 @@ mod tests {
             let ms = MetaStore::new();
             for k in order {
                 ms.with_mut(k, |o| {
-                    o.add_version(VersionMeta::new(1, 8, t(1), "tier1"), None, drop);
-                    o.add_version(VersionMeta::new(2, 8, t(3), "tier1"), None, drop);
+                    o.add_version(VersionMeta::new(1, 8, t(1), 0), None, drop);
+                    o.add_version(VersionMeta::new(2, 8, t(3), 0), None, drop);
                 });
             }
             ms

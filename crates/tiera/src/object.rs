@@ -5,16 +5,32 @@
 //! version carries the metadata the policy language can select on (size,
 //! access frequency, dirty bit, times, location, tags) plus the versioning
 //! metadata conflict handling needs (version number, last-modified time).
+//! A version names its tiers by index into its instance's tier list; the
+//! labels are rendered only where a rule or a person reads them.
 
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use wiera_sim::hash::ShortKey;
 use wiera_sim::SimInstant;
 
 /// Monotonically increasing per-key version number.
 pub type VersionId = u64;
 
-/// Metadata for one version of one object.
+/// A tier of an instance: its index into the instance's tier list.
+pub type TierIdx = u8;
+
+/// A set of an instance's tiers, one bit per [`TierIdx`].
+pub type TierSet = u64;
+
+/// The tier indices in `set`, ascending.
+pub(crate) fn tiers_in(mut set: TierSet) -> impl Iterator<Item = TierIdx> {
+    std::iter::from_fn(move || {
+        let i = set.trailing_zeros();
+        set &= set.wrapping_sub(1);
+        (i < TierSet::BITS).then_some(i as TierIdx)
+    })
+}
+
+/// Metadata for one version of one object: 64 bytes, one cache line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VersionMeta {
     pub version: VersionId,
@@ -26,16 +42,16 @@ pub struct VersionMeta {
     /// Written but not yet propagated to a persistent tier (write-back).
     pub dirty: bool,
     /// Authoritative tier holding this version.
-    pub location: String,
+    pub location: TierIdx,
     /// Additional tiers holding copies (backups/caches within the instance).
-    pub replicas: BTreeSet<String>,
+    pub replicas: TierSet,
     /// Whether the stored bytes are compressed/encrypted (policy responses).
     pub compressed: bool,
     pub encrypted: bool,
 }
 
 impl VersionMeta {
-    pub fn new(version: VersionId, size: u64, now: SimInstant, location: &str) -> Self {
+    pub fn new(version: VersionId, size: u64, now: SimInstant, location: TierIdx) -> Self {
         VersionMeta {
             version,
             size,
@@ -44,23 +60,16 @@ impl VersionMeta {
             last_access: now,
             access_count: 0,
             dirty: false,
-            location: location.to_string(),
-            replicas: BTreeSet::new(),
+            location,
+            replicas: 0,
             compressed: false,
             encrypted: false,
         }
     }
 
-    /// Every tier known to hold this version, authoritative first.
-    pub fn holders(&self) -> Vec<&str> {
-        let mut v = vec![self.location.as_str()];
-        v.extend(
-            self.replicas
-                .iter()
-                .map(|s| s.as_str())
-                .filter(|s| *s != self.location),
-        );
-        v
+    /// Every tier known to hold this version.
+    pub fn holders(&self) -> TierSet {
+        self.replicas | 1 << self.location
     }
 
     pub fn touch(&mut self, now: SimInstant) {
@@ -144,47 +153,74 @@ impl ObjectMeta {
     }
 }
 
-/// An [`ObjectMeta`]'s image: `versions` keyed by number, as B-trees wrote.
+/// An [`ObjectMeta`]'s image: `versions` keyed by number, as B-trees wrote,
+/// each naming its tiers by label.
 #[derive(Serialize, Deserialize)]
 struct Image {
-    versions: BTreeMap<VersionId, VersionMeta>,
+    versions: BTreeMap<VersionId, Value>,
     tags: BTreeSet<String>,
 }
 
-impl Serialize for ObjectMeta {
-    fn to_value(&self) -> Value {
+impl ObjectMeta {
+    /// This object's image, naming tier `i` `labels[i]`.
+    pub(crate) fn image(&self, labels: &[String]) -> Value {
+        let label = |i: TierIdx| Value::String(labels[usize::from(i)].clone());
+        let image = |m: &VersionMeta| {
+            let mut image = m.to_value();
+            if let Value::Object(fields) = &mut image {
+                let replicas = tiers_in(m.replicas).map(label).collect();
+                fields.insert("location".into(), label(m.location));
+                fields.insert("replicas".into(), Value::Array(replicas));
+            }
+            (m.version, image)
+        };
+        let versions = self.versions.iter().map(image).collect();
         let tags = self.tags.clone();
-        let versions = self
-            .versions
-            .iter()
-            .map(|m| (m.version, m.clone()))
-            .collect();
         Image { versions, tags }.to_value()
     }
-}
 
-impl Deserialize for ObjectMeta {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let Image { versions, tags } = Image::from_value(v)?;
-        let versions = versions.into_values().collect();
+    /// Read an image [`ObjectMeta::image`] wrote; a tier label `labels`
+    /// lacks is appended to it.
+    pub(crate) fn from_image(v: &Value, labels: &mut Vec<String>) -> Result<Self, String> {
+        let mut index = |label: &Value| {
+            let label = label.as_str().ok_or("a tier label is not a string")?;
+            if !labels.iter().any(|l| l == label) {
+                labels.push(label.to_string());
+            }
+            match labels.iter().position(|l| l == label) {
+                Some(i) if i < TierSet::BITS as usize => Ok(i as u64),
+                _ => Err(format!("over {} tiers", TierSet::BITS)),
+            }
+        };
+        let Image {
+            versions: images,
+            tags,
+        } = Image::from_value(v)?;
+        let mut versions = Vec::with_capacity(images.len());
+        for mut image in images.into_values() {
+            if let Value::Object(fields) = &mut image {
+                let location = index(fields.get("location").unwrap_or(&Value::Null))?;
+                let mut replicas: TierSet = 0;
+                for label in fields
+                    .get("replicas")
+                    .and_then(Value::as_array)
+                    .unwrap_or(&[])
+                {
+                    replicas |= 1 << index(label)?;
+                }
+                fields.insert("location".into(), Value::UInt(location));
+                fields.insert("replicas".into(), Value::UInt(replicas));
+            }
+            versions.push(VersionMeta::from_value(&image)?);
+        }
         Ok(ObjectMeta { versions, tags })
     }
 }
 
-/// Composite storage key used inside tier backends, `key@v<version>`: one
-/// slot per version. Formatted without `core::fmt`, and on the stack when
-/// it fits a [`ShortKey`] (an 8-byte object key below version 10^13).
-pub fn storage_key(key: &str, version: VersionId) -> ShortKey {
-    let mut digits = [b'0'; 20];
-    let len = version.checked_ilog10().map_or(1, |d| d as usize + 1);
-    let mut n = version;
-    for d in digits[..len].iter_mut().rev() {
-        *d += (n % 10) as u8;
-        n /= 10;
-    }
-    // Decimal digits: the check always passes.
-    let digits = std::str::from_utf8(&digits[..len]).unwrap_or_default();
-    ShortKey::concat(&[key, "@v", digits])
+/// Composite key `key@v<version>` under which an instance stores one version
+/// in an instance mounted as its tier.
+pub fn storage_key(key: &str, version: VersionId) -> String {
+    format!("{key}@v{version}")
 }
 
 #[cfg(test)]
@@ -200,9 +236,9 @@ mod tests {
     fn version_numbers_increase() {
         let mut o = ObjectMeta::default();
         assert_eq!(o.next_version(), 1);
-        o.add_version(VersionMeta::new(1, 10, t(0), "tier1"), None, drop);
+        o.add_version(VersionMeta::new(1, 10, t(0), 0), None, drop);
         assert_eq!(o.next_version(), 2);
-        o.add_version(VersionMeta::new(5, 10, t(1), "tier1"), None, drop);
+        o.add_version(VersionMeta::new(5, 10, t(1), 0), None, drop);
         assert_eq!(o.latest_version(), Some(5));
         assert_eq!(o.next_version(), 6);
     }
@@ -211,7 +247,7 @@ mod tests {
     fn last_write_wins_rules() {
         let mut o = ObjectMeta::default();
         assert!(o.accepts_update(1, t(0)), "empty object accepts anything");
-        o.add_version(VersionMeta::new(3, 10, t(5), "tier1"), None, drop);
+        o.add_version(VersionMeta::new(3, 10, t(5), 0), None, drop);
         assert!(
             o.accepts_update(4, t(1)),
             "higher version wins regardless of time"
@@ -230,15 +266,17 @@ mod tests {
 
     #[test]
     fn holders_dedupes_location() {
-        let mut m = VersionMeta::new(1, 10, t(0), "tier1");
-        m.replicas.insert("tier1".into());
-        m.replicas.insert("tier2".into());
-        assert_eq!(m.holders(), vec!["tier1", "tier2"]);
+        let mut m = VersionMeta::new(1, 10, t(0), 0);
+        m.replicas = 0b11;
+        assert_eq!(m.holders(), 0b11);
+        m.replicas = 0b100;
+        assert_eq!(m.holders(), 0b101);
+        assert_eq!(std::mem::size_of::<VersionMeta>(), 64);
     }
 
     #[test]
     fn touch_updates_access_metadata() {
-        let mut m = VersionMeta::new(1, 10, t(0), "tier1");
+        let mut m = VersionMeta::new(1, 10, t(0), 0);
         m.touch(t(7));
         m.touch(t(9));
         assert_eq!(m.access_count, 2);
@@ -251,34 +289,34 @@ mod tests {
         let versions = |o: &ObjectMeta| o.versions.iter().map(|m| m.version).collect::<Vec<_>>();
         let mut o = ObjectMeta::default();
         for v in [1, 2, 4, 5] {
-            o.add_version(VersionMeta::new(v, 10, t(v), "tier1"), None, drop);
+            o.add_version(VersionMeta::new(v, 10, t(v), 0), None, drop);
         }
-        o.add_version(VersionMeta::new(3, 10, t(3), "tier1"), None, drop);
+        o.add_version(VersionMeta::new(3, 10, t(3), 0), None, drop);
         assert_eq!(versions(&o), [1, 2, 3, 4, 5], "kept sorted");
         let mut doomed = Vec::new();
-        let m = VersionMeta::new(6, 10, t(6), "tier1");
+        let m = VersionMeta::new(6, 10, t(6), 0);
         o.add_version(m, Some(2), |m| doomed.push(m.version));
         assert_eq!(doomed, [1, 2, 3, 4]);
         assert_eq!(versions(&o), [5, 6]);
         // A full list takes a new newest version in the oldest's place...
-        let m = VersionMeta::new(7, 10, t(7), "tier1");
+        let m = VersionMeta::new(7, 10, t(7), 0);
         o.add_version(m, Some(2), |m| doomed.push(m.version));
         assert_eq!((versions(&o), &doomed[4..]), (vec![6, 7], &[5][..]));
         // ...and a rewrite of a kept version prunes nothing.
-        let m = VersionMeta::new(7, 99, t(8), "tier1");
+        let m = VersionMeta::new(7, 99, t(8), 0);
         o.add_version(m, Some(2), |_| panic!("nothing to prune"));
         assert_eq!(o.version(7).map(|m| m.size), Some(99));
         // One version per put never needs more than one slot.
         let mut one = ObjectMeta::default();
         for v in 1..=3 {
-            one.add_version(VersionMeta::new(v, 10, t(v), "tier1"), Some(1), drop);
+            one.add_version(VersionMeta::new(v, 10, t(v), 0), Some(1), drop);
         }
         assert_eq!((versions(&one), one.versions.capacity()), (vec![3], 1));
     }
 
     #[test]
     fn storage_keys_are_distinct_per_version() {
-        let key = |k: &str, v| storage_key(k, v).as_str().to_string();
+        let key = storage_key;
         assert_eq!(key("k", 1), "k@v1");
         assert_eq!(key("k", 0), "k@v0");
         assert_eq!(key("k", u64::MAX), format!("k@v{}", u64::MAX));

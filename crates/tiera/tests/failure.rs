@@ -64,9 +64,7 @@ fn read_survives_memory_tier_crash_via_replica() {
     let got = inst.get("k").unwrap();
     assert_eq!(got.value.unwrap().len(), 100);
     // The read healed the location to the surviving tier.
-    inst.meta()
-        .with("k", |o| assert_eq!(o.latest().unwrap().location, "tier2"))
-        .unwrap();
+    assert_eq!(inst.location_of("k"), Some("tier2"));
     // Even after the (empty) memory tier recovers, reads keep working.
     mem.set_down(false);
     assert!(inst.get("k").is_ok());
@@ -181,11 +179,7 @@ fn glacier_archival_is_cheap_to_write_and_slow_to_read() {
     inst.put("archive-me", payload(4096)).unwrap();
     clock.advance(SimDuration::from_hours(25));
     assert_eq!(inst.run_cold_rules(), 1);
-    inst.meta()
-        .with("archive-me", |o| {
-            assert_eq!(o.latest().unwrap().location, "tier2")
-        })
-        .unwrap();
+    assert_eq!(inst.location_of("archive-me"), Some("tier2"));
     // Retrieval pays the archival penalty: hours of modeled latency.
     let got = inst.get("archive-me").unwrap();
     assert!(

@@ -13,7 +13,7 @@ use wiera_workload::{KvError, KvStore, OpSample};
 
 fn tier_err(e: TierError) -> KvError {
     match e {
-        TierError::NotFound(_) => KvError::not_found(e.to_string()),
+        TierError::NotFound => KvError::not_found(e.to_string()),
         other => KvError::other(other.to_string()),
     }
 }

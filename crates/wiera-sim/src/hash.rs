@@ -69,22 +69,12 @@ enum Repr {
 
 impl ShortKey {
     pub fn new(s: &str) -> Self {
-        Self::concat(&[s])
-    }
-
-    /// The concatenation of `parts`, built in place.
-    pub fn concat(parts: &[&str]) -> Self {
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        if len > 23 {
-            return ShortKey(Repr::Heap(parts.concat().into()));
+        if s.len() > 23 {
+            return ShortKey(Repr::Heap(s.into()));
         }
         let mut bytes = [0; 23];
-        let mut at = 0;
-        for part in parts {
-            bytes[at..at + part.len()].copy_from_slice(part.as_bytes());
-            at += part.len();
-        }
-        let end = NonZeroU8::MIN.saturating_add(len as u8);
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        let end = NonZeroU8::MIN.saturating_add(s.len() as u8);
         ShortKey(Repr::Inline { bytes, end })
     }
 
@@ -140,11 +130,6 @@ mod tests {
             assert_eq!(matches!(short.0, Repr::Inline { .. }), inline, "{key:?}");
         }
         assert_eq!(ShortKey::new("é€").as_str(), "é€");
-        let joined = ShortKey::concat(&["ab", "", "cd"]);
-        assert_eq!(
-            (joined.as_str(), matches!(joined.0, Repr::Inline { .. })),
-            ("abcd", true)
-        );
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //!
 //! Operations return their modeled duration; callers (the Tiera instance)
 //! decide whether to also sleep the scaled wall time.
+//!
+//! A slot holds one version of one object, named by `(key, version)`: an
+//! instance stores each version of a key in its own slot, and a tier used
+//! as a plain key-value store ([`SimTier::put`], [`SimTier::get`]) keeps
+//! one slot per key, version 0. A key's own map entry holds one version,
+//! normally its newest, so an overwrite that prunes the version it replaces
+//! rewrites that entry in place and the map never turns a key over.
 
 use crate::cost::CostMeter;
 use crate::spec::TierSpec;
@@ -19,22 +26,26 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use wiera_sim::hash::{fnv1a, FnvBuildHasher, ShortKey};
 use wiera_sim::lockreg::TrackedRwLock;
-use wiera_sim::registry::OpSeries;
+use wiera_sim::registry::{CounterHandle, OpSeries};
 use wiera_sim::{MetricsRegistry, SharedClock, SimDuration, SimInstant, SimRng};
 
 /// Number of independently locked key partitions per tier.
 const TIER_SHARDS: usize = 16;
 
-/// Stable key → shard mapping (FNV-1a, endian-independent).
+/// Stable key → shard mapping (FNV-1a, endian-independent): every version
+/// of a key sits in one shard.
 fn shard_of(key: &str) -> usize {
     (fnv1a(key.as_bytes()) % TIER_SHARDS as u64) as usize
 }
+
+/// A slot's name: an object key (inline up to 23 bytes) and a version.
+type SlotKey = (ShortKey, u64);
 
 /// Errors a storage tier can surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TierError {
     /// Object absent.
-    NotFound(String),
+    NotFound,
     /// Non-evicting tier has no room for the object.
     Full { capacity: u64, used: u64, need: u64 },
     /// Object larger than the whole tier.
@@ -46,7 +57,7 @@ pub enum TierError {
 impl std::fmt::Display for TierError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TierError::NotFound(k) => write!(f, "object '{k}' not found"),
+            TierError::NotFound => write!(f, "object not found"),
             TierError::Full {
                 capacity,
                 used,
@@ -98,6 +109,7 @@ impl TierStats {
 }
 
 struct Slot {
+    version: u64,
     data: Bytes,
     last_access: SimInstant,
 }
@@ -106,24 +118,81 @@ struct Slot {
 /// eviction reads.
 #[derive(Default)]
 struct SlotShard {
-    slots: HashMap<ShortKey, Slot, FnvBuildHasher>,
+    /// One slot per key, normally its newest version's.
+    newest: HashMap<ShortKey, Slot, FnvBuildHasher>,
+    /// Every other slot.
+    older: HashMap<SlotKey, Slot, FnvBuildHasher>,
     /// `(last_access, key)` of every slot as of the last rebuild, oldest
     /// first; an entry is current while its slot still carries that stamp.
     /// A slot touched since the rebuild was touched after every entry, so
     /// the first current entry is the shard's least recently used slot. A
     /// hit only stores a stamp: when its op read the clock, before the guard.
-    by_age: VecDeque<(SimInstant, ShortKey)>,
+    by_age: VecDeque<(SimInstant, SlotKey)>,
 }
 
 impl SlotShard {
-    fn is_current(&self, (at, key): &(SimInstant, ShortKey)) -> bool {
-        self.slots.get(key).is_some_and(|s| s.last_access == *at)
+    fn slot(&self, key: &str, version: u64) -> Option<&Slot> {
+        match self.newest.get(key) {
+            Some(s) if s.version == version => Some(s),
+            _ => self.older.get(&(ShortKey::new(key), version)),
+        }
+    }
+
+    fn slot_mut(&mut self, key: &str, version: u64) -> Option<&mut Slot> {
+        match self.newest.get_mut(key) {
+            Some(s) if s.version == version => Some(s),
+            _ => self.older.get_mut(&(ShortKey::new(key), version)),
+        }
+    }
+
+    /// Store `slot` as version `slot.version` of `key`, over that version's
+    /// slot if any, so a version has one slot in one of the two maps. A
+    /// newer version takes the key's entry and moves the one it held to
+    /// `older`.
+    fn insert(&mut self, key: &str, slot: Slot) {
+        if let Some(old) = self.older.get_mut(&(ShortKey::new(key), slot.version)) {
+            *old = slot;
+            return;
+        }
+        let older = match self.newest.get_mut(key) {
+            None => {
+                self.newest.insert(ShortKey::new(key), slot);
+                return;
+            }
+            Some(newest) if newest.version == slot.version => {
+                *newest = slot;
+                return;
+            }
+            Some(newest) if newest.version < slot.version => std::mem::replace(newest, slot),
+            Some(_) => slot,
+        };
+        self.older
+            .insert((ShortKey::new(key), older.version), older);
+    }
+
+    fn remove(&mut self, key: &str, version: u64) -> Option<Slot> {
+        match self.newest.get(key) {
+            Some(s) if s.version == version => self.newest.remove(key),
+            _ => self.older.remove(&(ShortKey::new(key), version)),
+        }
+    }
+
+    fn slots(&self) -> impl Iterator<Item = (&str, &Slot)> {
+        let older = self.older.iter().map(|((k, _), s)| (k.as_str(), s));
+        self.newest
+            .iter()
+            .map(|(k, s)| (k.as_str(), s))
+            .chain(older)
+    }
+
+    fn is_current(&self, (at, (key, version)): &(SimInstant, SlotKey)) -> bool {
+        self.slot(key, *version)
+            .is_some_and(|s| s.last_access == *at)
     }
 
     fn rebuild(&mut self) {
-        self.by_age.clear();
-        let entries = self.slots.iter().map(|(k, s)| (s.last_access, k.clone()));
-        self.by_age.extend(entries);
+        let stamp = |(k, s): (&str, &Slot)| (s.last_access, (ShortKey::new(k), s.version));
+        self.by_age = self.slots().map(stamp).collect();
         self.by_age
             .make_contiguous()
             .sort_unstable_by_key(|(at, _)| *at);
@@ -133,7 +202,7 @@ impl SlotShard {
     /// Pops the stale entries ahead of it; when nothing but `protect` is
     /// listed, the slots touched since the last rebuild are not listed yet,
     /// so the list is rebuilt once.
-    fn oldest_except(&mut self, protect: &str) -> Option<(SimInstant, ShortKey)> {
+    fn oldest_except(&mut self, protect: (&str, u64)) -> Option<(SimInstant, SlotKey)> {
         for rebuild in [false, true] {
             if rebuild {
                 self.rebuild();
@@ -143,7 +212,9 @@ impl SlotShard {
             }
             let mut entries = self.by_age.iter();
             let found = match entries.next() {
-                Some(e) if e.1.as_str() == protect => entries.find(|e| self.is_current(e)),
+                Some((_, (k, v))) if (k.as_str(), *v) == protect => {
+                    entries.find(|e| self.is_current(e))
+                }
                 head => head,
             };
             if found.is_some() {
@@ -154,22 +225,17 @@ impl SlotShard {
     }
 }
 
-/// The ops a tier records, in the order of [`SimTier::series`] and of
-/// their labels in `note_op`.
+/// The ops a tier records with their latency, in the order of
+/// [`SimTier::series`] and of their labels in `note_op`.
 #[derive(Clone, Copy)]
 enum TierOp {
     Put,
     Get,
-    Delete,
 }
 
-/// One simulated storage service instance.
-///
-/// Since the hot-path overhaul the slot map is **sharded** ([`TIER_SHARDS`]
-/// independently locked partitions) and `used` is maintained incrementally
-/// with a compare-and-swap reservation per put — the pre-refactor code
-/// re-summed every slot under one tier-wide lock on every put and delete,
-/// which made the put path O(slots) and serialized all writers.
+/// One simulated storage service instance. The slot map is sharded
+/// ([`TIER_SHARDS`] independently locked partitions), and `used` is kept
+/// with a compare-and-swap reservation per put, so a put is O(1) in slots.
 pub struct SimTier {
     spec: TierSpec,
     capacity: AtomicU64,
@@ -192,7 +258,10 @@ pub struct SimTier {
     /// Cached `{tier=<kind>}` label value for registry recording.
     kind_label: String,
     /// Each op's registry series, resolved on its first record.
-    series: [OnceLock<OpSeries>; 3],
+    series: [OnceLock<OpSeries>; 2],
+    /// The deletes' `tier_ops_total` counter: a delete reclaims bytes no
+    /// version names any more, and has no latency anyone waits for.
+    deletes: OnceLock<Arc<CounterHandle>>,
 }
 
 impl SimTier {
@@ -216,6 +285,7 @@ impl SimTier {
             stats: TierStats::default(),
             meter: CostMeter::new(now),
             series: Default::default(),
+            deletes: OnceLock::new(),
         })
     }
 
@@ -251,11 +321,12 @@ impl SimTier {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().slots.len()).sum()
+        let len = |s: &SlotShard| s.newest.len() + s.older.len();
+        self.shards.iter().map(|s| len(&s.read())).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().slots.is_empty())
+        self.len() == 0
     }
 
     pub fn meter(&self) -> &CostMeter {
@@ -307,7 +378,7 @@ impl SimTier {
     /// Record one completed operation into the shared registry.
     fn note_op(&self, op: TierOp, lat: SimDuration) {
         let series = self.series[op as usize].get_or_init(|| {
-            let op = ["put", "get", "delete"][op as usize];
+            let op = ["put", "get"][op as usize];
             let labels = [("tier", self.kind_label.as_str()), ("op", op)];
             let metrics = MetricsRegistry::global();
             OpSeries {
@@ -331,11 +402,18 @@ impl SimTier {
     /// shard lock is released and globally-LRU victims are evicted one at a
     /// time — at most one shard lock is ever held.
     pub fn put(&self, key: &str, val: Bytes) -> TierResult<SimDuration> {
-        self.put_at(key, val, self.clock.now())
+        self.put_at(key, 0, val, self.clock.now())
     }
 
-    /// [`SimTier::put`] of an op that read the clock at `now`.
-    pub fn put_at(&self, key: &str, val: Bytes, now: SimInstant) -> TierResult<SimDuration> {
+    /// [`SimTier::put`] of one version of `key`, by an op that read the
+    /// clock at `now`.
+    pub fn put_at(
+        &self,
+        key: &str,
+        version: u64,
+        val: Bytes,
+        now: SimInstant,
+    ) -> TierResult<SimDuration> {
         self.check_up()?;
         let need = val.len() as u64;
         let capacity = self.capacity();
@@ -348,18 +426,15 @@ impl SimTier {
         loop {
             let over = {
                 let mut shard = self.shards[home].write();
-                let freed = shard
-                    .slots
-                    .get(key)
-                    .map(|s| s.data.len() as u64)
-                    .unwrap_or(0);
+                let freed = shard.slot(key, version).map_or(0, |s| s.data.len() as u64);
                 match self.try_reserve(freed, need, capacity) {
                     Ok(new_used) => {
                         let slot = Slot {
+                            version,
                             data: val,
                             last_access: now,
                         };
-                        shard.slots.insert(ShortKey::new(key), slot);
+                        shard.insert(key, slot);
                         self.meter.note_put(new_used, now);
                         self.stats.puts.fetch_add(1, Ordering::Relaxed);
                         self.note_op(TierOp::Put, lat);
@@ -371,7 +446,7 @@ impl SimTier {
             // Over capacity. Durable tiers reject; volatile tiers evict the
             // globally least-recently-used object and retry (shard lock is
             // released first — eviction locks one shard at a time).
-            if !self.spec.kind.volatile() || !self.evict_one_lru(key) {
+            if !self.spec.kind.volatile() || !self.evict_one_lru((key, version)) {
                 self.note_capacity_rejection();
                 return Err(TierError::Full {
                     capacity,
@@ -408,25 +483,26 @@ impl SimTier {
     /// the oldest of the shards' oldest slots, removed under its own shard
     /// lock; never holds two shard locks. Returns false when there is
     /// nothing to evict.
-    fn evict_one_lru(&self, protect: &str) -> bool {
-        let mut victim: Option<(SimInstant, usize, ShortKey)> = None;
+    fn evict_one_lru(&self, protect: (&str, u64)) -> bool {
+        let mut victim: Option<(usize, (SimInstant, SlotKey))> = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            let Some((at, key)) = shard.write().oldest_except(protect) else {
+            let Some(entry) = shard.write().oldest_except(protect) else {
                 continue;
             };
-            if victim.as_ref().is_none_or(|(oldest, ..)| at < *oldest) {
-                victim = Some((at, i, key));
+            if victim.as_ref().is_none_or(|v| entry.0 < v.1 .0) {
+                victim = Some((i, entry));
             }
         }
-        let Some((at, i, key)) = victim else {
+        let Some((i, entry)) = victim else {
             return false;
         };
         let mut shard = self.shards[i].write();
         // A victim read, rewritten or removed since its shard was looked at
         // is no longer the oldest; report progress so the caller re-checks
         // capacity and looks again.
-        if shard.slots.get(&key).is_some_and(|s| s.last_access == at) {
-            if let Some(slot) = shard.slots.remove(&key) {
+        if shard.is_current(&entry) {
+            let (_, (key, version)) = &entry;
+            if let Some(slot) = shard.remove(key, *version) {
                 self.used
                     .fetch_sub(slot.data.len() as u64, Ordering::Relaxed);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
@@ -437,18 +513,21 @@ impl SimTier {
 
     /// Fetch an object. Returns the bytes and modeled latency.
     pub fn get(&self, key: &str) -> TierResult<(Bytes, SimDuration)> {
-        self.get_at(key, self.clock.now())
+        self.get_at(key, 0, self.clock.now())
     }
 
-    /// [`SimTier::get`] of an op that read the clock at `now`.
-    pub fn get_at(&self, key: &str, now: SimInstant) -> TierResult<(Bytes, SimDuration)> {
+    /// [`SimTier::get`] of one version of `key`, by an op that read the
+    /// clock at `now`.
+    pub fn get_at(
+        &self,
+        key: &str,
+        version: u64,
+        now: SimInstant,
+    ) -> TierResult<(Bytes, SimDuration)> {
         self.check_up()?;
         let data = {
             let mut shard = self.shards[shard_of(key)].write();
-            let slot = shard
-                .slots
-                .get_mut(key)
-                .ok_or_else(|| TierError::NotFound(key.into()))?;
+            let slot = shard.slot_mut(key, version).ok_or(TierError::NotFound)?;
             slot.last_access = now;
             slot.data.clone()
         };
@@ -465,50 +544,54 @@ impl SimTier {
     }
 
     /// Remove an object. Removing a missing key is not an error (idempotent,
-    /// like S3 DELETE).
-    pub fn delete(&self, key: &str) -> TierResult<SimDuration> {
-        self.delete_at(key, self.clock.now())
+    /// like S3 DELETE). A delete reclaims bytes and models no latency.
+    pub fn delete(&self, key: &str) -> TierResult<()> {
+        self.delete_at(key, 0, self.clock.now())
     }
 
-    /// [`SimTier::delete`] of an op that read the clock at `now`.
-    pub fn delete_at(&self, key: &str, now: SimInstant) -> TierResult<SimDuration> {
+    /// [`SimTier::delete`] of one version of `key`, by an op that read the
+    /// clock at `now`.
+    pub fn delete_at(&self, key: &str, version: u64, now: SimInstant) -> TierResult<()> {
         self.check_up()?;
-        {
-            let mut shard = self.shards[shard_of(key)].write();
-            if let Some(slot) = shard.slots.remove(key) {
-                let new_used = self
-                    .used
-                    .fetch_sub(slot.data.len() as u64, Ordering::Relaxed)
-                    - slot.data.len() as u64;
-                self.meter.set_bytes(new_used, now);
-            }
+        if let Some(slot) = self.shards[shard_of(key)].write().remove(key, version) {
+            let freed = slot.data.len() as u64;
+            let new_used = self.used.fetch_sub(freed, Ordering::Relaxed) - freed;
+            self.meter.set_bytes(new_used, now);
         }
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        let lat = self.native_latency(false, 0) * 0.5;
-        self.note_op(TierOp::Delete, lat);
-        Ok(lat)
+        self.deletes
+            .get_or_init(|| {
+                let labels = [("tier", self.kind_label.as_str()), ("op", "delete")];
+                MetricsRegistry::global().counter("tier_ops_total", &labels)
+            })
+            .inc();
+        Ok(())
     }
 
     pub fn contains(&self, key: &str) -> bool {
-        self.shards[shard_of(key)].read().slots.contains_key(key)
+        self.holds(key, 0)
     }
 
-    /// Keys currently stored (unordered).
-    pub fn keys(&self) -> Vec<ShortKey> {
+    /// Whether the tier holds version `version` of `key`.
+    pub fn holds(&self, key: &str, version: u64) -> bool {
+        let shard = self.shards[shard_of(key)].read();
+        shard.slot(key, version).is_some()
+    }
+
+    /// Every slot's object key and version (unordered).
+    pub fn keys(&self) -> Vec<(ShortKey, u64)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.read().slots.keys().cloned());
+            let shard = shard.read();
+            out.extend(shard.slots().map(|(k, s)| (ShortKey::new(k), s.version)));
         }
         out
     }
 
     /// Modeled time the object at `key` was last read or written.
     pub fn last_access(&self, key: &str) -> Option<SimInstant> {
-        self.shards[shard_of(key)]
-            .read()
-            .slots
-            .get(key)
-            .map(|s| s.last_access)
+        let shard = self.shards[shard_of(key)].read();
+        shard.slot(key, 0).map(|s| s.last_access)
     }
 
     // ---- failure / degradation injection ---------------------------------
@@ -536,9 +619,8 @@ impl SimTier {
         let now = self.clock.now();
         for shard in &self.shards {
             let mut shard = shard.write();
-            let freed: u64 = shard.slots.values().map(|s| s.data.len() as u64).sum();
-            shard.slots.clear();
-            shard.by_age.clear();
+            let freed: u64 = shard.slots().map(|(_, s)| s.data.len() as u64).sum();
+            *shard = SlotShard::default();
             drop(shard);
             self.used.fetch_sub(freed, Ordering::Relaxed);
         }
@@ -589,7 +671,7 @@ mod tests {
     #[test]
     fn get_missing_is_not_found() {
         let t = ssd(1 << 20);
-        assert!(matches!(t.get("nope"), Err(TierError::NotFound(_))));
+        assert!(matches!(t.get("nope"), Err(TierError::NotFound)));
     }
 
     #[test]
@@ -609,6 +691,27 @@ mod tests {
         assert_eq!(t.used_bytes(), 0);
         t.delete("k").unwrap(); // no error
         assert!(!t.contains("k"));
+    }
+
+    #[test]
+    fn a_version_has_one_slot_after_its_keys_newest_is_gone() {
+        let t = ssd(1 << 20);
+        let now = SimInstant::EPOCH;
+        for v in 1..=4 {
+            t.put_at("k", v, payload(100), now).unwrap();
+        }
+        // The newest slot goes; versions 1-3 stay in the side map.
+        t.delete_at("k", 4, now).unwrap();
+        t.put_at("k", 2, payload(10), now).unwrap();
+        t.put_at("k", 0, payload(1), now).unwrap();
+        t.put_at("k", 3, payload(20), now).unwrap();
+        assert_eq!((t.len(), t.used_bytes()), (4, 100 + 10 + 20 + 1));
+        assert_eq!(t.get_at("k", 3, now).unwrap().0.len(), 20);
+        for v in [0, 1, 2, 3] {
+            t.delete_at("k", v, now).unwrap();
+            assert!(!t.holds("k", v), "v{v} deleted, no copy left");
+        }
+        assert_eq!((t.len(), t.used_bytes()), (0, 0));
     }
 
     #[test]

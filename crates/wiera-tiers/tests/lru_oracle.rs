@@ -53,7 +53,7 @@ fn payload(size: u64) -> Bytes {
 }
 
 fn assert_same_resident(tier: &SimTier, model: &ScanModel, seed: u64, op: usize) {
-    let mut got: Vec<String> = tier.keys().iter().map(|k| k.to_string()).collect();
+    let mut got: Vec<String> = tier.keys().iter().map(|(k, _)| k.to_string()).collect();
     let mut want: Vec<String> = model.slots.keys().cloned().collect();
     got.sort();
     want.sort();
@@ -168,7 +168,7 @@ fn concurrent_writers_on_a_full_tier_keep_accounting_exact() {
                             tier.put(&k, payload(size)).unwrap();
                         }
                         6..=8 => match tier.get(&k) {
-                            Ok(_) | Err(TierError::NotFound(_)) => {}
+                            Ok(_) | Err(TierError::NotFound) => {}
                             Err(e) => panic!("get {k}: {e}"),
                         },
                         _ => {
@@ -186,7 +186,7 @@ fn concurrent_writers_on_a_full_tier_keep_accounting_exact() {
     let resident: u64 = tier
         .keys()
         .iter()
-        .map(|k| tier.get(k).unwrap().0.len() as u64)
+        .map(|(k, _)| tier.get(k).unwrap().0.len() as u64)
         .sum();
     assert_eq!(tier.used_bytes(), resident);
     assert!(tier.stats.snapshot().evictions > 0);

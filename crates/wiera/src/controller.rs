@@ -499,7 +499,7 @@ impl WieraController {
             // Clone a live donor into the fresh replica with the fleet's
             // copy step: all the donor holds is what an empty replica lacks.
             let target = (&fresh, std::slice::from_ref(&fresh));
-            let _ = copy_lacking(&self.mesh, &self.node, &[donor], target, |_| true, &dep.id);
+            let _ = copy_lacking(&self.mesh, &self.node, &[donor], target, None, &dep.id);
             for d in dead {
                 dep.replace_replica(&d, fresh.clone());
             }

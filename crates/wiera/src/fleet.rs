@@ -295,9 +295,13 @@ impl WieraFleet {
         //    moves without blocking anyone).
         let copy = || {
             let target = (&dst_primary, dst_reps.as_slice());
-            let in_shard = |key: &str| old.shard_of(key) == shard;
             copy_lacking(
-                &self.mesh, &self.from, &src_reps, target, in_shard, &self.id,
+                &self.mesh,
+                &self.from,
+                &src_reps,
+                target,
+                Some(shard),
+                &self.id,
             )
         };
         copy()?;
@@ -412,8 +416,9 @@ impl WieraFleet {
 
 /// One copy step, the only way objects move between replicas outside the
 /// write path: read the digest tables of the target primary and of each
-/// source, fetch from each source only the `keep` keys the target lacks by
-/// the anti-entropy rule ([`lacking`]), and send them to the target
+/// source, of `shard`'s keys only when given, fetch from each source only
+/// the keys the target lacks by the anti-entropy rule ([`lacking`]), and
+/// send them to the target
 /// replicas as one `Replicate` at the epoch the target's digest carries.
 /// Where several sources hold a key, a later source is asked for it only if
 /// it holds it newer than every copy already fetched, and the receiver's
@@ -426,22 +431,19 @@ pub(crate) fn copy_lacking(
     from: &NodeId,
     sources: &[NodeId],
     (primary, replicas): (&NodeId, &[NodeId]),
-    keep: impl Fn(&str) -> bool,
+    shard: Option<u32>,
     fleet: &str,
 ) -> Result<Vec<String>, String> {
     // `newest` is the target's table followed by every entry fetched since;
     // `lacking` reads a key's last entry, the newest one. `wanted` is every
     // entry the target lacked, fetched or not.
-    let (mut newest, epoch) = digest_of(mesh, from, primary)?;
+    let (mut newest, epoch) = digest_of(mesh, from, primary, shard)?;
     let (mut wanted, mut items) = (Vec::new(), Vec::new());
     for source in sources {
-        let Ok((entries, _)) = digest_of(mesh, from, source) else {
+        let Ok((entries, _)) = digest_of(mesh, from, source, shard) else {
             continue;
         };
-        let fetch: Vec<KeyDigest> = lacking(&entries, &newest, &keep)
-            .into_iter()
-            .cloned()
-            .collect();
+        let fetch: Vec<KeyDigest> = lacking(&entries, &newest).into_iter().cloned().collect();
         if fetch.is_empty() {
             continue;
         }
@@ -474,8 +476,8 @@ pub(crate) fn copy_lacking(
             MetricsRegistry::global().inc("wiera_shard_copy_skipped", &[("fleet", fleet)]);
         }
     }
-    let (now, _) = digest_of(mesh, from, primary)?;
-    let mut still: Vec<String> = lacking(&wanted, &now, keep)
+    let (now, _) = digest_of(mesh, from, primary, shard)?;
+    let mut still: Vec<String> = lacking(&wanted, &now)
         .into_iter()
         .map(|d| d.key.clone())
         .collect();
@@ -484,13 +486,14 @@ pub(crate) fn copy_lacking(
     Ok(still)
 }
 
-/// `node`'s digest table and epoch.
+/// `node`'s digest table, of `shard`'s keys when given, and epoch.
 fn digest_of(
     mesh: &Mesh<DataMsg>,
     from: &NodeId,
     node: &NodeId,
+    shard: Option<u32>,
 ) -> Result<(Vec<KeyDigest>, u64), String> {
-    let msg = DataMsg::DigestRequest;
+    let msg = DataMsg::DigestRequest { shard };
     let bytes = msg.wire_bytes();
     match mesh
         .rpc(from, node, msg, bytes, CTRL_TIMEOUT)

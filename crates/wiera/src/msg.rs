@@ -117,8 +117,11 @@ pub enum DataMsg {
     },
     /// Anti-entropy (§4.4): a rejoining replica asks a peer for its per-key
     /// latest version + content digest, to diff against local state without
-    /// shipping the values.
-    DigestRequest,
+    /// shipping the values. A shard move's copy step asks about one shard's
+    /// keys only, by the replica's installed ring.
+    DigestRequest {
+        shard: Option<u32>,
+    },
     DigestReply {
         entries: Vec<KeyDigest>,
         epoch: u64,
@@ -319,18 +322,13 @@ pub struct KeyDigest {
 }
 
 /// The one rule that decides what is copied between replicas: the entries
-/// of `from` passing `keep` that `to` lacks — absent there, older there, or
+/// of `from` that `to` lacks — absent there, older there, or
 /// at the same version with other content written earlier (the receiver's
 /// last-write-wins test then accepts every one of them). Where `to` lists a
 /// key twice, its last entry counts.
-pub(crate) fn lacking<'a>(
-    from: &'a [KeyDigest],
-    to: &[KeyDigest],
-    keep: impl Fn(&str) -> bool,
-) -> Vec<&'a KeyDigest> {
+pub(crate) fn lacking<'a>(from: &'a [KeyDigest], to: &[KeyDigest]) -> Vec<&'a KeyDigest> {
     let have: HashMap<&str, &KeyDigest> = to.iter().map(|d| (d.key.as_str(), d)).collect();
     from.iter()
-        .filter(|f| keep(&f.key))
         .filter(|f| match have.get(f.key.as_str()) {
             None => true,
             Some(h) => {
@@ -453,6 +451,7 @@ impl DataMsg {
             DataMsg::FetchObjects { keys } => {
                 HDR + keys.iter().map(|k| k.len() as u64 + ITEM).sum::<u64>()
             }
+            DataMsg::DigestRequest { shard: Some(_) } => HDR + 4,
             // One item frames like the lone op it is, with no per-item
             // frame; a batch adds one per item.
             DataMsg::Put { items } | DataMsg::ForwardPut { items, .. } => {

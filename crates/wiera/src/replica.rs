@@ -665,8 +665,11 @@ impl ReplicaNode {
                     SimDuration::from_millis(5),
                 );
             }
-            DataMsg::DigestRequest => {
-                let entries = self.digest_table();
+            DataMsg::DigestRequest { shard } => {
+                // A replica never sharded holds no shard's keys.
+                let ring = self.shard_view.read().as_ref().map(|v| v.ring.clone());
+                let of_shard = |key: &str| ring.as_ref().map(|r| r.shard_of(key));
+                let entries = self.digests(|key| shard.is_none() || of_shard(key) == shard);
                 let (epoch, primary) = {
                     let s = self.state.read();
                     (s.epoch, s.primary.clone())
@@ -923,7 +926,12 @@ impl ReplicaNode {
     /// unit (values stay home; only fingerprints travel). Public so tests
     /// and the chaos harness can assert digest-equal convergence.
     pub fn digest_table(&self) -> Vec<KeyDigest> {
-        self.latest_objects(|_| true)
+        self.digests(|_| true)
+    }
+
+    /// The digest table of the keys `want` accepts.
+    fn digests(&self, want: impl Fn(&str) -> bool) -> Vec<KeyDigest> {
+        self.latest_objects(want)
             .into_iter()
             .map(|o| KeyDigest {
                 digest: value_digest(&o.value),
@@ -984,7 +992,7 @@ impl ReplicaNode {
     /// One anti-entropy exchange with one peer. Returns `(pulled, pushed)`,
     /// or `None` if the peer was unreachable.
     fn sync_with_peer(self: &Arc<Self>, peer: &NodeId) -> Option<(usize, usize)> {
-        let msg = DataMsg::DigestRequest;
+        let msg = DataMsg::DigestRequest { shard: None };
         let bytes = msg.wire_bytes();
         let reply = match self.mesh.rpc(&self.node, peer, msg, bytes, DATA_TIMEOUT) {
             Ok(r) => r,
@@ -1012,11 +1020,11 @@ impl ReplicaNode {
             }
         }
         let mine = self.digest_table();
-        let want: Vec<String> = lacking(&entries, &mine, |_| true)
+        let want: Vec<String> = lacking(&entries, &mine)
             .into_iter()
             .map(|r| r.key.clone())
             .collect();
-        let push: HashSet<&str> = lacking(&mine, &entries, |_| true)
+        let push: HashSet<&str> = lacking(&mine, &entries)
             .into_iter()
             .map(|l| l.key.as_str())
             .collect();
@@ -3642,12 +3650,52 @@ mod tests {
         let ctrl = NodeId::new(Region::UsEast, "ctrl");
         let sources = [a.node.clone(), c.node.clone()];
         let target = (&b.node, std::slice::from_ref(&b.node));
-        let still = crate::fleet::copy_lacking(&m, &ctrl, &sources, target, |_| true, "t");
+        let still = crate::fleet::copy_lacking(&m, &ctrl, &sources, target, None, "t");
         assert_eq!(still, Ok(Vec::new()));
         let copied = sorted_digests(&b);
         assert_eq!(copied[1..], sorted_digests(&a)[1..]);
         assert_eq!(copied[0], sorted_digests(&c)[0]);
         assert_eq!(copied[0].version, 2);
+    }
+
+    /// A shard move's copy step asks about the moved shard only: a
+    /// filtered digest request lists that shard's keys and no other, by the
+    /// replica's installed ring, and the copy clones only them.
+    #[test]
+    fn a_shard_filtered_copy_step_lists_and_copies_only_that_shard() {
+        let m = mesh(3000.0);
+        let a = replica(&m, Region::UsEast, "a", ConsistencyModel::Eventual);
+        let b = replica(&m, Region::UsWest, "b", ConsistencyModel::Eventual);
+        wire(&[&a], None);
+        for r in [&a, &b] {
+            r.install_shards((0..16).collect(), 16, 8, 1).unwrap();
+        }
+        let items: Vec<PutItem> = (0..40).map(|i| item(&format!("k{i}"), 1, 8)).collect();
+        assert_eq!(put_items(&m, &a.node, &items), [Ok(1); 40]);
+        let ring = ShardMap::new(16, 8, 1).unwrap();
+        let shard = ring.shard_of("k0");
+        let mut in_shard: Vec<String> = items
+            .iter()
+            .map(|i| i.key.clone())
+            .filter(|k| ring.shard_of(k) == shard)
+            .collect();
+        in_shard.sort();
+        assert!(in_shard.len() < items.len());
+        let ctrl = NodeId::new(Region::UsEast, "ctrl");
+        let ask = DataMsg::DigestRequest { shard: Some(shard) };
+        let reply = m.rpc(&ctrl, &a.node, ask, 64, DATA_TIMEOUT).unwrap();
+        let DataMsg::DigestReply { entries, .. } = reply.msg else {
+            panic!("expected a digest reply, got {:?}", reply.msg);
+        };
+        let mut listed: Vec<String> = entries.into_iter().map(|e| e.key).collect();
+        listed.sort();
+        assert_eq!(listed, in_shard);
+        let target = (&b.node, std::slice::from_ref(&b.node));
+        let sources = [a.node.clone()];
+        let still = crate::fleet::copy_lacking(&m, &ctrl, &sources, target, Some(shard), "t");
+        assert_eq!(still, Ok(Vec::new()));
+        let copied: Vec<String> = sorted_digests(&b).into_iter().map(|e| e.key).collect();
+        assert_eq!(copied, in_shard);
     }
 
     // ---- one write path and one read path: a single op is a batch of one ----

@@ -62,13 +62,7 @@ fn main() {
     let mut ssd = 0;
     let mut ia = 0;
     for i in 0..30 {
-        let loc = inst
-            .meta()
-            .with(&format!("obj-{i}"), |o| {
-                o.latest().unwrap().location.clone()
-            })
-            .unwrap();
-        if loc == "tier1" {
+        if inst.location_of(&format!("obj-{i}")) == Some("tier1") {
             ssd += 1;
         } else {
             ia += 1;
