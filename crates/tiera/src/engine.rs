@@ -1,9 +1,11 @@
 //! Background event engine for an instance.
 //!
 //! Drives the rules that the paper runs on "dedicated threads" (§4.3):
-//! timers (write-back flushes), tier-filled checks and cold-data scans.
-//! Each concern gets its own thread against the shared (scaled) clock, so
-//! the engine behaves identically under time compression.
+//! timers (write-back flushes), tier-filled checks and cold-data scans. One
+//! thread per instance sleeps on the shared (scaled) clock until the
+//! earliest rule is due and runs the rules that are: each timer rule at its
+//! own period, the filled/cold rules every [`InstanceEngine::MAINTENANCE_PERIOD`].
+//! So the engine behaves identically under time compression.
 
 use crate::instance::TieraInstance;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -11,12 +13,20 @@ use std::sync::Arc;
 use wiera_policy::compile::EventKind;
 use wiera_sim::SimDuration;
 
-/// Handle to the running engine threads of one instance.
+/// Handle to the running engine thread of one instance.
 pub struct InstanceEngine {
     stop: Arc<AtomicBool>,
     /// Total objects acted on by background rules (observability).
     pub actions_taken: Arc<AtomicU64>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// What the engine runs when its period comes due.
+enum Job {
+    /// One timer rule, by its index in the instance's rules.
+    Timer(usize),
+    /// Every filled and cold rule.
+    Maintenance,
 }
 
 impl InstanceEngine {
@@ -25,73 +35,88 @@ impl InstanceEngine {
     /// How often filled/cold rules are evaluated.
     pub const MAINTENANCE_PERIOD: SimDuration = SimDuration::from_secs(5);
 
-    /// Start the engine for `inst`. One thread per timer rule (at its own
-    /// period) plus one maintenance thread for filled/cold rules.
+    /// Start the engine for `inst`: one thread, if it has any timer, filled
+    /// or cold rule.
     pub fn start(inst: Arc<TieraInstance>) -> Result<Self, String> {
+        let mut jobs: Vec<(SimDuration, Job)> = Vec::new();
+        let mut maintenance = false;
+        for (rule, r) in inst.rules().iter().enumerate() {
+            match r.event {
+                EventKind::Timer { period_ms } => {
+                    let period = period_ms.map(SimDuration::from_millis_f64);
+                    jobs.push((period.unwrap_or(Self::DEFAULT_TIMER), Job::Timer(rule)));
+                }
+                EventKind::TierFilled { .. } | EventKind::ColdData { .. } => maintenance = true,
+                _ => {}
+            }
+        }
+        if maintenance {
+            jobs.push((Self::MAINTENANCE_PERIOD, Job::Maintenance));
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let actions_taken = Arc::new(AtomicU64::new(0));
-        // One thread running `run` every `period` until stopped.
-        let spawn = |what: &str, period: SimDuration, run: fn(&TieraInstance) -> usize| {
-            let (inst, stop, acted) = (inst.clone(), stop.clone(), actions_taken.clone());
-            std::thread::Builder::new()
-                .name(format!("tiera-{what}-{}", inst.name()))
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        inst.clock().sleep(period);
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        acted.fetch_add(run(&inst) as u64, Ordering::Relaxed);
-                    }
-                })
-                .map_err(|e| format!("cannot spawn {what} thread: {e}"))
+        let thread = if jobs.is_empty() {
+            None
+        } else {
+            let (stop, acted) = (stop.clone(), actions_taken.clone());
+            let name = format!("tiera-engine-{}", inst.name());
+            let run = move || Self::run(&inst, &jobs, &stop, &acted);
+            let spawned = std::thread::Builder::new().name(name).spawn(run);
+            Some(spawned.map_err(|e| format!("cannot spawn engine thread: {e}"))?)
         };
-
-        // Collect distinct timer periods from the rules.
-        let mut periods: Vec<SimDuration> = inst
-            .rules()
-            .iter()
-            .filter_map(|r| match r.event {
-                EventKind::Timer { period_ms } => Some(
-                    period_ms
-                        .map(SimDuration::from_millis_f64)
-                        .unwrap_or(Self::DEFAULT_TIMER),
-                ),
-                _ => None,
-            })
-            .collect();
-        periods.sort();
-        periods.dedup();
-        let mut threads = Vec::new();
-        for period in periods {
-            threads.push(spawn("timer", period, TieraInstance::run_timer_rules)?);
-        }
-        let has_maintenance = inst.rules().iter().any(|r| {
-            matches!(
-                r.event,
-                EventKind::TierFilled { .. } | EventKind::ColdData { .. }
-            )
-        });
-        if has_maintenance {
-            let maintenance = TieraInstance::run_maintenance;
-            threads.push(spawn("maint", Self::MAINTENANCE_PERIOD, maintenance)?);
-        }
-
         Ok(InstanceEngine {
             stop,
             actions_taken,
-            threads,
+            thread,
         })
+    }
+
+    /// The engine thread: sleep until the earliest job is due, then run
+    /// every job due by then. A job's next slot is a period after its last
+    /// one; slots missed while the thread was held up are skipped.
+    fn run(
+        inst: &TieraInstance,
+        jobs: &[(SimDuration, Job)],
+        stop: &AtomicBool,
+        acted: &AtomicU64,
+    ) {
+        let clock = inst.clock();
+        let start = clock.now();
+        let mut due: Vec<_> = jobs.iter().map(|(period, _)| start + *period).collect();
+        while let Some(&next) = due.iter().min() {
+            let now = clock.now();
+            if next > now {
+                clock.sleep(next.elapsed_since(now));
+            }
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            let now = clock.now().max(next);
+            for ((period, job), at) in jobs.iter().zip(&mut due) {
+                if *at > next {
+                    continue;
+                }
+                let n = match job {
+                    Job::Timer(rule) => inst.run_timer_rule(*rule),
+                    Job::Maintenance => inst.run_maintenance(),
+                };
+                acted.fetch_add(n as u64, Ordering::Relaxed);
+                *at += *period;
+                if *at <= now {
+                    *at = now + *period;
+                }
+            }
+        }
     }
 
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
     }
 
-    /// Stop and join all engine threads.
+    /// Stop and join the engine thread.
     pub fn shutdown(mut self) {
         self.stop();
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
@@ -110,7 +135,7 @@ mod tests {
     use bytes::Bytes;
     use wiera_net::Region;
     use wiera_policy::{compile, parse};
-    use wiera_sim::ScaledClock;
+    use wiera_sim::{Clock, ScaledClock, SimInstant};
 
     #[test]
     fn engine_flushes_writeback_automatically() {
@@ -161,7 +186,85 @@ mod tests {
         let cfg = InstanceConfig::new("bare", Region::UsEast).with_tier("tier1", "EBS", 1 << 20);
         let inst = crate::instance::TieraInstance::build(cfg, ScaledClock::shared(100.0)).unwrap();
         let engine = InstanceEngine::start(inst).unwrap();
-        assert_eq!(engine.threads.len(), 0);
+        assert!(engine.thread.is_none());
+        engine.shutdown();
+    }
+
+    /// A [`wiera_sim::ManualClock`] that knows who sleeps on it, so a test
+    /// steps the engine thread through modeled time without wall waits.
+    struct Stepped {
+        clock: Arc<wiera_sim::ManualClock>,
+        /// The deadline of each thread asleep on the clock.
+        sleeping: parking_lot::Mutex<Vec<SimInstant>>,
+        changed: parking_lot::Condvar,
+    }
+
+    impl Clock for Stepped {
+        fn now(&self) -> SimInstant {
+            self.clock.now()
+        }
+
+        fn sleep(&self, d: SimDuration) {
+            let deadline = self.clock.now() + d;
+            self.sleeping.lock().push(deadline);
+            self.changed.notify_all();
+            // Sleep to the deadline even if the clock moves in between.
+            while self.clock.now() < deadline {
+                self.clock.sleep(deadline.elapsed_since(self.clock.now()));
+            }
+            let mut sleeping = self.sleeping.lock();
+            if let Some(at) = sleeping.iter().position(|t| *t == deadline) {
+                sleeping.swap_remove(at);
+            }
+        }
+    }
+
+    impl Stepped {
+        /// Wait until every thread on the clock sleeps toward a deadline it
+        /// has not reached: each has done all that came due.
+        fn settled(&self) {
+            let mut sleeping = self.sleeping.lock();
+            while sleeping.is_empty() || sleeping.iter().any(|t| *t <= self.clock.now()) {
+                self.changed.wait(&mut sleeping);
+            }
+        }
+    }
+
+    /// Each timer rule fires at its own period, not at every timer rule's.
+    /// A 1-s rule deletes objects tagged `gone`, a 1000-s rule those tagged
+    /// `tmp`: stepped one modeled second at a time on a manual clock, a
+    /// `gone` object is deleted within its second, and a `tmp` one survives
+    /// 999 s and is deleted at 1000 s.
+    #[test]
+    fn each_timer_rule_fires_at_its_own_period() {
+        let src = "Tiera T() {
+            event(time=1 seconds) : response { delete(what:object.tag.gone == true); }
+            event(time=1000 seconds) : response { delete(what:object.tag.tmp == true); }
+        }";
+        let cfg = InstanceConfig::new("timers", Region::UsEast)
+            .with_tier("tier1", "EBS", 1 << 30)
+            .with_rules(compile(&parse(src).unwrap()).unwrap().rules);
+        let clock = Arc::new(Stepped {
+            clock: wiera_sim::ManualClock::new(),
+            sleeping: parking_lot::Mutex::new(Vec::new()),
+            changed: parking_lot::Condvar::new(),
+        });
+        let inst = crate::instance::TieraInstance::build(cfg, clock.clone()).unwrap();
+        inst.put_tagged("scratch", Bytes::from_static(b"tmp"), &["tmp"])
+            .unwrap();
+        let engine = InstanceEngine::start(inst.clone()).unwrap();
+        clock.settled();
+        for second in 1..=1000 {
+            inst.put_tagged("gone", Bytes::from_static(b"x"), &["gone"])
+                .unwrap();
+            clock.clock.advance(SimDuration::from_secs(1));
+            clock.settled();
+            assert!(inst.get("gone").is_err(), "the 1-s rule skipped {second} s");
+            let alive = inst.get("scratch").is_ok();
+            assert_eq!(alive, second < 1000, "the 1000-s rule at {second} s");
+        }
+        engine.stop();
+        clock.clock.advance(SimDuration::from_secs(1));
         engine.shutdown();
     }
 

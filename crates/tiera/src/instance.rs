@@ -1149,13 +1149,19 @@ impl TieraInstance {
 
     // ---- background policy execution ---------------------------------------
 
-    /// Execute all timer rules once (the engine calls this on each period).
-    /// Returns the number of objects acted on.
-    pub fn run_timer_rules(&self) -> usize {
-        let timed = self.config.rules.iter();
+    /// Execute the timer rule at index `rule` of [`Self::rules`] once (the
+    /// engine calls this at the rule's period). Returns the number of
+    /// objects acted on.
+    pub fn run_timer_rule(&self, rule: usize) -> usize {
+        let timed = self.config.rules.get(rule);
         let timed = timed.filter(|r| matches!(r.event, EventKind::Timer { .. }));
-        timed
-            .map(|r| self.run_sweep_actions(&r.actions, None))
+        timed.map_or(0, |r| self.run_sweep_actions(&r.actions, None))
+    }
+
+    /// Execute every timer rule once. Returns the number of objects acted on.
+    pub fn run_timer_rules(&self) -> usize {
+        (0..self.config.rules.len())
+            .map(|rule| self.run_timer_rule(rule))
             .sum()
     }
 

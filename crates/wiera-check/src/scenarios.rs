@@ -888,21 +888,28 @@ fn run_fleet_shard_move() -> Vec<Diagnostic> {
     backup.crash();
 
     // Concurrent writers hammer the moving shard; every ack is recorded.
+    // The move starts once the writer holds its first ack, so the handoff
+    // window always has a write to check.
     let stop = std::sync::atomic::AtomicBool::new(false);
+    let (first_ack, writing) = std::sync::mpsc::channel();
     let (acked, move_result) = std::thread::scope(|s| {
-        let writer = s.spawn(|| {
+        let (stop, keys, client) = (&stop, &keys, &client);
+        let writer = s.spawn(move || {
             let mut acked: Vec<(String, u64)> = Vec::new();
             let mut round = 0u8;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                for key in &keys {
+                for key in keys {
                     if let Ok(view) = client.put(key, Bytes::from(vec![round; 64])) {
                         acked.push((key.clone(), view.version));
+                        let _ = first_ack.send(());
                     }
                 }
                 round = round.wrapping_add(1);
             }
             acked
         });
+        // A writer that never gets an ack leaves the window unchecked (WC013).
+        let _ = writing.recv_timeout(std::time::Duration::from_secs(30));
         let move_result = b.fleet.move_shard(shard, 1);
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         (writer.join().unwrap_or_default(), move_result)

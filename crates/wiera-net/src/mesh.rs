@@ -330,18 +330,6 @@ impl<M: Send + 'static> Mesh<M> {
         Ok(delay)
     }
 
-    /// When the last one-way message from `from` that is still in flight
-    /// arrives; `None` once every one has been released to its inbox (or
-    /// dropped: a mesh that has shut down delivers nothing more).
-    pub fn last_arrival_from(&self, from: &NodeId) -> Option<SimInstant> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return None;
-        }
-        let queue = self.inner.queue.lock();
-        let mine = queue.iter().filter(|Reverse(m)| m.from == *from);
-        mine.map(|Reverse(m)| m.deliver_at).max()
-    }
-
     /// Blocking RPC. The caller's thread sleeps the modeled network time (so
     /// wall-clock interleavings track modeled time) and receives the modeled
     /// cost breakdown for latency accounting.
@@ -654,28 +642,6 @@ mod tests {
         assert_eq!(d.net_delay, sent_delay);
         assert!(d.reply.is_none());
         assert!((sent_delay.as_millis_f64() - 35.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn in_flight_sends_are_visible_until_released() {
-        // Slow clock: 85 ms one-way is 8.5 ms of wall, ample time to look.
-        let fabric = Arc::new(Fabric::multicloud(1).without_jitter());
-        let m: TestMesh = Mesh::new(fabric, ScaledClock::shared(10.0));
-        let (a, b) = (NodeId::new(UsEast, "a"), NodeId::new(UsEast, "b"));
-        let far = NodeId::new(AsiaEast, "far");
-        let rx = m.register(far.clone());
-        assert_eq!(m.last_arrival_from(&a), None);
-        let sent = m.clock.now();
-        let delay = m.send(&a, &far, "x".into(), 0).unwrap();
-        let arrives = m.last_arrival_from(&a).expect("still in flight");
-        assert!(arrives >= sent + delay);
-        assert_eq!(m.last_arrival_from(&b), None, "another sender's view");
-        rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap();
-        assert_eq!(m.last_arrival_from(&a), None);
-        // A message the dispatcher will never release is not waited for.
-        m.send(&a, &far, "y".into(), 0).unwrap();
-        m.shutdown();
-        assert_eq!(m.last_arrival_from(&a), None);
     }
 
     #[test]

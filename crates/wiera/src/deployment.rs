@@ -148,20 +148,18 @@ impl WieraDeployment {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    fn broadcast_control(&self, make: impl Fn(u64) -> DataMsg + Send + Sync) -> u64 {
+    /// Send one control message, stamped with a fresh epoch, to every
+    /// replica in one gather from this thread, and wait for every answer.
+    fn broadcast_control(&self, make: impl FnOnce(u64) -> DataMsg) -> u64 {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let reps = self.replicas();
-        std::thread::scope(|s| {
-            for rep in &reps {
-                let msg = make(epoch);
-                let from = self.from.clone();
-                let mesh = &self.mesh;
-                s.spawn(move || {
-                    let bytes = msg.wire_bytes();
-                    let _ = mesh.rpc(&from, rep, msg, bytes, CTRL_TIMEOUT);
-                });
-            }
-        });
+        let msg = make(epoch);
+        let bytes = msg.wire_bytes();
+        let calls = self
+            .replicas()
+            .into_iter()
+            .map(|r| (r, msg.clone()))
+            .collect();
+        let _ = self.mesh.rpc_gather(&self.from, calls, bytes, CTRL_TIMEOUT);
         epoch
     }
 
@@ -169,10 +167,9 @@ impl WieraDeployment {
     /// cached per-origin clients so they fail over across the new list.
     pub fn push_membership(&self) {
         let reps = self.replicas();
-        let primary = self.primary();
         self.broadcast_control(|epoch| DataMsg::SetPeers {
             peers: reps.clone(),
-            primary: primary.clone(),
+            primary: self.primary(),
             epoch,
         });
         for client in self.clients.lock().values() {
@@ -181,13 +178,14 @@ impl WieraDeployment {
     }
 
     /// Switch the whole deployment's consistency model (§3.3.2): every
-    /// replica drains, blocks, swaps, unblocks.
+    /// replica drains, blocks, swaps, unblocks. The model is recorded before
+    /// the broadcast, so a request for it that overlaps the switch (two
+    /// monitors asking at once) finds it taken and sends nothing.
     pub fn change_consistency(&self, to: ConsistencyModel) {
-        if *self.consistency.read() == to {
+        if std::mem::replace(&mut *self.consistency.write(), to) == to {
             return;
         }
         self.broadcast_control(|epoch| DataMsg::ChangeConsistency { to, epoch });
-        *self.consistency.write() = to;
     }
 
     /// Move the primary (Fig. 5(b)).
@@ -195,9 +193,8 @@ impl WieraDeployment {
         if self.primary().as_ref() == Some(&new_primary) {
             return;
         }
-        let np = new_primary.clone();
         self.broadcast_control(|epoch| DataMsg::ChangePrimary {
-            new_primary: np.clone(),
+            new_primary: new_primary.clone(),
             epoch,
         });
         *self.primary.write() = Some(new_primary);

@@ -33,17 +33,21 @@
 //! Threading model (mirrors §4's description of instances running servers):
 //!
 //! * a **pool** of reused threads serves the inbox. The one holding it (the
-//!   *leader*) handles replication and control inline and runs each
-//!   application op itself with the [`wiera_sim::block`] hook armed: an op
-//!   that never blocks costs no hand-off, and one about to block (a WAN
-//!   round trip, its admission slot, the gate) first hands the inbox to the
-//!   most recently parked thread or a new one, so a blocked put never stops
-//!   this replica applying a peer's update (two multi-primaries writers
-//!   would deadlock). It then finishes the op, parks, replies, and leads
-//!   again or retires after an idle second. Steady state creates no thread;
-//! * a **flusher thread** distributes queued updates every
-//!   `flush_interval` (the paper: "applications can specify how frequently
-//!   queued updates need to be distributed");
+//!   *leader*) handles every delivery itself with the [`wiera_sim::block`]
+//!   hook armed: a message that never blocks costs no hand-off, and a
+//!   handler about to block — an application op on a WAN round trip, its
+//!   admission slot or the gate; a switch, a `FlushQueue` or a stop waiting
+//!   for its flush's acks — first hands the inbox to the most recently parked
+//!   thread or a new one. So a blocked handler never stops this replica
+//!   applying a peer's update: two multi-primaries writers, or two replicas
+//!   switched at once, would otherwise wait on each other. The handler's
+//!   thread then finishes, parks, replies, and leads again or retires after
+//!   an idle second. Steady state creates no thread;
+//! * a **flusher thread** distributes queued updates on the `flush_interval`
+//!   grid (the paper: "applications can specify how frequently queued
+//!   updates need to be distributed"). There is one flush: the queue as one
+//!   confirmed `Replicate`, which the flusher, a switch's drain, a
+//!   `FlushQueue` and a planned stop all send, one at a time;
 //! * a **gate** blocks application operations while a consistency switch is
 //!   in progress (§3.3.2: new requests "blocked and queued until the change
 //!   takes effect").
@@ -275,9 +279,12 @@ pub struct ReplicaNode {
     inst: Arc<TieraInstance>,
     state: TrackedRwLock<ProtoState>,
     gate: Gate,
-    /// Updates awaiting asynchronous distribution; the flusher coalesces
-    /// the whole queue into one [`DataMsg::Replicate`] per peer.
+    /// Updates awaiting asynchronous distribution; a flush sends the whole
+    /// queue as one [`DataMsg::Replicate`] to every peer.
     queue: TrackedMutex<VecDeque<SyncObject>>,
+    /// Held by the running flush: flushes of one replica take turns, so a
+    /// barrier flush also waits out a periodic one still awaiting its acks.
+    flush_turn: TrackedMutex<()>,
     /// Coordination client; swapped for a fresh session on restart (the
     /// crashed session's ephemeral lease is gone for good).
     coord: TrackedRwLock<Option<Arc<CoordClient>>>,
@@ -345,6 +352,7 @@ impl ReplicaNode {
             ),
             gate: Gate::new(),
             queue: TrackedMutex::new("replica.queue", VecDeque::new()),
+            flush_turn: TrackedMutex::new("replica.flush", ()),
             coord: TrackedRwLock::new("replica.coord", config.coord),
             flush_interval: config.flush_interval,
             forward_gets_to: TrackedRwLock::new("replica.forward_gets", config.forward_gets_to),
@@ -416,18 +424,28 @@ impl ReplicaNode {
         let gen = self.generation.load(Ordering::Acquire);
         self.hand_on(gen, inbox)
             .map_err(|_| "cannot spawn replica pool thread".to_string())?;
-        // Flusher thread.
+        // Flusher thread, on the `flush_interval` grid: a flush's round trip
+        // does not stretch the period. A round that overran its slot is
+        // followed by the next one at once.
         {
             let r = self.clone();
             std::thread::Builder::new()
                 .name(format!("flusher-{}", r.node))
                 .spawn(move || {
+                    let clock = r.mesh.clock.clone();
+                    let mut due = clock.now();
                     while r.live(gen) {
-                        r.mesh.clock.sleep(r.flush_interval);
+                        due += r.flush_interval;
+                        let now = clock.now();
+                        if due > now {
+                            clock.sleep(due.elapsed_since(now));
+                        } else {
+                            due = now;
+                        }
                         if !r.live(gen) {
                             return;
                         }
-                        r.flush_coalesced();
+                        r.flush_queue();
                     }
                 })
                 .map_err(|e| format!("cannot spawn replica flusher thread: {e}"))?;
@@ -484,11 +502,11 @@ impl ReplicaNode {
         &self.mesh
     }
 
-    /// Planned shutdown: drain the eventual-mode queue first so already
-    /// acknowledged writes reach their peers, then halt. (A planned stop
-    /// dropping queued `Replicate`s was a data-loss bug.)
+    /// Planned shutdown: flush the eventual-mode queue first, so already
+    /// acknowledged writes are applied at their peers, then halt. (A planned
+    /// stop dropping queued `Replicate`s was a data-loss bug.)
     pub fn stop(&self) {
-        self.flush_coalesced();
+        self.flush_queue();
         self.halt();
     }
 
@@ -578,10 +596,9 @@ impl ReplicaNode {
 
     // ---- message dispatch ---------------------------------------------------
 
-    /// Route one delivery on the leading pool thread. An application op runs
-    /// here too, after `arm_hook` has armed the block hook; its answer is
-    /// returned for `pool_thread` to send.
-    fn dispatch(self: &Arc<Self>, d: Delivery<DataMsg>, arm_hook: impl FnOnce()) -> Option<Reply> {
+    /// Route one delivery on the leading pool thread, whose block hook is
+    /// armed. The answer is returned for `pool_thread` to send.
+    fn dispatch(self: &Arc<Self>, d: Delivery<DataMsg>) -> Reply {
         let mut d = d;
         // Peel the budget envelope first so routing sees the inner op.
         let mut budget = OpBudget::default();
@@ -598,8 +615,7 @@ impl ReplicaNode {
             d.msg = *inner;
         }
         match &d.msg {
-            // Application operations run here; one about to block on a WAN
-            // round trip, its admission slot or the gate hands the inbox on.
+            // Application operations pass the gate and admission first.
             DataMsg::Put { .. }
             | DataMsg::Get { .. }
             | DataMsg::GetVersion { .. }
@@ -607,31 +623,23 @@ impl ReplicaNode {
             | DataMsg::Update { .. }
             | DataMsg::Remove { .. }
             | DataMsg::RemoveVersion { .. }
-            | DataMsg::ForwardPut { .. } => {
-                arm_hook();
-                Some(self.handle_app_op(d, budget))
-            }
-            // Replication and control are local and quick: handle inline.
-            _ => {
-                self.handle_inline(d);
-                None
-            }
+            | DataMsg::ForwardPut { .. } => self.handle_app_op(d, budget),
+            // Replication and control are never gated or shed.
+            _ => self.handle_inline(d),
         }
     }
 
-    fn handle_inline(self: &Arc<Self>, d: Delivery<DataMsg>) {
-        let reply = |slot, msg, took| answer(Some((slot, msg, took)));
-        match d.msg {
+    fn handle_inline(self: &Arc<Self>, d: Delivery<DataMsg>) -> Reply {
+        let (msg, took) = match d.msg {
             DataMsg::Replicate { items, epoch } => {
                 // `items` is the sender's shared batch, applied by reference.
-                let (msg, took) = match self.admit_epoch(epoch, "replicate", |_| ()) {
+                match self.admit_epoch(epoch, "replicate", |_| ()) {
                     Ok(()) => {
                         let (won, took) = self.apply_updates(&items);
                         (DataMsg::ReplicateAck { applied: won > 0 }, took)
                     }
                     Err(fail) => (fail.into_msg(), SimDuration::from_micros(100)),
-                };
-                reply(d.reply, msg, took);
+                }
             }
             DataMsg::SetPeers {
                 peers,
@@ -641,11 +649,11 @@ impl ReplicaNode {
                 let msg = self
                     .set_peers(peers, primary, epoch)
                     .map_or_else(OpFail::into_msg, |()| DataMsg::Ok);
-                reply(d.reply, msg, SimDuration::from_micros(200));
+                (msg, SimDuration::from_micros(200))
             }
             DataMsg::ChangeConsistency { to, epoch } => match self.switch_consistency(to, epoch) {
-                Ok(took) => reply(d.reply, DataMsg::Ok, took),
-                Err(fail) => reply(d.reply, fail.into_msg(), SimDuration::ZERO),
+                Ok(took) => (DataMsg::Ok, took),
+                Err(fail) => (fail.into_msg(), SimDuration::ZERO),
             },
             DataMsg::ChangePrimary { new_primary, epoch } => {
                 let installed = self.admit_epoch(epoch, "change_primary", |s| {
@@ -653,17 +661,13 @@ impl ReplicaNode {
                     s.adopt(epoch);
                 });
                 let msg = installed.map_or_else(OpFail::into_msg, |()| DataMsg::Ok);
-                reply(d.reply, msg, SimDuration::from_micros(200));
+                (msg, SimDuration::from_micros(200))
             }
-            DataMsg::Ping => reply(d.reply, DataMsg::Pong, SimDuration::from_micros(100)),
+            DataMsg::Ping => (DataMsg::Pong, SimDuration::from_micros(100)),
             DataMsg::FetchObjects { keys } => {
                 let want: HashSet<&str> = keys.iter().map(String::as_str).collect();
                 let objects = self.latest_objects(|key| want.contains(key));
-                reply(
-                    d.reply,
-                    DataMsg::SyncReply { objects },
-                    SimDuration::from_millis(5),
-                );
+                (DataMsg::SyncReply { objects }, SimDuration::from_millis(5))
             }
             DataMsg::DigestRequest { shard } => {
                 // A replica never sharded holds no shard's keys.
@@ -674,74 +678,54 @@ impl ReplicaNode {
                     let s = self.state.read();
                     (s.epoch, s.primary.clone())
                 };
-                reply(
-                    d.reply,
-                    DataMsg::DigestReply {
-                        entries,
-                        epoch,
-                        primary,
-                    },
-                    SimDuration::from_millis(2),
-                );
+                let msg = DataMsg::DigestReply {
+                    entries,
+                    epoch,
+                    primary,
+                };
+                (msg, SimDuration::from_millis(2))
             }
-            DataMsg::FlushQueue => {
-                let took = self.flush_queue_sync();
-                reply(d.reply, DataMsg::Ok, took);
-            }
+            DataMsg::FlushQueue => (DataMsg::Ok, self.flush_queue()),
             DataMsg::SetShards {
                 shards,
                 num_shards,
                 vnodes,
                 map_version,
             } => match self.install_shards(shards, num_shards, vnodes, map_version) {
-                Ok(()) => reply(d.reply, DataMsg::Ok, SimDuration::from_micros(300)),
+                Ok(()) => (DataMsg::Ok, SimDuration::from_micros(300)),
                 Err((code, why)) => {
                     self.note_fenced("set_shards");
-                    reply(
-                        d.reply,
-                        DataMsg::Fail { code, why },
-                        SimDuration::from_micros(200),
-                    );
+                    (DataMsg::Fail { code, why }, SimDuration::from_micros(200))
                 }
             },
             DataMsg::DropShard { shard, map_version } => {
                 match self.drop_shard(shard, map_version) {
-                    Ok(n) => reply(
-                        d.reply,
-                        DataMsg::Ok,
-                        SimDuration::from_millis(1 + n.min(50) as u64),
-                    ),
+                    Ok(n) => (DataMsg::Ok, SimDuration::from_millis(1 + n.min(50) as u64)),
                     Err((code, why)) => {
                         self.note_fenced("drop_shard");
-                        reply(
-                            d.reply,
-                            DataMsg::Fail { code, why },
-                            SimDuration::from_micros(200),
-                        );
+                        (DataMsg::Fail { code, why }, SimDuration::from_micros(200))
                     }
                 }
             }
             DataMsg::Stop => {
                 self.stop();
-                reply(d.reply, DataMsg::Ok, SimDuration::ZERO);
+                (DataMsg::Ok, SimDuration::ZERO)
             }
-            other => {
-                reply(
-                    d.reply,
-                    DataMsg::Fail {
-                        code: FailCode::Internal,
-                        why: format!("unexpected message {other:?}"),
-                    },
-                    SimDuration::ZERO,
-                );
-            }
-        }
+            other => (
+                DataMsg::Fail {
+                    code: FailCode::Internal,
+                    why: format!("unexpected message {other:?}"),
+                },
+                SimDuration::ZERO,
+            ),
+        };
+        (d.reply, msg, took)
     }
 
     /// Two-phase consistency switch (§3.3.2): close the gate, drain the
-    /// update queue so every queued write lands before the new regime, swap
-    /// the model, reopen. Returns the modeled switch time, or the refusal
-    /// of a stale control message.
+    /// update queue so every queued write is applied at every peer before
+    /// the new regime, swap the model, reopen. Returns the modeled switch
+    /// time, or the refusal of a stale control message.
     ///
     /// The epoch is adopted on admission, before the drain: the queued
     /// updates then leave stamped with it, so a peer that switched first
@@ -756,7 +740,7 @@ impl ReplicaNode {
         }
         let started = self.mesh.clock.now();
         self.gate.close();
-        let drain_cost = self.flush_queue_sync();
+        let drain_cost = self.flush_queue();
         self.state.write().consistency = to;
         self.gate.open();
         self.stats.switches.fetch_add(1, Ordering::Relaxed);
@@ -773,81 +757,41 @@ impl ReplicaNode {
         Ok(took)
     }
 
-    /// Drain the queue before a switch. One coalesced one-way send per peer,
-    /// then a wait covering the slowest modeled delivery: every queued
-    /// update is applied at its peer before the new model takes over,
-    /// without blocking on peer handlers that may themselves be mid-switch
-    /// (two replicas switching simultaneously must not RPC each other from
-    /// their handler threads — that deadlocks until timeouts).
-    fn flush_queue_sync(&self) -> SimDuration {
-        let max_delay = self.flush_coalesced();
-        // Wait out everything in flight (sent now, or by the flusher a moment
-        // ago), then slack for the peers to apply: a barrier, so on the clock.
-        let clock = self.mesh.clock.as_ref();
-        while let Some(arrives) = self.mesh.last_arrival_from(&self.node) {
-            wiera_sim::sleep_until(clock, arrives);
-        }
-        wiera_sim::sleep_until(clock, clock.now() + SimDuration::from_millis(10));
-        max_delay
-    }
-
-    /// Drain the whole queue into **one** [`DataMsg::Replicate`] per
-    /// peer (the replication-coalescing half of the bulk-operation design:
-    /// n queued updates × p peers cost p messages, not n×p): one-way sends
-    /// that arrive after the modeled latency, so replicas genuinely lag.
-    /// The flusher thread calls it every period, a switch and a planned
-    /// stop to drain. Returns the slowest modeled delivery delay.
-    fn flush_coalesced(&self) -> SimDuration {
-        let (peers, epoch) = (self.peers(), self.epoch());
-        // The queue stays locked until every send is posted, so an update is
-        // always either queued or in flight on the mesh — never in between,
-        // where a concurrent `flush_queue_sync` could see neither.
-        let mut q = self.queue.lock();
-        if q.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let items: Arc<[SyncObject]> = q.drain(..).collect::<Vec<_>>().into();
-        let mut max_delay = SimDuration::ZERO;
-        let mut any_failed = false;
-        for peer in &peers {
-            // One immutable batch shared across every peer send: cloning the
-            // Arc bumps a refcount instead of deep-copying n items per peer.
-            let msg = DataMsg::Replicate {
-                items: Arc::clone(&items),
-                epoch,
-            };
-            let bytes = msg.wire_bytes();
-            match self.mesh.send(&self.node, peer, msg, bytes) {
-                Ok(delay) => {
-                    self.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    max_delay = max_delay.max(delay);
-                }
-                Err(_) => {
-                    any_failed = true;
-                    self.stats
-                        .replication_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+    /// Distribute the update queue and wait until every peer has applied
+    /// it: the whole queue drained into **one** [`DataMsg::Replicate`]
+    /// (n queued updates × p peers cost p messages, not n×p), sent through
+    /// the gather a synchronous put copies with. The flusher calls it every
+    /// period; a switch's drain, a `FlushQueue` and a planned stop are
+    /// barriers on it. Flushes take turns, so a barrier also waits out an
+    /// earlier periodic flush still awaiting its acks. The items are
+    /// re-queued for a peer that failed or timed out, keeping the latest
+    /// version per key (a peer that applied them re-applies idempotently
+    /// under LWW); a `StaleEpoch` refusal is settled, as a fenced peer
+    /// would refuse a retry too. Returns the slowest peer's round trip.
+    fn flush_queue(&self) -> SimDuration {
+        // Waiting for the turn may park this thread: hand the inbox on first.
+        wiera_sim::block::before_block();
+        let _turn = self.flush_turn.lock();
+        let items: Arc<[SyncObject]> = {
+            let mut q = self.queue.lock();
+            if q.is_empty() {
+                return SimDuration::ZERO;
             }
-        }
-        if any_failed {
-            // Re-queue (keeping only the latest version per key) so the next
-            // flush retries once the peer heals: a partition must not
-            // silently drop acknowledged eventual-mode writes. Peers that
-            // already received this batch re-apply idempotently under LWW;
-            // nothing newer can have been queued meanwhile (still locked).
+            q.drain(..).collect::<Vec<_>>().into()
+        };
+        // ws-audit: allow(WS103): only another flush of this replica waits for the turn; a peer acks a Replicate without it
+        let sent = self.replicate_sync(self.peers(), Arc::clone(&items));
+        if sent.failed {
+            let mut q = self.queue.lock();
             for item in items.iter() {
                 match q.iter_mut().find(|o| o.key == item.key) {
-                    Some(existing) => {
-                        if item.version > existing.version {
-                            *existing = item.clone();
-                        }
-                    }
+                    Some(queued) if item.version > queued.version => *queued = item.clone(),
+                    Some(_) => {}
                     None => q.push_back(item.clone()),
                 }
             }
         }
-        max_delay
+        sent.latency
     }
 
     /// The one reader of this replica's store on its peer-facing side: the
@@ -1040,25 +984,10 @@ impl ReplicaNode {
         }
         let mut pushed = 0usize;
         if !push.is_empty() {
-            let items = self.latest_objects(|key| push.contains(key));
-            if !items.is_empty() {
+            let items: Arc<[SyncObject]> = self.latest_objects(|key| push.contains(key)).into();
+            let sent = self.replicate_sync(vec![peer.clone()], Arc::clone(&items));
+            if !sent.failed {
                 pushed = items.len();
-                let msg = DataMsg::Replicate {
-                    items: items.into(),
-                    epoch: self.epoch(),
-                };
-                let bytes = msg.wire_bytes();
-                match self.mesh.rpc(&self.node, peer, msg, bytes, DATA_TIMEOUT) {
-                    Ok(_) => {
-                        self.stats.egress_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        pushed = 0;
-                        self.stats
-                            .replication_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
             }
         }
         Some((pulled, pushed))
@@ -1386,8 +1315,8 @@ impl ReplicaNode {
             let (msg, took) = refusal(FailCode::DeadlineExceeded, why, 100);
             return (reply, msg, took);
         }
-        // Admission control: replication and control traffic is handled
-        // inline (never here); ForwardPut is protocol traffic that already
+        // Admission control: replication and control traffic never comes
+        // here; ForwardPut is protocol traffic that already
         // paid admission at the origin replica, so only direct client ops
         // are sheddable.
         let sheddable = !matches!(op, DataMsg::ForwardPut { .. });
@@ -1568,8 +1497,8 @@ impl ReplicaNode {
     }
 
     /// Body of a pool thread of generation `gen`: lead each inbox it is handed
-    /// until an op blocks (then park, reply, and wait to lead again until the
-    /// idle period passes) or the node halts.
+    /// until a handler blocks (then park, reply, and wait to lead again until
+    /// the idle period passes) or the node halts.
     fn pool_thread(self: Arc<Self>, gen: u64, handed: crossbeam::channel::Receiver<Handoff>) {
         let me = std::thread::current().id();
         let mut next = handed.recv().ok();
@@ -1583,13 +1512,9 @@ impl ReplicaNode {
                     Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
                     Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                 };
-                let lead = Lead {
-                    held: Rc::new(Cell::new(Some(inbox))),
-                    node: self.clone(),
-                    gen,
-                };
-                let reply = self.dispatch(d, || lead.arm());
-                // Still held: the op never blocked. Answer it and lead on.
+                let lead = Lead::arm(inbox, &self, gen);
+                let reply = self.dispatch(d);
+                // Still held: the handler never blocked. Answer and lead on.
                 let Some(kept) = lead.held.take() else {
                     break reply;
                 };
@@ -1763,7 +1688,7 @@ impl ReplicaNode {
         let (mut results, written, engine) = self.write_local(items);
         let copy = if sync {
             let written: Arc<[SyncObject]> = written.into();
-            let bcast = self.replicate_sync(Arc::clone(&written));
+            let bcast = self.replicate_sync(self.peers(), Arc::clone(&written));
             if bcast.fenced {
                 // Deposed (§4.4): a peer at a higher epoch refused the copy.
                 // Undo the never-acknowledged local writes so they cannot
@@ -1864,18 +1789,19 @@ impl ReplicaNode {
         }
     }
 
-    /// Copy `written` to every peer synchronously: one `Replicate` at the
-    /// current epoch, shared by refcount across the sends, in one gather on
-    /// this thread, waiting for all replies; latency is the slowest peer.
-    /// `fenced` in the outcome means a peer at a higher epoch refused us —
-    /// we are a deposed primary and the write must not be acknowledged.
-    fn replicate_sync(&self, written: Arc<[SyncObject]>) -> BroadcastOutcome {
-        let peers = self.peers();
-        if peers.is_empty() || written.is_empty() {
+    /// Copy `items` to `peers` and wait for every ack: one `Replicate` at
+    /// the current epoch, shared by refcount across the sends, in one
+    /// gather on this thread — a synchronous put's copy to every peer, a
+    /// flush of the update queue, an anti-entropy push to one peer. Latency
+    /// is the slowest peer. `fenced` in the outcome means a peer at a higher
+    /// epoch refused us — we are a deposed primary and a write must not be
+    /// acknowledged; `failed`, that some peer did not apply the items.
+    fn replicate_sync(&self, peers: Vec<NodeId>, items: Arc<[SyncObject]>) -> BroadcastOutcome {
+        if peers.is_empty() || items.is_empty() {
             return BroadcastOutcome::default();
         }
         let msg = DataMsg::Replicate {
-            items: written,
+            items,
             epoch: self.epoch(),
         };
         let bytes = msg.wire_bytes();
@@ -1893,7 +1819,7 @@ impl ReplicaNode {
                     code: FailCode::StaleEpoch,
                     ..
                 } => Some((r.total(), true)),
-                // Anything else means the peer did not apply the write;
+                // Anything else means the peer did not apply the items;
                 // count it like a transport failure.
                 _ => None,
             });
@@ -1903,6 +1829,7 @@ impl ReplicaNode {
                     out.fenced |= fenced;
                 }
                 None => {
+                    out.failed = true;
                     self.stats
                         .replication_failures
                         .fetch_add(1, Ordering::Relaxed);
@@ -2090,9 +2017,9 @@ impl ReplicaNode {
 /// An answer on its way back to the caller, if one waits for it.
 type Reply = (Option<wiera_net::ReplySlot<DataMsg>>, DataMsg, SimDuration);
 
-/// Send an answer, if there is one and a caller waits for it.
-fn answer(reply: Option<Reply>) {
-    if let Some((Some(slot), msg, took)) = reply {
+/// Send an answer, if a caller waits for it.
+fn answer((slot, msg, took): Reply) {
+    if let Some(slot) = slot {
         let bytes = msg.wire_bytes();
         slot.reply(msg, took, bytes);
     }
@@ -2109,23 +2036,25 @@ struct Handoff {
     mailbox: crossbeam::channel::Sender<Handoff>,
 }
 
-/// The inbox while its leader runs an application op, with the block hook
+/// The inbox while its leader handles a delivery, with the block hook
 /// armed to hand it on. Dropping the guard runs a hook still armed, which
 /// hands on the inbox of an op that unwound before it blocked.
 struct Lead {
     held: Rc<Cell<Option<Inbox>>>,
-    node: Arc<ReplicaNode>,
-    gen: u64,
 }
 
 impl Lead {
-    fn arm(&self) {
-        let (held, node, gen) = (self.held.clone(), self.node.clone(), self.gen);
+    /// Hold `inbox` as `node`'s leader of generation `gen`, the hook armed.
+    fn arm(inbox: Inbox, node: &Arc<ReplicaNode>, gen: u64) -> Lead {
+        let held = Rc::new(Cell::new(Some(inbox)));
+        let (hook_held, node) = (held.clone(), node.clone());
         wiera_sim::block::set(move || {
-            let Some(inbox) = held.take() else { return };
+            let Some(inbox) = hook_held.take() else {
+                return;
+            };
             match node.hand_on(gen, inbox) {
                 // No thread to take it: lead on, blocked.
-                Err(inbox) => held.set(Some(inbox)),
+                Err(inbox) => hook_held.set(Some(inbox)),
                 Ok(started) => {
                     node.stats.handoffs.fetch_add(1, Ordering::Relaxed);
                     if started {
@@ -2136,6 +2065,7 @@ impl Lead {
                 }
             }
         });
+        Lead { held }
     }
 }
 
@@ -2162,21 +2092,14 @@ struct Pool {
     refuse_spawns: bool,
 }
 
-/// Slowest-peer latency of a synchronous replication fan-out, plus whether
-/// any peer fenced us as a stale-epoch (deposed) sender.
-#[derive(Debug, Clone, Copy)]
+/// Slowest-peer latency of a synchronous replication fan-out, whether any
+/// peer fenced us as a stale-epoch (deposed) sender, and whether any peer
+/// failed to apply it.
+#[derive(Debug, Clone, Copy, Default)]
 struct BroadcastOutcome {
     latency: SimDuration,
     fenced: bool,
-}
-
-impl Default for BroadcastOutcome {
-    fn default() -> Self {
-        BroadcastOutcome {
-            latency: SimDuration::ZERO,
-            fenced: false,
-        }
-    }
+    failed: bool,
 }
 
 /// What an anti-entropy round moved (§4.4 rejoin catch-up).
@@ -3205,20 +3128,27 @@ mod tests {
         assert_eq!(sorted_digests(&a).len(), 2, "the copy and the forward");
     }
 
+    /// An eventual replica whose periodic flush never runs: only a barrier
+    /// (a switch, a `FlushQueue`, a stop) sends its queue.
+    fn unflushed(m: &Arc<Mesh<DataMsg>>, region: Region, name: &str) -> Arc<ReplicaNode> {
+        let flush_interval = SimDuration::from_hours(10_000);
+        let cfg = config(region, name, ConsistencyModel::Eventual, 1 << 30);
+        spawn(
+            m,
+            ReplicaConfig {
+                flush_interval,
+                ..cfg
+            },
+        )
+    }
+
     /// A consistency switch adopts its epoch before it drains the queue: a
     /// peer that took the same switch first accepts the drained updates
     /// instead of fencing them as a deposed sender's.
     #[test]
     fn a_switch_drains_its_queue_at_the_epoch_it_adopts() {
         let m = mesh(3000.0);
-        // No periodic flush: only the switch's drain sends the update.
-        let a = spawn(
-            &m,
-            ReplicaConfig {
-                flush_interval: SimDuration::from_hours(10_000),
-                ..config(Region::UsEast, "a", ConsistencyModel::Eventual, 1 << 30)
-            },
-        );
+        let a = unflushed(&m, Region::UsEast, "a");
         let b = replica(&m, Region::UsWest, "b", ConsistencyModel::Eventual);
         wire(&[&a, &b], None);
         assert_eq!(put_items(&m, &a.node, &[item("q", 1, 16)]), [Ok(1)]);
@@ -3232,9 +3162,91 @@ mod tests {
         switch(&b);
         switch(&a);
         assert_eq!(a.queue_len(), 0);
-        eventually("the peer applies the drained update", || {
-            b.instance().get("q").is_ok()
+        assert!(
+            b.instance().get("q").is_ok(),
+            "the peer applied the drained update"
+        );
+    }
+
+    /// A switch's drain is a barrier: the switch answers only once its peer
+    /// has applied the drained update. The peer's leader is held at its
+    /// closed gate with no thread to hand its inbox to, so the update waits
+    /// in that inbox until the gate opens.
+    #[test]
+    fn a_switch_answers_only_once_its_peer_applied_the_drained_update() {
+        // At 100x the gather's DATA_TIMEOUT is 1.2 s of wall; the peer is
+        // released within a few ms of the switch starting to wait.
+        let m = mesh(100.0);
+        let a = unflushed(&m, Region::UsEast, "a");
+        let b = unflushed(&m, Region::EuWest, "b");
+        wire(&[&a, &b], None);
+        let region = b.node.region.to_string();
+        let refused = MetricsRegistry::global()
+            .counter("wiera_worker_spawn_errors", &[("region", region.as_str())]);
+        let refused0 = refused.get();
+        b.pool.lock().refuse_spawns = true;
+        b.gate.close();
+        let held = {
+            let (m, to) = (m.clone(), b.node.clone());
+            let cli = NodeId::new(Region::EuWest, "held-cli");
+            std::thread::spawn(move || app_rpc(&m, &cli, &to, put_msg("k")))
+        };
+        eventually("b's leader blocked at its gate", || {
+            refused.get() > refused0
         });
+        assert_eq!(put_items(&m, &a.node, &[item("q", 1, 16)]), [Ok(1)]);
+        let handoffs0 = handoffs(&a);
+        let switch = {
+            let (m, a_node, b) = (m.clone(), a.node.clone(), b.clone());
+            std::thread::spawn(move || {
+                let ctrl = NodeId::new(Region::UsEast, "ctrl");
+                let msg = DataMsg::ChangeConsistency { to: MP, epoch: 2 };
+                let reply = m.rpc(&ctrl, &a_node, msg, 64, SimDuration::from_hours(1));
+                // Read the peer the moment the switch has answered.
+                (reply.map(|r| r.msg), b.instance().get("q").is_ok())
+            })
+        };
+        // A drain that waits for acks hands a's inbox on first.
+        eventually("the switch answered or waits for its ack", || {
+            switch.is_finished() || handoffs(&a) > handoffs0
+        });
+        b.pool.lock().refuse_spawns = false;
+        b.gate.open();
+        let (reply, applied) = switch.join().unwrap();
+        assert!(matches!(reply, Ok(DataMsg::Ok)), "{reply:?}");
+        assert!(
+            applied,
+            "the switch answered before its peer applied the update"
+        );
+        assert_eq!(held.join().unwrap().unwrap().version, 1);
+        assert_eq!(a.stats.replication_failures.load(Ordering::Relaxed), 0);
+    }
+
+    /// Two replicas switched by one gather of `ChangeConsistency`, as
+    /// `WieraDeployment::change_consistency` sends it, each drain an update
+    /// to the other. Each switch hands its inbox on while it waits for its
+    /// ack, so each replica applies the other's update and neither gather
+    /// times out.
+    #[test]
+    fn two_replicas_switched_at_once_apply_each_others_drained_update() {
+        let m = mesh(100.0);
+        let a = unflushed(&m, Region::UsEast, "a");
+        let b = unflushed(&m, Region::UsWest, "b");
+        wire(&[&a, &b], None);
+        assert_eq!(put_items(&m, &a.node, &[item("from-a", 1, 16)]), [Ok(1)]);
+        assert_eq!(put_items(&m, &b.node, &[item("from-b", 2, 16)]), [Ok(1)]);
+        let ctrl = NodeId::new(Region::UsEast, "ctrl");
+        let msg = DataMsg::ChangeConsistency { to: MP, epoch: 2 };
+        let calls = vec![(a.node.clone(), msg.clone()), (b.node.clone(), msg)];
+        for reply in m.rpc_gather(&ctrl, calls, 64, SimDuration::from_hours(1)) {
+            assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Ok)));
+        }
+        assert!(a.instance().get("from-b").is_ok(), "a holds b's update");
+        assert!(b.instance().get("from-a").is_ok(), "b holds a's update");
+        for r in [&a, &b] {
+            assert_eq!(r.stats.replication_failures.load(Ordering::Relaxed), 0);
+            assert_eq!((r.queue_len(), r.consistency()), (0, MP));
+        }
     }
 
     /// One reader answers a fetch of named keys (unknown ones are skipped)
@@ -3751,18 +3763,17 @@ mod tests {
             .collect()
     }
 
-    /// Drain `r`'s update queue and wait until its peers have applied it.
-    /// The flush waits for the batch to arrive, not for its apply; a peer's
-    /// handler thread applies the batch before it answers a later ping.
+    /// Drain `r`'s update queue: answered once its peers have applied it.
     fn flush(m: &Arc<Mesh<DataMsg>>, r: &ReplicaNode) {
         let ctrl = NodeId::new(r.node.region, "ctrl");
-        let patience = SimDuration::from_hours(1);
-        let reply = m.rpc(&ctrl, &r.node, DataMsg::FlushQueue, 64, patience);
+        let reply = m.rpc(
+            &ctrl,
+            &r.node,
+            DataMsg::FlushQueue,
+            64,
+            SimDuration::from_hours(1),
+        );
         assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Ok)));
-        for peer in r.peers() {
-            let reply = m.rpc(&ctrl, &peer, DataMsg::Ping, 64, patience);
-            assert!(matches!(reply.map(|r| r.msg), Ok(DataMsg::Pong)));
-        }
     }
 
     /// A coordination service on the data mesh's clock, and sessions on it.

@@ -93,7 +93,9 @@ impl TieraServer {
     }
 
     pub fn stop(&self) {
-        for (_, h) in self.replicas.lock().drain() {
+        // A replica's stop waits for its flush's acks: not under the lock.
+        let holders: Vec<ReplicaHolder> = self.replicas.lock().drain().map(|(_, h)| h).collect();
+        for h in holders {
             h.replica.stop();
         }
         self.stop.store(true, Ordering::Release);
@@ -129,17 +131,17 @@ impl TieraServer {
                 }
             }
             DataMsg::StopReplica { node } => {
-                let mut reps = self.replicas.lock();
-                let key = reps
-                    .iter()
-                    .find(|(_, h)| h.replica.node == node)
-                    .map(|(k, _)| k.clone());
-                if let Some(k) = key {
-                    if let Some(h) = reps.remove(&k) {
-                        h.replica.stop();
-                    }
+                let holder = {
+                    let mut reps = self.replicas.lock();
+                    let key = reps
+                        .iter()
+                        .find(|(_, h)| h.replica.node == node)
+                        .map(|(k, _)| k.clone());
+                    key.and_then(|k| reps.remove(&k))
+                };
+                if let Some(h) = holder {
+                    h.replica.stop();
                 }
-                drop(reps);
                 if let Some(slot) = d.reply {
                     slot.reply(DataMsg::Ok, SimDuration::from_millis(1), 64);
                 }
