@@ -46,14 +46,106 @@ static DEFAULT_STORE: Action = Action::Store {
     to: Target::LocalInstance,
 };
 
-/// Where one put's bytes went: the tier a `store` action chose, the tiers
-/// `copy` actions wrote to, the dirty bit, and every tier written so far.
+/// Where every put's bytes go, and what its version records: fixed by the
+/// insert rules and the tiers, which never change, so worked out once.
 #[derive(Default)]
-struct Placement {
-    location: Option<TierIdx>,
+struct PlacePlan {
+    writes: Vec<TierIdx>,
+    /// The tier a `store` chose: the version's location.
+    location: TierIdx,
+    /// The tiers `copy` actions wrote to.
     replicas: TierSet,
     dirty: bool,
-    written: TierSet,
+    /// What the rules fail with once `writes` are made, if they do.
+    error: Option<TieraError>,
+    /// The final write's tier if it may take over a pruned version's slot.
+    takes_over: Option<TierIdx>,
+}
+
+impl PlacePlan {
+    /// Run the insert rules of event `insert.into`, a store into the first
+    /// tier when none of them stored, then the write-through rules scoped to
+    /// that tier (`insert.into == tier1`), whose stores move no location.
+    fn of(rules: &[Rule], tiers: &[(String, TierHandle)]) -> PlacePlan {
+        let into = |into: Option<&str>| {
+            let event = EventKind::Insert {
+                into: into.map(String::from),
+            };
+            let rules = rules.iter().filter(|r| r.event == event);
+            rules.flat_map(|r| &r.actions).collect::<Vec<_>>()
+        };
+        let mut plan = PlacePlan::default();
+        let outcome = (|| -> Result<(), TieraError> {
+            let mut stored = None;
+            for action in into(None) {
+                stored = plan.add_action(tiers, action)?.or(stored);
+            }
+            plan.location = match stored {
+                Some(tier) => tier,
+                None => plan.add_action(tiers, &DEFAULT_STORE)?.unwrap_or_default(),
+            };
+            for action in into(Some(&tiers[usize::from(plan.location)].0)) {
+                plan.add_action(tiers, action)?;
+            }
+            Ok(())
+        })();
+        plan.error = outcome.err();
+        let last = plan.writes.last().copied().filter(|_| plan.error.is_none());
+        plan.takes_over = last.filter(|&i| tiers[usize::from(i)].1.as_local().is_some());
+        plan
+    }
+
+    /// Add one insert action's write to the plan. Returns the tier a
+    /// `store` stores into.
+    fn add_action(
+        &mut self,
+        tiers: &[(String, TierHandle)],
+        action: &Action,
+    ) -> Result<Option<TierIdx>, TieraError> {
+        let (tier, stores) = match action {
+            Action::SetAttr {
+                path,
+                value: CondValue::Bool(b),
+            } if path.last().map(String::as_str) == Some("dirty") => {
+                self.dirty = *b;
+                return Ok(None);
+            }
+            Action::Store {
+                what: Selector::InsertObject,
+                to: Target::Tier(label),
+            } => (tier_required(tiers, label)?, true),
+            // `store(to:local_instance)`, the local leg of a global policy,
+            // and the default ingest: the first tier.
+            Action::Store {
+                what: Selector::InsertObject,
+                to: Target::LocalInstance,
+            } => match tiers.is_empty() {
+                true => return Err(TieraError::NoSuchTier("tier1".to_string())),
+                false => (0, true),
+            },
+            Action::Copy {
+                what: Selector::InsertObject,
+                to: Target::Tier(label),
+                ..
+            } => (tier_required(tiers, label)?, false),
+            // Global actions (lock/copy-to-regions/forward/queue/...) are
+            // the Wiera layer's responsibility; the local engine ignores
+            // them.
+            _ => return Ok(None),
+        };
+        self.writes.push(tier);
+        if !stores {
+            self.replicas |= 1 << tier;
+        }
+        Ok(stores.then_some(tier))
+    }
+}
+
+/// The index of the tier labeled `label` in `tiers`, or `NoSuchTier`.
+fn tier_required(tiers: &[(String, TierHandle)], label: &str) -> Result<TierIdx, TieraError> {
+    let i = tiers.iter().position(|(l, _)| l == label);
+    i.map(|i| i as TierIdx)
+        .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))
 }
 
 /// Errors surfaced by instance operations.
@@ -136,7 +228,7 @@ enum PassItem<'a> {
 /// modeled latency is slept once, by the outermost caller. Each op passes
 /// the time it read the clock at; a mounted instance reads its own. An op
 /// names one version of one key; a mounted instance stores it under the
-/// key [`storage_key`] formats.
+/// key [`storage_key`] formats, and never takes over a pruned version's slot.
 #[derive(Clone)]
 pub enum TierHandle {
     Local(Arc<SimTier>),
@@ -153,9 +245,10 @@ impl TierHandle {
         version: VersionId,
         val: Bytes,
         now: SimInstant,
+        replaces: Option<VersionId>,
     ) -> Result<SimDuration, TieraError> {
         match self {
-            TierHandle::Local(t) => Ok(t.put_at(key, version, val, now)?),
+            TierHandle::Local(t) => Ok(t.put_at(key, version, val, now, replaces)?),
             TierHandle::Instance { inst, read_only } => {
                 if *read_only {
                     return Err(TieraError::ReadOnlyTier(inst.name().to_string()));
@@ -311,6 +404,7 @@ pub struct TieraInstance {
     config: InstanceConfig,
     clock: SharedClock,
     tiers: Vec<(String, TierHandle)>,
+    plan: PlacePlan,
     /// Each tier's place in a read's fastest-first holder order: the rank
     /// of its typical get latency (equal latencies share one), then of its
     /// label among the tiers ordered by both.
@@ -398,10 +492,12 @@ impl TieraInstance {
             .collect();
         let labels = tiers.iter().map(|(l, _)| l.clone()).collect();
         let meta = MetaStore::for_tiers(labels, Self::mount_depth(&tiers));
+        let plan = PlacePlan::of(&config.rules, &tiers);
         Arc::new(TieraInstance {
             config,
             clock,
             tiers,
+            plan,
             read_rank,
             meta,
             filled_armed: TrackedMutex::new("inst.filled_armed", HashMap::new()),
@@ -472,12 +568,6 @@ impl TieraInstance {
     fn tier_index(&self, label: &str) -> Option<TierIdx> {
         let i = self.tiers.iter().position(|(l, _)| l == label)?;
         Some(i as TierIdx)
-    }
-
-    /// The index of the tier labeled `label`, or `NoSuchTier`.
-    fn tier_required(&self, label: &str) -> Result<TierIdx, TieraError> {
-        self.tier_index(label)
-            .ok_or_else(|| TieraError::NoSuchTier(label.to_string()))
     }
 
     /// The tier at index `i` (a version's metadata names only this
@@ -628,7 +718,8 @@ impl TieraInstance {
 
     /// Run the items `item(0..n)` in one engine pass: one sort groups them
     /// by metastore shard (one key's items keep their order), each shard's
-    /// lock is taken once, and each item reads the clock once. Returns
+    /// lock is taken once, and the pass reads the clock once, so its items
+    /// share their created, modified and last-access stamp. Returns
     /// per-item outcomes in order; `None` is a replicated update that lost.
     fn engine_pass<'a>(
         &self,
@@ -642,10 +733,10 @@ impl TieraInstance {
         let mut order: Vec<_> = (0..n).map(|i| (self.meta.shard_of(key(i)), i)).collect();
         order.sort_unstable();
         let mut results: Vec<_> = (0..n).map(|_| None).collect();
+        let now = self.clock.now();
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let mut map = self.meta.shard_write(group[0].0);
             for &(_, i) in group {
-                let now = self.clock.now();
                 let (key, value, forced, overhead) = match item(i) {
                     PassItem::Op(BatchOp::Get { key }) => {
                         self.stats.app_gets.fetch_add(1, Ordering::Relaxed);
@@ -780,35 +871,53 @@ impl TieraInstance {
             Some((v, _)) => v,
             None => obj.next_version(),
         };
-        let mut latency = overhead;
-        let mut placed = Placement::default();
-        let slot = (key, version);
-        let location = match self.place(slot, &value, now, &mut latency, &mut placed) {
-            Ok(location) => location,
-            Err(e) => {
-                // A failed put leaves no bytes behind — unless the version
-                // is already recorded (a replicated rewrite of it): then
-                // the copies overwrote bytes its metadata points at.
-                if obj.version(version).is_none() {
-                    self.delete_from(placed.written, key, version, now);
-                }
-                return Err(e);
-            }
+        // A new newest version in a full list prunes the oldest version: the
+        // plan's final write takes over its slot if that tier may hold it.
+        let keep = self.config.max_versions.unwrap_or(usize::MAX);
+        let prunes = keep > 0 && obj.versions.len() >= keep && obj.latest_version() < Some(version);
+        let oldest = obj.versions.first().filter(|_| prunes);
+        let takeover = match (self.plan.takes_over, oldest) {
+            (Some(tier), Some(m)) if self.copies(m) >> tier & 1 == 1 => Some((tier, m.version)),
+            _ => None,
         };
+        let (mut latency, mut written) = (overhead, 0);
+        let writes = &self.plan.writes;
+        let placed = writes.iter().enumerate().try_for_each(|(n, &tier)| {
+            let replaces = takeover.filter(|_| n + 1 == writes.len()).map(|t| t.1);
+            let handle = self.tier_at(tier);
+            latency += handle.put(key, version, value.clone(), now, replaces)?;
+            written |= 1 << tier;
+            Ok(())
+        });
+        let failed = placed.err().or_else(|| self.plan.error.clone());
+        if let Some(e) = failed {
+            // A failed put leaves no bytes behind — unless the version is
+            // already recorded (a replicated rewrite of it): then the
+            // copies overwrote bytes its metadata points at.
+            if obj.version(version).is_none() {
+                self.delete_from(written, key, version, now);
+            }
+            return Err(e);
+        }
 
         // Record metadata in the same lock hold that allocated the version.
         for t in tags {
             obj.tags.insert(t.to_string());
         }
-        let mut m = VersionMeta::new(version, value.len() as u64, now, location);
-        m.dirty = placed.dirty;
-        m.replicas = placed.replicas;
+        let plan = &self.plan;
+        let mut m = VersionMeta::new(version, value.len() as u64, now, plan.location);
+        m.dirty = plan.dirty;
+        m.replicas = plan.replicas;
         if let Some((_, modified)) = forced {
             m.modified = modified;
         }
         let modified = m.modified;
         obj.add_version(m, self.config.max_versions, |old| {
-            self.delete_from(self.copies(&old), key, old.version, now);
+            // The final write took over the first pruned version's slot.
+            let taken = takeover
+                .filter(|t| t.1 == old.version)
+                .map_or(0, |t| 1 << t.0);
+            self.delete_from(self.copies(&old) & !taken, key, old.version, now);
         });
         if let Some(obj) = fresh {
             map.insert(ShortKey::new(key), obj);
@@ -820,99 +929,6 @@ impl TieraInstance {
             modified,
             latency,
         })
-    }
-
-    /// Place one put's bytes, version `slot.1` of key `slot.0`: run the
-    /// insert rules, store into the first tier when none of them stored,
-    /// then run the write-through rules scoped to the tier stored into.
-    /// Returns that tier; `placed` records every tier written, also when a
-    /// step fails.
-    fn place(
-        &self,
-        slot: (&str, VersionId),
-        value: &Bytes,
-        now: SimInstant,
-        latency: &mut SimDuration,
-        placed: &mut Placement,
-    ) -> Result<TierIdx, TieraError> {
-        // Insert rules (event `insert.into`) run synchronously. They only
-        // touch tiers, never this metastore.
-        for rule in &self.config.rules {
-            if matches!(rule.event, EventKind::Insert { into: None }) {
-                for action in &rule.actions {
-                    self.run_insert_action(action, slot, value, now, latency, placed)?;
-                }
-            }
-        }
-        // No rule placed the bytes locally (no insert rules at all, or a
-        // global policy whose local leg is just `store(to:local_instance)`,
-        // handled as the default ingest): store into the first tier.
-        if placed.location.is_none() {
-            self.run_insert_action(&DEFAULT_STORE, slot, value, now, latency, placed)?;
-        }
-        // A store, the default one included, always records its tier.
-        let location = placed.location.unwrap_or_default();
-        // Write-through rules scoped to the tier we stored into
-        // (`event(insert.into == tier1)`); a `store` among them does not
-        // move the recorded location.
-        let label = self.tier_label(location);
-        for rule in &self.config.rules {
-            if matches!(&rule.event, EventKind::Insert { into: Some(t) } if t == label) {
-                for action in &rule.actions {
-                    self.run_insert_action(action, slot, value, now, latency, placed)?;
-                }
-            }
-        }
-        Ok(location)
-    }
-
-    fn run_insert_action(
-        &self,
-        action: &Action,
-        (key, version): (&str, VersionId),
-        value: &Bytes,
-        now: SimInstant,
-        latency: &mut SimDuration,
-        placed: &mut Placement,
-    ) -> Result<(), TieraError> {
-        let (tier, stores) = match action {
-            Action::SetAttr {
-                path,
-                value: CondValue::Bool(b),
-            } if path.last().map(String::as_str) == Some("dirty") => {
-                placed.dirty = *b;
-                return Ok(());
-            }
-            Action::Store {
-                what: Selector::InsertObject,
-                to: Target::Tier(label),
-            } => (self.tier_required(label)?, true),
-            // `store(to:local_instance)` — the local leg of a global policy:
-            // ingest through the default (first) tier.
-            Action::Store {
-                what: Selector::InsertObject,
-                to: Target::LocalInstance,
-            } => match self.tiers.is_empty() {
-                true => return Err(TieraError::NoSuchTier("tier1".to_string())),
-                false => (0, true),
-            },
-            Action::Copy {
-                what: Selector::InsertObject,
-                to: Target::Tier(label),
-                ..
-            } => (self.tier_required(label)?, false),
-            // Global actions (lock/copy-to-regions/forward/queue/...) are the
-            // Wiera layer's responsibility; the local engine ignores them.
-            _ => return Ok(()),
-        };
-        *latency += self.tier_at(tier).put(key, version, value.clone(), now)?;
-        placed.written |= 1 << tier;
-        if stores {
-            placed.location = Some(tier);
-        } else {
-            placed.replicas |= 1 << tier;
-        }
-        Ok(())
     }
 
     /// Retrieve the latest version (GET).
@@ -974,7 +990,9 @@ impl TieraInstance {
             .with_existing_mut(key, |o| {
                 let m = o.version_mut(version).ok_or_else(missing)?;
                 let size = value.len() as u64;
-                let stored = self.tier_at(m.location).put(key, version, value, now)?;
+                let stored = self
+                    .tier_at(m.location)
+                    .put(key, version, value, now, None)?;
                 m.size = size;
                 m.modified = now;
                 m.touch(now);
@@ -1361,10 +1379,10 @@ impl TieraInstance {
         let now = self.clock.now();
         let out = self.read_version(key, version, now)?;
         let data = out.value.ok_or_else(|| no_bytes(key))?;
-        let to = self.tier_required(to)?;
+        let to = tier_required(&self.tiers, to)?;
         let size = data.len();
         let mut latency = out.latency;
-        latency += self.tier_at(to).put(key, version, data, now)?;
+        latency += self.tier_at(to).put(key, version, data, now, None)?;
         if let Some(bw) = bandwidth_bps {
             let limited = SimDuration::from_secs_f64(size as f64 / bw.max(1.0));
             latency = latency.max(limited);
@@ -1424,7 +1442,8 @@ impl TieraInstance {
                 // Rewrite in every holder.
                 let m = o.version_mut(version).ok_or_else(missing)?;
                 for h in tiers_in(m.holders()) {
-                    self.tier_at(h).put(key, version, stored.clone(), now)?;
+                    self.tier_at(h)
+                        .put(key, version, stored.clone(), now, None)?;
                 }
                 (m.compressed, m.encrypted) = flags;
                 m.size = stored.len() as u64;
@@ -2114,7 +2133,7 @@ mod tests {
         // Writes to the read-only mounted tier fail…
         let h = front.tier("tier2").unwrap();
         assert!(matches!(
-            h.put("x", 1, Bytes::from_static(b"y"), SimInstant::EPOCH),
+            h.put("x", 1, Bytes::from_static(b"y"), SimInstant::EPOCH, None),
             Err(TieraError::ReadOnlyTier(_))
         ));
         // …but reads pass through to the backing instance.

@@ -14,13 +14,14 @@
 //! instance stores each version of a key in its own slot, and a tier used
 //! as a plain key-value store ([`SimTier::put`], [`SimTier::get`]) keeps
 //! one slot per key, version 0. A key's own map entry holds one version,
-//! normally its newest, so an overwrite that prunes the version it replaces
-//! rewrites that entry in place and the map never turns a key over.
+//! normally its newest, so a put that takes over the slot of the version it
+//! prunes rewrites that entry in place and the map never turns a key over.
 
 use crate::cost::CostMeter;
 use crate::spec::TierSpec;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -145,29 +146,56 @@ impl SlotShard {
         }
     }
 
-    /// Store `slot` as version `slot.version` of `key`, over that version's
-    /// slot if any, so a version has one slot in one of the two maps. A
-    /// newer version takes the key's entry and moves the one it held to
-    /// `older`.
-    fn insert(&mut self, key: &str, slot: Slot) {
-        if let Some(old) = self.older.get_mut(&(ShortKey::new(key), slot.version)) {
-            *old = slot;
-            return;
-        }
-        let older = match self.newest.get_mut(key) {
-            None => {
-                self.newest.insert(ShortKey::new(key), slot);
-                return;
-            }
-            Some(newest) if newest.version == slot.version => {
-                *newest = slot;
-                return;
-            }
-            Some(newest) if newest.version < slot.version => std::mem::replace(newest, slot),
-            Some(_) => slot,
+    /// Store `slot` over its version's slot, and drop version `replaces`'
+    /// slot, once `reserve(freed, released)`, asked with their bytes, is
+    /// `Ok`; on `Err` hand the slot back. A newer version takes the key's
+    /// entry, moving the one it held to `older` unless that is `replaces`.
+    /// Probes the entry once, and `older` only when it is not empty.
+    fn write_slot(
+        &mut self,
+        key: &str,
+        slot: Slot,
+        replaces: Option<u64>,
+        reserve: impl FnOnce(u64, u64) -> Result<u64, u64>,
+    ) -> Result<u64, (u64, Slot)> {
+        let older = &mut self.older;
+        let entry = self.newest.entry(ShortKey::new(key));
+        let held = match &entry {
+            Entry::Occupied(e) => Some((e.get().version, e.get().data.len() as u64)),
+            Entry::Vacant(_) => None,
         };
-        self.older
-            .insert((ShortKey::new(key), older.version), older);
+        let sized = |v| match held {
+            Some((h, bytes)) if h == v => (bytes, false),
+            _ if older.is_empty() => (0, false),
+            _ => match older.get(&(ShortKey::new(key), v)) {
+                Some(s) => (s.data.len() as u64, true),
+                None => (0, false),
+            },
+        };
+        let (freed, released) = (sized(slot.version), replaces.map_or((0, false), sized));
+        let used = match reserve(freed.0, released.0) {
+            Ok(used) => used,
+            Err(over) => return Err((over, slot)),
+        };
+        for (v, (_, in_older)) in [(slot.version, freed), (replaces.unwrap_or(0), released)] {
+            if in_older {
+                older.remove(&(ShortKey::new(key), v));
+            }
+        }
+        match entry {
+            Entry::Vacant(e) => {
+                e.insert(slot);
+            }
+            Entry::Occupied(mut e) => match e.get().version {
+                h if h == slot.version || Some(h) == replaces => drop(e.insert(slot)),
+                h if h < slot.version => {
+                    let held = e.insert(slot);
+                    older.insert((ShortKey::new(key), h), held);
+                }
+                _ => drop(older.insert((ShortKey::new(key), slot.version), slot)),
+            },
+        }
+        Ok(used)
     }
 
     fn remove(&mut self, key: &str, version: u64) -> Option<Slot> {
@@ -402,17 +430,19 @@ impl SimTier {
     /// shard lock is released and globally-LRU victims are evicted one at a
     /// time — at most one shard lock is ever held.
     pub fn put(&self, key: &str, val: Bytes) -> TierResult<SimDuration> {
-        self.put_at(key, 0, val, self.clock.now())
+        self.put_at(key, 0, val, self.clock.now(), None)
     }
 
     /// [`SimTier::put`] of one version of `key`, by an op that read the
-    /// clock at `now`.
+    /// clock at `now`; given `replaces` (not `version`), also that version's
+    /// [`SimTier::delete_at`] under the same lock, counted as one.
     pub fn put_at(
         &self,
         key: &str,
         version: u64,
         val: Bytes,
         now: SimInstant,
+        replaces: Option<u64>,
     ) -> TierResult<SimDuration> {
         self.check_up()?;
         let need = val.len() as u64;
@@ -423,26 +453,32 @@ impl SimTier {
         }
         let lat = self.throttle(now) + self.native_latency(false, need);
         let home = shard_of(key);
+        let replaces = replaces.filter(|&p| p != version);
+        let mut slot = Slot {
+            version,
+            data: val,
+            last_access: now,
+        };
         loop {
-            let over = {
-                let mut shard = self.shards[home].write();
-                let freed = shard.slot(key, version).map_or(0, |s| s.data.len() as u64);
-                match self.try_reserve(freed, need, capacity) {
-                    Ok(new_used) => {
-                        let slot = Slot {
-                            version,
-                            data: val,
-                            last_access: now,
-                        };
-                        shard.insert(key, slot);
-                        self.meter.note_put(new_used, now);
-                        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                        self.note_op(TierOp::Put, lat);
-                        return Ok(lat);
+            let put =
+                self.shards[home]
+                    .write()
+                    .write_slot(key, slot, replaces, |freed, released| {
+                        self.try_reserve(freed, need, released, capacity)
+                    });
+            let (over, back) = match put {
+                Ok(new_used) => {
+                    self.meter.note_put(new_used, now);
+                    self.stats.puts.fetch_add(1, Ordering::Relaxed);
+                    self.note_op(TierOp::Put, lat);
+                    if replaces.is_some() {
+                        self.note_delete();
                     }
-                    Err(used) => used,
+                    return Ok(lat);
                 }
+                Err(failed) => failed,
             };
+            slot = back;
             // Over capacity. Durable tiers reject; volatile tiers evict the
             // globally least-recently-used object and retry (shard lock is
             // released first — eviction locks one shard at a time).
@@ -457,10 +493,10 @@ impl SimTier {
         }
     }
 
-    /// Atomically reserve `need - freed` bytes against `capacity`. Returns
-    /// the new used total, or `Err(used excluding freed)` when it does not
-    /// fit. Call with the shard owning `freed`'s slot locked.
-    fn try_reserve(&self, freed: u64, need: u64, capacity: u64) -> Result<u64, u64> {
+    /// Atomically reserve `need - freed` bytes against `capacity`, then give
+    /// back `released`. Returns the new used total, or `Err(used excluding
+    /// freed)` when it does not fit. Call with their slots' shard locked.
+    fn try_reserve(&self, freed: u64, need: u64, released: u64, capacity: u64) -> Result<u64, u64> {
         let mut cur = self.used.load(Ordering::Relaxed);
         loop {
             let without = cur - freed;
@@ -469,11 +505,11 @@ impl SimTier {
             }
             match self.used.compare_exchange_weak(
                 cur,
-                without + need,
+                without + need - released,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Ok(without + need),
+                Ok(_) => return Ok(without + need - released),
                 Err(actual) => cur = actual,
             }
         }
@@ -558,6 +594,12 @@ impl SimTier {
             let new_used = self.used.fetch_sub(freed, Ordering::Relaxed) - freed;
             self.meter.set_bytes(new_used, now);
         }
+        self.note_delete();
+        Ok(())
+    }
+
+    /// Count one delete, a [`SimTier::delete_at`] or a put's takeover.
+    fn note_delete(&self) {
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
         self.deletes
             .get_or_init(|| {
@@ -565,7 +607,6 @@ impl SimTier {
                 MetricsRegistry::global().counter("tier_ops_total", &labels)
             })
             .inc();
-        Ok(())
     }
 
     pub fn contains(&self, key: &str) -> bool {
@@ -632,7 +673,7 @@ impl SimTier {
 mod tests {
     use super::*;
     use crate::kind::TierKind;
-    use wiera_sim::{Clock, ManualClock};
+    use wiera_sim::{Clock, ManualClock, SimRng};
 
     fn mem(capacity: u64) -> Arc<SimTier> {
         SimTier::new(
@@ -698,13 +739,13 @@ mod tests {
         let t = ssd(1 << 20);
         let now = SimInstant::EPOCH;
         for v in 1..=4 {
-            t.put_at("k", v, payload(100), now).unwrap();
+            t.put_at("k", v, payload(100), now, None).unwrap();
         }
         // The newest slot goes; versions 1-3 stay in the side map.
         t.delete_at("k", 4, now).unwrap();
-        t.put_at("k", 2, payload(10), now).unwrap();
-        t.put_at("k", 0, payload(1), now).unwrap();
-        t.put_at("k", 3, payload(20), now).unwrap();
+        t.put_at("k", 2, payload(10), now, None).unwrap();
+        t.put_at("k", 0, payload(1), now, None).unwrap();
+        t.put_at("k", 3, payload(20), now, None).unwrap();
         assert_eq!((t.len(), t.used_bytes()), (4, 100 + 10 + 20 + 1));
         assert_eq!(t.get_at("k", 3, now).unwrap().0.len(), 20);
         for v in [0, 1, 2, 3] {
@@ -712,6 +753,61 @@ mod tests {
             assert!(!t.holds("k", v), "v{v} deleted, no copy left");
         }
         assert_eq!((t.len(), t.used_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_takeover_leaves_what_a_put_then_a_delete_leaves() {
+        // Few keys and versions in any order, so a put meets its version
+        // and the one it replaces in the key's entry, in the side map or
+        // nowhere; a small tier makes some puts evict or fail.
+        for kind in [TierKind::Memcached, TierKind::EbsSsd] {
+            let clock = ManualClock::new();
+            let tier = |seed| SimTier::new(TierSpec::of(kind), 2000, clock.clone(), seed);
+            let (taking, twin) = (tier(1), tier(1));
+            let mut rng = SimRng::new(9);
+            for op in 0..4000 {
+                clock.advance(SimDuration::from_micros(1));
+                let now = clock.now();
+                let key = ["a", "b", "c"][rng.gen_range_usize(0, 3)];
+                let version = rng.gen_range_usize(0, 5) as u64;
+                match rng.gen_range_usize(0, 10) {
+                    0..=5 => {
+                        let val = payload(rng.gen_range_usize(0, 700));
+                        let replaces = rng.gen_range_usize(0, 6) as u64;
+                        let taken = taking.put_at(key, version, val.clone(), now, Some(replaces));
+                        let put = twin.put_at(key, version, val, now, None);
+                        assert_eq!(taken, put, "{kind} op {op}");
+                        if put.is_ok() && replaces != version {
+                            twin.delete_at(key, replaces, now).unwrap();
+                        }
+                    }
+                    6..=7 => {
+                        let got = taking.get_at(key, version, now).map(|g| g.0);
+                        assert_eq!(got, twin.get_at(key, version, now).map(|g| g.0));
+                    }
+                    _ => {
+                        taking.delete_at(key, version, now).unwrap();
+                        twin.delete_at(key, version, now).unwrap();
+                    }
+                }
+                let slots = [&taking, &twin].map(|t| {
+                    let mut slots: Vec<_> =
+                        t.keys().iter().map(|(k, v)| (k.to_string(), *v)).collect();
+                    slots.sort();
+                    slots
+                });
+                assert_eq!(slots[0], slots[1], "{kind} op {op}");
+                assert_eq!(taking.used_bytes(), twin.used_bytes(), "{kind} op {op}");
+                assert_eq!(taking.stats.snapshot(), twin.stats.snapshot());
+            }
+            let held: usize = taking
+                .keys()
+                .iter()
+                .map(|(k, v)| taking.get_at(k, *v, clock.now()).unwrap().0.len())
+                .sum();
+            assert_eq!(taking.used_bytes(), held as u64, "{kind}");
+            assert!(taking.stats.snapshot().deletes > 1000, "{kind}");
+        }
     }
 
     #[test]
